@@ -160,7 +160,7 @@ func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKe
 			"Idempotency-Key was already used with a different request body")
 		return true
 	}
-	if res, hit := s.cache[rec.StudyKey].(*StudyResponse); hit {
+	if e := s.cache[rec.StudyKey]; e != nil && e.study != nil {
 		s.mu.Unlock()
 		obs.C("server_idempotent_replays_total").Inc()
 		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
@@ -168,7 +168,7 @@ func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKe
 		}
 		w.Header().Set("Idempotency-Replayed", "true")
 		s.log.Debug("study replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeResult(w, res, p, true, rec.JobID)
+		writeHit(w, e.studyHitBody(p), rec.JobID)
 		return true
 	}
 	if c, flying := s.inflight[rec.StudyKey]; flying {
@@ -246,23 +246,21 @@ func (s *Server) recoverFromStore() {
 			start = len(rec.Results) - s.cfg.CacheEntries
 		}
 		for _, res := range rec.Results[start:] {
-			var body any
+			// Only the value is restored; hit bodies encode on first use.
+			e := &cacheEntry{}
+			var err error
 			if strings.HasPrefix(res.Key, sweepKeyPrefix) {
-				var sw SweepResponse
-				if err := json.Unmarshal(res.Body, &sw); err != nil {
-					s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
-					continue
-				}
-				body = &sw
+				e.sweep = new(SweepResponse)
+				err = json.Unmarshal(res.Body, e.sweep)
 			} else {
-				var sr StudyResponse
-				if err := json.Unmarshal(res.Body, &sr); err != nil {
-					s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
-					continue
-				}
-				body = &sr
+				e.study = new(StudyResponse)
+				err = json.Unmarshal(res.Body, e.study)
 			}
-			s.cache[res.Key] = body
+			if err != nil {
+				s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
+				continue
+			}
+			s.cache[res.Key] = e
 			s.order = append(s.order, res.Key)
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -38,6 +39,9 @@ func postStudyIdem(t *testing.T, url, body, key string) (*http.Response, StudyRe
 	} else if err := dec.Decode(&fail); err != nil {
 		t.Fatalf("decoding ErrorResponse (status %d): %v", resp.StatusCode, err)
 	}
+	// Read to EOF: the handler (and its request metrics) has then
+	// finished, so a following /metrics read sees this request.
+	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp, ok, fail
 }
 

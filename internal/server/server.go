@@ -177,8 +177,8 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     int // builds admitted (queued + running)
 	inflight map[string]*call
-	cache    map[string]any // *StudyResponse, or *SweepResponse under "sweep/" keys
-	order    []string       // cache keys, oldest first
+	cache    map[string]*cacheEntry // study results, and sweeps under "sweep/" keys
+	order    []string               // cache keys, oldest first
 	draining bool
 
 	store     store.Store                 // nil when durability is disabled
@@ -226,7 +226,7 @@ func New(cfg Config) *Server {
 		cancel:       cancel,
 		slots:        make(chan struct{}, cfg.Workers),
 		inflight:     make(map[string]*call),
-		cache:        make(map[string]any),
+		cache:        make(map[string]*cacheEntry),
 		store:        cfg.Store,
 		idem:         make(map[string]store.IdemRecord),
 		idemByKey:    make(map[string][]string),
@@ -526,7 +526,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if idemKey != "" && s.idemLookupLocked(w, r, idemKey, bodyHash, p) {
 		return
 	}
-	if res, ok := s.cache[key].(*StudyResponse); ok {
+	if e := s.cache[key]; e != nil && e.study != nil {
 		s.mu.Unlock()
 		obs.C("server_study_cache_hits_total").Inc()
 		jobID := ""
@@ -537,7 +537,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
 		s.log.Debug("study served from cache", "job", jobID, "key", key)
 		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeResult(w, res, p, true, jobID)
+		writeHit(w, e.studyHitBody(p), jobID)
 		return
 	}
 	if c, ok := s.inflight[key]; ok {
@@ -641,20 +641,8 @@ func (s *Server) run(key string, p params, c *call) {
 	cached := false
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if c.err == nil && s.cfg.CacheEntries > 0 {
-		if _, dup := s.cache[key]; !dup {
-			for len(s.cache) >= s.cfg.CacheEntries {
-				oldest := s.order[0]
-				s.order = s.order[1:]
-				delete(s.cache, oldest)
-				evicted = append(evicted, oldest)
-				expiredIdem = append(expiredIdem, s.expireIdemLocked(oldest)...)
-				obs.C("server_study_cache_evictions_total").Inc()
-			}
-			s.cache[key] = c.res
-			s.order = append(s.order, key)
-			cached = true
-		}
+	if c.err == nil {
+		cached, evicted, expiredIdem = s.cacheInsertLocked(key, &cacheEntry{study: c.res})
 	}
 	s.jobs--
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
@@ -902,7 +890,8 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, p params
 			}
 			return
 		}
-		writeResult(w, c.res, p, false, c.job.id)
+		writeOK(w, c.job.id)
+		writeBody(w, studyView(c.res, p, false))
 	case <-r.Context().Done():
 		// Client gone (or server closing the connection); the build
 		// keeps running for coalesced waiters and the cache.
@@ -967,17 +956,10 @@ func (s *Server) retryAfterSeconds() int {
 	return sec
 }
 
-// writeResult sends a shared response with per-request presentation:
-// the Cached flag and the include_* filters apply to a shallow copy, so
-// the cached entry itself stays immutable. jobID, when known, is echoed
-// in the X-Job-Id header so clients can follow the build's live state
-// and trace at /v1/jobs/{id}; cache hits carry the producing job's id
-// as long as it is still within the bounded job history.
-func writeResult(w http.ResponseWriter, res *StudyResponse, p params, cached bool, jobID string) {
-	if jobID != "" {
-		w.Header().Set("X-Job-Id", jobID)
-	}
-	obs.C(`server_requests_total{class="` + string(obs.ClassOK) + `"}`).Inc()
+// studyView applies per-request presentation — the Cached flag and the
+// include_* filters — to a shallow copy, so the shared result itself
+// stays immutable.
+func studyView(res *StudyResponse, p params, cached bool) *StudyResponse {
 	out := *res
 	out.Cached = cached
 	if !p.scatter {
@@ -986,12 +968,18 @@ func writeResult(w http.ResponseWriter, res *StudyResponse, p params, cached boo
 	if !p.saved {
 		out.SavedConfigs = nil
 	}
-	writeJSON(w, http.StatusOK, &out)
+	return &out
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
+	writeBody(w, v)
+}
+
+// writeBody encodes v onto w indented, newline-terminated, in one
+// Write; encodeJSON yields the same bytes for the hit memo.
+func writeBody(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)

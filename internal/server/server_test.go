@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -34,6 +35,9 @@ func postStudy(t *testing.T, url string, body string) (*http.Response, StudyResp
 			t.Fatalf("decoding ErrorResponse (status %d): %v", resp.StatusCode, err)
 		}
 	}
+	// Read to EOF: the handler (and its request metrics) has then
+	// finished, so a following /metrics read sees this request.
+	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp, ok, fail
 }
 

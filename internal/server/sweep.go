@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -287,13 +288,18 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	}
 	sp.schemes = schemes
 
+	// Count the grid before planning it: the planner materialises every
+	// config, so a small body naming long axes must be refused first.
+	if n, ok := sweepConfigCount(spec); !ok {
+		return sp, fmt.Errorf("sweep resolves to more than %d configs, exceeding the server limit %d",
+			math.MaxInt, s.cfg.MaxSweepConfigs)
+	} else if n > s.cfg.MaxSweepConfigs {
+		return sp, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
+			n, s.cfg.MaxSweepConfigs)
+	}
 	plan, err := yieldcache.PlanSweep(spec)
 	if err != nil {
 		return sp, err
-	}
-	if len(plan.Configs) > s.cfg.MaxSweepConfigs {
-		return sp, fmt.Errorf("sweep resolves to %d configs, exceeding the server limit %d",
-			len(plan.Configs), s.cfg.MaxSweepConfigs)
 	}
 	sp.plan = plan
 
@@ -354,6 +360,25 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	sum := sha256.Sum256(canonical)
 	sp.key = sweepKeyPrefix + hex.EncodeToString(sum[:])
 	return sp, nil
+}
+
+// sweepConfigCount is the number of configs spec resolves to: the
+// product of the axis lengths times the constraint sets times the
+// geometries, an empty constraint or geometry list counting once. It
+// reports false when the product overflows an int.
+func sweepConfigCount(spec yieldcache.SweepSpec) (int, bool) {
+	n := max(1, len(spec.Constraints))
+	factors := []int{max(1, len(spec.Geometries))}
+	for _, ax := range spec.Axes {
+		factors = append(factors, len(ax.Values))
+	}
+	for _, f := range factors {
+		if f != 0 && n > math.MaxInt/f {
+			return 0, false
+		}
+		n *= f
+	}
+	return n, true
 }
 
 // normalizeSweepSchemes validates a scheme subset and returns it in
@@ -429,7 +454,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if idemKey != "" && s.sweepIdemLookupLocked(w, r, idemKey, bodyHash, sp) {
 		return
 	}
-	if res, ok := s.cache[key].(*SweepResponse); ok {
+	if e := s.cache[key]; e != nil && e.sweep != nil {
 		s.mu.Unlock()
 		obs.C("server_sweep_cache_hits_total").Inc()
 		jobID := ""
@@ -440,7 +465,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
 		s.log.Debug("sweep served from cache", "job", jobID, "key", key)
 		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeSweepResult(w, res, sp.econ, true, jobID)
+		writeHit(w, e.sweepHitBody(sp.econ), jobID)
 		return
 	}
 	if c, ok := s.inflight[key]; ok {
@@ -513,7 +538,7 @@ func (s *Server) sweepIdemLookupLocked(w http.ResponseWriter, r *http.Request, i
 			"Idempotency-Key was already used with a different request body")
 		return true
 	}
-	if res, hit := s.cache[rec.StudyKey].(*SweepResponse); hit {
+	if e := s.cache[rec.StudyKey]; e != nil && e.sweep != nil {
 		s.mu.Unlock()
 		obs.C("server_idempotent_replays_total").Inc()
 		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
@@ -521,7 +546,7 @@ func (s *Server) sweepIdemLookupLocked(w http.ResponseWriter, r *http.Request, i
 		}
 		w.Header().Set("Idempotency-Replayed", "true")
 		s.log.Debug("sweep replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeSweepResult(w, res, sp.econ, true, rec.JobID)
+		writeHit(w, e.sweepHitBody(sp.econ), rec.JobID)
 		return true
 	}
 	if c, flying := s.inflight[rec.StudyKey]; flying {
@@ -584,20 +609,8 @@ func (s *Server) runSweep(key string, sp sweepParams, c *call) {
 	cached := false
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if c.err == nil && s.cfg.CacheEntries > 0 {
-		if _, dup := s.cache[key]; !dup {
-			for len(s.cache) >= s.cfg.CacheEntries {
-				oldest := s.order[0]
-				s.order = s.order[1:]
-				delete(s.cache, oldest)
-				evicted = append(evicted, oldest)
-				expiredIdem = append(expiredIdem, s.expireIdemLocked(oldest)...)
-				obs.C("server_study_cache_evictions_total").Inc()
-			}
-			s.cache[key] = c.sweep
-			s.order = append(s.order, key)
-			cached = true
-		}
+	if c.err == nil {
+		cached, evicted, expiredIdem = s.cacheInsertLocked(key, &cacheEntry{sweep: c.sweep})
 	}
 	s.jobs--
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
@@ -781,7 +794,8 @@ func (s *Server) awaitSweep(w http.ResponseWriter, r *http.Request, c *call, sp 
 			}
 			return
 		}
-		writeSweepResult(w, c.sweep, sp.econ, false, c.job.id)
+		writeOK(w, c.job.id)
+		writeBody(w, sweepView(c.sweep, sp.econ, false))
 	case <-r.Context().Done():
 		obs.C("server_requests_abandoned_total").Inc()
 		w.Header().Set("X-Job-Id", c.job.id)
@@ -789,16 +803,12 @@ func (s *Server) awaitSweep(w http.ResponseWriter, r *http.Request, c *call, sp 
 	}
 }
 
-// writeSweepResult sends a shared sweep response with per-request
-// presentation: the Cached flag and — when the request carried an
-// economics spec — per-config pricing, both applied to copies so the
-// cached entry stays immutable. Economics is presentation because it is
-// pure arithmetic over the cached yields; it never reruns the sweep.
-func writeSweepResult(w http.ResponseWriter, res *SweepResponse, econ *sweepEconParams, cached bool, jobID string) {
-	if jobID != "" {
-		w.Header().Set("X-Job-Id", jobID)
-	}
-	obs.C(`server_requests_total{class="` + string(obs.ClassOK) + `"}`).Inc()
+// sweepView applies per-request presentation: the Cached flag and —
+// when the request carried an economics spec — per-config pricing, both
+// on copies so the shared result stays immutable. Economics is
+// presentation because it is pure arithmetic over the cached yields; it
+// never reruns the sweep.
+func sweepView(res *SweepResponse, econ *sweepEconParams, cached bool) *SweepResponse {
 	out := *res
 	out.Cached = cached
 	if econ != nil {
@@ -809,7 +819,7 @@ func writeSweepResult(w http.ResponseWriter, res *SweepResponse, econ *sweepEcon
 		}
 		out.Results = rows
 	}
-	writeJSON(w, http.StatusOK, &out)
+	return &out
 }
 
 // sweepEconomicsRow prices one config: base at full price, then each

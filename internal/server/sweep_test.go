@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -39,6 +40,9 @@ func postSweep(t *testing.T, url, body, idemKey string) (*http.Response, SweepRe
 			t.Fatalf("decoding ErrorResponse (status %d): %v", resp.StatusCode, err)
 		}
 	}
+	// Read to EOF: the handler (and its request metrics) has then
+	// finished, so a following /metrics read sees this request.
+	_, _ = io.Copy(io.Discard, resp.Body)
 	return resp, ok, fail
 }
 
