@@ -67,24 +67,13 @@ func (e *cacheEntry) hitBody(v hitVariant, encode func() []byte) []byte {
 	return hb.body
 }
 
-// studyHitBody is the cached:true body of a study hit under p's
-// include_* flags.
-func (e *cacheEntry) studyHitBody(p params) []byte {
-	return e.hitBody(hitVariant{scatter: p.scatter, saved: p.saved}, func() []byte {
-		return encodeJSON(studyView(e.study, p, true))
-	})
-}
-
-// sweepHitBody is the cached:true body of a sweep hit priced under
-// econ (nil: no economics).
-func (e *cacheEntry) sweepHitBody(econ *sweepEconParams) []byte {
-	v := hitVariant{}
-	if econ != nil {
-		v.econ, v.hasEcon = *econ, true
+// result is the entry's decoded value and the wall time of the build
+// that produced it.
+func (e *cacheEntry) result() (any, float64) {
+	if e.study != nil {
+		return e.study, e.study.ElapsedMS
 	}
-	return e.hitBody(v, func() []byte {
-		return encodeJSON(sweepView(e.sweep, econ, true))
-	})
+	return e.sweep, e.sweep.ElapsedMS
 }
 
 // cacheInsertLocked adds a finished result under key, evicting the

@@ -33,21 +33,16 @@ func (s *Server) storeDo(op string, fn func() error) {
 // The non-synchronised job fields read here (started, class, errMsg)
 // are only ever written by the goroutine calling persistJob, so the
 // reads are race-free.
-func (s *Server) persistJob(j *job, p params, state string) {
+func (s *Server) persistJob(j *job, k jobKind, state string) {
 	if s.store == nil {
 		return
 	}
-	rec := store.JobRecord{
-		ID: j.id, Seq: j.seq, Key: j.key, State: state,
-		Seed: p.seed, Chips: p.chips,
-		ConsName: p.cons.Name, DelaySigmaK: p.cons.DelaySigmaK, LeakageMult: p.cons.LeakageMult,
-		Schemes: p.schemes, TimeoutMS: p.timeout.Milliseconds(),
-		TargetCIWidth: p.targetCI, Confidence: p.confidence,
-		EarlyStop:     j.earlyStop.Load(),
-		Restarts:      j.restarts,
-		QueueWaitMS:   j.priorWaitMS,
-		CreatedUnixMS: j.created.UnixMilli(),
-	}
+	rec := k.record()
+	rec.ID, rec.Seq, rec.Key, rec.State = j.id, j.seq, j.key, state
+	rec.EarlyStop = j.earlyStop.Load()
+	rec.Restarts = j.restarts
+	rec.QueueWaitMS = j.priorWaitMS
+	rec.CreatedUnixMS = j.created.UnixMilli()
 	if state != jobQueued && !j.started.IsZero() {
 		rec.QueueWaitMS = j.priorWaitMS + j.started.Sub(j.admitted).Seconds()*1e3
 	}
@@ -60,8 +55,9 @@ func (s *Server) persistJob(j *job, p params, state string) {
 
 // persistOutcome records a build's terminal state: the final job
 // record, the cached result body, evicted results, expired idempotency
-// keys, and the checkpoint that is no longer needed.
-func (s *Server) persistOutcome(j *job, p params, c *call, key string, cached bool, evicted, expiredIdem []string) {
+// keys (including those bound to a failed build), and the checkpoint
+// that is no longer needed.
+func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted, expiredIdem []string) {
 	if s.store == nil {
 		return
 	}
@@ -69,10 +65,11 @@ func (s *Server) persistOutcome(j *job, p params, c *call, key string, cached bo
 	if c.err != nil {
 		state = jobFailed
 	}
-	s.persistJob(j, p, state)
+	s.persistJob(j, k, state)
 	if cached {
-		if body, err := json.Marshal(c.res); err == nil {
-			s.storeDo("put_result", func() error { return s.store.PutResult(key, body) })
+		v, _ := c.res.result()
+		if body, err := json.Marshal(v); err == nil {
+			s.storeDo("put_result", func() error { return s.store.PutResult(j.key, body) })
 		}
 	}
 	for _, old := range evicted {
@@ -83,7 +80,7 @@ func (s *Server) persistOutcome(j *job, p params, c *call, key string, cached bo
 		ik := ik
 		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
 	}
-	if s.cfg.CheckpointInterval > 0 || c.resume != nil {
+	if s.cfg.CheckpointInterval > 0 || k.resuming() {
 		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
 	}
 }
@@ -147,7 +144,7 @@ func (s *Server) recordIdem(idemKey, bodyHash, studyKey, jobID string) {
 // replay of the recorded response, or coalescing onto the in-flight
 // build — it unlocks and returns true. Otherwise the stale record (if
 // any) is expired and the caller proceeds with the lock still held.
-func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, p params) bool {
+func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, k jobKind) bool {
 	rec, ok := s.idem[idemKey]
 	if !ok {
 		return false
@@ -160,34 +157,34 @@ func (s *Server) idemLookupLocked(w http.ResponseWriter, r *http.Request, idemKe
 			"Idempotency-Key was already used with a different request body")
 		return true
 	}
-	if e := s.cache[rec.StudyKey]; e != nil && e.study != nil {
+	if e := s.cache[rec.StudyKey]; e != nil {
 		s.mu.Unlock()
 		obs.C("server_idempotent_replays_total").Inc()
 		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
 			j.cacheHits.Add(1)
 		}
 		w.Header().Set("Idempotency-Replayed", "true")
-		s.log.Debug("study replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeHit(w, e.studyHitBody(p), rec.JobID)
+		s.log.Debug(k.noun()+" replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
+		writeHit(w, k.hitBody(e), rec.JobID)
 		return true
 	}
 	if c, flying := s.inflight[rec.StudyKey]; flying {
 		s.mu.Unlock()
-		obs.C("server_study_coalesced_total").Inc()
+		obs.C("server_" + k.noun() + "_coalesced_total").Inc()
 		c.job.coalesced.Add(1)
-		s.await(w, r, c, p)
+		s.await(w, r, c, k)
 		return true
 	}
-	// The recorded result was evicted (or its build failed): the key
-	// expired with the cache entry. Forget it and retry fresh.
+	// The record outlived its result: it was bound just as the build
+	// failed or the entry was evicted. Forget it and retry fresh.
 	delete(s.idem, idemKey)
 	go s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(idemKey) })
 	return false
 }
 
 // expireIdemLocked drops every idempotency record bound to an evicted
-// study key, returning the expired keys so the caller can delete them
-// from the store after releasing s.mu. Caller holds s.mu.
+// or failed key, returning the expired keys so the caller can delete
+// them from the store after releasing s.mu. Caller holds s.mu.
 func (s *Server) expireIdemLocked(studyKey string) []string {
 	keys := s.idemByKey[studyKey]
 	delete(s.idemByKey, studyKey)
@@ -288,11 +285,7 @@ func (s *Server) recoverFromStore() {
 		case jobDone, jobFailed:
 			s.jobsReg.restoreFinished(jr, s.log)
 		case jobQueued, jobRunning:
-			if jr.Kind == jobKindSweep {
-				s.resumeSweepJob(jr)
-			} else {
-				s.resumeJob(jr)
-			}
+			s.resumeJob(jr)
 			resumed++
 		}
 	}
@@ -305,69 +298,83 @@ func (s *Server) recoverFromStore() {
 // resumeJob re-admits one interrupted job under its original id,
 // loading its newest checkpoint so the build continues where the dead
 // process stopped (an unreadable checkpoint falls back to a full
-// rebuild — correctness never depends on the checkpoint).
+// rebuild — correctness never depends on the checkpoint). A sweep whose
+// spec cannot be replanned fails terminally: there is nothing to re-run.
 func (s *Server) resumeJob(jr store.JobRecord) {
-	p := s.paramsFromRecord(jr)
-	key := jr.Key
-	var resume *yieldcache.BuildCheckpoint
-	ckptChips := 0
-	if data, chips, err := s.store.Checkpoint(jr.ID); err == nil {
-		bc, derr := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
-		if derr != nil {
-			s.log.Warn("checkpoint unreadable; resuming from scratch", "job", jr.ID, "error", derr)
-		} else {
-			resume, ckptChips = bc, chips
+	var k jobKind
+	if jr.Kind == jobKindSweep {
+		sp, err := s.sweepParamsFromRecord(jr)
+		if err != nil {
+			s.log.Warn("sweep spec unreadable; job failed", "job", jr.ID, "error", err)
+			jr.State = jobFailed
+			jr.Class = string(obs.ClassInternal)
+			jr.Error = "sweep spec unreadable after restart: " + err.Error()
+			s.jobsReg.restoreFinished(jr, s.log)
+			s.storeDo("put_job", func() error { return s.store.PutJob(jr) })
+			return
 		}
+		k = &sp
+	} else {
+		p := s.paramsFromRecord(jr)
+		k = &p
 	}
+	ckpt := k.loadCheckpoint(s, jr.ID)
 
 	j := s.jobsReg.restoreResumed(jr, s.log)
-	c := &call{done: make(chan struct{}), job: j, resume: resume}
+	c := &call{done: make(chan struct{}), job: j}
 	s.mu.Lock()
-	s.inflight[key] = c
+	s.inflight[jr.Key] = c
 	s.jobs++
 	admitted := s.jobs
 	s.mu.Unlock()
 	obs.G("server_jobs_admitted").Set(float64(admitted))
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
-	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: key,
-		Done: int64(ckptChips), Total: int64(p.chips), Restarts: j.restarts})
+	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: jr.Key,
+		Done: int64(ckpt), Total: int64(k.total()), Restarts: j.restarts})
 	j.scope.Log().Info("job resumed from store",
-		"restarts", j.restarts, "checkpoint_chips", ckptChips,
-		"seed", p.seed, "chips", p.chips)
+		"restarts", j.restarts, "checkpoint", ckpt, "total", k.total(),
+		"seed", jr.Seed, "chips", jr.Chips)
 	// Persist the bumped restart count right away, so a crash during
 	// the resumed build counts this lifetime too.
-	s.persistJob(j, p, jobQueued)
-	go s.run(key, p, c)
+	s.persistJob(j, k, jobQueued)
+	go s.run(k, c)
+}
+
+// loadCheckpoint decodes a crashed study build's newest checkpoint.
+func (p *params) loadCheckpoint(s *Server, jobID string) int {
+	data, chips, err := s.store.Checkpoint(jobID)
+	if err != nil {
+		return 0
+	}
+	bc, err := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		s.log.Warn("checkpoint unreadable; resuming from scratch", "job", jobID, "error", err)
+		return 0
+	}
+	p.resume = bc
+	return chips
 }
 
 // restoreFinished rebuilds one finished job's history entry from its
 // persisted record. Span traces and exact timings died with the old
-// process; identity, outcome and provenance survive.
+// process; identity, outcome and provenance survive. Progress is
+// restored in the job's own unit: chips, or a sweep's configs.
 func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec.Seq > r.seq {
-		r.seq = rec.Seq
-	}
-	j := &job{
-		id: rec.ID, seq: rec.Seq, key: rec.Key,
-		kind: rec.Kind, spec: rec.Spec,
-		scope: obs.NewScope(rec.ID, base),
-		seed:  rec.Seed, chips: rec.Chips,
-		constraints: rec.ConsName, schemes: rec.Schemes,
-		created:     time.UnixMilli(rec.CreatedUnixMS),
-		state:       rec.State,
-		class:       obs.ErrClass(rec.Class),
-		errMsg:      rec.Error,
-		restarts:    rec.Restarts,
-		priorWaitMS: rec.QueueWaitMS,
-	}
-	j.admitted = j.created
+	j := r.newJobLocked(rec, base)
+	j.state = rec.State
+	j.class = obs.ErrClass(rec.Class)
+	j.errMsg = rec.Error
 	j.earlyStop.Store(rec.EarlyStop)
-	j.scope.SetProgressTotal(int64(rec.Chips))
+	total := int64(rec.Chips)
+	if rec.Kind == jobKindSweep {
+		total = int64(sweepRecordConfigs(rec.Spec))
+	}
+	j.scope.SetProgressTotal(total)
 	if rec.State == jobDone && !rec.EarlyStop {
-		j.scope.AddProgress(int64(rec.Chips))
+		j.scope.AddProgress(total)
 	}
 	r.byID[j.id] = j
 	if rec.State == jobDone {
@@ -383,20 +390,9 @@ func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
 func (r *jobRegistry) restoreResumed(rec store.JobRecord, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if rec.Seq > r.seq {
-		r.seq = rec.Seq
-	}
-	j := &job{
-		id: rec.ID, seq: rec.Seq, key: rec.Key,
-		kind: rec.Kind, spec: rec.Spec,
-		scope: obs.NewScope(rec.ID, base),
-		seed:  rec.Seed, chips: rec.Chips,
-		constraints: rec.ConsName, schemes: rec.Schemes,
-		created:     time.UnixMilli(rec.CreatedUnixMS),
-		state:       jobQueued,
-		restarts:    rec.Restarts + 1,
-		priorWaitMS: rec.QueueWaitMS,
-	}
+	j := r.newJobLocked(rec, base)
+	j.state = jobQueued
+	j.restarts++
 	j.admitted = time.Now()
 	j.scope.AttachEvents(r.bus, r.streamInterval)
 	r.byID[j.id] = j

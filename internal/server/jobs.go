@@ -13,6 +13,7 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
+	"yieldcache/internal/store"
 )
 
 // Job lifecycle states reported by /v1/jobs.
@@ -36,10 +37,8 @@ type job struct {
 	key   string // canonical study/sweep key; ties cache hits back to the job
 	scope *obs.Scope
 
-	// kind is "" for study builds, "sweep" for design-space sweeps; spec
-	// holds a sweep's canonical resolved request JSON for persistence.
+	// kind is "" for study builds, "sweep" for design-space sweeps.
 	kind string
-	spec []byte
 
 	// Echoed request parameters, immutable after creation.
 	seed        int64
@@ -100,13 +99,16 @@ func newJobRegistry(maxDone int, bus *obs.EventBus, streamInterval time.Duration
 	}
 }
 
-// create registers a queued job for one admitted build. base is the
-// server's logger; the job's scope stamps it with the job id.
-func (r *jobRegistry) create(p params, key string, base *slog.Logger) *job {
+// create registers a queued job for one admitted build of key; rec
+// holds the request fields the job echoes. base is the server's logger;
+// the job's scope stamps it with the job id.
+func (r *jobRegistry) create(rec store.JobRecord, key string, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, base)
+	rec.Key = key
+	j := r.newJobLocked(rec, base)
 	j.state = jobQueued
+	j.scope.AttachEvents(r.bus, r.streamInterval)
 	r.byID[j.id] = j
 	r.byKey[key] = j
 	return j
@@ -117,54 +119,43 @@ func (r *jobRegistry) create(p params, key string, base *slog.Logger) *job {
 // builds. The job goes straight into the bounded finished history and
 // deliberately stays out of byKey: a later cache hit on the same study
 // must attribute to the job that actually built the entry.
-func (r *jobRegistry) createFailed(p params, key string, class obs.ErrClass, msg string) *job {
+func (r *jobRegistry) createFailed(rec store.JobRecord, key string, class obs.ErrClass, msg string) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, nil)
+	rec.Key = key
+	j := r.newJobLocked(rec, nil)
 	j.state = jobFailed
 	j.finished = j.created
 	j.class = class
 	j.errMsg = msg
+	j.scope.AttachEvents(r.bus, r.streamInterval)
 	r.byID[j.id] = j
 	r.done = append(r.done, j)
 	r.evictLocked()
 	return j
 }
 
-// newJobLocked allocates the next job id and its scope; the caller
-// holds r.mu and sets the lifecycle state.
-func (r *jobRegistry) newJobLocked(p params, key string, base *slog.Logger) *job {
-	r.seq++
-	id := fmt.Sprintf("j%06d", r.seq)
-	j := &job{
-		id:          id,
-		seq:         r.seq,
-		key:         key,
-		scope:       obs.NewScope(id, base),
-		seed:        p.seed,
-		chips:       p.chips,
-		constraints: p.cons.Name,
-		schemes:     p.schemes,
-		created:     time.Now(),
+// newJobLocked builds the job for rec: a new job gets the next id, a
+// job restored from the store keeps its persisted id, creation time,
+// restart count and queue wait. The caller holds r.mu and sets the
+// lifecycle state.
+func (r *jobRegistry) newJobLocked(rec store.JobRecord, base *slog.Logger) *job {
+	created := time.Now()
+	if rec.ID == "" {
+		r.seq++
+		rec.ID, rec.Seq = fmt.Sprintf("j%06d", r.seq), r.seq
+	} else {
+		r.seq = max(r.seq, rec.Seq)
+		created = time.UnixMilli(rec.CreatedUnixMS)
 	}
-	j.admitted = j.created
-	j.scope.AttachEvents(r.bus, r.streamInterval)
-	return j
-}
-
-// createSweep registers a queued sweep job. The params echo the sweep's
-// shared knobs (seed, per-config population, scheme set); the job's
-// progress counters run in configs rather than chips.
-func (r *jobRegistry) createSweep(p params, key string, spec []byte, base *slog.Logger) *job {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	j := r.newJobLocked(p, key, base)
-	j.kind = jobKindSweep
-	j.spec = spec
-	j.state = jobQueued
-	r.byID[j.id] = j
-	r.byKey[key] = j
-	return j
+	return &job{
+		id: rec.ID, seq: rec.Seq, key: rec.Key, kind: rec.Kind,
+		scope: obs.NewScope(rec.ID, base),
+		seed:  rec.Seed, chips: rec.Chips,
+		constraints: rec.ConsName, schemes: rec.Schemes,
+		created: created, admitted: created,
+		restarts: rec.Restarts, priorWaitMS: rec.QueueWaitMS,
+	}
 }
 
 // markRunning transitions a job to running and returns its queue wait

@@ -150,17 +150,46 @@ func (c *Config) fill() {
 type studyBuilder func(ctx context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error)
 
 // call is one in-progress build; requests for the same canonical key
-// wait on done instead of building again. A call carries either a study
-// (res) or a sweep (sweep) result, never both — the job's kind decides.
+// wait on done instead of building again.
 type call struct {
-	done   chan struct{}
-	job    *job                        // the build's job-registry entry; immutable
-	resume *yieldcache.BuildCheckpoint // non-nil when resuming a crashed study build
-	res    *StudyResponse              // immutable once done is closed
-	err    error
+	done chan struct{}
+	job  *job        // the build's job-registry entry; immutable
+	res  *cacheEntry // the finished result; immutable once done is closed
+	err  error
+}
 
-	sweepResume map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
-	sweep       *SweepResponse            // immutable once done is closed
+// jobKind is what differs between the two computations the job pipeline
+// runs: a study (*params) and a design-space sweep (*sweepParams).
+// Admission, coalescing, the result cache, Idempotency-Key, durable
+// records, checkpoint resume and lifecycle events are shared; once a
+// request is parsed, the pipeline sees it only through this interface.
+type jobKind interface {
+	// cacheKey is the canonical cache, singleflight and store key. Keys
+	// are namespaced per kind, and so are the idempotency body hashes, so
+	// a cache entry found under a kind's key always holds that kind.
+	cacheKey() string
+	// noun ("study" or "sweep") names the kind in metric names, logs and
+	// error text.
+	noun() string
+	// record holds the request fields the job registry and the persisted
+	// store.JobRecord echo; the pipeline fills in the job's identity and
+	// lifecycle.
+	record() store.JobRecord
+	// deadline bounds the build, queue wait included.
+	deadline() time.Duration
+	// total is the progress total: chips for a study, configs for a sweep.
+	total() int
+	// compute runs the build and returns its full, unfiltered result.
+	compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error)
+	// view is the cached:false response body for this request; hitBody
+	// is the memoized cached:true body, encoded on its first use.
+	view(e *cacheEntry) any
+	hitBody(e *cacheEntry) []byte
+	// loadCheckpoint loads a crashed job's newest readable checkpoint
+	// into the params and returns how many units it covers; resuming
+	// reports whether one was loaded.
+	loadCheckpoint(s *Server, jobID string) int
+	resuming() bool
 }
 
 // Server is the yieldd request handler plus its job queue and caches.
@@ -366,6 +395,31 @@ type params struct {
 	// request names none) and applies to streamed estimates either way.
 	targetCI   float64
 	confidence float64
+
+	resume *yieldcache.BuildCheckpoint // non-nil when resuming a crashed build
+}
+
+func (p *params) cacheKey() string        { return p.key() }
+func (p *params) noun() string            { return "study" }
+func (p *params) deadline() time.Duration { return p.timeout }
+func (p *params) total() int              { return p.chips }
+func (p *params) resuming() bool          { return p.resume != nil }
+
+func (p *params) record() store.JobRecord {
+	return store.JobRecord{
+		Seed: p.seed, Chips: p.chips,
+		ConsName: p.cons.Name, DelaySigmaK: p.cons.DelaySigmaK, LeakageMult: p.cons.LeakageMult,
+		Schemes: p.schemes, TimeoutMS: p.timeout.Milliseconds(),
+		TargetCIWidth: p.targetCI, Confidence: p.confidence,
+	}
+}
+
+func (p *params) view(e *cacheEntry) any { return studyView(e.study, *p, false) }
+
+func (p *params) hitBody(e *cacheEntry) []byte {
+	return e.hitBody(hitVariant{scatter: p.scatter, saved: p.saved}, func() []byte {
+		return encodeJSON(studyView(e.study, *p, true))
+	})
 }
 
 // schemeOrder is the canonical scheme order; request scheme sets are
@@ -375,18 +429,10 @@ var schemeOrder = []string{"YAPD", "VACA", "Hybrid"}
 // parseRequest validates a StudyRequest against the server limits and
 // resolves defaults.
 func (s *Server) parseRequest(req *StudyRequest) (params, error) {
-	p := params{seed: req.Seed, chips: req.Chips}
-	if p.seed == 0 {
-		p.seed = 2006
-	}
-	if p.chips == 0 {
-		p.chips = 2000
-	}
-	if p.chips < 0 {
-		return p, fmt.Errorf("chips must be positive, got %d", req.Chips)
-	}
-	if p.chips > s.cfg.MaxChips {
-		return p, fmt.Errorf("chips %d exceeds the server limit %d", p.chips, s.cfg.MaxChips)
+	var p params
+	var err error
+	if p.seed, p.chips, err = s.resolveSize(req.Seed, req.Chips); err != nil {
+		return p, err
 	}
 
 	switch {
@@ -412,29 +458,8 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 		}
 	}
 
-	if len(req.Schemes) == 0 {
-		p.schemes = schemeOrder
-	} else {
-		want := make(map[string]bool, len(req.Schemes))
-		for _, name := range req.Schemes {
-			ok := false
-			for _, known := range schemeOrder {
-				if name == known {
-					ok = true
-					break
-				}
-			}
-			if !ok {
-				return p, fmt.Errorf("unknown scheme %q (want a subset of %s)",
-					name, strings.Join(schemeOrder, ", "))
-			}
-			want[name] = true
-		}
-		for _, known := range schemeOrder {
-			if want[known] {
-				p.schemes = append(p.schemes, known)
-			}
-		}
+	if p.schemes, err = normalizeSchemes(req.Schemes); err != nil {
+		return p, err
 	}
 
 	p.confidence = 0.95
@@ -454,17 +479,69 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 
 	p.scatter = req.IncludeScatter
 	p.saved = req.IncludeSavedConfigs
-	if req.TimeoutMS < 0 {
-		return p, fmt.Errorf("timeout_ms must be positive, got %d", req.TimeoutMS)
+	p.timeout, err = s.resolveTimeout(req.TimeoutMS)
+	return p, err
+}
+
+// resolveSize applies the seed and population-size defaults (2006 and
+// 2000) and the chips limit that studies and sweeps share.
+func (s *Server) resolveSize(seed int64, chips int) (int64, int, error) {
+	if seed == 0 {
+		seed = 2006
 	}
-	p.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		p.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+	if chips == 0 {
+		chips = 2000
 	}
-	if p.timeout > s.cfg.MaxTimeout {
-		p.timeout = s.cfg.MaxTimeout
+	if chips < 0 {
+		return seed, chips, fmt.Errorf("chips must be positive, got %d", chips)
 	}
-	return p, nil
+	if chips > s.cfg.MaxChips {
+		return seed, chips, fmt.Errorf("chips %d exceeds the server limit %d", chips, s.cfg.MaxChips)
+	}
+	return seed, chips, nil
+}
+
+// resolveTimeout turns a request's timeout_ms into its deadline: the
+// server default when unset, clamped to MaxTimeout.
+func (s *Server) resolveTimeout(ms int) (time.Duration, error) {
+	if ms < 0 {
+		return 0, fmt.Errorf("timeout_ms must be positive, got %d", ms)
+	}
+	d := s.cfg.DefaultTimeout
+	if ms > 0 {
+		d = time.Duration(ms) * time.Millisecond
+	}
+	return min(d, s.cfg.MaxTimeout), nil
+}
+
+// normalizeSchemes validates a scheme subset and returns it in
+// canonical order (empty means all).
+func normalizeSchemes(names []string) ([]string, error) {
+	if len(names) == 0 {
+		return schemeOrder, nil
+	}
+	want := make(map[string]bool, len(names))
+	for _, name := range names {
+		ok := false
+		for _, known := range schemeOrder {
+			if name == known {
+				ok = true
+				break
+			}
+		}
+		if !ok {
+			return nil, fmt.Errorf("unknown scheme %q (want a subset of %s)",
+				name, strings.Join(schemeOrder, ", "))
+		}
+		want[name] = true
+	}
+	var out []string
+	for _, known := range schemeOrder {
+		if want[known] {
+			out = append(out, known)
+		}
+	}
+	return out, nil
 }
 
 // key is the canonical cache/singleflight key: every request that must
@@ -484,23 +561,9 @@ func (p params) key() string {
 }
 
 func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	// The body is read raw (not streamed into the decoder) because the
-	// idempotency layer hashes the exact bytes the client sent.
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
-		return
-	}
 	var req StudyRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	body, ok := readRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	p, err := s.parseRequest(&req)
@@ -508,8 +571,39 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := p.key()
+	s.handle(w, r, &p, body)
+}
 
+// readRequest decodes a POST body into req, answering the request itself
+// (405 or 400) when it cannot. The raw body is returned because the
+// idempotency layer hashes the exact bytes the client sent.
+func readRequest(w http.ResponseWriter, r *http.Request, req any) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		writeError(w, http.StatusMethodNotAllowed, "POST only")
+		return nil, false
+	}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
+		return nil, false
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(req); err != nil {
+		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+		return nil, false
+	}
+	return body, true
+}
+
+// handle runs one parsed request through the job pipeline: an
+// Idempotency-Key replay, a cache hit, coalescing onto the in-flight
+// build of the same key, a 503 while draining, a 429 when the queue is
+// full, or admission of a new build. idemBody is what an
+// Idempotency-Key binds to: the raw request body, salted per endpoint.
+func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemBody []byte) {
+	key, noun := k.cacheKey(), k.noun()
 	idemKey := r.Header.Get("Idempotency-Key")
 	if len(idemKey) > maxIdemKeyLen {
 		writeError(w, http.StatusBadRequest,
@@ -518,34 +612,34 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	}
 	var bodyHash string
 	if idemKey != "" {
-		sum := sha256.Sum256(body)
+		sum := sha256.Sum256(idemBody)
 		bodyHash = hex.EncodeToString(sum[:])
 	}
 
 	s.mu.Lock()
-	if idemKey != "" && s.idemLookupLocked(w, r, idemKey, bodyHash, p) {
+	if idemKey != "" && s.idemLookupLocked(w, r, idemKey, bodyHash, k) {
 		return
 	}
-	if e := s.cache[key]; e != nil && e.study != nil {
+	if e := s.cache[key]; e != nil {
 		s.mu.Unlock()
-		obs.C("server_study_cache_hits_total").Inc()
+		obs.C("server_" + noun + "_cache_hits_total").Inc()
 		jobID := ""
 		if j, ok := s.jobsReg.lookupKey(key); ok {
 			j.cacheHits.Add(1)
 			jobID = j.id
 		}
 		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
-		s.log.Debug("study served from cache", "job", jobID, "key", key)
+		s.log.Debug(noun+" served from cache", "job", jobID, "key", key)
 		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeHit(w, e.studyHitBody(p), jobID)
+		writeHit(w, k.hitBody(e), jobID)
 		return
 	}
 	if c, ok := s.inflight[key]; ok {
 		s.mu.Unlock()
-		obs.C("server_study_coalesced_total").Inc()
+		obs.C("server_" + noun + "_coalesced_total").Inc()
 		c.job.coalesced.Add(1)
 		s.recordIdem(idemKey, bodyHash, key, c.job.id)
-		s.await(w, r, c, p)
+		s.await(w, r, c, k)
 		return
 	}
 	if s.draining {
@@ -556,52 +650,55 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 	if s.jobs >= s.cfg.Workers+s.cfg.QueueDepth {
 		admitted := s.jobs
 		s.mu.Unlock()
-		obs.C("server_study_shed_total").Inc()
-		j := s.jobsReg.createFailed(p, key, obs.ClassShed, "build queue is full")
+		obs.C("server_" + noun + "_shed_total").Inc()
+		j := s.jobsReg.createFailed(k.record(), key, obs.ClassShed, "build queue is full")
 		s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
 			Class: string(obs.ClassShed), Queued: admitted})
-		s.log.Warn("study shed: build queue full", "job", j.id, "key", key,
+		s.log.Warn(noun+" shed: build queue full", "job", j.id, "key", key,
 			"admitted", s.cfg.Workers+s.cfg.QueueDepth)
 		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 		w.Header().Set("X-Job-Id", j.id)
 		writeError(w, http.StatusTooManyRequests, "build queue is full")
 		return
 	}
-	c := &call{done: make(chan struct{}), job: s.jobsReg.create(p, key, s.log)}
+	rec := k.record()
+	c := &call{done: make(chan struct{}), job: s.jobsReg.create(rec, key, s.log)}
 	s.inflight[key] = c
 	s.jobs++
 	admitted := s.jobs
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
 	s.wg.Add(1)
 	s.mu.Unlock()
-	obs.C("server_study_cache_misses_total").Inc()
+	obs.C("server_" + noun + "_cache_misses_total").Inc()
 	s.bus.Publish(obs.Event{Type: obs.EventJobAdmitted, Job: c.job.id, Key: key,
-		Total: int64(p.chips)})
+		Total: int64(k.total())})
 	if admitted > s.cfg.Workers {
 		// More admitted builds than worker slots: someone is queueing.
 		s.bus.Publish(obs.Event{Type: obs.EventQueuePressure,
 			Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
 	}
 	c.job.scope.Log().Info("job admitted",
-		"seed", p.seed, "chips", p.chips, "constraints", p.cons.Name,
-		"schemes", strings.Join(p.schemes, "+"), "timeout", p.timeout)
+		"seed", rec.Seed, "chips", rec.Chips, "constraints", rec.ConsName,
+		"schemes", strings.Join(rec.Schemes, "+"), "total", k.total(), "timeout", k.deadline())
 	s.recordIdem(idemKey, bodyHash, key, c.job.id)
-	s.persistJob(c.job, p, jobQueued)
+	s.persistJob(c.job, k, jobQueued)
 
-	go s.run(key, p, c)
-	s.await(w, r, c, p)
+	go s.run(k, c)
+	s.await(w, r, c, k)
 }
 
-// run executes one admitted build: queue for a worker slot, build the
-// study under the request timeout, publish the result to the cache and
-// wake every waiter. It runs detached from the initiating request so a
+// run executes one admitted build: queue for a worker slot, compute
+// under the request timeout, publish the result to the cache and wake
+// every waiter. It runs detached from the initiating request so a
 // client disconnect does not waste the work for coalesced waiters. The
 // build context carries the job's telemetry scope, so every phase span
-// and the per-chip progress counter are attributable to this job alone.
-func (s *Server) run(key string, p params, c *call) {
+// and the progress counter are attributable to this job alone. A failed
+// build expires the idempotency keys bound to it: there is nothing for
+// them to replay.
+func (s *Server) run(k jobKind, c *call) {
 	defer s.wg.Done()
 	j := c.job
-	ctx, cancel := context.WithTimeout(s.baseCtx, p.timeout)
+	ctx, cancel := context.WithTimeout(s.baseCtx, k.deadline())
 	defer cancel()
 	ctx = obs.WithScope(ctx, j.scope)
 
@@ -613,10 +710,10 @@ func (s *Server) run(key string, p params, c *call) {
 		obs.H("server_queue_wait_seconds", obs.ExpBuckets(1e-4, 4, 10)).
 			Observe(wait.Seconds())
 		s.bus.Publish(obs.Event{Type: obs.EventJobStarted, Job: j.id,
-			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(p.chips)})
+			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(k.total())})
 		j.scope.Log().Info("build started", "queue_wait_ms", wait.Seconds()*1e3)
-		s.persistJob(j, p, jobRunning)
-		c.res, c.err = s.compute(ctx, p, c)
+		s.persistJob(j, k, jobRunning)
+		c.res, c.err = k.compute(ctx, s, j)
 		<-s.slots
 	case <-ctx.Done():
 		qsp.End()
@@ -631,18 +728,20 @@ func (s *Server) run(key string, p params, c *call) {
 			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
 		j.scope.Log().Error("job failed", "error", c.err.Error(), "class", j.class)
 	} else {
+		_, elapsed := c.res.result()
 		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
-			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: c.res.ElapsedMS})
-		j.scope.Log().Info("job done",
-			"chips_done", done, "chips_total", total, "elapsed_ms", c.res.ElapsedMS)
+			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: elapsed})
+		j.scope.Log().Info("job done", "done", done, "total", total, "elapsed_ms", elapsed)
 	}
 
 	var evicted, expiredIdem []string
 	cached := false
 	s.mu.Lock()
-	delete(s.inflight, key)
+	delete(s.inflight, j.key)
 	if c.err == nil {
-		cached, evicted, expiredIdem = s.cacheInsertLocked(key, &cacheEntry{study: c.res})
+		cached, evicted, expiredIdem = s.cacheInsertLocked(j.key, c.res)
+	} else {
+		expiredIdem = s.expireIdemLocked(j.key)
 	}
 	s.jobs--
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
@@ -650,7 +749,7 @@ func (s *Server) run(key string, p params, c *call) {
 	for _, old := range evicted {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
 	}
-	s.persistOutcome(j, p, c, key, cached, evicted, expiredIdem)
+	s.persistOutcome(j, k, c, cached, evicted, expiredIdem)
 	close(c.done)
 }
 
@@ -660,17 +759,17 @@ func (s *Server) run(key string, p params, c *call) {
 // combination of include_* flags. With a store attached, the build
 // checkpoints its measured prefix every CheckpointInterval and, on a
 // resumed call, continues from the checkpoint decoded at recovery.
-func (s *Server) compute(ctx context.Context, p params, c *call) (*StudyResponse, error) {
+func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
 	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons}
-	if s.store != nil && (s.cfg.CheckpointInterval > 0 || c.resume != nil) {
+	if s.store != nil && (s.cfg.CheckpointInterval > 0 || p.resume != nil) {
 		scfg.Checkpoint = &yieldcache.CheckpointConfig{
 			Interval: s.cfg.CheckpointInterval,
-			Sink:     s.checkpointSink(c.job),
-			Resume:   c.resume,
+			Sink:     s.checkpointSink(j),
+			Resume:   p.resume,
 		}
 	}
-	scfg.Estimate = s.estimateConfig(p, c.job)
+	scfg.Estimate = s.estimateConfig(*p, j)
 	study, err := s.build(ctx, scfg)
 	if err != nil {
 		return nil, err
@@ -715,10 +814,10 @@ func (s *Server) compute(ctx context.Context, p params, c *call) (*StudyResponse
 		res.Estimate = &ei
 		res.EarlyStop = study.Estimate.EarlyStop
 		if res.EarlyStop {
-			c.job.earlyStop.Store(true)
+			j.earlyStop.Store(true)
 		}
 	}
-	return res, nil
+	return &cacheEntry{study: res}, nil
 }
 
 // estimateConfig arms streaming yield estimation for one build: every
@@ -873,7 +972,7 @@ func toTotals(rows []yieldcache.ConstraintTotals) []ConstraintTotals {
 // alike) or the request's own context, whichever ends first. Every
 // outcome — success or failure — carries the job's id in X-Job-Id, so a
 // 504 can still be chased down at /v1/jobs/{id}.
-func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, p params) {
+func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, k jobKind) {
 	select {
 	case <-c.done:
 		if c.err != nil {
@@ -881,17 +980,17 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, p params
 			class := obs.ClassifyError(c.err)
 			switch class {
 			case obs.ClassTimeout:
-				obs.C("server_study_timeouts_total").Inc()
-				writeErrorClass(w, http.StatusGatewayTimeout, class, "study timed out: "+c.err.Error())
+				obs.C("server_" + k.noun() + "_timeouts_total").Inc()
+				writeErrorClass(w, http.StatusGatewayTimeout, class, k.noun()+" timed out: "+c.err.Error())
 			case obs.ClassCanceled:
-				writeErrorClass(w, http.StatusServiceUnavailable, class, "study cancelled: server shutting down")
+				writeErrorClass(w, http.StatusServiceUnavailable, class, k.noun()+" cancelled: server shutting down")
 			default:
 				writeErrorClass(w, http.StatusInternalServerError, class, c.err.Error())
 			}
 			return
 		}
 		writeOK(w, c.job.id)
-		writeBody(w, studyView(c.res, p, false))
+		writeBody(w, k.view(c.res))
 	case <-r.Context().Done():
 		// Client gone (or server closing the connection); the build
 		// keeps running for coalesced waiters and the cache.

@@ -9,17 +9,13 @@ package server
 // the narrative reference; docs/API.md the field reference.
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -200,19 +196,37 @@ type sweepParams struct {
 	timeout   time.Duration
 	canonical []byte // resolved spec JSON; hashed into key, persisted for resume
 	key       string
+
+	resume map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
 }
 
-// jobParams renders the sweep's shared knobs as study params so the
-// job registry can echo them; the constraint name "sweep" flags the
-// job kind in listings that predate the kind field.
-func (sp sweepParams) jobParams() params {
-	return params{
-		seed:    sp.plan.Spec.Seed,
-		chips:   sp.plan.Spec.N,
-		cons:    yieldcache.Constraints{Name: "sweep"},
-		schemes: sp.schemes,
-		timeout: sp.timeout,
+func (sp *sweepParams) cacheKey() string        { return sp.key }
+func (sp *sweepParams) noun() string            { return "sweep" }
+func (sp *sweepParams) deadline() time.Duration { return sp.timeout }
+func (sp *sweepParams) total() int              { return len(sp.plan.Configs) }
+func (sp *sweepParams) resuming() bool          { return len(sp.resume) > 0 }
+
+// record echoes the sweep's shared knobs in the study fields; the
+// constraint name "sweep" flags the job kind in listings that predate
+// the kind field, and Spec carries what a resume replans from.
+func (sp *sweepParams) record() store.JobRecord {
+	return store.JobRecord{
+		Seed: sp.plan.Spec.Seed, Chips: sp.plan.Spec.N, ConsName: "sweep",
+		Schemes: sp.schemes, TimeoutMS: sp.timeout.Milliseconds(),
+		Kind: jobKindSweep, Spec: sp.canonical,
 	}
+}
+
+func (sp *sweepParams) view(e *cacheEntry) any { return sweepView(e.sweep, sp.econ, false) }
+
+func (sp *sweepParams) hitBody(e *cacheEntry) []byte {
+	v := hitVariant{}
+	if sp.econ != nil {
+		v.econ, v.hasEcon = *sp.econ, true
+	}
+	return e.hitBody(v, func() []byte {
+		return encodeJSON(sweepView(e.sweep, sp.econ, true))
+	})
 }
 
 // sweepCanonical is the canonical resolved request: the filled spec
@@ -236,19 +250,11 @@ type sweepCheckpoint struct {
 // resolves defaults, and plans the sweep (planning is pure arithmetic,
 // bounded by MaxSweepConfigs).
 func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
-	sp := sweepParams{}
-	spec := yieldcache.SweepSpec{Seed: req.Seed, N: req.Chips}
-	if spec.Seed == 0 {
-		spec.Seed = 2006
-	}
-	if spec.N == 0 {
-		spec.N = 2000
-	}
-	if spec.N < 0 {
-		return sp, fmt.Errorf("chips must be positive, got %d", req.Chips)
-	}
-	if spec.N > s.cfg.MaxChips {
-		return sp, fmt.Errorf("chips %d exceeds the server limit %d", spec.N, s.cfg.MaxChips)
+	var sp sweepParams
+	var spec yieldcache.SweepSpec
+	var err error
+	if spec.Seed, spec.N, err = s.resolveSize(req.Seed, req.Chips); err != nil {
+		return sp, err
 	}
 
 	for _, ax := range req.Axes {
@@ -282,11 +288,9 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 			BitsPerRow: g.BitsPerRow, PathsPerBank: g.PathsPerBank})
 	}
 
-	schemes, err := normalizeSweepSchemes(req.Schemes)
-	if err != nil {
+	if sp.schemes, err = normalizeSchemes(req.Schemes); err != nil {
 		return sp, err
 	}
-	sp.schemes = schemes
 
 	// Count the grid before planning it: the planner materialises every
 	// config, so a small body naming long axes must be refused first.
@@ -337,15 +341,8 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 		sp.econ = &sweepEconParams{model: m, cpiPct: cpi}
 	}
 
-	if req.TimeoutMS < 0 {
-		return sp, fmt.Errorf("timeout_ms must be positive, got %d", req.TimeoutMS)
-	}
-	sp.timeout = s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		sp.timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-	}
-	if sp.timeout > s.cfg.MaxTimeout {
-		sp.timeout = s.cfg.MaxTimeout
+	if sp.timeout, err = s.resolveTimeout(req.TimeoutMS); err != nil {
+		return sp, err
 	}
 
 	// The canonical bytes hash the *resolved* spec — two requests that
@@ -381,52 +378,10 @@ func sweepConfigCount(spec yieldcache.SweepSpec) (int, bool) {
 	return n, true
 }
 
-// normalizeSweepSchemes validates a scheme subset and returns it in
-// canonical order (empty means all).
-func normalizeSweepSchemes(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return schemeOrder, nil
-	}
-	want := make(map[string]bool, len(names))
-	for _, name := range names {
-		ok := false
-		for _, known := range schemeOrder {
-			if name == known {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("unknown scheme %q (want a subset of %s)",
-				name, strings.Join(schemeOrder, ", "))
-		}
-		want[name] = true
-	}
-	var out []string
-	for _, known := range schemeOrder {
-		if want[known] {
-			out = append(out, known)
-		}
-	}
-	return out, nil
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "reading request: "+err.Error())
-		return
-	}
 	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: "+err.Error())
+	body, ok := readRequest(w, r, &req)
+	if !ok {
 		return
 	}
 	sp, err := s.parseSweepRequest(&req)
@@ -434,204 +389,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	key := sp.key
-
-	idemKey := r.Header.Get("Idempotency-Key")
-	if len(idemKey) > maxIdemKeyLen {
-		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("Idempotency-Key longer than %d bytes", maxIdemKeyLen))
-		return
-	}
-	var bodyHash string
-	if idemKey != "" {
-		// Salted with the endpoint so a key reused across /v1/study and
-		// /v1/sweep with the same bytes still reads as a body conflict.
-		sum := sha256.Sum256(append([]byte("sweep\x00"), body...))
-		bodyHash = hex.EncodeToString(sum[:])
-	}
-
-	s.mu.Lock()
-	if idemKey != "" && s.sweepIdemLookupLocked(w, r, idemKey, bodyHash, sp) {
-		return
-	}
-	if e := s.cache[key]; e != nil && e.sweep != nil {
-		s.mu.Unlock()
-		obs.C("server_sweep_cache_hits_total").Inc()
-		jobID := ""
-		if j, ok := s.jobsReg.lookupKey(key); ok {
-			j.cacheHits.Add(1)
-			jobID = j.id
-		}
-		s.bus.Publish(obs.Event{Type: obs.EventCacheHit, Job: jobID, Key: key})
-		s.log.Debug("sweep served from cache", "job", jobID, "key", key)
-		s.recordIdem(idemKey, bodyHash, key, jobID)
-		writeHit(w, e.sweepHitBody(sp.econ), jobID)
-		return
-	}
-	if c, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		obs.C("server_sweep_coalesced_total").Inc()
-		c.job.coalesced.Add(1)
-		s.recordIdem(idemKey, bodyHash, key, c.job.id)
-		s.awaitSweep(w, r, c, sp)
-		return
-	}
-	if s.draining {
-		s.mu.Unlock()
-		writeError(w, http.StatusServiceUnavailable, "server is draining")
-		return
-	}
-	if s.jobs >= s.cfg.Workers+s.cfg.QueueDepth {
-		admitted := s.jobs
-		s.mu.Unlock()
-		obs.C("server_sweep_shed_total").Inc()
-		j := s.jobsReg.createFailed(sp.jobParams(), key, obs.ClassShed, "build queue is full")
-		s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
-			Class: string(obs.ClassShed), Queued: admitted})
-		s.log.Warn("sweep shed: build queue full", "job", j.id, "key", key)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-		w.Header().Set("X-Job-Id", j.id)
-		writeError(w, http.StatusTooManyRequests, "build queue is full")
-		return
-	}
-	c := &call{done: make(chan struct{}), job: s.jobsReg.createSweep(sp.jobParams(), key, sp.canonical, s.log)}
-	s.inflight[key] = c
-	s.jobs++
-	admitted := s.jobs
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
-	s.wg.Add(1)
-	s.mu.Unlock()
-	obs.C("server_sweep_cache_misses_total").Inc()
-	configs := len(sp.plan.Configs)
-	s.bus.Publish(obs.Event{Type: obs.EventJobAdmitted, Job: c.job.id, Key: key,
-		Total: int64(configs)})
-	if admitted > s.cfg.Workers {
-		s.bus.Publish(obs.Event{Type: obs.EventQueuePressure,
-			Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
-	}
-	st := sp.plan.Stats()
-	c.job.scope.Log().Info("sweep admitted",
-		"seed", sp.plan.Spec.Seed, "chips", sp.plan.Spec.N, "configs", configs,
-		"full_builds", st.FullBuilds, "delta_builds", st.DeltaBuilds,
-		"schemes", strings.Join(sp.schemes, "+"), "timeout", sp.timeout)
-	s.recordIdem(idemKey, bodyHash, key, c.job.id)
-	s.persistSweepJob(c.job, sp, jobQueued)
-
-	go s.runSweep(key, sp, c)
-	s.awaitSweep(w, r, c, sp)
+	// Salted with the endpoint so a key reused across /v1/study and
+	// /v1/sweep with the same bytes still reads as a body conflict.
+	s.handle(w, r, &sp, append([]byte("sweep\x00"), body...))
 }
 
-// sweepIdemLookupLocked is idemLookupLocked's sweep twin: resolve a
-// recorded Idempotency-Key while s.mu is held, replaying the cached
-// sweep or coalescing onto the in-flight one. Returns true when the
-// request was fully answered (lock released).
-func (s *Server) sweepIdemLookupLocked(w http.ResponseWriter, r *http.Request, idemKey, bodyHash string, sp sweepParams) bool {
-	rec, ok := s.idem[idemKey]
-	if !ok {
-		return false
-	}
-	if rec.BodyHash != bodyHash {
-		s.mu.Unlock()
-		obs.C("server_idempotency_conflicts_total").Inc()
-		s.log.Warn("idempotency key reused with different body", "job", rec.JobID)
-		writeErrorClass(w, http.StatusConflict, obs.ClassValidation,
-			"Idempotency-Key was already used with a different request body")
-		return true
-	}
-	if e := s.cache[rec.StudyKey]; e != nil && e.sweep != nil {
-		s.mu.Unlock()
-		obs.C("server_idempotent_replays_total").Inc()
-		if j, found := s.jobsReg.lookupKey(rec.StudyKey); found {
-			j.cacheHits.Add(1)
-		}
-		w.Header().Set("Idempotency-Replayed", "true")
-		s.log.Debug("sweep replayed for idempotency key", "job", rec.JobID, "key", rec.StudyKey)
-		writeHit(w, e.sweepHitBody(sp.econ), rec.JobID)
-		return true
-	}
-	if c, flying := s.inflight[rec.StudyKey]; flying {
-		s.mu.Unlock()
-		obs.C("server_sweep_coalesced_total").Inc()
-		c.job.coalesced.Add(1)
-		s.awaitSweep(w, r, c, sp)
-		return true
-	}
-	delete(s.idem, idemKey)
-	go s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(idemKey) })
-	return false
-}
-
-// runSweep executes one admitted sweep on a single worker slot,
-// mirroring run: queue, evaluate under the request timeout, publish to
-// the cache and wake every waiter. The sweep's internal cluster
-// parallelism never exceeds the configured worker count, so a sweep
-// cannot oversubscribe the pool it occupies one slot of.
-func (s *Server) runSweep(key string, sp sweepParams, c *call) {
-	defer s.wg.Done()
-	j := c.job
-	ctx, cancel := context.WithTimeout(s.baseCtx, sp.timeout)
-	defer cancel()
-	ctx = obs.WithScope(ctx, j.scope)
-
-	qsp := j.scope.StartSpan("queue_wait")
-	select {
-	case s.slots <- struct{}{}:
-		qsp.End()
-		wait := s.jobsReg.markRunning(j)
-		obs.H("server_queue_wait_seconds", obs.ExpBuckets(1e-4, 4, 10)).
-			Observe(wait.Seconds())
-		s.bus.Publish(obs.Event{Type: obs.EventJobStarted, Job: j.id,
-			QueueWaitMS: wait.Seconds() * 1e3, Total: int64(len(sp.plan.Configs))})
-		j.scope.Log().Info("sweep started", "queue_wait_ms", wait.Seconds()*1e3)
-		s.persistSweepJob(j, sp, jobRunning)
-		c.sweep, c.err = s.computeSweep(ctx, sp, c)
-		<-s.slots
-	case <-ctx.Done():
-		qsp.End()
-		c.err = fmt.Errorf("waiting for a worker: %w", ctx.Err())
-	}
-
-	s.observePhases(j.scope)
-	s.jobsReg.finish(j, c.err)
-	done, total := j.scope.Progress()
-	if c.err != nil {
-		s.bus.Publish(obs.Event{Type: obs.EventJobFailed, Job: j.id,
-			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
-		j.scope.Log().Error("sweep failed", "error", c.err.Error(), "class", j.class)
-	} else {
-		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
-			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: c.sweep.ElapsedMS})
-		j.scope.Log().Info("sweep done",
-			"configs", total, "elapsed_ms", c.sweep.ElapsedMS)
-	}
-
-	var evicted, expiredIdem []string
-	cached := false
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if c.err == nil {
-		cached, evicted, expiredIdem = s.cacheInsertLocked(key, &cacheEntry{sweep: c.sweep})
-	}
-	s.jobs--
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
-	s.mu.Unlock()
-	for _, old := range evicted {
-		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
-	}
-	s.persistSweepOutcome(j, sp, c, key, cached, evicted, expiredIdem)
-	close(c.done)
-}
-
-// computeSweep runs the planned sweep with per-config events and
+// compute runs the planned sweep with per-config events and
 // durable config-granular checkpoints, overlays any resumed results,
 // and reduces the merged set to Pareto frontiers. Frontiers are always
 // computed from the wire-typed results (which round-trip exactly
 // through JSON), so a crash-resumed sweep reduces to bit-identical
 // frontiers.
-func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*SweepResponse, error) {
+func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
 	plan := sp.plan
-	j := c.job
 	results := make([]SweepConfigResult, len(plan.Configs))
 
 	var (
@@ -640,7 +411,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 		lastCkpt  time.Time
 	)
 	ckptEnabled := s.store != nil && s.cfg.CheckpointInterval > 0
-	for _, r := range c.sweepResume {
+	for _, r := range sp.resume {
 		completed = append(completed, r)
 	}
 
@@ -673,9 +444,9 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 				Done: int64(done), Total: int64(total)})
 		},
 	}
-	if len(c.sweepResume) > 0 {
+	if len(sp.resume) > 0 {
 		opt.Skip = func(i int) bool {
-			_, ok := c.sweepResume[i]
+			_, ok := sp.resume[i]
 			return ok
 		}
 	}
@@ -687,7 +458,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 	resumed := 0
 	for i := range evals {
 		if evals[i].Skipped {
-			results[i] = c.sweepResume[i]
+			results[i] = sp.resume[i]
 			resumed++
 		}
 	}
@@ -702,7 +473,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 	obs.H("server_sweep_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
 	s.observeBuild(elapsed)
 
-	return &SweepResponse{
+	return &cacheEntry{sweep: &SweepResponse{
 		Seed:           plan.Spec.Seed,
 		Chips:          plan.Spec.N,
 		Configs:        len(plan.Configs),
@@ -712,7 +483,7 @@ func (s *Server) computeSweep(ctx context.Context, sp sweepParams, c *call) (*Sw
 		Frontiers:      sweepWireFrontiers(results, sp.schemes),
 		ResumedConfigs: resumed,
 		ElapsedMS:      elapsed * 1e3,
-	}, nil
+	}}, nil
 }
 
 // toSweepConfigResult converts a core evaluation to the wire shape.
@@ -775,34 +546,6 @@ func sweepWireFrontiers(results []SweepConfigResult, schemes []string) map[strin
 	return out
 }
 
-// awaitSweep blocks the request on the sweep or the request's own
-// context, mirroring await.
-func (s *Server) awaitSweep(w http.ResponseWriter, r *http.Request, c *call, sp sweepParams) {
-	select {
-	case <-c.done:
-		if c.err != nil {
-			w.Header().Set("X-Job-Id", c.job.id)
-			class := obs.ClassifyError(c.err)
-			switch class {
-			case obs.ClassTimeout:
-				obs.C("server_sweep_timeouts_total").Inc()
-				writeErrorClass(w, http.StatusGatewayTimeout, class, "sweep timed out: "+c.err.Error())
-			case obs.ClassCanceled:
-				writeErrorClass(w, http.StatusServiceUnavailable, class, "sweep cancelled: server shutting down")
-			default:
-				writeErrorClass(w, http.StatusInternalServerError, class, c.err.Error())
-			}
-			return
-		}
-		writeOK(w, c.job.id)
-		writeBody(w, sweepView(c.sweep, sp.econ, false))
-	case <-r.Context().Done():
-		obs.C("server_requests_abandoned_total").Inc()
-		w.Header().Set("X-Job-Id", c.job.id)
-		writeErrorClass(w, http.StatusGatewayTimeout, obs.ClassCanceled, "request cancelled")
-	}
-}
-
 // sweepView applies per-request presentation: the Cached flag and —
 // when the request carried an economics spec — per-config pricing, both
 // on copies so the shared result stays immutable. Economics is
@@ -846,62 +589,6 @@ func sweepEconomicsRow(r SweepConfigResult, econ *sweepEconParams) []SweepEconom
 	return out
 }
 
-// persistSweepJob appends the sweep job's lifecycle state to the store,
-// carrying the canonical spec so a crashed sweep can be replanned and
-// resumed.
-func (s *Server) persistSweepJob(j *job, sp sweepParams, state string) {
-	if s.store == nil {
-		return
-	}
-	rec := store.JobRecord{
-		ID: j.id, Seq: j.seq, Key: j.key, State: state,
-		Seed: sp.plan.Spec.Seed, Chips: sp.plan.Spec.N,
-		ConsName: "sweep",
-		Schemes:  sp.schemes, TimeoutMS: sp.timeout.Milliseconds(),
-		Kind: jobKindSweep, Spec: j.spec,
-		Restarts:      j.restarts,
-		QueueWaitMS:   j.priorWaitMS,
-		CreatedUnixMS: j.created.UnixMilli(),
-	}
-	if state != jobQueued && !j.started.IsZero() {
-		rec.QueueWaitMS = j.priorWaitMS + j.started.Sub(j.admitted).Seconds()*1e3
-	}
-	if state == jobDone || state == jobFailed {
-		rec.Class = string(j.class)
-		rec.Error = j.errMsg
-	}
-	s.storeDo("put_job", func() error { return s.store.PutJob(rec) })
-}
-
-// persistSweepOutcome records a sweep's terminal state, mirroring
-// persistOutcome.
-func (s *Server) persistSweepOutcome(j *job, sp sweepParams, c *call, key string, cached bool, evicted, expiredIdem []string) {
-	if s.store == nil {
-		return
-	}
-	state := jobDone
-	if c.err != nil {
-		state = jobFailed
-	}
-	s.persistSweepJob(j, sp, state)
-	if cached {
-		if body, err := json.Marshal(c.sweep); err == nil {
-			s.storeDo("put_result", func() error { return s.store.PutResult(key, body) })
-		}
-	}
-	for _, old := range evicted {
-		old := old
-		s.storeDo("delete_result", func() error { return s.store.DeleteResult(old) })
-	}
-	for _, ik := range expiredIdem {
-		ik := ik
-		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
-	}
-	if s.cfg.CheckpointInterval > 0 || len(c.sweepResume) > 0 {
-		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
-	}
-}
-
 // sweepParamsFromRecord replans a persisted sweep from its canonical
 // spec bytes, so a resumed sweep evaluates exactly the grid the crashed
 // server admitted.
@@ -930,51 +617,34 @@ func (s *Server) sweepParamsFromRecord(rec store.JobRecord) (sweepParams, error)
 	return sp, nil
 }
 
-// resumeSweepJob re-admits one interrupted sweep under its original id,
-// loading its config-granular checkpoint so already-evaluated configs
-// are overlaid rather than rebuilt. An unreadable spec fails the job
-// terminally (there is nothing to re-run); an unreadable checkpoint
-// just falls back to a full re-evaluation.
-func (s *Server) resumeSweepJob(jr store.JobRecord) {
-	sp, err := s.sweepParamsFromRecord(jr)
+// loadCheckpoint loads a crashed sweep's completed configs, so they are
+// overlaid rather than rebuilt.
+func (sp *sweepParams) loadCheckpoint(s *Server, jobID string) int {
+	data, _, err := s.store.Checkpoint(jobID)
 	if err != nil {
-		s.log.Warn("sweep spec unreadable; job failed", "job", jr.ID, "error", err)
-		jr.State = jobFailed
-		jr.Class = string(obs.ClassInternal)
-		jr.Error = "sweep spec unreadable after restart: " + err.Error()
-		s.jobsReg.restoreFinished(jr, s.log)
-		s.storeDo("put_job", func() error { return s.store.PutJob(jr) })
-		return
+		return 0
 	}
-	resume := make(map[int]SweepConfigResult)
-	if data, _, err := s.store.Checkpoint(jr.ID); err == nil {
-		var ck sweepCheckpoint
-		if derr := json.Unmarshal(data, &ck); derr != nil {
-			s.log.Warn("sweep checkpoint unreadable; resuming from scratch", "job", jr.ID, "error", derr)
-		} else {
-			for _, r := range ck.Results {
-				if r.Index >= 0 && r.Index < len(sp.plan.Configs) {
-					resume[r.Index] = r
-				}
-			}
+	var ck sweepCheckpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		s.log.Warn("sweep checkpoint unreadable; resuming from scratch", "job", jobID, "error", err)
+		return 0
+	}
+	sp.resume = make(map[int]SweepConfigResult)
+	for _, r := range ck.Results {
+		if r.Index >= 0 && r.Index < len(sp.plan.Configs) {
+			sp.resume[r.Index] = r
 		}
 	}
+	return len(sp.resume)
+}
 
-	j := s.jobsReg.restoreResumed(jr, s.log)
-	c := &call{done: make(chan struct{}), job: j, sweepResume: resume}
-	s.mu.Lock()
-	s.inflight[jr.Key] = c
-	s.jobs++
-	admitted := s.jobs
-	s.mu.Unlock()
-	obs.G("server_jobs_admitted").Set(float64(admitted))
-	obs.C("server_jobs_resumed_total").Inc()
-	s.wg.Add(1)
-	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: jr.Key,
-		Done: int64(len(resume)), Total: int64(len(sp.plan.Configs)), Restarts: j.restarts})
-	j.scope.Log().Info("sweep resumed from store",
-		"restarts", j.restarts, "checkpoint_configs", len(resume),
-		"configs", len(sp.plan.Configs))
-	s.persistSweepJob(j, sp, jobQueued)
-	go s.runSweep(jr.Key, sp, c)
+// sweepRecordConfigs counts a persisted sweep's configs from its
+// canonical spec without planning it; 0 when the spec is unreadable.
+func sweepRecordConfigs(spec []byte) int {
+	var can sweepCanonical
+	if json.Unmarshal(spec, &can) != nil {
+		return 0
+	}
+	n, _ := sweepConfigCount(can.Spec)
+	return n
 }
