@@ -485,3 +485,76 @@ func BenchmarkSweepFullRebuild(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(plan.Configs)*spec.N*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
+
+// layerFixture returns a warm evaluator and a DrawSet already sampled
+// with one batch of BatchWidth chips, the state the population builder
+// reaches after its first batch.
+func layerFixture() (*sram.Evaluator, *sram.DrawSet, []int) {
+	model := sram.NewModel(circuit.PTM45(), false)
+	sampler := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
+	ev := model.NewEvaluator(sampler.NewScratch())
+	ids := make([]int, sram.BatchWidth)
+	for j := range ids {
+		ids[j] = j
+	}
+	ds := new(sram.DrawSet)
+	ev.Sample(ids, ds)
+	return ev, ds, ids
+}
+
+// reportPerChip reports the benchmark's time per chip in microseconds.
+func reportPerChip(b *testing.B, chipsPerOp int) {
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*chipsPerOp), "us/chip")
+}
+
+// requireZeroAllocs fails the benchmark unless op allocates nothing.
+func requireZeroAllocs(b *testing.B, op func()) {
+	if a := testing.AllocsPerRun(3, op); a != 0 {
+		b.Fatalf("warm op allocates %.1f times, want 0", a)
+	}
+}
+
+// BenchmarkSample is the variation-sampling layer of a pair build: one
+// warm DrawSet refilled with the full variation tree of BatchWidth new
+// chips per op. It fails unless an op allocates nothing.
+func BenchmarkSample(b *testing.B) {
+	ev, ds, ids := layerFixture()
+	next := func() {
+		for j := range ids {
+			ids[j] += sram.BatchWidth
+		}
+		ev.Sample(ids, ds)
+	}
+	requireZeroAllocs(b, next)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
+	}
+	reportPerChip(b, sram.BatchWidth)
+}
+
+// BenchmarkKernelPair is the kernel layer of a pair build: both cache
+// organisations evaluated from one warm DrawSet of BatchWidth chips per
+// op, the leakage aggregates captured as the delta-build path does. It
+// fails unless an op allocates nothing.
+func BenchmarkKernelPair(b *testing.B) {
+	ev, ds, _ := layerFixture()
+	g := sram.Paper16KB()
+	reg := make([]*sram.CacheMeasurement, sram.BatchWidth)
+	hor := make([]*sram.CacheMeasurement, sram.BatchWidth)
+	for l := range reg {
+		reg[l], hor[l] = new(sram.CacheMeasurement), new(sram.CacheMeasurement)
+		sram.Prepare(reg[l], g)
+		sram.Prepare(hor[l], g)
+	}
+	var rec sram.LeakState
+	ev.EvalPair(ds, reg, hor, &rec)
+	requireZeroAllocs(b, func() { ev.EvalPair(ds, reg, hor, &rec) })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev.EvalPair(ds, reg, hor, &rec)
+	}
+	reportPerChip(b, sram.BatchWidth)
+}

@@ -129,11 +129,8 @@ type Evaluator struct {
 	sc       *variation.Scratch
 	ks       *kernelScratch       // pooled draw + column buffers (Release returns them)
 	stageNom [][NumStages]float64 // nominal stage delays per (bank, path)
-
-	// Scalar reference-path buffers, allocated lazily by measureRef
-	// (the batch-vs-scalar parity tests are its only caller).
-	bands     []variation.Draw // per (bank, path slot), shared by all ways
-	bankBands []variation.Draw // per bank aggregate, shared by all ways
+	ap       alphaPow             // the model's Alpha, split once for the kernel's pows
+	shortcut bool                 // marginShortcut(m.Tech)
 }
 
 // NewEvaluator returns an evaluator drawing from sc. The scratch's spec
@@ -151,6 +148,8 @@ func (m *Model) NewEvaluator(sc *variation.Scratch) *Evaluator {
 		sc:       sc,
 		ks:       ks,
 		stageNom: ks.stageNom,
+		ap:       newAlphaPow(m.Tech.Alpha),
+		shortcut: marginShortcut(m.Tech),
 	}
 }
 
@@ -193,162 +192,6 @@ func (e *Evaluator) MeasurePair(chip *variation.Draw, reg, hor *CacheMeasurement
 	e.eval(ds, e.ks.one[:], false, true, true, nil)
 	e.ks.one[0] = nil
 	deriveHYAPD(reg, hor, e.m.Geom)
-}
-
-// measureRef is the scalar reference implementation the batched kernel
-// must match bit for bit; it is retained (and exercised by the parity
-// tests) as the executable specification of the measurement arithmetic.
-func (e *Evaluator) measureRef(chip *variation.Draw, dst *CacheMeasurement, hyapd bool) {
-	m := e.m
-	if e.bands == nil {
-		e.bands = make([]variation.Draw, m.Geom.BanksPerWay*m.Geom.PathsPerBank)
-		e.bankBands = make([]variation.Draw, m.Geom.BanksPerWay)
-	}
-	Prepare(dst, m.Geom)
-	// Horizontal bands: one per (bank, path slot), common to all ways.
-	// Each bank also has an aggregate band node whose leakage state is
-	// shared by the same physical rows of every way — horizontal regions
-	// run hot or cold together, which is what lets H-YAPD excise the
-	// hottest region of all four ways at once.
-	for i := range e.bands {
-		e.bands[i] = e.sc.Child(chip, bandFactor, int64(5000+i))
-	}
-	for b := range e.bankBands {
-		e.bankBands[b] = e.sc.Child(chip, bandFactor, int64(6000+b))
-	}
-	for w := 0; w < m.Geom.Ways; w++ {
-		way := e.sc.Way(chip, w)
-		e.measureWay(&dst.Ways[w], chip, &way, w, hyapd)
-		if dst.Ways[w].LatencyPS > dst.LatencyPS {
-			dst.LatencyPS = dst.Ways[w].LatencyPS
-		}
-		dst.LeakageW += dst.Ways[w].LeakageW
-	}
-}
-
-// measureWay evaluates one way into wm (pre-sized by Prepare). The
-// correlation structure follows Sections 2-3: ways on the 2x2 mesh;
-// horizontal bands drawn at chip level and shared by all ways because
-// they sit at the same die y-coordinate; per-bank circuit blocks at the
-// block factor; one row draw per representative path.
-func (e *Evaluator) measureWay(wm *WayMeasurement, chip, way *variation.Draw, wayIdx int, hyapd bool) {
-	m := e.m
-	t := m.Tech
-	sc := e.sc
-	spec := sc.Spec()
-	chipDev := circuit.DeviceOf(&chip.Values, spec)
-	dec := sc.Block(way, blockDecoder)
-	out := sc.Block(way, blockOutput)
-
-	decDev, decWire := circuit.DeviceOf(&dec.Values, spec), circuit.WireOf(&dec.Values, spec)
-	outDev, outWire := circuit.DeviceOf(&out.Values, spec), circuit.WireOf(&out.Values, spec)
-
-	totalRows := float64(m.Geom.BanksPerWay * m.Geom.RowsPerBank)
-
-	periphLeakSum := decDev.LeakageFactor(t) + outDev.LeakageFactor(t)
-	periphBlocks := 2.0
-	var arrayLeakTotal float64
-
-	for b := 0; b < m.Geom.BanksPerWay; b++ {
-		pre := sc.Block(way, int64(blockPreBase+b))
-		sa := sc.Block(way, int64(blockSenseAmp+b))
-		preWire := circuit.WireOf(&pre.Values, spec)
-		saDev := circuit.DeviceOf(&sa.Values, spec)
-		periphLeakSum += (circuit.DeviceOf(&pre.Values, spec).LeakageFactor(t) + saDev.LeakageFactor(t)) /
-			float64(m.Geom.BanksPerWay)
-		periphBlocks += 2.0 / float64(m.Geom.BanksPerWay)
-
-		// Sense-amplifier signal margin erodes from two sources: random
-		// within-die mismatch between the two devices of the pair (dopant
-		// fluctuation, uncorrelated across banks and ways — a factor-1.0
-		// child captures exactly that: an independent full-range deviation
-		// around the bank's systematic value; offset eats margin whichever
-		// side it lands on, so it enters as |ΔVt|) and, at half weight,
-		// the bank's systematic sense-amp weakness.
-		mmDraw := sc.Child(&sa, 1.0, 9000)
-		offset := mmDraw.Values[variation.Vt]/1000 - saDev.VtV
-		if offset < 0 {
-			offset = -offset
-		}
-
-		bm := &wm.Banks[b]
-		var bankLeakSum float64
-		for p := 0; p < m.Geom.PathsPerBank; p++ {
-			band := &e.bands[b*m.Geom.PathsPerBank+p]
-			// This way's instance of the band's rows: nearly identical to
-			// the band (row factor) but distinguishable per way.
-			row := sc.Row(band, int64(wayIdx))
-			cellDev := circuit.DeviceOf(&row.Values, spec)
-			cellWire := circuit.WireOf(&row.Values, spec)
-			bankLeakSum += cellDev.LeakageFactor(t)
-
-			// The sense clock is generated by a replica bitline that
-			// tracks (imperfectly — replicaTracking of it) the chip's
-			// common process corner, so the margin is eaten mostly by
-			// *local deviations from that corner*: the amp's random pair
-			// offset, half the amp's systematic deviation, and the full
-			// deviation of this row's cell (the device that develops the
-			// differential). The cell deviation comes from the chip-level
-			// horizontal band, so it is shared by the same row region of
-			// every way — weak bands slow all ways together, which is
-			// exactly the failure mode H-YAPD excises (Section 4.2).
-			resid := 1 - replicaTracking
-			saEff := circuit.Device{
-				DLeff: 0.5*(saDev.DLeff-chipDev.DLeff) + (cellDev.DLeff - chipDev.DLeff) +
-					resid*chipDev.DLeff,
-				VtV: t.VtNominal + senseOffsetScale*offset +
-					0.5*(saDev.VtV-chipDev.VtV) + (cellDev.VtV - chipDev.VtV) +
-					resid*(chipDev.VtV-t.VtNominal),
-			}
-			margin := circuit.SenseMargin(t, saEff)
-
-			rowIdx := p * m.Geom.RowsPerBank / m.Geom.PathsPerBank
-			distFrac := (float64(b*m.Geom.RowsPerBank) + float64(rowIdx) + 0.5) / totalRows
-			delay := 0.0
-			stages := PathStages(distFrac)
-			for _, s := range stages {
-				var d float64
-				switch s.Name {
-				case "addr-bus", "decode", "global-wl":
-					d = s.Eval(t, decDev, decWire)
-				case "local-wl":
-					d = s.Eval(t, cellDev, cellWire)
-				case "bitline":
-					d = s.Eval(t, cellDev, preWire) * margin
-				case "sense":
-					d = s.Eval(t, saDev, preWire) * margin
-				case "output":
-					d = s.Eval(t, outDev, outWire)
-				default:
-					d = s.Eval(t, cellDev, cellWire)
-				}
-				delay += d
-			}
-			if hyapd {
-				delay *= HYAPDLatencyPenalty
-			}
-			bm.Paths[p] = PathMeasurement{Bank: b, Slot: p, DelayPS: delay}
-			if delay > bm.MaxPS {
-				bm.MaxPS = delay
-			}
-		}
-		// Array leakage: the bank-band aggregate (shared across ways)
-		// carries most of the weight; the per-path rows add this way's
-		// local contribution.
-		bandRow := sc.Row(&e.bankBands[b], int64(wayIdx))
-		bandLeak := circuit.DeviceOf(&bandRow.Values, spec).LeakageFactor(t)
-		slotLeak := bankLeakSum / float64(m.Geom.PathsPerBank)
-		bm.ArrayLeakW = t.CellLeakage * float64(m.Geom.CellsPerBank()) *
-			(0.7*bandLeak + 0.3*slotLeak)
-		arrayLeakTotal += bm.ArrayLeakW
-		if bm.MaxPS > wm.LatencyPS {
-			wm.LatencyPS = bm.MaxPS
-		}
-	}
-
-	wm.PeriphLeakW = t.PeripheryLeakFrac * t.CellLeakage *
-		float64(m.Geom.CellsPerWay()) * periphLeakSum / periphBlocks
-	wm.LeakageW = arrayLeakTotal + wm.PeriphLeakW
 }
 
 // deriveHYAPD fills hor with the H-YAPD organisation's measurement of

@@ -71,6 +71,16 @@ func TestReseedZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Reseed+draw allocates %.1f times per run, want 0", allocs)
 	}
+
+	seeds := laneSeeds(2*specLanes+5, 3)
+	sigma, bound := table1Columns(1)
+	cols := columnCase{seeds: seeds, sigma: sigma, bound: bound, mean: nominalMeans}.columns()
+	allocs = testing.AllocsPerRun(50, func() {
+		g.TruncNormalColumns(seeds, cols, sigma, bound)
+	})
+	if allocs != 0 {
+		t.Errorf("TruncNormalColumns allocates %.1f times per run, want 0", allocs)
+	}
 }
 
 func BenchmarkReseed(b *testing.B) {

@@ -2,6 +2,8 @@
 # Performance snapshot: runs the headline benchmarks with -benchmem and
 # writes a machine-readable summary (ns/op, B/op, allocs/op, and chips/s
 # where the benchmark reports it) to $BENCH_OUT (default BENCH_pr10.json).
+# BenchmarkSample and BenchmarkKernelPair also print us/chip: the
+# sampling and kernel layers of a pair build.
 # After writing it, prints a per-benchmark delta table against the most
 # recent other committed BENCH_*.json so regressions and wins are
 # visible at a glance.
@@ -22,7 +24,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "== go test -bench (benchtime=$BENCHTIME) =="
 go test -run '^$' \
-    -bench '^(BenchmarkPopulationBuild|BenchmarkPopulationBuildPair|BenchmarkPopulationBuildPairCheckpointed|BenchmarkEstimateArmed|BenchmarkMeasure|BenchmarkTable2|BenchmarkTable6|BenchmarkCPUSim|BenchmarkSweepDelta|BenchmarkSweepFullRebuild)$' \
+    -bench '^(BenchmarkPopulationBuild|BenchmarkPopulationBuildPair|BenchmarkPopulationBuildPairCheckpointed|BenchmarkEstimateArmed|BenchmarkMeasure|BenchmarkSample|BenchmarkKernelPair|BenchmarkTable2|BenchmarkTable6|BenchmarkCPUSim|BenchmarkSweepDelta|BenchmarkSweepFullRebuild)$' \
     -benchtime "$BENCHTIME" -benchmem . | tee "$RAW"
 
 echo "== event-bus hot-path benchmarks (benchtime=$MICROTIME) =="
