@@ -89,10 +89,17 @@ func PTM45() Tech {
 }
 
 // SenseMargin returns the bitline/sense stage delay amplification for a
-// sense amplifier built from device sa: 1/(1 − gain·(1 − drive)), capped
-// at SenseMarginMax, and 1 for at- or above-nominal drive.
+// sense amplifier built from device sa: MarginFromDrive of its drive
+// factor.
 func SenseMargin(t Tech, sa Device) float64 {
-	deficit := 1 - sa.DriveFactor(t)
+	return MarginFromDrive(&t, sa.DriveFactor(t))
+}
+
+// MarginFromDrive returns the sense stage delay amplification for a
+// sense amplifier of the given drive factor: 1/(1 − gain·(1 − drive)),
+// capped at SenseMarginMax, and 1 for at- or above-nominal drive.
+func MarginFromDrive(t *Tech, drive float64) float64 {
+	deficit := 1 - drive
 	if deficit <= 0 {
 		return 1
 	}
