@@ -30,6 +30,16 @@ var benchState struct {
 	perf  *PerfEvaluator
 }
 
+// benchBuild is core.Build on a background context; it fails the
+// benchmark on error.
+func benchBuild(b *testing.B, cfg core.PopulationConfig) core.BuildResult {
+	res, err := core.Build(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func benchSetup(b *testing.B) (*Study, *PerfEvaluator) {
 	b.Helper()
 	benchState.once.Do(func() {
@@ -176,7 +186,7 @@ func BenchmarkAblationCorrelation(b *testing.B) {
 			if f.DiagWay > 1 {
 				f.DiagWay = 1
 			}
-			pop := core.BuildPopulation(core.PopulationConfig{N: 500, Seed: 2006, Fact: &f})
+			pop := benchBuild(b, core.PopulationConfig{N: 500, Seed: 2006, Fact: &f}).Regular
 			lim := core.DeriveLimits(pop, core.Nominal())
 			bd := core.BreakdownLosses(pop, lim, core.YAPD{})
 			multi := bd.Base[core.LossDelay2] + bd.Base[core.LossDelay3] + bd.Base[core.LossDelay4]
@@ -218,7 +228,7 @@ func BenchmarkAblationBufferDepth(b *testing.B) {
 func BenchmarkAblationPopulation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, n := range []int{250, 1000, 2000} {
-			pop := core.BuildPopulation(core.PopulationConfig{N: n, Seed: 2006})
+			pop := benchBuild(b, core.PopulationConfig{N: n, Seed: 2006}).Regular
 			lim := core.DeriveLimits(pop, core.Nominal())
 			bd := core.BreakdownLosses(pop, lim, core.Hybrid{})
 			b.ReportMetric(bd.Yield(0)*100, "hybrid-yield@"+popName(n))
@@ -315,23 +325,14 @@ func BenchmarkAblationAdaptiveHybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkPopulationBuild measures the Monte Carlo throughput itself
-// (chips evaluated per second drives every other experiment).
-func BenchmarkPopulationBuild(b *testing.B) {
-	const n = 200
-	for i := 0; i < b.N; i++ {
-		core.BuildPopulation(core.PopulationConfig{N: n, Seed: int64(i + 1)})
-	}
-	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "chips/s")
-}
-
-// BenchmarkPopulationBuildPair measures the shared-draw pair builder:
+// BenchmarkPopulationBuildPair measures the Monte Carlo throughput
+// itself (chips evaluated per second drives every other experiment):
 // one sampling pass yields both organisations, so each iteration
 // produces 2N measurements.
 func BenchmarkPopulationBuildPair(b *testing.B) {
 	const n = 200
 	for i := 0; i < b.N; i++ {
-		core.BuildPopulationPair(core.PopulationConfig{N: n, Seed: int64(i + 1)})
+		benchBuild(b, core.PopulationConfig{N: n, Seed: int64(i + 1)})
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
@@ -350,7 +351,7 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 		Sink:     func(*core.BuildCheckpoint) error { sunk++; return nil },
 	}
 	for i := 0; i < b.N; i++ {
-		core.BuildPopulationPair(core.PopulationConfig{
+		benchBuild(b, core.PopulationConfig{
 			N: n, Seed: int64(i + 1), Checkpoint: ck,
 		})
 	}
@@ -368,7 +369,7 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 func BenchmarkEstimateArmed(b *testing.B) {
 	const n = 200
 	plainCfg := core.PopulationConfig{N: n, Seed: 2006}
-	plain := testing.AllocsPerRun(10, func() { core.BuildPopulationPair(plainCfg) })
+	plain := testing.AllocsPerRun(10, func() { benchBuild(b, plainCfg) })
 	published := 0
 	est := &core.EstimateConfig{
 		Interval: 2 * time.Millisecond,
@@ -376,7 +377,7 @@ func BenchmarkEstimateArmed(b *testing.B) {
 	}
 	armedCfg := plainCfg
 	armedCfg.Estimate = est
-	armed := testing.AllocsPerRun(10, func() { core.BuildPopulationPair(armedCfg) })
+	armed := testing.AllocsPerRun(10, func() { benchBuild(b, armedCfg) })
 	if extra := armed - plain; extra > 2 {
 		b.Fatalf("arming estimation costs %.0f extra allocs per build, budget is 2", extra)
 	}
@@ -384,7 +385,7 @@ func BenchmarkEstimateArmed(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		armedCfg.Seed = int64(i + 1)
-		core.BuildPopulationPair(armedCfg)
+		benchBuild(b, armedCfg)
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 	b.ReportMetric(float64(published)/float64(b.N), "snapshots/op")
@@ -466,7 +467,7 @@ func BenchmarkSweepDelta(b *testing.B) {
 }
 
 // BenchmarkSweepFullRebuild evaluates the same grid the naive way: an
-// independent full population build per config, no draw reuse. This is
+// independent full pair build per config, no draw reuse. This is
 // the wall-clock baseline the sweep service's delta planning is judged
 // against.
 func BenchmarkSweepFullRebuild(b *testing.B) {
@@ -478,7 +479,7 @@ func BenchmarkSweepFullRebuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, cfg := range plan.Configs {
 			tech := cfg.Tech
-			core.BuildPopulation(core.PopulationConfig{
+			benchBuild(b, core.PopulationConfig{
 				N: spec.N, Seed: spec.Seed, Tech: &tech, Workers: 1,
 			})
 		}

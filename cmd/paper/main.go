@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -53,7 +54,11 @@ func main() {
 		sp.End()
 	}
 
-	study := yieldcache.NewStudy(yieldcache.StudyConfig{Chips: *chips, Seed: *seed})
+	study, err := yieldcache.NewStudyCtx(context.Background(), yieldcache.StudyConfig{Chips: *chips, Seed: *seed})
+	if err != nil {
+		slog.Error("building the study", "error", err)
+		os.Exit(1)
+	}
 	perf := yieldcache.NewPerfEvaluator(yieldcache.PerfConfig{Instructions: *instr})
 
 	fmt.Printf("Population: %d chips, seed %d; limits: delay %.1f ps (cycle %.1f ps), leakage %.2f mW\n\n",

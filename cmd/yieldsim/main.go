@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -78,7 +79,11 @@ func main() {
 		}
 		run.Manifest.Set("target_ci_width", *targetCI).Set("confidence", *confidence)
 	}
-	study := yieldcache.NewStudy(scfg)
+	study, err := yieldcache.NewStudyCtx(context.Background(), scfg)
+	if err != nil {
+		slog.Error("building the study", "error", err)
+		os.Exit(1)
+	}
 	run.Manifest.Set("limit_delay_ps", study.Limits.DelayPS).
 		Set("limit_leakage_w", study.Limits.LeakageW)
 	if est := study.Estimate; est != nil && est.EarlyStop {

@@ -14,7 +14,7 @@ import (
 )
 
 func main() {
-	pop := core.BuildPopulation(core.PopulationConfig{N: 1500, Seed: 2006})
+	pop := yieldcache.NewStudy(yieldcache.StudyConfig{Chips: 1500}).Regular
 
 	t := report.NewTable("Yield [%] across the constraint grid (1500 chips)",
 		"delay k", "leak mult", "base", "YAPD", "VACA", "Hybrid")
@@ -36,7 +36,7 @@ func main() {
 	conv := report.NewTable("Monte Carlo convergence (nominal constraints)",
 		"chips", "base yield [%]", "Hybrid yield [%]")
 	for _, n := range []int{250, 500, 1000, 2000} {
-		p := core.BuildPopulation(core.PopulationConfig{N: n, Seed: 2006})
+		p := yieldcache.NewStudy(yieldcache.StudyConfig{Chips: n}).Regular
 		lim := core.DeriveLimits(p, yieldcache.Nominal())
 		bd := core.BreakdownLosses(p, lim, core.Hybrid{})
 		conv.AddRow(n, fmt.Sprintf("%.1f", bd.Yield(-1)*100), fmt.Sprintf("%.1f", bd.Yield(0)*100))

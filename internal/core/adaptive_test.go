@@ -5,7 +5,7 @@ import "testing"
 func TestAdaptiveHybridSavesExactlyHybridChips(t *testing.T) {
 	// The adaptive policy never changes *which* chips are saved, only
 	// their configuration.
-	pop := BuildPopulation(PopulationConfig{N: 300, Seed: 2006})
+	pop, _ := build(t, PopulationConfig{N: 300, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	for _, intensity := range []float64{0.1, 0.9} {
 		a := AdaptiveHybrid{MemoryIntensity: intensity}
@@ -111,7 +111,7 @@ func TestLineDisableBudget(t *testing.T) {
 }
 
 func TestSchemeComparisonSorted(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 300, Seed: 2006})
+	pop, _ := build(t, PopulationConfig{N: 300, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	rows := SchemeComparison(pop, lim, []Scheme{VACA{}, Hybrid{}, YAPD{}, LineDisable{}})
 	if len(rows) != 4 {

@@ -1,13 +1,14 @@
 package core
 
 import (
+	"context"
 	"runtime/debug"
 	"testing"
 	"time"
 )
 
 // TestPairBuildAllocBudget pins the steady-state allocation budget of
-// the pair builder: at most 28 allocations per build regardless of N
+// Build: at most 28 allocations per build regardless of N
 // (the per-chip hot loop is allocation-free; what remains is per-build
 // setup — models, arenas, sampler, evaluator shell), and arming the
 // checkpointer may add at most 2 more (its struct and frontier).
@@ -21,8 +22,9 @@ func TestPairBuildAllocBudget(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := PopulationConfig{N: 200, Seed: 1, Workers: 1}
-	BuildPopulationPair(cfg) // warm the kernel buffer pool
-	plain := testing.AllocsPerRun(10, func() { BuildPopulationPair(cfg) })
+	ctx := context.Background()
+	Build(ctx, cfg) // warm the kernel buffer pool
+	plain := testing.AllocsPerRun(10, func() { Build(ctx, cfg) })
 	if plain > 28 {
 		t.Errorf("pair build allocates %.1f times per run, budget is 28", plain)
 	}
@@ -32,8 +34,8 @@ func TestPairBuildAllocBudget(t *testing.T) {
 		Interval: time.Millisecond,
 		Sink:     func(*BuildCheckpoint) error { return nil },
 	}
-	BuildPopulationPair(ck)
-	withCk := testing.AllocsPerRun(10, func() { BuildPopulationPair(ck) })
+	Build(ctx, ck)
+	withCk := testing.AllocsPerRun(10, func() { Build(ctx, ck) })
 	if withCk > plain+2 {
 		t.Errorf("checkpointed pair build allocates %.1f times per run, plain is %.1f: checkpointing may add at most 2",
 			withCk, plain)

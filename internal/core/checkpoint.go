@@ -41,14 +41,14 @@ type CheckpointConfig struct {
 }
 
 // validateResume checks that a checkpoint belongs to this build.
-func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, pair bool, geom sram.Geometry) error {
+func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometry) error {
 	switch {
 	case r.Seed != cfg.Seed:
 		return fmt.Errorf("core: resume checkpoint seed %d, build seed %d", r.Seed, cfg.Seed)
 	case r.N != cfg.N:
 		return fmt.Errorf("core: resume checkpoint for %d chips, build wants %d", r.N, cfg.N)
-	case r.Pair != pair:
-		return fmt.Errorf("core: resume checkpoint pair=%v, build pair=%v", r.Pair, pair)
+	case !r.Pair:
+		return fmt.Errorf("core: resume checkpoint is not a pair build")
 	case r.Geom != geom:
 		return fmt.Errorf("core: resume checkpoint geometry %+v, build geometry %+v", r.Geom, geom)
 	case r.Tech != *cfg.Tech:
@@ -101,7 +101,7 @@ type checkpointer struct {
 
 // newCheckpointer returns the worker-driven checkpointer; nil when
 // checkpointing is disabled for this build.
-func newCheckpointer(ck *CheckpointConfig, base, n, workers int, pair bool, cfg *PopulationConfig,
+func newCheckpointer(ck *CheckpointConfig, base, n, workers int, cfg *PopulationConfig,
 	geom sram.Geometry, reg, hor []Chip, scope *obs.Scope) *checkpointer {
 	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
 		return nil
@@ -113,7 +113,7 @@ func newCheckpointer(ck *CheckpointConfig, base, n, workers int, pair bool, cfg 
 		interval: int64(ck.Interval),
 		last:     base,
 		buf: BuildCheckpoint{
-			Seed: cfg.Seed, N: n, Pair: pair,
+			Seed: cfg.Seed, N: n, Pair: true,
 			Tech: *cfg.Tech, Geom: geom,
 		},
 		reg:   reg,
@@ -172,9 +172,7 @@ func (c *checkpointer) publish() {
 	}
 	c.buf.Done = p
 	c.buf.Regular = c.reg[:p]
-	if c.buf.Pair {
-		c.buf.Horizontal = c.hor[:p]
-	}
+	c.buf.Horizontal = c.hor[:p]
 	if err := c.cfg.Sink(&c.buf); err != nil {
 		obs.C("core_checkpoint_sink_errors_total").Inc()
 		return
@@ -183,7 +181,3 @@ func (c *checkpointer) publish() {
 	obs.C("core_checkpoints_total").Inc()
 	c.scope.G("job_checkpoint_chips").Set(float64(p))
 }
-
-// close is the end-of-build hook; the worker-driven checkpointer has
-// nothing to stop or wait for.
-func (c *checkpointer) close() {}

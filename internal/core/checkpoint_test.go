@@ -36,7 +36,7 @@ func chipsEqual(t *testing.T, label string, a, b *Population) {
 // acceptance bar for crash recovery.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	const n, seed = 120, 2006
-	wantReg, wantHor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	wantReg, wantHor := build(t, PopulationConfig{N: n, Seed: seed})
 
 	// Capture checkpoints from an instrumented build.
 	var mu sync.Mutex
@@ -65,12 +65,12 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			return nil
 		},
 	}}
-	reg, hor, err := BuildPopulationPairCtx(context.Background(), cfg)
+	res, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chipsEqual(t, "instrumented regular", reg, wantReg)
-	chipsEqual(t, "instrumented horizontal", hor, wantHor)
+	chipsEqual(t, "instrumented regular", res.Regular, wantReg)
+	chipsEqual(t, "instrumented horizontal", res.Horizontal, wantHor)
 
 	mu.Lock()
 	ck := last
@@ -90,22 +90,22 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	}
 
 	// Resume: the prefix comes from the checkpoint, the rest rebuilds.
-	reg2, hor2, err := BuildPopulationPairCtx(context.Background(), PopulationConfig{
+	res, err = Build(context.Background(), PopulationConfig{
 		N: n, Seed: seed, Workers: 2, // different worker count on purpose
 		Checkpoint: &CheckpointConfig{Resume: ck},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chipsEqual(t, "resumed regular", reg2, wantReg)
-	chipsEqual(t, "resumed horizontal", hor2, wantHor)
+	chipsEqual(t, "resumed regular", res.Regular, wantReg)
+	chipsEqual(t, "resumed horizontal", res.Horizontal, wantHor)
 }
 
 // A checkpoint from a different build must be refused, not silently
 // blended into the wrong population.
 func TestResumeValidatesProvenance(t *testing.T) {
 	const n, seed = 40, 7
-	reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
 	good := &BuildCheckpoint{
 		Seed: seed, N: n, Done: 10, Pair: true,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
@@ -127,7 +127,7 @@ func TestResumeValidatesProvenance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := *good
 			tc.mutate(&bad)
-			_, _, err := BuildPopulationPairCtx(context.Background(), PopulationConfig{
+			_, err := Build(context.Background(), PopulationConfig{
 				N: n, Seed: seed, Checkpoint: &CheckpointConfig{Resume: &bad},
 			})
 			if err == nil {
@@ -144,7 +144,7 @@ func TestResumeValidatesProvenance(t *testing.T) {
 // descriptive errors.
 func TestCheckpointEncodeDecode(t *testing.T) {
 	const n, seed = 30, 3
-	reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: seed})
+	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
 	ck := &BuildCheckpoint{
 		Seed: seed, N: n, Done: n, Pair: true,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,

@@ -461,10 +461,10 @@ func TestSavedConfigurations(t *testing.T) {
 	}
 }
 
-func TestBuildPopulationDeterministicAndParallel(t *testing.T) {
+func TestBuildDeterministicAndParallel(t *testing.T) {
 	cfg := PopulationConfig{N: 50, Seed: 123}
-	a := BuildPopulation(cfg)
-	b := BuildPopulation(cfg)
+	a, _ := build(t, cfg)
+	b, _ := build(t, cfg)
 	if len(a.Chips) != 50 {
 		t.Fatalf("population size = %d", len(a.Chips))
 	}
@@ -479,8 +479,7 @@ func TestBuildPopulationDeterministicAndParallel(t *testing.T) {
 }
 
 func TestRegularAndHYAPDShareDraws(t *testing.T) {
-	reg := BuildPopulation(PopulationConfig{N: 30, Seed: 7})
-	hor := BuildPopulation(PopulationConfig{N: 30, Seed: 7, HYAPD: true})
+	reg, hor := build(t, PopulationConfig{N: 30, Seed: 7})
 	for i := range reg.Chips {
 		ratio := hor.Chips[i].Meas.LatencyPS / reg.Chips[i].Meas.LatencyPS
 		if math.Abs(ratio-sram.HYAPDLatencyPenalty) > 1e-9 {
@@ -490,7 +489,7 @@ func TestRegularAndHYAPDShareDraws(t *testing.T) {
 }
 
 func TestDeriveLimits(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 200, Seed: 9})
+	pop, _ := build(t, PopulationConfig{N: 200, Seed: 9})
 	nom := DeriveLimits(pop, Nominal())
 	rel := DeriveLimits(pop, Relaxed())
 	str := DeriveLimits(pop, Strict())
@@ -503,7 +502,7 @@ func TestDeriveLimits(t *testing.T) {
 }
 
 func TestScatter(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 100, Seed: 5})
+	pop, _ := build(t, PopulationConfig{N: 100, Seed: 5})
 	lim := DeriveLimits(pop, Nominal())
 	pts := pop.Scatter(lim)
 	if len(pts) != 100 {
@@ -522,7 +521,7 @@ func TestScatter(t *testing.T) {
 }
 
 func TestTotalsUnderConstraints(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 300, Seed: 11})
+	pop, _ := build(t, PopulationConfig{N: 300, Seed: 11})
 	rows := TotalsUnderConstraints(pop, pop, []Constraints{Relaxed(), Strict()}, YAPD{}, VACA{}, Hybrid{})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))

@@ -12,7 +12,7 @@ import (
 // DeltaBuilder makes dense technology sweeps nearly free by sharing
 // one set of variation draws (common random numbers) across every
 // sweep point. It builds the base population pair once, retaining each
-// batch's DrawSet and leakage aggregates; BuildPair then re-evaluates
+// batch's DrawSet and leakage aggregates; BuildPairCtx then re-evaluates
 // only the measurement parts the technology diff touches:
 //
 //   - sampling never reruns — the retained draws are reused verbatim,
@@ -28,8 +28,8 @@ import (
 //   - parameters entering both (Vdd, VtNominal, DIBL) re-evaluate both
 //     halves, still skipping sampling.
 //
-// Every BuildPair result is bit-identical to a full
-// BuildPopulationPair of the same configuration at the new technology:
+// Every BuildPairCtx result is bit-identical to a full Build of the
+// same configuration at the new technology:
 // the kernel preserves draw and accumulation order, and cached
 // aggregates are the exact floats a full build computes.
 //
@@ -49,20 +49,17 @@ type DeltaBuilder struct {
 	baseHor  *Population
 }
 
-// NewDeltaBuilder builds the base population pair for cfg (cfg.Workers
-// and cfg.Checkpoint are ignored; the build is sequential) and retains
-// the per-batch draws and leakage aggregates for delta re-evaluation.
-func NewDeltaBuilder(cfg PopulationConfig) *DeltaBuilder {
-	d, _ := NewDeltaBuilderCtx(context.Background(), cfg)
-	return d
-}
-
-// NewDeltaBuilderCtx is NewDeltaBuilder with cancellation: the base
-// build polls ctx once per sram.BatchWidth-chip batch and returns
-// ctx.Err() early when it fires, so a sweep job can abandon a large
-// base build the moment its request is cancelled.
+// NewDeltaBuilderCtx builds the base population pair for cfg
+// (cfg.Workers, cfg.Checkpoint and cfg.Estimate are ignored; the build
+// is sequential) and retains the per-batch draws and leakage aggregates
+// for delta re-evaluation. It rejects the configurations Build rejects.
+// The base build polls ctx once per sram.BatchWidth-chip batch and
+// returns ctx.Err() early when it fires, so a sweep job can abandon a
+// large base build the moment its request is cancelled.
 func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilder, error) {
-	cfg.fill()
+	if err := cfg.fill(); err != nil {
+		return nil, err
+	}
 	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
 	geom := regModel.Geom
@@ -147,17 +144,11 @@ func (d *DeltaBuilder) Parts(tech circuit.Tech) sram.TechParts {
 	return sram.DiffTech(d.baseTech, tech)
 }
 
-// BuildPair evaluates the retained chip draws under tech, reusing
+// BuildPairCtx evaluates the retained chip draws under tech, reusing
 // everything the technology diff against the base does not touch. The
-// result is bit-identical to BuildPopulationPair of the builder's
-// configuration with Tech set to tech.
-func (d *DeltaBuilder) BuildPair(tech circuit.Tech) (regular, horizontal *Population) {
-	regular, horizontal, _ = d.BuildPairCtx(context.Background(), tech)
-	return regular, horizontal
-}
-
-// BuildPairCtx is BuildPair with cancellation, polled once per batch
-// like NewDeltaBuilderCtx. On cancellation it returns ctx.Err() and nil
+// result is bit-identical to Build of the builder's configuration with
+// Tech set to tech. Cancellation is polled once per batch like
+// NewDeltaBuilderCtx: on cancellation it returns ctx.Err() and nil
 // populations; the builder itself stays valid for further calls.
 func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
 	parts := sram.DiffTech(d.baseTech, tech)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -26,12 +27,23 @@ func measIdentical(t *testing.T, label string, a, b *Population) {
 	}
 }
 
+// newDelta is NewDeltaBuilderCtx on a background context; it fails the
+// test on error.
+func newDelta(t *testing.T, cfg PopulationConfig) *DeltaBuilder {
+	t.Helper()
+	d, err := NewDeltaBuilderCtx(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 // TestDeltaBuilderBaseMatchesFullBuild pins the builder's base pair to
 // the ordinary build path: retaining draws must not perturb results.
 func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
 	cfg := PopulationConfig{N: 37, Seed: 2006}
-	wantReg, wantHor := BuildPopulationPair(cfg)
-	d := NewDeltaBuilder(cfg)
+	wantReg, wantHor := build(t, cfg)
+	d := newDelta(t, cfg)
 	gotReg, gotHor := d.Base()
 	measIdentical(t, "base regular", gotReg, wantReg)
 	measIdentical(t, "base horizontal", gotHor, wantHor)
@@ -40,13 +52,13 @@ func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
 // TestDeltaBuilderGridBitIdentical is the delta-build acceptance
 // criterion: a two-parameter technology grid sweep (cell leakage ×
 // alpha, exercising the leak-rescale path, the delay-only path, their
-// combination and the no-op corner) built through BuildPair must be
-// bit-identical to a full BuildPopulationPair at every grid point. Alpha
+// combination and the no-op corner) built through BuildPairCtx must be
+// bit-identical to a full Build at every grid point. Alpha
 // 1.7 takes math.Pow's yf > 0.5 exponent shift in the kernel's pow.
 func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 	base := circuit.PTM45()
 	cfg := PopulationConfig{N: 2*sram.BatchWidth + 5, Seed: 2006, Tech: &base}
-	d := NewDeltaBuilder(cfg)
+	d := newDelta(t, cfg)
 
 	leakScale := []float64{1.0, 0.8, 1.25}
 	alphas := []float64{base.Alpha, 1.25, 1.40, 1.7}
@@ -57,8 +69,11 @@ func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 			tech.Alpha = al
 			full := cfg
 			full.Tech = &tech
-			wantReg, wantHor := BuildPopulationPair(full)
-			gotReg, gotHor := d.BuildPair(tech)
+			wantReg, wantHor := build(t, full)
+			gotReg, gotHor, err := d.BuildPairCtx(context.Background(), tech)
+			if err != nil {
+				t.Fatal(err)
+			}
 			label := d.Parts(tech)
 			measIdentical(t, "regular "+labelOf(label), gotReg, wantReg)
 			measIdentical(t, "horizontal "+labelOf(label), gotHor, wantHor)
@@ -87,7 +102,7 @@ func labelOf(p sram.TechParts) string {
 func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 	base := circuit.PTM45()
 	cfg := PopulationConfig{N: sram.BatchWidth + 3, Seed: 2006, Tech: &base}
-	d := NewDeltaBuilder(cfg)
+	d := newDelta(t, cfg)
 	for _, mut := range []func(*circuit.Tech){
 		func(t *circuit.Tech) { t.SubVtSlope = 0.030 },
 		func(t *circuit.Tech) { t.Vdd = 0.95 },
@@ -97,8 +112,11 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 		mut(&tech)
 		full := cfg
 		full.Tech = &tech
-		wantReg, wantHor := BuildPopulationPair(full)
-		gotReg, gotHor := d.BuildPair(tech)
+		wantReg, wantHor := build(t, full)
+		gotReg, gotHor, err := d.BuildPairCtx(context.Background(), tech)
+		if err != nil {
+			t.Fatal(err)
+		}
 		measIdentical(t, "regular "+labelOf(d.Parts(tech)), gotReg, wantReg)
 		measIdentical(t, "horizontal "+labelOf(d.Parts(tech)), gotHor, wantHor)
 	}
@@ -111,10 +129,10 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 // draws). This pins the ragged-final-batch and stripe-assembly logic.
 func TestBuildBatchBoundaries(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
-		want := NewDeltaBuilder(PopulationConfig{N: n, Seed: 2006})
+		want := newDelta(t, PopulationConfig{N: n, Seed: 2006})
 		wantReg, wantHor := want.Base()
 		for _, workers := range []int{1, 3} {
-			reg, hor := BuildPopulationPair(PopulationConfig{N: n, Seed: 2006, Workers: workers})
+			reg, hor := build(t, PopulationConfig{N: n, Seed: 2006, Workers: workers})
 			measIdentical(t, "regular", reg, wantReg)
 			measIdentical(t, "horizontal", hor, wantHor)
 		}
@@ -126,8 +144,8 @@ func TestBuildBatchBoundaries(t *testing.T) {
 // comparing a small build against the prefix of a larger one.
 func TestBuildPrefixPurity(t *testing.T) {
 	const small, large = 17, 64
-	sReg, sHor := BuildPopulationPair(PopulationConfig{N: small, Seed: 2006})
-	lReg, lHor := BuildPopulationPair(PopulationConfig{N: large, Seed: 2006, Workers: 4})
+	sReg, sHor := build(t, PopulationConfig{N: small, Seed: 2006})
+	lReg, lHor := build(t, PopulationConfig{N: large, Seed: 2006, Workers: 4})
 	for i := 0; i < small; i++ {
 		if !reflect.DeepEqual(sReg.Chips[i].Meas, lReg.Chips[i].Meas) {
 			t.Fatalf("regular chip %d differs between N=%d and N=%d builds", i, small, large)

@@ -251,15 +251,15 @@ func (e *estimator) finalize(p int, early bool) {
 	}
 }
 
-// final returns a detached copy of the last snapshot, for entry points
-// that hand the caller the end-of-build estimate. Nil-safe (nil when
-// estimation is disabled or nothing was measured).
+// final returns the last snapshot, for Build to hand the caller as the
+// end-of-build estimate. The buffer is not written after finalize, so
+// the caller may keep it. Nil-safe (nil when estimation is disabled or
+// nothing was measured).
 func (e *estimator) final() *YieldEstimate {
 	if e == nil || e.buf.Chips == 0 {
 		return nil
 	}
-	f := e.buf
-	return &f
+	return &e.buf
 }
 
 // snapshot fills the reusable buffer with the estimate over the

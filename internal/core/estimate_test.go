@@ -30,11 +30,11 @@ func armedConfig(n int, workers int, sink func(*YieldEstimate)) PopulationConfig
 func TestEstimateWorkerCountIndependent(t *testing.T) {
 	var ref *YieldEstimate
 	for _, workers := range []int{1, 2, 3, 7, 8} {
-		_, _, est, err := BuildPopulationPairEstimate(
-			context.Background(), armedConfig(240, workers, nil))
+		res, err := Build(context.Background(), armedConfig(240, workers, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		est := res.Estimate
 		if est == nil {
 			t.Fatalf("workers=%d: nil final estimate", workers)
 		}
@@ -56,11 +56,11 @@ func TestEstimateWorkerCountIndependent(t *testing.T) {
 // full population equal DeriveLimits bit for bit, and the loss tallies
 // equal BreakdownLosses' base column.
 func TestEstimateFinalMatchesTables(t *testing.T) {
-	reg, _, est, err := BuildPopulationPairEstimate(
-		context.Background(), armedConfig(200, 4, nil))
+	res, err := Build(context.Background(), armedConfig(200, 4, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, est := res.Regular, res.Estimate
 	cons := Nominal()
 	lim := DeriveLimits(reg, cons)
 	if est.Limits != lim {
@@ -91,13 +91,14 @@ func TestEstimateFinalMatchesTables(t *testing.T) {
 // criterion: arming estimation (without a precision target) changes
 // nothing about the built populations or the tables derived from them.
 func TestEstimateGoldenUnaffected(t *testing.T) {
-	plainReg, plainHor := BuildPopulationPair(PopulationConfig{N: 200, Seed: 2006})
+	plainReg, plainHor := build(t, PopulationConfig{N: 200, Seed: 2006})
 	snapshots := 0
 	armed := armedConfig(200, 0, func(*YieldEstimate) { snapshots++ })
-	reg, hor, est, err := BuildPopulationPairEstimate(context.Background(), armed)
+	res, err := Build(context.Background(), armed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
 	if snapshots == 0 || est == nil {
 		t.Fatalf("estimation did not publish (snapshots=%d)", snapshots)
 	}
@@ -133,10 +134,11 @@ func TestEstimateEarlyStop(t *testing.T) {
 	const n = 4000
 	cfg := armedConfig(n, 0, nil)
 	cfg.Estimate.TargetCIWidth = 0.05
-	reg, hor, est, err := BuildPopulationPairEstimate(context.Background(), cfg)
+	res, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
 	if est == nil || !est.EarlyStop {
 		t.Fatalf("expected early stop, got %+v", est)
 	}
@@ -159,7 +161,7 @@ func TestEstimateEarlyStop(t *testing.T) {
 	}
 	// Chip i is a pure function of (Seed, i): the truncated prefix must
 	// match an untruncated build chip for chip.
-	full, _ := BuildPopulationPair(PopulationConfig{N: n, Seed: 2006})
+	full, _ := build(t, PopulationConfig{N: n, Seed: 2006})
 	for i := range reg.Chips {
 		if reg.Chips[i].Meas.LatencyPS != full.Chips[i].Meas.LatencyPS {
 			t.Fatalf("truncated chip %d differs from full build", i)
@@ -170,11 +172,12 @@ func TestEstimateEarlyStop(t *testing.T) {
 // TestEstimateDisabled checks the off path: no sink and no target
 // means no estimator, and the entry point reports a nil estimate.
 func TestEstimateDisabled(t *testing.T) {
-	reg, _, est, err := BuildPopulationPairEstimate(context.Background(),
+	res, err := Build(context.Background(),
 		PopulationConfig{N: 64, Seed: 9, Estimate: &EstimateConfig{Constraints: Nominal()}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg, est := res.Regular, res.Estimate
 	if est != nil {
 		t.Errorf("estimate without sink or target should be nil, got %+v", est)
 	}
@@ -192,8 +195,9 @@ func TestEstimateAllocBudget(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := PopulationConfig{N: 200, Seed: 1, Workers: 1}
-	BuildPopulationPair(cfg)
-	plain := testing.AllocsPerRun(10, func() { BuildPopulationPair(cfg) })
+	ctx := context.Background()
+	Build(ctx, cfg)
+	plain := testing.AllocsPerRun(10, func() { Build(ctx, cfg) })
 
 	armed := cfg
 	armed.Estimate = &EstimateConfig{
@@ -201,8 +205,8 @@ func TestEstimateAllocBudget(t *testing.T) {
 		Constraints: Nominal(),
 		Sink:        func(*YieldEstimate) {},
 	}
-	BuildPopulationPair(armed)
-	withEst := testing.AllocsPerRun(10, func() { BuildPopulationPair(armed) })
+	Build(ctx, armed)
+	withEst := testing.AllocsPerRun(10, func() { Build(ctx, armed) })
 	if withEst > plain+2 {
 		t.Errorf("estimating pair build allocates %.1f times per run, plain is %.1f: estimation may add at most 2",
 			withEst, plain)

@@ -7,7 +7,7 @@ import (
 )
 
 func TestPopulationRoundTrip(t *testing.T) {
-	orig := BuildPopulation(PopulationConfig{N: 50, Seed: 11, HYAPD: true})
+	_, orig := build(t, PopulationConfig{N: 50, Seed: 11})
 	var buf bytes.Buffer
 	if err := orig.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestReadPopulationErrors(t *testing.T) {
 // Every way a snapshot can be damaged must fail with an error that
 // names the problem, before gob ever touches the bytes.
 func TestReadPopulationDescriptiveErrors(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 10, Seed: 5})
+	pop, _ := build(t, PopulationConfig{N: 10, Seed: 5})
 	var buf bytes.Buffer
 	if err := pop.Save(&buf); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -39,19 +40,18 @@ type Population struct {
 	leakAvg float64
 }
 
-// PopulationConfig parameterises BuildPopulation.
+// PopulationConfig parameterises Build.
 type PopulationConfig struct {
 	N       int   // number of chips; 0 means PaperPopulationSize
 	Seed    int64 // master seed of the variation sampler
-	HYAPD   bool  // evaluate the H-YAPD cache organisation
 	Workers int   // parallel evaluation workers; 0 means GOMAXPROCS
 	Tech    *circuit.Tech
 	Spec    *variation.Spec
 	Fact    *variation.Factors
 	// Geom overrides the cache geometry; nil (the default) keeps the
 	// paper's 16 KB organisation (sram.Paper16KB). Ways must stay within
-	// the 2×2 variation mesh (1..4) — geometry sweeps are validated by
-	// PlanSweep; direct callers own that invariant.
+	// the 2×2 variation mesh (1..4) and every dimension must be
+	// positive; Build rejects any other geometry.
 	Geom *sram.Geometry
 	// Checkpoint enables periodic build checkpointing and crash resume;
 	// nil (the default) adds nothing to the hot loop.
@@ -62,7 +62,17 @@ type PopulationConfig struct {
 	Estimate *EstimateConfig
 }
 
-func (c *PopulationConfig) fill() {
+// fill rejects an out-of-range size or geometry and fills in the
+// defaults.
+func (c *PopulationConfig) fill() error {
+	if c.N < 0 {
+		return fmt.Errorf("core: chip count must not be negative, got %d", c.N)
+	}
+	if c.Geom != nil {
+		if err := checkGeometry(*c.Geom); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
 	if c.N == 0 {
 		c.N = PaperPopulationSize
 	}
@@ -84,119 +94,88 @@ func (c *PopulationConfig) fill() {
 		f := variation.PaperFactors()
 		c.Fact = &f
 	}
+	return nil
 }
 
-// BuildPopulation samples and evaluates a chip population. Chip i is a
-// pure function of (Seed, i), so the regular and H-YAPD organisations
-// built from the same seed see identical process variation draws — the
-// paper's "we have applied the same process variation parameters used in
-// the previous simulations". Evaluation is parallelised across CPUs;
-// the result is independent of the worker count.
-func BuildPopulation(cfg PopulationConfig) *Population {
-	reg, _, _, _ := buildPopulations(context.Background(), cfg, false)
-	return reg
-}
-
-// BuildPopulationCtx is BuildPopulation with cancellation: the build
-// stops early (returning ctx.Err()) when ctx is cancelled or its
-// deadline passes. Long-running callers — the yieldd request path in
-// particular — use it to bound the Monte Carlo by a request timeout.
-func BuildPopulationCtx(ctx context.Context, cfg PopulationConfig) (*Population, error) {
-	reg, _, _, err := buildPopulations(ctx, cfg, false)
-	return reg, err
-}
-
-// BuildPopulationPair samples every chip's variation tree once and
-// measures both cache organisations from the same draws, returning the
-// regular and H-YAPD populations. cfg.HYAPD is ignored. The pair is
-// bit-identical to two BuildPopulation calls with the same seed, but
-// the "same process variation parameters" guarantee holds by
-// construction — and the sampling cost is paid once instead of twice.
-func BuildPopulationPair(cfg PopulationConfig) (regular, horizontal *Population) {
-	regular, horizontal, _, _ = buildPopulations(context.Background(), cfg, true)
-	return regular, horizontal
-}
-
-// BuildPopulationPairCtx is BuildPopulationPair with cancellation,
-// mirroring BuildPopulationCtx.
-func BuildPopulationPairCtx(ctx context.Context, cfg PopulationConfig) (regular, horizontal *Population, err error) {
-	regular, horizontal, _, err = buildPopulations(ctx, cfg, true)
-	return regular, horizontal, err
-}
-
-// BuildPopulationPairEstimate is BuildPopulationPairCtx returning the
-// final streaming yield estimate alongside the populations. The
-// estimate is nil unless cfg.Estimate armed estimation; when its
-// EarlyStop field is set, the returned populations are truncated to
-// the (batch-aligned, fully measured) prefix at which the precision
-// target was met, and every chip in them is bit-identical to the same
-// chip of an untruncated build.
-func BuildPopulationPairEstimate(ctx context.Context, cfg PopulationConfig) (regular, horizontal *Population, final *YieldEstimate, err error) {
-	regular, horizontal, est, err := buildPopulations(ctx, cfg, true)
-	if err != nil {
-		return nil, nil, nil, err
+// checkGeometry reports a geometry the engine cannot evaluate: the
+// variation mesh is 2×2, so Ways must be 1..4, and every other
+// dimension must be positive.
+func checkGeometry(g sram.Geometry) error {
+	if g.Ways < 1 || g.Ways > 4 {
+		return fmt.Errorf("geometry ways must be 1..4 (the variation mesh is 2×2), got %d", g.Ways)
 	}
-	return regular, horizontal, est.final(), nil
+	if g.BanksPerWay < 1 || g.RowsPerBank < 1 || g.BitsPerRow < 1 || g.PathsPerBank < 1 {
+		return fmt.Errorf("geometry %dw×%db×%dr×%dc×%dp has a non-positive dimension",
+			g.Ways, g.BanksPerWay, g.RowsPerBank, g.BitsPerRow, g.PathsPerBank)
+	}
+	return nil
 }
 
-// buildPopulations is the single-pass Monte Carlo engine behind all
-// entry points. Each worker owns a variation scratch, a measurement
-// evaluator and a stripe of the chip arena, evaluated through the
-// structure-of-arrays batch kernel sram.BatchWidth chips at a time, so
-// the hot loop performs no heap allocation: way/bank/path measurement
-// storage comes from flat arrays sliced up front and draw/factor
-// columns live in the evaluator. Cancellation is polled once per batch
-// — an atomic flag set by a watcher goroutine, so the hot loop never
-// touches the context directly. When ctx carries an obs.Scope (the
-// yieldd per-job path), spans land on the scope's tracer instead of the
-// global one and the scope's progress counter advances once per batch
-// at the same poll point, so a running job can report live chips-done
-// counts at no extra hot-loop cost beyond one atomic add.
-func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Population, *Population, *estimator, error) {
-	cfg.fill()
-	spanName := "build_population"
-	if pair {
-		spanName = "build_population/pair"
-	} else if cfg.HYAPD {
-		spanName = "build_population/hyapd"
+// BuildResult is one Monte Carlo build: the regular and H-YAPD
+// organisations measured from the same variation draws, and the final
+// streaming yield estimate.
+type BuildResult struct {
+	Regular    *Population
+	Horizontal *Population
+	// Estimate is nil unless PopulationConfig.Estimate armed
+	// estimation. When its EarlyStop field is set, both populations are
+	// truncated to the fully measured prefix at which the precision
+	// target was met, and every chip in them is bit-identical to the
+	// same chip of an untruncated build.
+	Estimate *YieldEstimate
+}
+
+// Build samples every chip's variation tree once and measures both
+// cache organisations from the same draws. Chip i is a pure function of
+// (Seed, i), so the regular and H-YAPD populations see identical
+// process variation — the paper's "we have applied the same process
+// variation parameters used in the previous simulations" holds by
+// construction. Evaluation is parallelised across cfg.Workers; the
+// result is independent of the worker count.
+//
+// Build returns an error for a negative N or an out-of-range Geom, for
+// a Checkpoint.Resume that belongs to another build, and ctx.Err()
+// when ctx is cancelled or its deadline passes mid-build.
+//
+// Each worker owns a variation scratch, a measurement evaluator and a
+// stripe of the chip arena, evaluated through the structure-of-arrays
+// batch kernel sram.BatchWidth chips at a time, so the hot loop
+// performs no heap allocation: way/bank/path measurement storage comes
+// from flat arrays sliced up front and draw/factor columns live in the
+// evaluator. Cancellation is polled once per batch — an atomic flag set
+// by a watcher goroutine, so the hot loop never touches the context
+// directly. When ctx carries an obs.Scope (the yieldd per-job path),
+// spans land on the scope's tracer instead of the global one and the
+// scope's progress counter advances once per batch at the same poll
+// point, so a running job can report live chips-done counts at no extra
+// hot-loop cost beyond one atomic add.
+func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
+	if err := cfg.fill(); err != nil {
+		return BuildResult{}, err
 	}
 	scope := obs.ScopeFrom(ctx)
 	scope.SetProgressTotal(int64(cfg.N))
-	sp := obs.StartSpanCtx(ctx, spanName)
+	sp := obs.StartSpanCtx(ctx, "build_population/pair")
 	defer sp.End()
 	begin := time.Now()
 
-	regModel := newModelWithGeom(*cfg.Tech, cfg.HYAPD && !pair, cfg.Geom)
+	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
+	horModel := newModelWithGeom(*cfg.Tech, true, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
 	geom := regModel.Geom
 
-	// Cancellation: the workers poll one shared atomic per chip instead
+	// Cancellation: the workers poll one shared atomic per batch instead
 	// of selecting on ctx.Done() in the hot loop. Started before the
 	// arenas so that their setup loops (millions of slice-header writes
 	// for large N) can poll it too.
-	var cancelled atomic.Bool
-	if done := ctx.Done(); done != nil {
-		stop := make(chan struct{})
-		defer close(stop)
-		go func() {
-			select {
-			case <-done:
-				cancelled.Store(true)
-			case <-stop:
-			}
-		}()
-	}
+	cancelled, stopWatch := watchCancel(ctx)
+	defer stopWatch()
 
-	regChips := newChipArena(cfg.N, geom, &cancelled)
-	var horChips []Chip
-	var horModel *sram.Model
-	if pair {
-		horModel = newModelWithGeom(*cfg.Tech, true, cfg.Geom)
-		horChips = newChipArena(cfg.N, geom, &cancelled)
-	}
+	regChips := newChipArena(cfg.N, geom, cancelled)
+	horChips := newChipArena(cfg.N, geom, cancelled)
 	if cancelled.Load() {
 		obs.C("core_population_builds_cancelled_total").Inc()
-		return nil, nil, nil, ctx.Err()
+		return BuildResult{}, ctx.Err()
 	}
 
 	// Resume: seed the arena with a checkpointed prefix. Chip i is a
@@ -205,14 +184,12 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	base := 0
 	if cfg.Checkpoint != nil && cfg.Checkpoint.Resume != nil {
 		r := cfg.Checkpoint.Resume
-		if err := validateResume(r, &cfg, pair, geom); err != nil {
-			return nil, nil, nil, err
+		if err := validateResume(r, &cfg, geom); err != nil {
+			return BuildResult{}, err
 		}
 		for i := 0; i < r.Done; i++ {
 			copyMeasInto(&regChips[i].Meas, &r.Regular[i].Meas)
-			if pair {
-				copyMeasInto(&horChips[i].Meas, &r.Horizontal[i].Meas)
-			}
+			copyMeasInto(&horChips[i].Meas, &r.Horizontal[i].Meas)
 		}
 		base = r.Done
 		scope.AddProgress(int64(base))
@@ -220,7 +197,7 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	}
 
 	workers := cfg.Workers
-	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, pair, &cfg, geom, regChips, horChips, scope)
+	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, &cfg, geom, regChips, horChips, scope)
 	est := newEstimator(cfg.Estimate, base, cfg.N, workers, regChips, scope)
 	workerSec := obs.H("core_population_worker_seconds", obs.ExpBuckets(1e-4, 4, 10))
 	var wg sync.WaitGroup
@@ -249,17 +226,11 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 				for ; bn < sram.BatchWidth && i < cfg.N; i += workers {
 					ids[bn] = i
 					regV[bn] = &regChips[i].Meas
-					if pair {
-						horV[bn] = &horChips[i].Meas
-					}
+					horV[bn] = &horChips[i].Meas
 					last = i
 					bn++
 				}
-				if pair {
-					ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
-				} else {
-					ev.MeasureBatch(ids[:bn], regV[:bn])
-				}
+				ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
 				scope.AddProgress(int64(bn))
 				if ckp != nil {
 					ckp.advance(w, last, workers)
@@ -271,10 +242,9 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 		}(w, base+w)
 	}
 	wg.Wait()
-	ckp.close()
 	if err := ctx.Err(); err != nil {
 		obs.C("core_population_builds_cancelled_total").Inc()
-		return nil, nil, nil, err
+		return BuildResult{}, err
 	}
 
 	// Precision-targeted stop: truncate to the exact batch-aligned
@@ -300,10 +270,8 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	}
 	est.finalize(built, early)
 
-	measured := built
-	if pair {
-		measured *= 2
-	}
+	// Both organisations count: a build measures 2×built chips.
+	measured := 2 * built
 	elapsed := time.Since(begin).Seconds()
 	obs.C("core_chips_built_total").Add(int64(measured))
 	obs.G("core_population_build_seconds").Set(elapsed)
@@ -313,11 +281,11 @@ func buildPopulations(ctx context.Context, cfg PopulationConfig, pair bool) (*Po
 	}
 	scope.C("job_chips_built_total").Add(int64(measured))
 	scope.G("job_build_seconds").Set(elapsed)
-	reg := &Population{Chips: regChips[:built], Model: regModel, Seed: cfg.Seed}
-	if !pair {
-		return reg, nil, est, nil
-	}
-	return reg, &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed}, est, nil
+	return BuildResult{
+		Regular:    &Population{Chips: regChips[:built], Model: regModel, Seed: cfg.Seed},
+		Horizontal: &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed},
+		Estimate:   est.final(),
+	}, nil
 }
 
 // newModelWithGeom builds an sram.Model and, when g is non-nil,
@@ -337,7 +305,7 @@ func newModelWithGeom(tech circuit.Tech, hyapd bool, g *sram.Geometry) *sram.Mod
 // happens in practice) from bleeding into its neighbour. The setup loop
 // polls cancelled periodically and returns the partially wired arena —
 // the caller checks cancellation itself before using it.
-func newChipArena(n int, g Geometry, cancelled *atomic.Bool) []Chip {
+func newChipArena(n int, g sram.Geometry, cancelled *atomic.Bool) []Chip {
 	chips := make([]Chip, n)
 	ways := make([]sram.WayMeasurement, n*g.Ways)
 	banks := make([]sram.BankMeasurement, n*g.Ways*g.BanksPerWay)
@@ -359,9 +327,6 @@ func newChipArena(n int, g Geometry, cancelled *atomic.Bool) []Chip {
 	}
 	return chips
 }
-
-// Geometry is re-exported for arena sizing.
-type Geometry = sram.Geometry
 
 // columns computes the latency and leakage columns once. Populations
 // read from persisted files (or built by literal construction in tests)

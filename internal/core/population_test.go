@@ -5,12 +5,27 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
+	"yieldcache/internal/sram"
+	"yieldcache/internal/variation"
 )
+
+// build is Build on a background context returning the regular and
+// H-YAPD populations; it fails the test on error.
+func build(t testing.TB, cfg PopulationConfig) (reg, hor *Population) {
+	t.Helper()
+	res, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Regular, res.Horizontal
+}
 
 // goldenChip pins a chip's measurement to hex-exact values captured
 // from the pre-refactor tree-based double-build path (seed 2006,
@@ -51,7 +66,7 @@ func hexEq(t *testing.T, what string, got, want float64) {
 // loss breakdown must all match the values the old double-build path
 // produced for seed 2006.
 func TestGoldenSeed2006(t *testing.T) {
-	reg, hor := BuildPopulationPair(PopulationConfig{N: 200, Seed: 2006})
+	reg, hor := build(t, PopulationConfig{N: 200, Seed: 2006})
 	for _, g := range golden2006 {
 		hexEq(t, "reg lat", reg.Chips[g.id].Meas.LatencyPS, g.regLat)
 		hexEq(t, "reg leak", reg.Chips[g.id].Meas.LeakageW, g.regLeak)
@@ -82,20 +97,22 @@ func TestGoldenSeed2006(t *testing.T) {
 }
 
 // TestPairMatchesDoubleBuild checks that one shared-draw pair build
-// equals two independent single builds chip for chip, for both
-// organisations.
+// equals measuring every chip on its own under each organisation
+// (sram.Model.Measure of the chip's variation tree), chip for chip.
 func TestPairMatchesDoubleBuild(t *testing.T) {
-	cfg := PopulationConfig{N: 64, Seed: 41}
-	reg, hor := BuildPopulationPair(cfg)
-	wantReg := BuildPopulation(PopulationConfig{N: 64, Seed: 41})
-	wantHor := BuildPopulation(PopulationConfig{N: 64, Seed: 41, HYAPD: true})
-	if !reflect.DeepEqual(reg.Chips, wantReg.Chips) {
-		t.Fatal("pair regular population diverges from single build")
+	reg, hor := build(t, PopulationConfig{N: 64, Seed: 41})
+	sampler := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 41)
+	mReg := sram.NewModel(circuit.PTM45(), false)
+	mHor := sram.NewModel(circuit.PTM45(), true)
+	for i := range reg.Chips {
+		if !reflect.DeepEqual(reg.Chips[i].Meas, mReg.Measure(sampler.Chip(i))) {
+			t.Fatalf("chip %d: pair regular population diverges from a single measurement", i)
+		}
+		if !reflect.DeepEqual(hor.Chips[i].Meas, mHor.Measure(sampler.Chip(i))) {
+			t.Fatalf("chip %d: pair H-YAPD population diverges from a single measurement", i)
+		}
 	}
-	if !reflect.DeepEqual(hor.Chips, wantHor.Chips) {
-		t.Fatal("pair H-YAPD population diverges from single build")
-	}
-	if !reg.Model.HYAPD == false || hor.Model.HYAPD != true {
+	if reg.Model.HYAPD || !hor.Model.HYAPD {
 		t.Fatal("pair models carry wrong organisations")
 	}
 }
@@ -104,35 +121,32 @@ func TestPairMatchesDoubleBuild(t *testing.T) {
 // a serial build and a wide build produce identical chips, because chip
 // i is a pure function of (seed, i) regardless of which worker draws it.
 func TestWorkerCountIndependence(t *testing.T) {
-	serial := BuildPopulation(PopulationConfig{N: 50, Seed: 2006, Workers: 1})
-	wide := BuildPopulation(PopulationConfig{N: 50, Seed: 2006, Workers: 8})
+	serial, _ := build(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1})
+	wide, _ := build(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8})
 	if !reflect.DeepEqual(serial.Chips, wide.Chips) {
 		t.Fatal("population depends on worker count")
 	}
-	sp, wp := BuildPopulationPair(PopulationConfig{N: 50, Seed: 2006, Workers: 1})
-	s8, w8 := BuildPopulationPair(PopulationConfig{N: 50, Seed: 2006, Workers: 8})
+	sp, wp := build(t, PopulationConfig{N: 50, Seed: 2006, Workers: 1})
+	s8, w8 := build(t, PopulationConfig{N: 50, Seed: 2006, Workers: 8})
 	if !reflect.DeepEqual(sp.Chips, s8.Chips) || !reflect.DeepEqual(wp.Chips, w8.Chips) {
 		t.Fatal("pair population depends on worker count")
 	}
 }
 
-// TestBuildPopulationCtxCancellation checks that the ctx-aware builders
-// abort early: a cancelled context returns its error without building,
-// and an expiring deadline stops a large build well before completion.
-func TestBuildPopulationCtxCancellation(t *testing.T) {
+// TestBuildCtxCancellation checks that Build aborts early: a cancelled
+// context returns its error without building, and an expiring deadline
+// stops a large build well before completion.
+func TestBuildCtxCancellation(t *testing.T) {
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := BuildPopulationCtx(cancelled, PopulationConfig{N: 10, Seed: 1}); err != context.Canceled {
-		t.Errorf("BuildPopulationCtx on cancelled ctx = %v, want context.Canceled", err)
-	}
-	if _, _, err := BuildPopulationPairCtx(cancelled, PopulationConfig{N: 10, Seed: 1}); err != context.Canceled {
-		t.Errorf("BuildPopulationPairCtx on cancelled ctx = %v, want context.Canceled", err)
+	if _, err := Build(cancelled, PopulationConfig{N: 10, Seed: 1}); err != context.Canceled {
+		t.Errorf("Build on cancelled ctx = %v, want context.Canceled", err)
 	}
 
 	ctx, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel2()
 	t0 := time.Now()
-	_, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: 200_000, Seed: 1})
+	_, err := Build(ctx, PopulationConfig{N: 200_000, Seed: 1})
 	if err != context.DeadlineExceeded {
 		t.Errorf("deadline build = %v, want context.DeadlineExceeded", err)
 	}
@@ -142,16 +156,46 @@ func TestBuildPopulationCtxCancellation(t *testing.T) {
 		t.Errorf("cancelled build took %s", elapsed)
 	}
 
-	// The background-context paths are unaffected.
-	if p := BuildPopulation(PopulationConfig{N: 5, Seed: 1}); len(p.Chips) != 5 {
-		t.Error("BuildPopulation broken after ctx refactor")
+	// The background-context path is unaffected.
+	if reg, hor := build(t, PopulationConfig{N: 5, Seed: 1}); len(reg.Chips) != 5 || len(hor.Chips) != 5 {
+		t.Error("Build on a background context broken")
+	}
+}
+
+// TestBuildRejectsInvalidConfig checks that a negative chip count or an
+// out-of-range geometry is an error from Build and from the delta
+// builder, not a panic in the arena allocation.
+func TestBuildRejectsInvalidConfig(t *testing.T) {
+	geom := func(mut func(*sram.Geometry)) *sram.Geometry {
+		g := sram.Paper16KB()
+		mut(&g)
+		return &g
+	}
+	cases := []struct {
+		name string
+		cfg  PopulationConfig
+		want string
+	}{
+		{"negative n", PopulationConfig{N: -5}, "negative"},
+		{"zero ways", PopulationConfig{N: 8, Geom: geom(func(g *sram.Geometry) { g.Ways = 0 })}, "ways"},
+		{"five ways", PopulationConfig{N: 8, Geom: geom(func(g *sram.Geometry) { g.Ways = 5 })}, "ways"},
+		{"zero banks", PopulationConfig{N: 8, Geom: geom(func(g *sram.Geometry) { g.BanksPerWay = 0 })}, "non-positive"},
+		{"negative paths", PopulationConfig{N: 8, Geom: geom(func(g *sram.Geometry) { g.PathsPerBank = -1 })}, "non-positive"},
+	}
+	for _, tc := range cases {
+		if _, err := Build(context.Background(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Build error = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if _, err := NewDeltaBuilderCtx(context.Background(), tc.cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewDeltaBuilderCtx error = %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 // TestMemoizedColumns checks the derived columns are computed once,
 // shared between calls, and agree with the chip measurements.
 func TestMemoizedColumns(t *testing.T) {
-	p := BuildPopulation(PopulationConfig{N: 20, Seed: 9})
+	p, _ := build(t, PopulationConfig{N: 20, Seed: 9})
 	lats, leaks := p.Latencies(), p.Leakages()
 	if &lats[0] != &p.Latencies()[0] || &leaks[0] != &p.Leakages()[0] {
 		t.Fatal("columns reallocated on second call")
@@ -204,7 +248,7 @@ func TestBuildProgressMonotonic(t *testing.T) {
 		}
 	}()
 
-	if _, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: n, Seed: 7, Workers: 4}); err != nil {
+	if _, err := Build(ctx, PopulationConfig{N: n, Seed: 7, Workers: 4}); err != nil {
 		t.Fatalf("build failed: %v", err)
 	}
 	<-stop
@@ -222,7 +266,7 @@ func TestBuildProgressPartialOnCancel(t *testing.T) {
 	sc := obs.NewScope("test-job", nil)
 	ctx, cancel := context.WithCancel(obs.WithScope(context.Background(), sc))
 	cancel()
-	if _, _, err := BuildPopulationPairCtx(ctx, PopulationConfig{N: 10_000, Seed: 1}); err != context.Canceled {
+	if _, err := Build(ctx, PopulationConfig{N: 10_000, Seed: 1}); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if done, total := sc.Progress(); done >= total || total != 10_000 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"yieldcache/internal/circuit"
@@ -37,9 +38,13 @@ func YieldTrend(chips int, seed int64) ([]NodeYield, error) {
 		if err != nil {
 			return nil, err
 		}
-		pop := BuildPopulation(PopulationConfig{
+		res, err := Build(context.Background(), PopulationConfig{
 			N: chips, Seed: seed, Tech: &tech, Spec: &spec,
 		})
+		if err != nil {
+			return nil, err
+		}
+		pop := res.Regular
 		lim := DeriveLimits(pop, Nominal())
 		bd := BreakdownLosses(pop, lim, YAPD{}, Hybrid{})
 		row := NodeYield{

@@ -149,12 +149,8 @@ func (s *SweepSpec) validate() error {
 		}
 	}
 	for _, g := range s.Geometries {
-		if g.Ways < 1 || g.Ways > 4 {
-			return fmt.Errorf("sweep: geometry ways must be 1..4 (the variation mesh is 2×2), got %d", g.Ways)
-		}
-		if g.BanksPerWay < 1 || g.RowsPerBank < 1 || g.BitsPerRow < 1 || g.PathsPerBank < 1 {
-			return fmt.Errorf("sweep: geometry %dw×%db×%dr×%dc×%dp has a non-positive dimension",
-				g.Ways, g.BanksPerWay, g.RowsPerBank, g.BitsPerRow, g.PathsPerBank)
+		if err := checkGeometry(g); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	points := 1
@@ -285,10 +281,9 @@ func (p *SweepPlan) Stats() SweepStats {
 //     stream out at minimum cost and same-shape deltas run
 //     back-to-back.
 //
-// Every evaluated population is bit-identical to a full
-// BuildPopulationPair at that config (the DeltaBuilder guarantee), so
-// a sweep's numbers never differ from one-off studies of the same
-// seed.
+// Every evaluated population is bit-identical to a full Build at that
+// config (the DeltaBuilder guarantee), so a sweep's numbers never
+// differ from one-off studies of the same seed.
 func PlanSweep(spec SweepSpec) (*SweepPlan, error) {
 	spec.fill()
 	if err := spec.validate(); err != nil {

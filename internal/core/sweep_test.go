@@ -154,7 +154,7 @@ func TestRunSweepBitIdenticalToFullBuilds(t *testing.T) {
 		cfg := ev.Config
 		tech := cfg.Tech
 		geom := cfg.Geometry
-		reg, _ := BuildPopulationPair(PopulationConfig{
+		reg, _ := build(t, PopulationConfig{
 			N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom,
 		})
 		want := evalSweepConfig(cfg, reg, schemes)
@@ -241,7 +241,7 @@ func TestRunSweepGeometryCluster(t *testing.T) {
 		}
 		tech := ev.Config.Tech
 		geom := ev.Config.Geometry
-		reg, _ := BuildPopulationPair(PopulationConfig{N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom})
+		reg, _ := build(t, PopulationConfig{N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom})
 		if len(reg.Chips[0].Meas.Ways) != small.Ways {
 			t.Fatalf("geometry override ignored: %d ways", len(reg.Chips[0].Meas.Ways))
 		}

@@ -3,7 +3,7 @@ package core
 import "testing"
 
 func TestPerturbZeroNoiseIsIdentity(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 10, Seed: 3})
+	pop, _ := build(t, PopulationConfig{N: 10, Seed: 3})
 	mm := MeasurementModel{Seed: 1}
 	for _, chip := range pop.Chips {
 		n := mm.Perturb(chip.ID, chip.Meas)
@@ -14,7 +14,7 @@ func TestPerturbZeroNoiseIsIdentity(t *testing.T) {
 }
 
 func TestPerturbConsistency(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 5, Seed: 4})
+	pop, _ := build(t, PopulationConfig{N: 5, Seed: 4})
 	mm := MeasurementModel{LatencySigma: 0.05, LeakageSigma: 0.10, Seed: 9}
 	for _, chip := range pop.Chips {
 		n := mm.Perturb(chip.ID, chip.Meas)
@@ -54,7 +54,7 @@ func approxEq(a, b float64) bool {
 }
 
 func TestEvaluateUnderNoisePerfectTester(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 200, Seed: 2006})
+	pop, _ := build(t, PopulationConfig{N: 200, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	out := EvaluateUnderNoise(pop, lim, Hybrid{}, MeasurementModel{Seed: 1})
 	if out.Escapes != 0 || out.Overkill != 0 {
@@ -66,7 +66,7 @@ func TestEvaluateUnderNoisePerfectTester(t *testing.T) {
 }
 
 func TestEvaluateUnderNoiseDegradesGracefully(t *testing.T) {
-	pop := BuildPopulation(PopulationConfig{N: 400, Seed: 2006})
+	pop, _ := build(t, PopulationConfig{N: 400, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	mild := EvaluateUnderNoise(pop, lim, Hybrid{},
 		MeasurementModel{LatencySigma: 0.01, LeakageSigma: 0.03, Seed: 1})
@@ -122,8 +122,7 @@ func TestSchemesShipOnlyValidConfigs(t *testing.T) {
 	// parameters, meet the delay limit at the shipped cycle counts and
 	// the leakage limit on the enabled portion. configValid is the same
 	// checker the noise study uses.
-	pop := BuildPopulation(PopulationConfig{N: 600, Seed: 2006})
-	hor := BuildPopulation(PopulationConfig{N: 600, Seed: 2006, HYAPD: true})
+	pop, hor := build(t, PopulationConfig{N: 600, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
 	vertical := []Scheme{Base{}, YAPD{}, VACA{}, Hybrid{},
 		NaiveBinning{MaxCycles: 5}, NaiveBinning{MaxCycles: 6},

@@ -32,39 +32,19 @@ func TestEvaluatorMatchesTreeMeasure(t *testing.T) {
 	}
 }
 
-// TestMeasurePairMatchesSeparateBuilds pins the shared-draw guarantee:
-// one MeasurePair call must equal two independent measurements of the
-// same chip, one per decoder organisation — bit-identical, not merely
-// close.
-func TestMeasurePairMatchesSeparateBuilds(t *testing.T) {
-	mReg, s := evalFixture(false)
-	mHor, _ := evalFixture(true)
-	ev := mReg.NewEvaluator(s.NewScratch())
-	var reg, hor CacheMeasurement
-	for id := 0; id < 50; id++ {
-		chip := ev.Scratch().Chip(id)
-		ev.MeasurePair(&chip, &reg, &hor)
-		wantReg := mReg.Measure(s.Chip(id))
-		wantHor := mHor.Measure(s.Chip(id))
-		if !reflect.DeepEqual(wantReg, reg) {
-			t.Fatalf("chip %d: regular half of pair diverges", id)
-		}
-		if !reflect.DeepEqual(wantHor, hor) {
-			t.Fatalf("chip %d: H-YAPD half of pair diverges", id)
-		}
-	}
-}
-
 // TestMeasureZeroAlloc verifies the kernel's steady state never touches
 // the heap: after the first measurement warms the destination, Measure
-// and MeasurePair are allocation-free.
+// is allocation-free for both organisations (H-YAPD derives from a
+// regular lane kept in the pooled kernel scratch).
 func TestMeasureZeroAlloc(t *testing.T) {
 	m, s := evalFixture(false)
+	mHor, _ := evalFixture(true)
 	ev := m.NewEvaluator(s.NewScratch())
-	var cm, reg, hor CacheMeasurement
+	evHor := mHor.NewEvaluator(s.NewScratch())
+	var cm, hor CacheMeasurement
 	chip := ev.Scratch().Chip(0)
 	ev.Measure(&chip, &cm)
-	ev.MeasurePair(&chip, &reg, &hor)
+	evHor.Measure(&chip, &hor)
 
 	id := 1
 	if allocs := testing.AllocsPerRun(50, func() {
@@ -76,9 +56,9 @@ func TestMeasureZeroAlloc(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, func() {
 		chip := ev.Scratch().Chip(id)
-		ev.MeasurePair(&chip, &reg, &hor)
+		evHor.Measure(&chip, &hor)
 		id++
 	}); allocs != 0 {
-		t.Errorf("warm MeasurePair allocates %.1f times per run, want 0", allocs)
+		t.Errorf("warm H-YAPD Measure allocates %.1f times per run, want 0", allocs)
 	}
 }

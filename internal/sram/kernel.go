@@ -123,8 +123,9 @@ func (e *Evaluator) sampleRegions(ds *DrawSet) {
 // through kernelPool so that building a population costs a pool Get
 // instead of re-allocating the ~40 column slices per evaluator.
 type kernelScratch struct {
-	ds        DrawSet              // draw storage for Measure/MeasureBatch
-	one, oneH [1]*CacheMeasurement // width-1 views for the scalar entry points
+	ds  DrawSet              // draw storage for Measure/MeasurePairBatch
+	one [1]*CacheMeasurement // width-1 view for Measure
+	reg CacheMeasurement     // regular lane an H-YAPD Measure derives from
 
 	// stageNom caches stageNominals for stageGeom so a recycled scratch
 	// hands the table to its next evaluator without reallocating it.
@@ -160,7 +161,7 @@ var kernelPool = sync.Pool{New: func() any { return new(kernelScratch) }}
 // handful of allocations.
 func (e *Evaluator) Release() {
 	if e.ks != nil {
-		e.ks.one[0], e.ks.oneH[0] = nil, nil
+		e.ks.one[0] = nil
 		kernelPool.Put(e.ks)
 		e.ks = nil
 	}
@@ -407,16 +408,6 @@ func DiffTech(a, b circuit.Tech) TechParts {
 	return p
 }
 
-// Eval evaluates every lane of ds into dst under the model's cache
-// organisation. dst[l] receives the chip in lane l; storage is
-// (re-)prepared in place.
-func (e *Evaluator) Eval(ds *DrawSet, dst []*CacheMeasurement) {
-	for l := range dst {
-		Prepare(dst[l], e.m.Geom)
-	}
-	e.eval(ds, dst, e.m.HYAPD, true, true, nil)
-}
-
 // EvalPair evaluates every lane of ds into both cache organisations:
 // the regular one into reg and H-YAPD (derived from the same path
 // delays) into hor. When rec is non-nil it captures the leakage
@@ -430,7 +421,7 @@ func (e *Evaluator) EvalPair(ds *DrawSet, reg, hor []*CacheMeasurement, rec *Lea
 	for l := 0; l < n; l++ {
 		Prepare(reg[l], g)
 	}
-	e.eval(ds, reg, false, true, true, rec)
+	e.eval(ds, reg, true, true, rec)
 	for l := 0; l < n; l++ {
 		deriveHYAPD(reg[l], hor[l], g)
 	}
@@ -465,22 +456,11 @@ func (e *Evaluator) EvalPairDelta(ds *DrawSet, parts TechParts, baseReg []*Cache
 		}
 	}
 	if parts.Delay || parts.LeakFactors {
-		e.eval(ds, reg, false, parts.Delay, parts.LeakFactors, nil)
+		e.eval(ds, reg, parts.Delay, parts.LeakFactors, nil)
 	}
 	for l := 0; l < n; l++ {
 		deriveHYAPD(reg[l], hor[l], g)
 	}
-}
-
-// MeasureBatch samples and evaluates the given chips in one pass;
-// dst[l] receives chip ids[l]. Warm calls are allocation-free.
-func (e *Evaluator) MeasureBatch(ids []int, dst []*CacheMeasurement) {
-	ds := &e.ks.ds
-	e.Sample(ids, ds)
-	for l := range dst {
-		Prepare(dst[l], e.m.Geom)
-	}
-	e.eval(ds, dst, e.m.HYAPD, true, true, nil)
 }
 
 // MeasurePairBatch samples the given chips once and evaluates both
@@ -493,11 +473,12 @@ func (e *Evaluator) MeasurePairBatch(ids []int, reg, hor []*CacheMeasurement) {
 }
 
 // eval is the kernel core: derive factor columns per region, then
-// assemble measurements lane by lane in the scalar accumulation order.
-// dst lanes must already be Prepared (or, in delta mode, carry the
-// copied untouched parts). doDelay/doLeak select which halves run; rec,
-// when non-nil, captures leakage aggregates (requires doLeak).
-func (e *Evaluator) eval(ds *DrawSet, dst []*CacheMeasurement, hyapd, doDelay, doLeak bool, rec *LeakState) {
+// assemble regular-organisation measurements lane by lane in the scalar
+// accumulation order (deriveHYAPD applies the H-YAPD penalty). dst
+// lanes must already be Prepared (or, in delta mode, carry the copied
+// untouched parts). doDelay/doLeak select which halves run; rec, when
+// non-nil, captures leakage aggregates (requires doLeak).
+func (e *Evaluator) eval(ds *DrawSet, dst []*CacheMeasurement, doDelay, doLeak bool, rec *LeakState) {
 	m := e.m
 	t := m.Tech
 	g := m.Geom
@@ -565,9 +546,6 @@ func (e *Evaluator) eval(ds *DrawSet, dst []*CacheMeasurement, hyapd, doDelay, d
 						delay += sn[4] * capf / ks.cellDrive[pl] * margin // bitline
 						delay += sn[5] * saG * margin                     // sense
 						delay += sn[6] * (0.5*outG + 0.5*outR)            // output
-						if hyapd {
-							delay *= HYAPDLatencyPenalty
-						}
 						bm.Paths[p] = PathMeasurement{Bank: b, Slot: p, DelayPS: delay}
 						if delay > bm.MaxPS {
 							bm.MaxPS = delay

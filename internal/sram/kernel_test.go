@@ -18,41 +18,59 @@ func measViews(n int, g Geometry) []*CacheMeasurement {
 	return vs
 }
 
-// TestBatchKernelMatchesScalarReference pins the SoA kernel to the
-// scalar reference implementation bit for bit, across batch widths
-// around and beyond BatchWidth and for both decoder organisations.
-// This is the anchor that keeps the golden seed-2006 tables stable
-// through the data-layout rewrite.
+// TestBatchKernelMatchesScalarReference pins the SoA pair kernel to
+// the scalar reference implementation bit for bit, across batch widths
+// around and beyond BatchWidth: every regular lane must equal the
+// reference's regular measurement and every H-YAPD lane (derived from
+// the regular path delays) the reference's independent H-YAPD
+// measurement of the same chip, whose penalty is applied inline. Each
+// chip's width-1 Measure under both organisations must agree too. This
+// is the anchor that keeps the golden seed-2006 tables stable through
+// the data-layout rewrite.
 func TestBatchKernelMatchesScalarReference(t *testing.T) {
-	for _, hyapd := range []bool{false, true} {
-		m, s := evalFixture(hyapd)
-		ev := m.NewEvaluator(s.NewScratch())
-		ref := m.NewEvaluator(s.NewScratch())
-		id := 0
-		for _, width := range []int{1, 2, BatchWidth - 1, BatchWidth, BatchWidth + 1, 2*BatchWidth + 3} {
-			ids := make([]int, width)
-			for j := range ids {
-				ids[j] = id
-				id++
+	m, s := evalFixture(false)
+	mHor, _ := evalFixture(true)
+	ev := m.NewEvaluator(s.NewScratch())
+	evHor := mHor.NewEvaluator(s.NewScratch())
+	ref := m.NewEvaluator(s.NewScratch())
+	var wantReg, wantHor, got CacheMeasurement
+	id := 0
+	for _, width := range []int{1, 2, BatchWidth - 1, BatchWidth, BatchWidth + 1, 2*BatchWidth + 3} {
+		ids := make([]int, width)
+		for j := range ids {
+			ids[j] = id
+			id++
+		}
+		reg := measViews(width, m.Geom)
+		hor := measViews(width, m.Geom)
+		ev.MeasurePairBatch(ids, reg, hor)
+		for j, cid := range ids {
+			chip := ref.Scratch().Chip(cid)
+			ref.measureRef(&chip, &wantReg, false)
+			ref.measureRef(&chip, &wantHor, true)
+			if !reflect.DeepEqual(wantReg, *reg[j]) {
+				t.Fatalf("width=%d chip %d: regular lane diverges from scalar reference\nwant %+v\ngot  %+v",
+					width, cid, wantReg, *reg[j])
 			}
-			got := measViews(width, m.Geom)
-			ev.MeasureBatch(ids, got)
-			for j, cid := range ids {
-				chip := ref.Scratch().Chip(cid)
-				var want CacheMeasurement
-				ref.measureRef(&chip, &want, hyapd)
-				if !reflect.DeepEqual(want, *got[j]) {
-					t.Fatalf("hyapd=%v width=%d chip %d: batch kernel diverges from scalar reference\nwant %+v\ngot  %+v",
-						hyapd, width, cid, want, *got[j])
-				}
+			if !reflect.DeepEqual(wantHor, *hor[j]) {
+				t.Fatalf("width=%d chip %d: H-YAPD lane diverges from scalar reference\nwant %+v\ngot  %+v",
+					width, cid, wantHor, *hor[j])
+			}
+			ev.Measure(&chip, &got)
+			if !reflect.DeepEqual(wantReg, got) {
+				t.Fatalf("chip %d: regular Measure diverges from scalar reference", cid)
+			}
+			evHor.Measure(&chip, &got)
+			if !reflect.DeepEqual(wantHor, got) {
+				t.Fatalf("chip %d: H-YAPD Measure diverges from scalar reference", cid)
 			}
 		}
 	}
 }
 
-// TestMeasurePairBatchMatchesScalarPair pins the batched pair path:
-// each lane must equal the scalar MeasurePair (itself pinned to two
-// independent measurements).
+// TestMeasurePairBatchMatchesScalarPair pins the batched pair path on
+// a scattered id set: each lane must equal the scalar reference's
+// regular measurement and the H-YAPD measurement derived from it.
 func TestMeasurePairBatchMatchesScalarPair(t *testing.T) {
 	m, s := evalFixture(false)
 	ev := m.NewEvaluator(s.NewScratch())
@@ -84,19 +102,9 @@ func TestBatchZeroAlloc(t *testing.T) {
 	ids := make([]int, BatchWidth)
 	dst := measViews(BatchWidth, m.Geom)
 	hor := measViews(BatchWidth, m.Geom)
-	ev.MeasureBatch(ids, dst)
 	ev.MeasurePairBatch(ids, dst, hor)
 
 	next := BatchWidth
-	if allocs := testing.AllocsPerRun(20, func() {
-		for j := range ids {
-			ids[j] = next
-			next++
-		}
-		ev.MeasureBatch(ids, dst)
-	}); allocs != 0 {
-		t.Errorf("warm MeasureBatch allocates %.1f times per run, want 0", allocs)
-	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		for j := range ids {
 			ids[j] = next

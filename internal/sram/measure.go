@@ -49,7 +49,9 @@ type Model struct {
 	Tech circuit.Tech
 	Geom Geometry
 	// HYAPD selects the horizontal-power-down decoder organisation,
-	// which costs HYAPDLatencyPenalty on every access path.
+	// which costs HYAPDLatencyPenalty on every access path. Its
+	// measurement is always derived from the regular organisation's
+	// (deriveHYAPD), never evaluated on its own.
 	HYAPD bool
 }
 
@@ -121,7 +123,7 @@ func Prepare(dst *CacheMeasurement, g Geometry) {
 // Evaluator is the single-pass measurement engine: one variation
 // scratch plus the reusable draw and derived-column storage of the
 // batched structure-of-arrays kernel (kernel.go), so that a warm
-// Measure or MeasureBatch does zero heap allocations. Evaluators are
+// Measure or MeasurePairBatch does zero heap allocations. Evaluators are
 // not safe for concurrent use; the population builder gives each worker
 // its own.
 type Evaluator struct {
@@ -161,45 +163,36 @@ func (e *Evaluator) Scratch() *variation.Scratch { return e.sc }
 // described by the root draw, into dst. Steady-state calls are
 // allocation-free once dst has been through one measurement (or
 // Prepare) at this geometry. It runs the batched kernel at width 1;
-// the result is bit-identical to the scalar reference path.
+// the result is bit-identical to the scalar reference path. An H-YAPD
+// model measures the regular organisation into the pooled kernel
+// scratch and derives dst from it, as the pair build does.
 func (e *Evaluator) Measure(chip *variation.Draw, dst *CacheMeasurement) {
 	ds := &e.ks.ds
 	ds.IDs = ds.IDs[:0]
 	ds.Chips.Resize(1)
 	ds.Chips.SetLane(0, chip)
 	e.sampleRegions(ds)
-	Prepare(dst, e.m.Geom)
-	e.ks.one[0] = dst
-	e.eval(ds, e.ks.one[:], e.m.HYAPD, true, true, nil)
-	e.ks.one[0] = nil
-}
-
-// MeasurePair evaluates both cache organisations from one set of
-// variation draws: the regular organisation into reg and H-YAPD into
-// hor. Because H-YAPD differs only by its constant decoder latency
-// penalty, the H-YAPD result is derived from the same path delays,
-// bit-identical to an independent H-YAPD measurement of the same chip —
-// the paper's "same process variation parameters" guarantee holds by
-// construction instead of by re-sampling.
-func (e *Evaluator) MeasurePair(chip *variation.Draw, reg, hor *CacheMeasurement) {
-	ds := &e.ks.ds
-	ds.IDs = ds.IDs[:0]
-	ds.Chips.Resize(1)
-	ds.Chips.SetLane(0, chip)
-	e.sampleRegions(ds)
+	reg := dst
+	if e.m.HYAPD {
+		reg = &e.ks.reg
+	}
 	Prepare(reg, e.m.Geom)
 	e.ks.one[0] = reg
-	e.eval(ds, e.ks.one[:], false, true, true, nil)
+	e.eval(ds, e.ks.one[:], true, true, nil)
 	e.ks.one[0] = nil
-	deriveHYAPD(reg, hor, e.m.Geom)
+	if e.m.HYAPD {
+		deriveHYAPD(reg, dst, e.m.Geom)
+	}
 }
 
 // deriveHYAPD fills hor with the H-YAPD organisation's measurement of
 // the chip already measured (regular organisation) in reg: every path
 // delay takes the constant decoder penalty, maxima are re-selected from
-// the scaled delays, and leakage carries over unchanged — exactly the
-// arithmetic an independent H-YAPD measurement performs on the same
-// draws.
+// the scaled delays, and leakage carries over unchanged. It is the only
+// place the penalty is applied, so both organisations of a chip always
+// come from the same draws; the scalar reference (measureRef in
+// reference_test.go) applies the penalty inline and pins this
+// derivation bit for bit.
 func deriveHYAPD(reg, hor *CacheMeasurement, g Geometry) {
 	Prepare(hor, g)
 	for w := range reg.Ways {

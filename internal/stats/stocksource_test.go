@@ -1,6 +1,7 @@
 package stats_test
 
 import (
+	"context"
 	"testing"
 
 	"yieldcache/internal/core"
@@ -17,7 +18,11 @@ func TestGoldenSeed2006StockSource(t *testing.T) {
 	if stats.SeedJumpEnabled() {
 		t.Fatal("ForceStockSource left the O(1) source enabled")
 	}
-	reg, hor := core.BuildPopulationPair(core.PopulationConfig{N: 200, Seed: 2006})
+	res, err := core.Build(context.Background(), core.PopulationConfig{N: 200, Seed: 2006})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, hor := res.Regular, res.Horizontal
 	spot := []struct {
 		id              int
 		regLat, regLeak float64

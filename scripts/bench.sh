@@ -24,7 +24,7 @@ trap 'rm -f "$RAW"' EXIT
 
 echo "== go test -bench (benchtime=$BENCHTIME) =="
 go test -run '^$' \
-    -bench '^(BenchmarkPopulationBuild|BenchmarkPopulationBuildPair|BenchmarkPopulationBuildPairCheckpointed|BenchmarkEstimateArmed|BenchmarkMeasure|BenchmarkSample|BenchmarkKernelPair|BenchmarkTable2|BenchmarkTable6|BenchmarkCPUSim|BenchmarkSweepDelta|BenchmarkSweepFullRebuild)$' \
+    -bench '^(BenchmarkPopulationBuildPair|BenchmarkPopulationBuildPairCheckpointed|BenchmarkEstimateArmed|BenchmarkMeasure|BenchmarkSample|BenchmarkKernelPair|BenchmarkTable2|BenchmarkTable6|BenchmarkCPUSim|BenchmarkSweepDelta|BenchmarkSweepFullRebuild)$' \
     -benchtime "$BENCHTIME" -benchmem . | tee "$RAW"
 
 echo "== event-bus hot-path benchmarks (benchtime=$MICROTIME) =="

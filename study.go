@@ -114,19 +114,22 @@ type Study struct {
 }
 
 // NewStudy builds the Monte Carlo populations and derives the limits
-// from the regular organisation, as in Section 5.1.
+// from the regular organisation, as in Section 5.1. It panics on an
+// invalid config (a negative Chips, or a Checkpoint.Resume from another
+// build), which NewStudyCtx reports as an error instead.
 func NewStudy(cfg StudyConfig) *Study {
 	s, err := NewStudyCtx(context.Background(), cfg)
 	if err != nil {
-		// Unreachable: a background context never cancels the build.
 		panic(err)
 	}
 	return s
 }
 
-// NewStudyCtx is NewStudy with cancellation: the Monte Carlo population
-// build aborts early and returns ctx.Err() when ctx is cancelled or its
-// deadline passes. Servers use it to bound a study by a request timeout.
+// NewStudyCtx is NewStudy with cancellation and errors: the Monte Carlo
+// population build aborts early and returns ctx.Err() when ctx is
+// cancelled or its deadline passes, and an invalid config (a negative
+// Chips) is an error. Servers use it to bound a study by a request
+// timeout.
 // When ctx carries an obs.Scope (yieldd's per-job telemetry), the
 // study's phase spans and progress counters land on that scope instead
 // of the process-global tracer.
@@ -150,19 +153,19 @@ func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
 		}
 		pcfg.Estimate = &ecfg
 	}
-	reg, hor, est, err := core.BuildPopulationPairEstimate(ctx, pcfg)
+	res, err := core.Build(ctx, pcfg)
 	if err != nil {
 		return nil, err
 	}
 	lsp := obs.StartSpanCtx(ctx, "derive_limits")
-	lim := core.DeriveLimits(reg, cons)
+	lim := core.DeriveLimits(res.Regular, cons)
 	lsp.End()
 	return &Study{
-		Regular:    reg,
-		Horizontal: hor,
+		Regular:    res.Regular,
+		Horizontal: res.Horizontal,
 		Cons:       cons,
 		Limits:     lim,
-		Estimate:   est,
+		Estimate:   res.Estimate,
 	}, nil
 }
 

@@ -1,6 +1,7 @@
 package yieldcache
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -23,6 +24,18 @@ func TestStudyDefaults(t *testing.T) {
 	}
 	if s.Limits.DelayPS <= 0 || s.Limits.LeakageW <= 0 {
 		t.Error("limits not derived")
+	}
+}
+
+// TestStudyRejectsNegativeChips checks that a negative population size
+// reaches the caller as an error from every facade entry point that
+// takes one, instead of a panic in the chip arena.
+func TestStudyRejectsNegativeChips(t *testing.T) {
+	if _, err := NewStudyCtx(context.Background(), StudyConfig{Chips: -5}); err == nil {
+		t.Error("NewStudyCtx accepted Chips: -5")
+	}
+	if _, err := TechnologyTrend(-1, 2006); err == nil {
+		t.Error("TechnologyTrend accepted chips -1")
 	}
 }
 
