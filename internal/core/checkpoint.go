@@ -96,13 +96,12 @@ type checkpointer struct {
 	last     int          // frontier of the last accepted checkpoint (publisher-only)
 	buf      BuildCheckpoint
 	reg, hor []Chip
-	scope    *obs.Scope
 }
 
 // newCheckpointer returns the worker-driven checkpointer; nil when
 // checkpointing is disabled for this build.
 func newCheckpointer(ck *CheckpointConfig, base, n, workers int, cfg *PopulationConfig,
-	geom sram.Geometry, reg, hor []Chip, scope *obs.Scope) *checkpointer {
+	geom sram.Geometry, reg, hor []Chip) *checkpointer {
 	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
 		return nil
 	}
@@ -116,9 +115,8 @@ func newCheckpointer(ck *CheckpointConfig, base, n, workers int, cfg *Population
 			Seed: cfg.Seed, N: n, Pair: true,
 			Tech: *cfg.Tech, Geom: geom,
 		},
-		reg:   reg,
-		hor:   hor,
-		scope: scope,
+		reg: reg,
+		hor: hor,
 	}
 	for w := range c.frontier {
 		c.frontier[w].Store(int64(base + w))
@@ -179,5 +177,4 @@ func (c *checkpointer) publish() {
 	}
 	c.last = p
 	obs.C("core_checkpoints_total").Inc()
-	c.scope.G("job_checkpoint_chips").Set(float64(p))
 }

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"yieldcache/internal/obs"
 	"yieldcache/internal/stats"
 )
 
@@ -136,13 +135,12 @@ type estimator struct {
 	last     int          // prefix of the last published snapshot (publisher-only)
 	buf      YieldEstimate
 	reg      []Chip
-	scope    *obs.Scope
 }
 
 // newEstimator returns the worker-driven estimator; nil when
 // estimation is disabled for this build (no sink and no precision
 // target).
-func newEstimator(ec *EstimateConfig, base, n, workers int, reg []Chip, scope *obs.Scope) *estimator {
+func newEstimator(ec *EstimateConfig, base, n, workers int, reg []Chip) *estimator {
 	if ec == nil || (ec.Sink == nil && ec.TargetCIWidth <= 0) {
 		return nil
 	}
@@ -151,7 +149,6 @@ func newEstimator(ec *EstimateConfig, base, n, workers int, reg []Chip, scope *o
 		frontier: make([]atomic.Int64, workers),
 		n:        n,
 		reg:      reg,
-		scope:    scope,
 	}
 	e.cfg.fill()
 	e.interval = int64(e.cfg.Interval)
@@ -224,8 +221,6 @@ func (e *estimator) publish() {
 	}
 	e.snapshot(p)
 	e.last = p
-	obs.C("core_estimates_published_total").Inc()
-	e.scope.G("job_estimate_chips").Set(float64(p))
 	if e.cfg.Sink != nil {
 		e.cfg.Sink(&e.buf)
 	}

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
@@ -157,7 +156,6 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	scope.SetProgressTotal(int64(cfg.N))
 	sp := obs.StartSpanCtx(ctx, "build_population/pair")
 	defer sp.End()
-	begin := time.Now()
 
 	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
 	horModel := newModelWithGeom(*cfg.Tech, true, cfg.Geom)
@@ -174,7 +172,6 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	regChips := newChipArena(cfg.N, geom, cancelled)
 	horChips := newChipArena(cfg.N, geom, cancelled)
 	if cancelled.Load() {
-		obs.C("core_population_builds_cancelled_total").Inc()
 		return BuildResult{}, ctx.Err()
 	}
 
@@ -197,16 +194,14 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	}
 
 	workers := cfg.Workers
-	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, &cfg, geom, regChips, horChips, scope)
-	est := newEstimator(cfg.Estimate, base, cfg.N, workers, regChips, scope)
-	workerSec := obs.H("core_population_worker_seconds", obs.ExpBuckets(1e-4, 4, 10))
+	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, &cfg, geom, regChips, horChips)
+	est := newEstimator(cfg.Estimate, base, cfg.N, workers, regChips)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w, start int) {
 			defer wg.Done()
 			ws := sp.Worker("measure_chips", start)
-			t0 := time.Now()
 			ev := regModel.NewEvaluator(sampler.NewScratch())
 			defer ev.Release()
 			// The worker walks its stripe (start, start+W, …) in batches
@@ -237,13 +232,11 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 				}
 				est.advance(w, last, workers)
 			}
-			workerSec.Observe(time.Since(t0).Seconds())
 			ws.End()
 		}(w, base+w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		obs.C("core_population_builds_cancelled_total").Inc()
 		return BuildResult{}, err
 	}
 
@@ -266,21 +259,11 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		early = true
 		done, _ := scope.Progress()
 		scope.SetProgressTotal(done)
-		obs.C("core_builds_early_stopped_total").Inc()
 	}
 	est.finalize(built, early)
 
 	// Both organisations count: a build measures 2×built chips.
-	measured := 2 * built
-	elapsed := time.Since(begin).Seconds()
-	obs.C("core_chips_built_total").Add(int64(measured))
-	obs.G("core_population_build_seconds").Set(elapsed)
-	if elapsed > 0 {
-		obs.G("core_population_chips_per_second").Set(float64(measured) / elapsed)
-		scope.G("job_chips_per_second").Set(float64(measured) / elapsed)
-	}
-	scope.C("job_chips_built_total").Add(int64(measured))
-	scope.G("job_build_seconds").Set(elapsed)
+	obs.C("core_chips_built_total").Add(int64(2 * built))
 	return BuildResult{
 		Regular:    &Population{Chips: regChips[:built], Model: regModel, Seed: cfg.Seed},
 		Horizontal: &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed},

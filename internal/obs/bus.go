@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,28 +54,20 @@ const (
 	EventShed          EventType = "shed"
 )
 
-// allEventTypes is the closed set behind EventType.Valid.
-var allEventTypes = map[EventType]bool{
-	EventJobAdmitted: true, EventJobStarted: true, EventJobProgress: true,
-	EventJobPhase: true, EventJobEstimate: true,
-	EventJobCompleted: true, EventJobFailed: true,
-	EventJobResumed: true, EventJobCheckpoint: true, EventSweepConfig: true,
-	EventCacheHit: true, EventCacheEvict: true,
-	EventQueuePressure: true, EventShed: true,
+// allEventTypes is the closed taxonomy in declaration order.
+var allEventTypes = []EventType{
+	EventJobAdmitted, EventJobStarted, EventJobProgress, EventJobPhase,
+	EventJobEstimate, EventJobCompleted, EventJobFailed, EventJobResumed,
+	EventJobCheckpoint, EventSweepConfig, EventCacheHit, EventCacheEvict,
+	EventQueuePressure, EventShed,
 }
 
 // Valid reports whether t is one of the defined event types.
-func (t EventType) Valid() bool { return allEventTypes[t] }
+func (t EventType) Valid() bool { return slices.Contains(allEventTypes, t) }
 
-// EventTypes returns every defined event type, for documentation and
-// filter validation.
-func EventTypes() []EventType {
-	out := make([]EventType, 0, len(allEventTypes))
-	for t := range allEventTypes {
-		out = append(out, t)
-	}
-	return out
-}
+// EventTypes returns every defined event type in declaration order, for
+// documentation and filter validation.
+func EventTypes() []EventType { return slices.Clone(allEventTypes) }
 
 // Event is one telemetry record. Only the fields relevant to its Type
 // are set; the JSON encoding omits the rest, so an SSE frame stays one

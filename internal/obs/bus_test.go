@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -135,8 +136,14 @@ func TestEventTypeValid(t *testing.T) {
 	if EventType("bogus").Valid() {
 		t.Error(`"bogus" reported valid`)
 	}
-	if n := len(EventTypes()); n != 14 {
-		t.Errorf("EventTypes() has %d entries, want 14", n)
+	want := []EventType{
+		"job_admitted", "job_started", "job_progress", "job_phase",
+		"job_estimate", "job_completed", "job_failed", "job_resumed",
+		"job_checkpoint", "sweep_config", "cache_hit", "cache_evict",
+		"queue_pressure", "shed",
+	}
+	if got := EventTypes(); !slices.Equal(got, want) {
+		t.Errorf("EventTypes() = %v, want %v in declaration order", got, want)
 	}
 }
 

@@ -8,23 +8,23 @@ import (
 	"time"
 )
 
-// Scope is one job's telemetry: a private metrics registry, a private
-// phase tracer, a structured logger stamped with the job id, and a
-// lock-free progress counter. Scopes exist so concurrent builds do not
+// Scope is one job's telemetry: a private phase tracer, a structured
+// logger stamped with the job id, a lock-free progress counter and the
+// job's event publishing. Scopes exist so concurrent builds do not
 // interleave their spans in the process-global tracer: the yieldd
 // server creates one Scope per admitted build and threads it through
-// the pipeline via context.Context (WithScope / ScopeFrom), and the
-// per-job trace is later served from Scope.Tracer.
+// the pipeline via context.Context (WithScope / ScopeFrom). The
+// per-job trace is served from Scope.Tracer, the progress counts back
+// /v1/jobs/{id}, and the bus carries its job_phase, job_progress and
+// job_estimate events. Metrics are process-wide only: a job has no
+// registry of its own.
 //
-// Every method is nil-safe, mirroring the package-level C/G/H/StartSpan
+// Every method is nil-safe, mirroring the package-level StartSpan
 // contract: code instrumented against a Scope pays only a nil check
 // when no scope is attached.
 type Scope struct {
 	// ID names the job; it doubles as the log correlation key.
 	ID string
-	// Registry collects the job's own metrics, separate from the
-	// process-global registry behind /metrics.
-	Registry *Registry
 	// Tracer records the job's phase spans; WriteChromeTrace on it
 	// yields the per-job trace served at /v1/jobs/{id}/trace.
 	Tracer *Tracer
@@ -47,7 +47,7 @@ type Scope struct {
 // scopes built without a base logger.
 var discardLogger = slog.New(slog.NewTextHandler(io.Discard, nil))
 
-// NewScope returns a fresh Scope with its own registry and tracer. The
+// NewScope returns a fresh Scope with its own tracer. The
 // scope's logger is base with a "job" attribute set to id (a discarding
 // logger when base is nil).
 func NewScope(id string, base *slog.Logger) *Scope {
@@ -56,10 +56,9 @@ func NewScope(id string, base *slog.Logger) *Scope {
 		logger = base.With("job", id)
 	}
 	return &Scope{
-		ID:       id,
-		Registry: NewRegistry(),
-		Tracer:   NewTracer(),
-		logger:   logger,
+		ID:     id,
+		Tracer: NewTracer(),
+		logger: logger,
 	}
 }
 
@@ -69,32 +68,6 @@ func (s *Scope) Log() *slog.Logger {
 		return discardLogger
 	}
 	return s.logger
-}
-
-// C returns the named counter of the scope's registry (nil scope →
-// no-op counter).
-func (s *Scope) C(name string) *Counter {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Counter(name)
-}
-
-// G returns the named gauge of the scope's registry (nil scope → no-op).
-func (s *Scope) G(name string) *Gauge {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Gauge(name)
-}
-
-// H returns the named histogram of the scope's registry (nil scope →
-// no-op). Bounds apply only on first registration of the name.
-func (s *Scope) H(name string, bounds []float64) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return s.Registry.Histogram(name, bounds)
 }
 
 // StartSpan opens a span on the scope's tracer (nil scope → no-op

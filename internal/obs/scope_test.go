@@ -12,9 +12,6 @@ import (
 // nil-safe handle, mirroring the package-level disabled path.
 func TestScopeNilSafety(t *testing.T) {
 	var s *Scope
-	s.C("c").Inc()
-	s.G("g").Set(1)
-	s.H("h", nil).Observe(1)
 	s.StartSpan("sp").End()
 	s.SetProgressTotal(10)
 	s.AddProgress(3)
@@ -88,20 +85,6 @@ func TestScopeLoggerCarriesJobID(t *testing.T) {
 	}
 	if !strings.Contains(line, "chips=2000") {
 		t.Errorf("log line missing call attribute: %q", line)
-	}
-}
-
-// Scope metrics land in the scope registry, not the default one.
-func TestScopeMetricsIsolated(t *testing.T) {
-	defer Disable()
-	global := Enable()
-	sc := NewScope("j1", nil)
-	sc.C("job_chips_built_total").Add(7)
-	if got := sc.Registry.Counter("job_chips_built_total").Value(); got != 7 {
-		t.Errorf("scope counter = %d, want 7", got)
-	}
-	if got := global.Counter("job_chips_built_total").Value(); got != 0 {
-		t.Errorf("default registry leaked scope counter: %d", got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"yieldcache/internal/obs"
 	"yieldcache/internal/store"
 )
 
@@ -51,6 +52,26 @@ func drain(t *testing.T, srv *Server) {
 	defer cancel()
 	if err := srv.Drain(ctx); err != nil {
 		t.Fatalf("Drain: %v", err)
+	}
+}
+
+// waitSettled waits until srv has no build in flight. A job reads done
+// just before its result enters the cache, so a test that wants the
+// repeat request to hit the cache waits for this too.
+func waitSettled(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.mu.Lock()
+		n := len(srv.inflight)
+		srv.mu.Unlock()
+		if n == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d builds still in flight", n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -108,6 +129,39 @@ func TestRestartRecoversCacheAndHistory(t *testing.T) {
 	}
 	if detail.QueueWaitMS < 0 {
 		t.Errorf("recovered job queue wait %v ms is negative", detail.QueueWaitMS)
+	}
+}
+
+// Every server opened over a store counts one recovery, and one over a
+// store holding a running job counts that job resumed.
+func TestReopenCountsRecoveryAndResume(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	st := store.NewMem()
+	srv1 := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	ts1 := httptest.NewServer(srv1.Handler())
+	defer ts1.Close()
+	defer drain(t, srv1)
+	defer close(occupyWorker(t, srv1, ts1.URL))
+
+	// The store now holds the blocked job as running: reopen a copy.
+	srv2 := New(Config{Workers: 1, Store: st.Clone(), FlightInterval: -1})
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	defer drain(t, srv2)
+	if got := reg.Counter("server_store_recoveries_total").Value(); got != 2 {
+		t.Errorf("server_store_recoveries_total = %d, want 2", got)
+	}
+	if got := reg.Counter("server_jobs_resumed_total").Value(); got != 1 {
+		t.Errorf("server_jobs_resumed_total = %d, want 1", got)
+	}
+	mresp, err := http.Get(ts2.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mresp.Body.Close()
+	if text := readAll(t, mresp); !strings.Contains(text, "server_jobs_resumed 1\n") {
+		t.Errorf("/metrics missing the server_jobs_resumed 1 gauge")
 	}
 }
 
@@ -196,6 +250,7 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	if detail.State != jobDone {
 		t.Fatalf("resumed job finished %q (%s), want done", detail.State, detail.Error)
 	}
+	waitSettled(t, srv2)
 	if !detail.Resumed || detail.Restarts != 1 {
 		t.Errorf("resumed job reports resumed=%v restarts=%d, want true/1", detail.Resumed, detail.Restarts)
 	}
@@ -247,6 +302,8 @@ func assertSameTables(t *testing.T, got, want StudyResponse) {
 // response; same key + different body is refused with 409; keys expire
 // with the result cache.
 func TestIdempotencyKeyContract(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
 	srv := New(Config{Workers: 2, Store: store.NewMem(), CacheEntries: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -276,6 +333,9 @@ func TestIdempotencyKeyContract(t *testing.T) {
 	if second.Regular.BaseTotal != first.Regular.BaseTotal {
 		t.Error("replayed body differs from original")
 	}
+	if got := reg.Counter("server_idempotent_replays_total").Value(); got != 1 {
+		t.Errorf("server_idempotent_replays_total = %d, want 1", got)
+	}
 
 	// Same key, different body: conflict.
 	resp, _, fail := postStudyIdem(t, ts.URL, `{"chips": 41, "seed": 2006}`, "key-1")
@@ -284,6 +344,9 @@ func TestIdempotencyKeyContract(t *testing.T) {
 	}
 	if fail.Class != "validation" {
 		t.Errorf("conflict class %q, want validation", fail.Class)
+	}
+	if got := reg.Counter("server_idempotency_conflicts_total").Value(); got != 1 {
+		t.Errorf("server_idempotency_conflicts_total = %d, want 1", got)
 	}
 
 	// A new study evicts the old result (CacheEntries: 1) and with it

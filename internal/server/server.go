@@ -821,9 +821,9 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 }
 
 // estimateConfig arms streaming yield estimation for one build: every
-// snapshot lands on the job (GET /v1/jobs/{id}/estimate), streams as a
-// throttled job_estimate SSE event, and mirrors onto the global
-// estimate_* gauges; a request precision target adds early stopping.
+// snapshot lands on the job (GET /v1/jobs/{id}/estimate) and streams as
+// a throttled job_estimate SSE event; a request precision target adds
+// early stopping.
 func (s *Server) estimateConfig(p params, j *job) *yieldcache.EstimateConfig {
 	interval := s.cfg.StreamInterval
 	if interval <= 0 {
@@ -845,11 +845,6 @@ func (s *Server) estimateConfig(p params, j *job) *yieldcache.EstimateConfig {
 			snap := *e // detach from the estimator's reusable buffer
 			j.estimate.Store(&snap)
 			j.scope.PublishEstimate(e.Yield, e.CILow, e.CIHigh, int64(e.Chips), int64(e.Total))
-			obs.G("estimate_yield").Set(e.Yield)
-			obs.G("estimate_ci_low").Set(e.CILow)
-			obs.G("estimate_ci_high").Set(e.CIHigh)
-			obs.G("estimate_half_width").Set(e.HalfWidth)
-			obs.G("estimate_chips").Set(float64(e.Chips))
 		},
 	}
 }

@@ -388,8 +388,11 @@ func TestCanonicalKey(t *testing.T) {
 	}
 }
 
-// The cache evicts oldest-first at its capacity bound.
+// The cache evicts oldest-first at its capacity bound, counting each
+// eviction.
 func TestCacheEviction(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
 	srv := New(Config{Workers: 1, CacheEntries: 2})
 	release := make(chan struct{})
 	close(release)
@@ -409,6 +412,10 @@ func TestCacheEviction(t *testing.T) {
 	}
 	if resp, res, _ := postStudy(t, ts.URL, `{"chips": 20, "seed": 1}`); resp.StatusCode != http.StatusOK || res.Cached {
 		t.Errorf("seed 1 should have been evicted (status %d, cached %v)", resp.StatusCode, res.Cached)
+	}
+	// Seed 1's eviction, then seed 2's when seed 1 was rebuilt.
+	if got := reg.Counter("server_study_cache_evictions_total").Value(); got != 2 {
+		t.Errorf("server_study_cache_evictions_total = %d, want 2", got)
 	}
 }
 

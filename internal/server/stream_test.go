@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
+	"yieldcache/internal/store"
 )
 
 // sseEvent is one parsed SSE frame.
@@ -208,15 +210,22 @@ func TestEventsFirehoseTypeFilter(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Get(ts.URL + "/v1/events?types=bogus")
-	if err != nil {
-		t.Fatal(err)
+	// The 400 body lists the valid types in a fixed order, so two
+	// identical bad requests get identical bodies.
+	var bodies [2]string
+	for i := range bodies {
+		resp, err := http.Get(ts.URL + "/v1/events?types=bogus")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[i] = readAll(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(bodies[i], "unknown event type") {
+			t.Errorf("types=bogus: status %d, body %q; want 400 unknown event type", resp.StatusCode, bodies[i])
+		}
 	}
-	var fail ErrorResponse
-	json.NewDecoder(resp.Body).Decode(&fail)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(fail.Error, "unknown event type") {
-		t.Errorf("types=bogus: status %d, error %q; want 400 unknown event type", resp.StatusCode, fail.Error)
+	if bodies[0] != bodies[1] {
+		t.Errorf("identical bad requests got different bodies:\n%s\n%s", bodies[0], bodies[1])
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -259,6 +268,139 @@ func TestEventsFirehoseTypeFilter(t *testing.T) {
 	}
 	if last.id == "" {
 		t.Error("live event carries no bus seq id")
+	}
+}
+
+// Each event type below reaches the firehose when the server does what
+// publishes it: the case's drive runs against a fresh server while a
+// client streams /v1/events?types=<type>, and check inspects the first
+// frame against the subject drive returns: the job id, the evicted
+// cache key, or "" when the event names neither.
+func TestEventsFirehosePublishesEachType(t *testing.T) {
+	failing := func(context.Context, yieldcache.StudyConfig) (*yieldcache.Study, error) {
+		return nil, errors.New("injected build failure")
+	}
+	// checkpointing offers one 10-chip checkpoint to the server's sink,
+	// then finishes with a small real study.
+	checkpointing := func(_ context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error) {
+		bc := &yieldcache.BuildCheckpoint{Seed: cfg.Seed, N: cfg.Chips, Done: 10, Pair: true}
+		if err := cfg.Checkpoint.Sink(bc); err != nil {
+			return nil, err
+		}
+		return yieldcache.NewStudyCtx(context.Background(), yieldcache.StudyConfig{Chips: 20, Seed: cfg.Seed})
+	}
+	post := func(t *testing.T, url, body string, want int) string {
+		t.Helper()
+		resp, _, _ := postStudy(t, url, body)
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d", body, resp.StatusCode, want)
+		}
+		return resp.Header.Get("X-Job-Id")
+	}
+	cases := []struct {
+		typ   obs.EventType
+		cfg   Config
+		drive func(t *testing.T, srv *Server, url string) string
+		check func(ev obs.Event, job string) bool
+	}{
+		{
+			typ: obs.EventJobStarted, cfg: Config{Workers: 1},
+			drive: func(t *testing.T, srv *Server, url string) string {
+				return post(t, url, `{"chips": 20, "seed": 1}`, http.StatusOK)
+			},
+			check: func(ev obs.Event, job string) bool { return ev.Job == job && ev.Total == 20 },
+		},
+		{
+			typ: obs.EventJobFailed, cfg: Config{Workers: 1},
+			drive: func(t *testing.T, srv *Server, url string) string {
+				srv.build = failing
+				return post(t, url, `{"chips": 20, "seed": 1}`, http.StatusInternalServerError)
+			},
+			check: func(ev obs.Event, job string) bool {
+				return ev.Job == job && ev.Class == string(obs.ClassInternal) &&
+					strings.Contains(ev.Error, "injected build failure")
+			},
+		},
+		{
+			typ: obs.EventCacheEvict, cfg: Config{Workers: 1, CacheEntries: 1},
+			drive: func(t *testing.T, srv *Server, url string) string {
+				post(t, url, `{"chips": 20, "seed": 1}`, http.StatusOK)
+				post(t, url, `{"chips": 20, "seed": 2}`, http.StatusOK)
+				return studyKeyOf(t, srv, `{"chips": 20, "seed": 1}`)
+			},
+			check: func(ev obs.Event, key string) bool { return ev.Key == key },
+		},
+		{
+			typ: obs.EventQueuePressure, cfg: Config{Workers: 1},
+			drive: func(t *testing.T, srv *Server, url string) string {
+				release := occupyWorker(t, srv, url)
+				defer close(release)
+				go func() {
+					resp, err := http.Post(url+"/v1/study", "application/json", strings.NewReader(`{"chips": 20, "seed": 2}`))
+					if err == nil {
+						resp.Body.Close()
+					}
+				}()
+				deadline := time.Now().Add(10 * time.Second)
+				for {
+					srv.mu.Lock()
+					admitted := srv.jobs
+					srv.mu.Unlock()
+					if admitted >= 2 || time.Now().After(deadline) {
+						return ""
+					}
+					time.Sleep(time.Millisecond)
+				}
+			},
+			check: func(ev obs.Event, _ string) bool { return ev.Queued == 1 && ev.Running == 1 },
+		},
+		{
+			typ: obs.EventJobCheckpoint,
+			cfg: Config{Workers: 1, Store: store.NewMem(), CheckpointInterval: time.Millisecond},
+			drive: func(t *testing.T, srv *Server, url string) string {
+				srv.build = checkpointing
+				return post(t, url, `{"chips": 20, "seed": 1}`, http.StatusOK)
+			},
+			check: func(ev obs.Event, job string) bool { return ev.Job == job && ev.Done == 10 && ev.Total == 20 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(string(tc.typ), func(t *testing.T) {
+			tc.cfg.FlightInterval = -1
+			srv := New(tc.cfg)
+			defer srv.Close()
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			req, _ := http.NewRequestWithContext(ctx, http.MethodGet,
+				ts.URL+"/v1/events?types="+string(tc.typ), nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			got := make(chan []sseEvent, 1)
+			go func() {
+				got <- readSSE(t, resp.Body, func(sseEvent) bool { return true })
+			}()
+			deadline := time.Now().Add(2 * time.Second)
+			for srv.bus.Subscribers() == 0 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+
+			subject := tc.drive(t, srv, ts.URL)
+			frames := <-got
+			if len(frames) == 0 {
+				t.Fatalf("no %s event on the firehose", tc.typ)
+			}
+			ev := decodeEvent(t, frames[0])
+			if frames[0].event != string(tc.typ) || ev.Type != tc.typ || !tc.check(ev, subject) {
+				t.Errorf("first frame %q = %+v (subject %q); want a matching %s event",
+					frames[0].event, ev, subject, tc.typ)
+			}
+		})
 	}
 }
 

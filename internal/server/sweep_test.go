@@ -284,6 +284,7 @@ func TestCrashedSweepResumesBitIdentical(t *testing.T) {
 	if detail.State != jobDone {
 		t.Fatalf("resumed sweep finished %q (%s), want done", detail.State, detail.Error)
 	}
+	waitSettled(t, srv2)
 	if detail.Kind != "sweep" || !detail.Resumed || detail.Restarts != 1 {
 		t.Errorf("resumed sweep reports kind=%q resumed=%v restarts=%d, want sweep/true/1",
 			detail.Kind, detail.Resumed, detail.Restarts)

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"yieldcache/internal/core"
 	"yieldcache/internal/cpu"
@@ -101,7 +100,6 @@ func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []floa
 	}
 	if call, ok := e.inflight[key]; ok {
 		e.mu.Unlock()
-		obs.C("perf_config_cache_coalesced_total").Inc()
 		<-call.done
 		return call.cpis
 	}
@@ -113,7 +111,6 @@ func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []floa
 
 	sp := obs.StartSpan("suite_cpi " + key)
 	defer sp.End()
-	runSec := obs.H("perf_benchmark_run_seconds", obs.ExpBuckets(1e-3, 4, 10))
 	cpiHist := obs.H("perf_benchmark_cpi", obs.LinearBuckets(0.5, 0.25, 14))
 
 	suite := workload.SPEC2000()
@@ -128,9 +125,7 @@ func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []floa
 			for i := start; i < len(suite); i += workers {
 				cfg := cpu.DefaultConfig().WithL1D(wayCycles, hRegion, predicted)
 				gen := workload.NewGenerator(suite[i], e.cfg.Seed)
-				t0 := time.Now()
 				cpis[i] = cpu.Run(gen, e.cfg.Instructions, cfg).CPI
-				runSec.Observe(time.Since(t0).Seconds())
 				cpiHist.Observe(cpis[i])
 			}
 			ws.End()

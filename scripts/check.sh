@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, the docs gate (godoc coverage of the
-# facade + README/docs flag sync, see scripts/docgate), the full test
+# facade, README/docs flag sync and the /metrics catalogue in
+# docs/API.md, see scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
 # and the chaos-tagged storage fault-injection suite.

@@ -1,5 +1,5 @@
 // Command docgate is the documentation gate run by scripts/check.sh and
-// CI. It enforces two invariants:
+// CI. It enforces three invariants:
 //
 //  1. Every exported identifier of the root yieldcache package (types,
 //     funcs, methods, const/var groups) carries a doc comment — the
@@ -7,10 +7,15 @@
 //  2. Every CLI flag shown in a fenced code block of README.md or
 //     docs/*.md is actually defined by the command it is shown with, so
 //     the documentation cannot drift from the flag definitions.
+//  3. Every metric name passed as a complete string literal to obs.C,
+//     obs.G or obs.H (bare C/G/H inside package obs) in non-test Go is
+//     listed in docs/API.md, so no series ships undocumented. A
+//     {label=...} suffix is stripped first; names built by
+//     concatenation are skipped.
 //
 // Usage: go run ./scripts/docgate [repo-root]   (default ".")
 //
-// Exit status 1 with one line per violation when either check fails.
+// Exit status 1 with one line per violation when any check fails.
 package main
 
 import (
@@ -35,6 +40,7 @@ func main() {
 	var problems []string
 	problems = append(problems, checkRootDocs(root)...)
 	problems = append(problems, checkFlagSync(root)...)
+	problems = append(problems, checkMetricDocs(root)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docgate: "+p)
@@ -42,7 +48,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docgate: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docgate: root-package godoc complete, docs flags in sync")
+	fmt.Println("docgate: root-package godoc complete, docs flags in sync, metrics documented")
 }
 
 // checkRootDocs reports exported identifiers of the root package that
@@ -237,4 +243,50 @@ func commandOnLine(line string, defined map[string]map[string]bool) string {
 		}
 	}
 	return found
+}
+
+// metricCall matches a registry accessor called with one complete
+// string literal: obs.C/G/H anywhere, bare C/G/H inside package obs. A
+// literal followed by "+" (a name built by concatenation) never matches.
+var metricCall = regexp.MustCompile(`(obs\.|[^.\w])[CGH]\((?:"([a-z0-9_]+)[^"]*"|` +
+	"`([a-z0-9_]+)[^`]*`" + `)\s*[,)]`)
+
+// checkMetricDocs reports metric names registered through a string
+// literal in non-test Go that docs/API.md does not mention.
+func checkMetricDocs(root string) []string {
+	raw, err := os.ReadFile(filepath.Join(root, "docs", "API.md"))
+	if err != nil {
+		return []string{fmt.Sprintf("reading docs/API.md: %v", err)}
+	}
+	api := string(raw)
+	var out []string
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		inObs := filepath.Base(filepath.Dir(path)) == "obs"
+		for lineNo, line := range strings.Split(string(src), "\n") {
+			for _, m := range metricCall.FindAllStringSubmatch(line, -1) {
+				name := m[2] + m[3]
+				documented := strings.Contains(api, "`"+name+"`") || strings.Contains(api, "`"+name+"{")
+				if (m[1] == "obs." || inObs) && !documented {
+					out = append(out, fmt.Sprintf("%s:%d: metric %s is not listed in docs/API.md",
+						strings.TrimPrefix(path, root+string(filepath.Separator)), lineNo+1, name))
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		out = append(out, fmt.Sprintf("scanning Go sources: %v", err))
+	}
+	sort.Strings(out)
+	return out
 }
