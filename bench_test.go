@@ -456,7 +456,7 @@ func BenchmarkSweepDelta(b *testing.B) {
 	var res *SweepResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		res, err = RunSweepCtx(context.Background(), spec, SweepOptions{Parallel: 1})
+		res, err = RunSweepCtx(context.Background(), spec, SweepOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

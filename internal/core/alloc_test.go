@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"yieldcache/internal/circuit"
 )
 
 // TestPairBuildAllocBudget pins the steady-state allocation budget of
@@ -39,5 +42,34 @@ func TestPairBuildAllocBudget(t *testing.T) {
 	if withCk > plain+2 {
 		t.Errorf("checkpointed pair build allocates %.1f times per run, plain is %.1f: checkpointing may add at most 2",
 			withCk, plain)
+	}
+}
+
+// TestDeltaPairAllocsConstantInN pins that a warm BuildPairCtx
+// allocates only per call and per worker, never per batch: at a fixed
+// worker count it allocates as often at N=640 (80 batches) as at N=64
+// (8 batches). It runs on one P: with several, a worker whose P holds
+// no pooled kernel scratch (another P's private slot cannot be stolen)
+// now and then allocates a fresh one, which is per-worker noise, not a
+// per-batch cost.
+func TestDeltaPairAllocsConstantInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	tech := circuit.PTM45()
+	tech.Vdd = 1.05
+	allocs := func(n int) float64 {
+		d, err := NewDeltaBuilderCtx(ctx, PopulationConfig{N: n, Seed: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.BuildPairCtx(ctx, tech) // warm the kernel buffer pool
+		return testing.AllocsPerRun(10, func() { d.BuildPairCtx(ctx, tech) })
+	}
+	if small, large := allocs(64), allocs(640); small != large {
+		t.Errorf("warm BuildPairCtx allocates %.1f times at N=64 but %.1f at N=640: a batch allocates", small, large)
 	}
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"sync/atomic"
 
 	"yieldcache/internal/circuit"
@@ -35,9 +37,10 @@ import (
 //
 // The retained draws cost about 7.7 KB per chip (N=2000 ≈ 15 MB), so
 // the builder is an opt-in for sweep-shaped workloads rather than the
-// default build path. Chips are evaluated in fixed sequential batches
-// of sram.BatchWidth, so results are independent of any worker
-// configuration; a DeltaBuilder is not safe for concurrent use.
+// default build path. Chips are evaluated in fixed batches of
+// sram.BatchWidth spread over cfg.Workers goroutines; a batch's
+// results depend only on its draws, so they are independent of the
+// worker count. A DeltaBuilder is not safe for concurrent use.
 type DeltaBuilder struct {
 	cfg      PopulationConfig
 	baseTech circuit.Tech
@@ -49,14 +52,21 @@ type DeltaBuilder struct {
 	baseHor  *Population
 }
 
-// NewDeltaBuilderCtx builds the base population pair for cfg
-// (cfg.Workers, cfg.Checkpoint and cfg.Estimate are ignored; the build
-// is sequential) and retains the per-batch draws and leakage aggregates
-// for delta re-evaluation. It rejects the configurations Build rejects.
+// NewDeltaBuilderCtx builds the base population pair for cfg on
+// cfg.Workers goroutines (0 means GOMAXPROCS, as for Build) and retains
+// the per-batch draws and leakage aggregates for delta re-evaluation.
+// It rejects the configurations Build rejects, and a non-nil
+// cfg.Checkpoint or cfg.Estimate, which the builder does not support.
 // The base build polls ctx once per sram.BatchWidth-chip batch and
 // returns ctx.Err() early when it fires, so a sweep job can abandon a
 // large base build the moment its request is cancelled.
 func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilder, error) {
+	if cfg.Checkpoint != nil {
+		return nil, errors.New("core: the delta builder does not support PopulationConfig.Checkpoint")
+	}
+	if cfg.Estimate != nil {
+		return nil, errors.New("core: the delta builder does not support PopulationConfig.Estimate")
+	}
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
@@ -72,23 +82,15 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
-
-	ev := regModel.NewEvaluator(sampler.NewScratch())
-	defer ev.Release()
 	regChips := newChipArena(cfg.N, geom, cancelled)
 	horChips := newChipArena(cfg.N, geom, cancelled)
 
 	nBatches := (cfg.N + sram.BatchWidth - 1) / sram.BatchWidth
 	d.draws = make([]*sram.DrawSet, nBatches)
 	d.leaks = make([]*sram.LeakState, nBatches)
-	var ids [sram.BatchWidth]int
-	var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
-	for k := 0; k < nBatches; k++ {
-		if cancelled.Load() {
-			return nil, ctx.Err()
-		}
-		lo := k * sram.BatchWidth
-		bn := min(sram.BatchWidth, cfg.N-lo)
+	forEachBatch(cancelled, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+		var ids [sram.BatchWidth]int
+		var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
 		for j := 0; j < bn; j++ {
 			ids[j] = lo + j
 			regV[j] = &regChips[lo+j].Meas
@@ -100,13 +102,45 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 		ev.EvalPair(ds, regV[:bn], horV[:bn], ls)
 		d.draws[k] = ds
 		d.leaks[k] = ls
-	}
-	if cancelled.Load() {
-		return nil, ctx.Err()
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	d.baseReg = &Population{Chips: regChips, Model: regModel, Seed: cfg.Seed}
 	d.baseHor = &Population{Chips: horChips, Model: newModelWithGeom(*cfg.Tech, true, cfg.Geom), Seed: cfg.Seed}
 	return d, nil
+}
+
+// forEachBatch calls fn for every sram.BatchWidth-chip batch of an
+// n-chip population: batch k covers chips [lo, lo+bn) with
+// lo = k·sram.BatchWidth. Up to workers goroutines each own one
+// evaluator of model drawing from sampler and claim batch indices from
+// a shared counter, so fn must write only batch k's own slots; the
+// results then depend on neither the worker count nor the schedule.
+// Cancellation is polled once per batch; the caller checks ctx.Err()
+// afterwards, since a cancelled loop leaves batches unwritten.
+func forEachBatch(cancelled *atomic.Bool, n, workers int, model *sram.Model,
+	sampler *variation.Sampler, fn func(ev *sram.Evaluator, k, lo, bn int)) {
+	nBatches := (n + sram.BatchWidth - 1) / sram.BatchWidth
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, nBatches); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ev := model.NewEvaluator(sampler.NewScratch())
+			defer ev.Release()
+			for !cancelled.Load() {
+				k := int(next.Add(1) - 1)
+				if k >= nBatches {
+					return
+				}
+				lo := k * sram.BatchWidth
+				fn(ev, k, lo, min(sram.BatchWidth, n-lo))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // watchCancel translates ctx cancellation into an atomic flag the batch
@@ -144,12 +178,13 @@ func (d *DeltaBuilder) Parts(tech circuit.Tech) sram.TechParts {
 	return sram.DiffTech(d.baseTech, tech)
 }
 
-// BuildPairCtx evaluates the retained chip draws under tech, reusing
-// everything the technology diff against the base does not touch. The
-// result is bit-identical to Build of the builder's configuration with
-// Tech set to tech. Cancellation is polled once per batch like
-// NewDeltaBuilderCtx: on cancellation it returns ctx.Err() and nil
-// populations; the builder itself stays valid for further calls.
+// BuildPairCtx evaluates the retained chip draws under tech on the
+// builder's worker count, reusing everything the technology diff
+// against the base does not touch. The result is bit-identical to
+// Build of the builder's configuration with Tech set to tech.
+// Cancellation is polled once per batch like NewDeltaBuilderCtx: on
+// cancellation it returns ctx.Err() and nil populations; the builder
+// itself stays valid for further calls.
 func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
 	parts := sram.DiffTech(d.baseTech, tech)
 	regModel := newModelWithGeom(tech, false, &d.geom)
@@ -157,35 +192,17 @@ func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (reg
 	defer stopWatch()
 	regChips := newChipArena(d.cfg.N, d.geom, cancelled)
 	horChips := newChipArena(d.cfg.N, d.geom, cancelled)
-
-	if !parts.Any() {
-		for i := range regChips {
-			if i&4095 == 0 && cancelled.Load() {
-				return nil, nil, ctx.Err()
-			}
-			copyMeasInto(&regChips[i].Meas, &d.baseReg.Chips[i].Meas)
-			copyMeasInto(&horChips[i].Meas, &d.baseHor.Chips[i].Meas)
-		}
-	} else {
-		ev := regModel.NewEvaluator(d.sampler.NewScratch())
-		defer ev.Release()
+	forEachBatch(cancelled, d.cfg.N, d.cfg.Workers, regModel, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
 		var regV, horV, baseV [sram.BatchWidth]*sram.CacheMeasurement
-		for k, ds := range d.draws {
-			if cancelled.Load() {
-				return nil, nil, ctx.Err()
-			}
-			lo := k * sram.BatchWidth
-			bn := ds.Len()
-			for j := 0; j < bn; j++ {
-				regV[j] = &regChips[lo+j].Meas
-				horV[j] = &horChips[lo+j].Meas
-				baseV[j] = &d.baseReg.Chips[lo+j].Meas
-			}
-			ev.EvalPairDelta(ds, parts, baseV[:bn], d.leaks[k], regV[:bn], horV[:bn])
+		for j := 0; j < bn; j++ {
+			regV[j] = &regChips[lo+j].Meas
+			horV[j] = &horChips[lo+j].Meas
+			baseV[j] = &d.baseReg.Chips[lo+j].Meas
 		}
-	}
-	if cancelled.Load() {
-		return nil, nil, ctx.Err()
+		ev.EvalPairDelta(d.draws[k], parts, baseV[:bn], d.leaks[k], regV[:bn], horV[:bn])
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
 	}
 	regular = &Population{Chips: regChips, Model: regModel, Seed: d.cfg.Seed}
 	horizontal = &Population{Chips: horChips, Model: newModelWithGeom(tech, true, &d.geom), Seed: d.cfg.Seed}

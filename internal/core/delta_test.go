@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/sram"
@@ -124,9 +126,10 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 
 // TestBuildBatchBoundaries sweeps population sizes around the kernel
 // batch width — a single chip, one under, one over, and a prime well
-// past it — across worker counts, checking each against the sequential
+// past it — across worker counts, checking each against the
 // delta-builder base (an independently-batched evaluation of the same
-// draws). This pins the ragged-final-batch and stripe-assembly logic.
+// draws, whose batches are claimed in whole rather than striped). This
+// pins the ragged-final-batch and stripe-assembly logic.
 func TestBuildBatchBoundaries(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
 		want := newDelta(t, PopulationConfig{N: n, Seed: 2006})
@@ -152,6 +155,105 @@ func TestBuildPrefixPurity(t *testing.T) {
 		}
 		if !reflect.DeepEqual(sHor.Chips[i].Meas, lHor.Chips[i].Meas) {
 			t.Fatalf("horizontal chip %d differs between N=%d and N=%d builds", i, small, large)
+		}
+	}
+}
+
+// TestDeltaBuilderWorkerCountIndependent pins the batch-parallel
+// builder to its single-worker result: the base pair and every delta
+// class (copy, leak rescale, one-sided and both-sided re-evaluation)
+// must be bit-identical whatever the worker count, including ragged
+// final batches and more workers than batches.
+func TestDeltaBuilderWorkerCountIndependent(t *testing.T) {
+	base := circuit.PTM45()
+	var techs []circuit.Tech
+	for _, mut := range []func(*circuit.Tech){
+		func(*circuit.Tech) {},                              // copy
+		func(t *circuit.Tech) { t.CellLeakage *= 1.2 },      // leak rescale
+		func(t *circuit.Tech) { t.Alpha = 1.4 },             // delay only
+		func(t *circuit.Tech) { t.SubVtSlope = 0.030 },      // leakage only
+		func(t *circuit.Tech) { t.Vdd = 1.05; t.DIBL *= 2 }, // both sides
+	} {
+		tech := base
+		mut(&tech)
+		techs = append(techs, tech)
+	}
+	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97, 500} {
+		cfg := PopulationConfig{N: n, Seed: 2006, Tech: &base, Workers: 1}
+		ref := newDelta(t, cfg)
+		refReg, refHor := ref.Base()
+		want := make([][2]*Population, len(techs))
+		for i, tech := range techs {
+			reg, hor, err := ref.BuildPairCtx(context.Background(), tech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = [2]*Population{reg, hor}
+		}
+		for _, workers := range []int{2, 3, 8} {
+			cfg.Workers = workers
+			d := newDelta(t, cfg)
+			reg, hor := d.Base()
+			measIdentical(t, "base regular", reg, refReg)
+			measIdentical(t, "base horizontal", hor, refHor)
+			for i, tech := range techs {
+				reg, hor, err := d.BuildPairCtx(context.Background(), tech)
+				if err != nil {
+					t.Fatal(err)
+				}
+				label := labelOf(d.Parts(tech))
+				measIdentical(t, "regular "+label, reg, want[i][0])
+				measIdentical(t, "horizontal "+label, hor, want[i][1])
+			}
+		}
+	}
+}
+
+// TestDeltaBuilderCancellation checks that a 2-worker base build
+// returns ctx.Err() when its context is cancelled before or during the
+// build, and that a cancelled BuildPairCtx leaves the builder usable.
+func TestDeltaBuilderCancellation(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := NewDeltaBuilderCtx(cancelled, PopulationConfig{N: 97, Seed: 1, Workers: 2}); err != context.Canceled {
+		t.Errorf("base build on a cancelled ctx = %v, want context.Canceled", err)
+	}
+
+	// 20000 chips take far longer than the deadline on any machine.
+	ctx, cancel2 := context.WithTimeout(context.Background(), time.Millisecond)
+	defer cancel2()
+	if _, err := NewDeltaBuilderCtx(ctx, PopulationConfig{N: 20_000, Seed: 1, Workers: 2}); err != context.DeadlineExceeded {
+		t.Errorf("base build past its deadline = %v, want context.DeadlineExceeded", err)
+	}
+
+	cfg := PopulationConfig{N: 97, Seed: 1, Workers: 2}
+	d := newDelta(t, cfg)
+	tech := circuit.PTM45()
+	tech.Vdd = 1.05
+	if reg, hor, err := d.BuildPairCtx(cancelled, tech); err != context.Canceled || reg != nil || hor != nil {
+		t.Fatalf("BuildPairCtx on a cancelled ctx = (%v, %v, %v), want nil populations and context.Canceled", reg, hor, err)
+	}
+	reg, hor, err := d.BuildPairCtx(context.Background(), tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cfg
+	full.Tech = &tech
+	wantReg, wantHor := build(t, full)
+	measIdentical(t, "regular after a cancelled call", reg, wantReg)
+	measIdentical(t, "horizontal after a cancelled call", hor, wantHor)
+}
+
+// TestDeltaBuilderRejectsCheckpointAndEstimate checks that the delta
+// builder refuses the build options it does not implement instead of
+// dropping them.
+func TestDeltaBuilderRejectsCheckpointAndEstimate(t *testing.T) {
+	for name, cfg := range map[string]PopulationConfig{
+		"Checkpoint": {N: 8, Checkpoint: &CheckpointConfig{}},
+		"Estimate":   {N: 8, Estimate: &EstimateConfig{}},
+	} {
+		if _, err := NewDeltaBuilderCtx(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: err = %v, want an error naming %s", name, err, name)
 		}
 	}
 }

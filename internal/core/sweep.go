@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
@@ -400,16 +398,13 @@ type SweepEval struct {
 type SweepRunOptions struct {
 	// Schemes evaluated per config; nil means YAPD, VACA, Hybrid.
 	Schemes []Scheme
-	// Parallel is the number of geometry clusters evaluated
-	// concurrently; 0 or 1 is sequential. Results are independent of it.
-	Parallel int
 	// Skip short-circuits a config by Index (crash resume): return true
 	// and the config is not evaluated — its eval comes back zero-valued
 	// with Skipped set.
 	Skip func(configIndex int) bool
 	// OnEval observes each completed evaluation with running done/total
-	// counts. It may be called from multiple goroutines when Parallel >
-	// 1; done counts are monotonic but interleaved.
+	// counts. It is called on RunSweep's goroutine, in the planner's
+	// evaluation order, so done rises by one per call.
 	OnEval func(ev SweepEval, done, total int)
 }
 
@@ -419,15 +414,16 @@ func DefaultSweepSchemes() []Scheme {
 	return []Scheme{YAPD{}, VACA{}, Hybrid{}}
 }
 
-// RunSweep executes a plan: per cluster it builds the DeltaBuilder
-// base once, delta-builds each unit's population pair from the
-// retained draws, and evaluates every config sharing those
-// populations. Evaluations are returned densely indexed by
-// SweepConfig.Index — spec order, independent of Parallel and of the
-// planner's cheapest-first evaluation order. Cancellation is polled
-// between batches inside builds and between configs outside them; the
-// first error cancels the remaining clusters. When ctx carries an
-// obs.Scope, its progress counter runs in configs (not chips).
+// RunSweep executes a plan: cluster by cluster, in plan order, it
+// builds the DeltaBuilder base once, delta-builds each unit's
+// population pair from the retained draws, and evaluates every config
+// sharing those populations. Every build spreads its batches over all
+// CPUs. Evaluations are returned densely indexed by SweepConfig.Index
+// — spec order, independent of the planner's cheapest-first evaluation
+// order. Cancellation is polled between batches inside builds and
+// between configs outside them; the first error stops the sweep. When
+// ctx carries an obs.Scope, its progress counter runs in configs (not
+// chips).
 func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]SweepEval, error) {
 	schemes := opt.Schemes
 	if schemes == nil {
@@ -438,7 +434,6 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 	scope.SetProgressTotal(int64(total))
 
 	evals := make([]SweepEval, total)
-	var done atomic.Int64
 	skipped := 0
 	for _, cfg := range plan.Configs {
 		if opt.Skip != nil && opt.Skip(cfg.Index) {
@@ -446,47 +441,16 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 			skipped++
 		}
 	}
+	done := skipped
 	if skipped > 0 {
-		done.Store(int64(skipped))
 		scope.AddProgress(int64(skipped))
 		obs.C("core_sweep_configs_skipped_total").Add(int64(skipped))
 	}
 
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	par := opt.Parallel
-	if par < 1 {
-		par = 1
-	}
-	if par > len(plan.Clusters) {
-		par = len(plan.Clusters)
-	}
-
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	fail := func(err error) {
-		errOnce.Do(func() { firstErr = err })
-		cancel()
-	}
-	sem := make(chan struct{}, par)
 	for ci := range plan.Clusters {
-		cl := &plan.Clusters[ci]
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := runCluster(ctx, plan, cl, schemes, evals, &done, total, opt.OnEval); err != nil {
-				fail(err)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+		if err := runCluster(ctx, plan, &plan.Clusters[ci], schemes, evals, &done, total, opt.OnEval); err != nil {
+			return nil, err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -498,7 +462,7 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 // runCluster evaluates one geometry cluster: base build, then units in
 // planned order, skipping any unit whose configs were all resumed.
 func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes []Scheme,
-	evals []SweepEval, done *atomic.Int64, total int, onEval func(SweepEval, int, int)) error {
+	evals []SweepEval, done *int, total int, onEval func(SweepEval, int, int)) error {
 	needed := func(u *SweepUnit) bool {
 		for _, idx := range u.Configs {
 			if !evals[idx].Skipped {
@@ -560,10 +524,10 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 			}
 			ev := evalSweepConfig(plan.Configs[idx], reg, schemes)
 			evals[idx] = ev
-			d := int(done.Add(1))
+			*done++
 			obs.ScopeFrom(ctx).AddProgress(1)
 			if onEval != nil {
-				onEval(ev, d, total)
+				onEval(ev, *done, total)
 			}
 		}
 		usp.End()

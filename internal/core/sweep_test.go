@@ -231,7 +231,7 @@ func TestRunSweepGeometryCluster(t *testing.T) {
 	if len(plan.Clusters) != 2 {
 		t.Fatalf("clusters = %d, want 2", len(plan.Clusters))
 	}
-	evals, err := RunSweep(context.Background(), plan, SweepRunOptions{Parallel: 2})
+	evals, err := RunSweep(context.Background(), plan, SweepRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

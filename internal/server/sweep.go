@@ -415,10 +415,8 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 		completed = append(completed, r)
 	}
 
-	par := s.cfg.Workers
 	opt := yieldcache.SweepOptions{
-		Schemes:  regularSchemes(sp.schemes),
-		Parallel: par,
+		Schemes: regularSchemes(sp.schemes),
 		OnEval: func(ev yieldcache.SweepEval, done, total int) {
 			r := toSweepConfigResult(ev)
 			mu.Lock()

@@ -38,8 +38,8 @@ type (
 	SweepEval = core.SweepEval
 	// SchemeYield is one scheme's yield at one config.
 	SchemeYield = core.SchemeYield
-	// SweepOptions tune RunSweep (scheme set, parallelism, resume skip,
-	// per-config callback).
+	// SweepOptions tune RunSweep (scheme set, resume skip, per-config
+	// callback); every sweep build uses all CPUs.
 	SweepOptions = core.SweepRunOptions
 	// ParetoPoint is one frontier candidate (maximise yield, minimise
 	// latency and leakage).
