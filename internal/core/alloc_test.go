@@ -73,3 +73,38 @@ func TestDeltaPairAllocsConstantInN(t *testing.T) {
 		t.Errorf("warm BuildPairCtx allocates %.1f times at N=64 but %.1f at N=640: a batch allocates", small, large)
 	}
 }
+
+// TestPrecisionBuildBytesTrackPrefix pins that a build which can stop
+// early pays for the chips it keeps: a precision build of N=20000 at
+// ±1% allocates at most 1.5× the bytes of a fixed build of its stop
+// prefix. Wiring both chip arenas for all N up front cost about 3.5×.
+func TestPrecisionBuildBytesTrackPrefix(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	ctx := context.Background()
+	allocBytes := func(cfg PopulationConfig) (uint64, BuildResult) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Build(ctx, cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res
+	}
+	precise, res := allocBytes(PopulationConfig{N: 20000, Seed: 1, Workers: 2, Estimate: &EstimateConfig{
+		Interval:      time.Millisecond,
+		Constraints:   Nominal(),
+		TargetCIWidth: 0.01,
+	}})
+	if res.Estimate == nil || !res.Estimate.EarlyStop {
+		t.Fatalf("precision build did not stop early: %+v", res.Estimate)
+	}
+	fixed, _ := allocBytes(PopulationConfig{N: res.Estimate.Chips, Seed: 1, Workers: 2})
+	if float64(precise) > 1.5*float64(fixed) {
+		t.Errorf("precision build stopping at %d of 20000 chips allocated %.1f MB, a fixed build of %d chips %.1f MB: budget is 1.5×",
+			res.Estimate.Chips, float64(precise)/1e6, res.Estimate.Chips, float64(fixed)/1e6)
+	}
+}

@@ -99,6 +99,36 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	}
 	chipsEqual(t, "resumed regular", res.Regular, wantReg)
 	chipsEqual(t, "resumed horizontal", res.Horizontal, wantHor)
+
+	// A precision build wires its arena segment by segment, and resume
+	// wires the segments below Done before copying the prefix in. Resume
+	// one with Done inside a segment and one exactly on a segment edge;
+	// the target stops both past Done, and the kept prefix must match an
+	// uninterrupted build on every field.
+	const pn = 4000
+	fullReg, fullHor := build(t, PopulationConfig{N: pn, Seed: seed})
+	for _, done := range []int{chipSegment + 188, 2 * chipSegment} {
+		ck := &BuildCheckpoint{
+			Seed: seed, N: pn, Done: done, Pair: true,
+			Tech: fullReg.Model.Tech, Geom: fullReg.Model.Geom,
+			Regular:    fullReg.Chips[:done],
+			Horizontal: fullHor.Chips[:done],
+		}
+		cfg := armedConfig(pn, 3, nil)
+		cfg.Seed = seed
+		cfg.Estimate.TargetCIWidth = 0.02
+		cfg.Checkpoint = &CheckpointConfig{Resume: ck}
+		res, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("precision resume at %d: %v", done, err)
+		}
+		kept := len(res.Regular.Chips)
+		if kept <= done || kept >= pn {
+			t.Fatalf("precision resume at %d kept %d of %d chips: want an early stop past Done", done, kept, pn)
+		}
+		measIdentical(t, "precision-resumed regular", res.Regular, &Population{Chips: fullReg.Chips[:kept]})
+		measIdentical(t, "precision-resumed horizontal", res.Horizontal, &Population{Chips: fullHor.Chips[:kept]})
+	}
 }
 
 // A checkpoint from a different build must be refused, not silently

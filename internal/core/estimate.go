@@ -16,8 +16,9 @@ import (
 // chips measured so far. With TargetCIWidth set it also turns the
 // estimate into a stopping rule: once the yield interval's half-width
 // reaches the target, the build stops sampling at the next batch
-// boundary and returns the truncated (fully measured, batch-aligned)
-// population. Nil adds nothing to the build's hot loop.
+// boundary and returns the population truncated to the prefix the
+// decision was made on — a consistent prefix: every chip below it is
+// fully measured. Nil adds nothing to the build's hot loop.
 type EstimateConfig struct {
 	// Interval is the minimum time between snapshots; zero or negative
 	// defaults to 250ms.
@@ -118,9 +119,13 @@ type YieldEstimate struct {
 // scan in chip order makes every published number a pure function of
 // P. That is what keeps estimates bit-identical across worker counts
 // (the per-worker state that *is* merged lock-free — the frontier min
-// — is an integer, so merge order cannot matter). The scan is O(P)
-// but runs at most once per Interval; at the default 250ms it costs
-// well under a millisecond per publish at paper-scale populations.
+// — is an integer, so merge order cannot matter). The latency and
+// leakage sums are carried from one snapshot to the next and continued
+// in chip order, so they cost O(chips since the last snapshot) and stay
+// bit-identical to a scan from chip 0; only the classification pass is
+// O(P). A snapshot runs at most once per Interval (1 ms in yieldd's
+// precision builds) and measured about 60 µs at P = 5.6k chips on a
+// 2-vCPU Xeon, against about 105 µs when it re-summed the prefix.
 // Arming the estimator costs exactly two allocations per build (this
 // struct, with the snapshot buffer embedded, and the frontier slice).
 type estimator struct {
@@ -133,8 +138,18 @@ type estimator struct {
 	stop     atomic.Bool  // precision target met: stop sampling
 	stopAt   atomic.Int64 // decision frontier at the moment stop was set
 	last     int          // prefix of the last published snapshot (publisher-only)
+	sums     prefixSums   // moments of the last snapshot's prefix (publisher-only)
 	buf      YieldEstimate
 	reg      []Chip
+}
+
+// prefixSums are the latency/leakage sums and moments of the chip
+// prefix [0, n), carried from one snapshot to the next so each
+// snapshot adds only the chips measured since the last one.
+type prefixSums struct {
+	n              int
+	s, ss, leakSum float64
+	latM, leakM    stats.Moments
 }
 
 // newEstimator returns the worker-driven estimator; nil when
@@ -177,8 +192,9 @@ func (e *estimator) stopped() bool {
 	return e != nil && e.stop.Load()
 }
 
-// stopPrefix returns the batch-aligned frontier at which the stopping
-// rule fired, or 0 when the build ran to completion. Nil-safe.
+// stopPrefix returns the frontier at which the stopping rule fired — a
+// consistent prefix: every chip below it is fully measured — or 0 when
+// the build ran to completion. Nil-safe.
 func (e *estimator) stopPrefix() int {
 	if e == nil {
 		return 0
@@ -258,32 +274,37 @@ func (e *estimator) final() *YieldEstimate {
 }
 
 // snapshot fills the reusable buffer with the estimate over the
-// immutable prefix [0, p). Pass 1 accumulates the latency/leakage
-// moments and derives provisional limits with exactly the arithmetic
-// of stats.MeanStd + DeriveLimits (naive sum / sum-of-squares in chip
-// order), so the p == n snapshot reproduces the table limits bit for
-// bit; pass 2 classifies each chip under those limits. It allocates
-// nothing.
+// immutable prefix [0, p). Pass 1 continues the carried latency/leakage
+// moments from the last snapshot's prefix to p and derives provisional
+// limits with exactly the arithmetic of stats.MeanStd + DeriveLimits
+// (naive sum / sum-of-squares in chip order), so the p == n snapshot
+// reproduces the table limits bit for bit; pass 2 classifies each chip
+// under those limits. It allocates nothing.
 func (e *estimator) snapshot(p int) {
-	var s, ss, leakSum float64
-	var latM, leakM stats.Moments
-	for i := 0; i < p; i++ {
-		m := &e.reg[i].Meas
-		s += m.LatencyPS
-		ss += m.LatencyPS * m.LatencyPS
-		leakSum += m.LeakageW
-		latM.Add(m.LatencyPS)
-		leakM.Add(m.LeakageW)
+	ps := &e.sums
+	if p < ps.n {
+		// A publish after the stop moved past the stop prefix that
+		// finalize asks for: sum again from chip 0.
+		*ps = prefixSums{}
 	}
+	for i := ps.n; i < p; i++ {
+		m := &e.reg[i].Meas
+		ps.s += m.LatencyPS
+		ps.ss += m.LatencyPS * m.LatencyPS
+		ps.leakSum += m.LeakageW
+		ps.latM.Add(m.LatencyPS)
+		ps.leakM.Add(m.LeakageW)
+	}
+	ps.n = p
 	n := float64(p)
-	mean := s / n
-	v := ss/n - mean*mean
+	mean := ps.s / n
+	v := ps.ss/n - mean*mean
 	if v < 0 {
 		v = 0
 	}
 	lim := Limits{
 		DelayPS:  mean + e.cfg.Constraints.DelaySigmaK*math.Sqrt(v),
-		LeakageW: e.cfg.Constraints.LeakageMult * (leakSum / n),
+		LeakageW: e.cfg.Constraints.LeakageMult * (ps.leakSum / n),
 	}
 
 	var pass stats.Tally
@@ -305,10 +326,10 @@ func (e *estimator) snapshot(p int) {
 	b.CILow, b.CIHigh = stats.WilsonInterval(pass.K, pass.N, b.Confidence)
 	b.HalfWidth = (b.CIHigh - b.CILow) / 2
 	b.Limits = lim
-	b.MeanLatencyPS = latM.Mean
-	b.StdErrLatencyPS = latM.StdErr()
-	b.MeanLeakageW = leakM.Mean
-	b.StdErrLeakageW = leakM.StdErr()
+	b.MeanLatencyPS = ps.latM.Mean
+	b.StdErrLatencyPS = ps.latM.StdErr()
+	b.MeanLeakageW = ps.leakM.Mean
+	b.StdErrLeakageW = ps.leakM.StdErr()
 	b.EarlyStop = false
 	for j := range b.Reasons {
 		t := stats.Tally{K: lost[j], N: int64(p)}

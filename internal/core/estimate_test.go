@@ -126,45 +126,85 @@ func TestEstimateGoldenUnaffected(t *testing.T) {
 }
 
 // TestEstimateEarlyStop drives the precision-targeted stopping rule: a
-// loose CI target must stop the build before the full population, on a
-// batch-aligned frontier, with a final half-width at or under the
-// target — and the surviving prefix must be bit-identical to the same
-// chips of an untruncated build.
+// CI target must stop the build before the full population, on a
+// consistent prefix, with a final half-width at or under the target —
+// and every chip of both organisations in the surviving prefix must be
+// bit-identical to the same chip of a fixed build. The target stops the
+// build past at least two arena segments, so the prefix crosses
+// segment edges that different workers wired.
 func TestEstimateEarlyStop(t *testing.T) {
-	const n = 4000
-	cfg := armedConfig(n, 0, nil)
-	cfg.Estimate.TargetCIWidth = 0.05
-	res, err := Build(context.Background(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
-	if est == nil || !est.EarlyStop {
-		t.Fatalf("expected early stop, got %+v", est)
-	}
-	if est.Chips >= n {
-		t.Fatalf("stopped at %d chips, expected fewer than %d", est.Chips, n)
-	}
-	if est.Chips < cfg.Estimate.MinChips {
-		// MinChips was defaulted by the build; the decision frontier
-		// respects the documented floor of 128.
-		if est.Chips < 128 {
-			t.Errorf("stopped at %d chips, below the MinChips floor", est.Chips)
+	const n, target = 4000, 0.02
+	fullReg, fullHor := build(t, PopulationConfig{N: n, Seed: 2006})
+	for _, workers := range []int{1, 2, 3} {
+		cfg := armedConfig(n, workers, nil)
+		cfg.Estimate.TargetCIWidth = target
+		res, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
+		reg, hor, est := res.Regular, res.Horizontal, res.Estimate
+		if est == nil || !est.EarlyStop {
+			t.Fatalf("workers=%d: expected early stop, got %+v", workers, est)
+		}
+		if est.Chips >= n {
+			t.Fatalf("workers=%d: stopped at %d chips, expected fewer than %d", workers, est.Chips, n)
+		}
+		if est.Chips <= 2*chipSegment {
+			t.Fatalf("workers=%d: stopped at %d chips, inside the first two segments", workers, est.Chips)
+		}
+		if est.HalfWidth > target {
+			t.Errorf("workers=%d: final half-width %v exceeds target %v", workers, est.HalfWidth, target)
+		}
+		if len(reg.Chips) != est.Chips || len(hor.Chips) != est.Chips {
+			t.Fatalf("workers=%d: populations have %d/%d chips, estimate says %d",
+				workers, len(reg.Chips), len(hor.Chips), est.Chips)
+		}
+		// Chip i is a pure function of (Seed, i): the truncated prefix
+		// must match a fixed build chip for chip, on every field.
+		measIdentical(t, "regular prefix", reg, &Population{Chips: fullReg.Chips[:est.Chips]})
+		measIdentical(t, "horizontal prefix", hor, &Population{Chips: fullHor.Chips[:est.Chips]})
 	}
-	if est.HalfWidth > 0.05 {
-		t.Errorf("final half-width %v exceeds target 0.05", est.HalfWidth)
+}
+
+// TestEstimateCancelled checks that a precision build, whose arena is
+// wired segment by segment, returns ctx.Err() when its context is
+// cancelled before the build starts or while it runs.
+func TestEstimateCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	cfg := armedConfig(4000, 2, nil)
+	cfg.Estimate.TargetCIWidth = 1e-6 // unreachable: only cancellation can end the build early
+	if _, err := Build(ctx, cfg); err != context.Canceled {
+		t.Errorf("build under a cancelled context: err = %v, want %v", err, context.Canceled)
 	}
-	if len(reg.Chips) != est.Chips || len(hor.Chips) != est.Chips {
-		t.Fatalf("populations have %d/%d chips, estimate says %d",
-			len(reg.Chips), len(hor.Chips), est.Chips)
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	cfg = armedConfig(20000, 2, func(e *YieldEstimate) {
+		if e.Chips >= 3*chipSegment {
+			cancel()
+		}
+	})
+	cfg.Estimate.TargetCIWidth = 1e-6
+	if _, err := Build(ctx, cfg); err != context.Canceled {
+		t.Errorf("build cancelled mid-way: err = %v, want %v", err, context.Canceled)
 	}
-	// Chip i is a pure function of (Seed, i): the truncated prefix must
-	// match an untruncated build chip for chip.
-	full, _ := build(t, PopulationConfig{N: n, Seed: 2006})
-	for i := range reg.Chips {
-		if reg.Chips[i].Meas.LatencyPS != full.Chips[i].Meas.LatencyPS {
-			t.Fatalf("truncated chip %d differs from full build", i)
+}
+
+// TestEstimateSnapshotCarriedSums checks that a snapshot continued
+// from the previous snapshot's sums is bit-identical to one summed from
+// chip 0, including a snapshot below the last one (finalize at a stop
+// prefix after a later publish has moved past it).
+func TestEstimateSnapshotCarriedSums(t *testing.T) {
+	reg, _ := build(t, PopulationConfig{N: 1200, Seed: 2006})
+	ec := &EstimateConfig{Constraints: Nominal(), TargetCIWidth: 0.01}
+	carried := newEstimator(ec, 0, 1200, 1, reg.Chips)
+	for _, p := range []int{1, 100, 357, 1000, 800, 1200} {
+		carried.snapshot(p)
+		fresh := newEstimator(ec, 0, 1200, 1, reg.Chips)
+		fresh.snapshot(p)
+		if carried.buf != fresh.buf {
+			t.Errorf("prefix %d: carried snapshot %+v differs from fresh %+v", p, carried.buf, fresh.buf)
 		}
 	}
 }

@@ -141,9 +141,11 @@ type BuildResult struct {
 // batch kernel sram.BatchWidth chips at a time, so the hot loop
 // performs no heap allocation: way/bank/path measurement storage comes
 // from flat arrays sliced up front and draw/factor columns live in the
-// evaluator. Cancellation is polled once per batch — an atomic flag set
-// by a watcher goroutine, so the hot loop never touches the context
-// directly. When ctx carries an obs.Scope (the yieldd per-job path),
+// evaluator. A build that can stop early (a precision target) instead
+// wires that storage in chipSegment-chip segments as the workers reach
+// them, so it pays only for the chips it measures. Cancellation is
+// polled once per batch — an atomic flag set by a watcher goroutine, so
+// the hot loop never touches the context directly. When ctx carries an obs.Scope (the yieldd per-job path),
 // spans land on the scope's tracer instead of the global one and the
 // scope's progress counter advances once per batch at the same poll
 // point, so a running job can report live chips-done counts at no extra
@@ -169,8 +171,8 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
 
-	regChips := newChipArena(cfg.N, geom, cancelled)
-	horChips := newChipArena(cfg.N, geom, cancelled)
+	stopsEarly := cfg.Estimate != nil && cfg.Estimate.TargetCIWidth > 0
+	regChips, horChips, segs := newPairArenas(cfg.N, geom, stopsEarly, cancelled)
 	if cancelled.Load() {
 		return BuildResult{}, ctx.Err()
 	}
@@ -184,6 +186,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		if err := validateResume(r, &cfg, geom); err != nil {
 			return BuildResult{}, err
 		}
+		segs.wire(0, r.Done)
 		for i := 0; i < r.Done; i++ {
 			copyMeasInto(&regChips[i].Meas, &r.Regular[i].Meas)
 			copyMeasInto(&horChips[i].Meas, &r.Horizontal[i].Meas)
@@ -209,8 +212,8 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 			// Chip values are a pure function of (Seed, id), so the
 			// batching — like the striping — cannot change any result.
 			// Cancellation is polled and the checkpoint frontier is
-			// published at batch boundaries only, keeping the frontier
-			// batch-aligned: a checkpointed prefix never splits a batch.
+			// published at batch boundaries only, so a checkpointed
+			// prefix never holds a half-measured chip.
 			var ids [sram.BatchWidth]int
 			var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
 			for i := start; i < cfg.N; {
@@ -225,6 +228,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 					last = i
 					bn++
 				}
+				segs.wire(ids[0], last+1)
 				ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
 				scope.AddProgress(int64(bn))
 				if ckp != nil {
@@ -240,18 +244,18 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		return BuildResult{}, err
 	}
 
-	// Precision-targeted stop: truncate to the exact batch-aligned
-	// frontier at which the stopping rule fired, so the final
-	// population — and every statistic derived from it — is the prefix
-	// the decision was made on (final CI half-width <= target by
-	// construction). Workers may have measured a few batches past the
-	// frontier between the decision and their next poll; those chips
-	// are discarded, keeping the result a pure function of the decision
-	// frontier rather than of scheduling luck. The truncation happens
-	// at the Population literals below rather than by reassigning
-	// regChips/horChips — a reassignment after the workers captured the
-	// slices would force their headers onto the heap and cost the
-	// disabled path an allocation.
+	// Precision-targeted stop: truncate to the frontier at which the
+	// stopping rule fired — a consistent prefix: every chip below it is
+	// fully measured — so the final population, and every statistic
+	// derived from it, is the prefix the decision was made on (final CI
+	// half-width <= target by construction). Workers may have measured
+	// a few batches past the frontier between the decision and their
+	// next poll; those chips are discarded, keeping the result a pure
+	// function of the decision frontier rather than of scheduling luck.
+	// The truncation happens at the Population literals below rather
+	// than by reassigning regChips/horChips — a reassignment after the
+	// workers captured the slices would force their headers onto the
+	// heap and cost the disabled path an allocation.
 	built := cfg.N
 	early := false
 	if p := est.stopPrefix(); p > 0 {
@@ -282,33 +286,110 @@ func newModelWithGeom(tech circuit.Tech, hyapd bool, g *sram.Geometry) *sram.Mod
 	return m
 }
 
-// newChipArena allocates a chip slice whose per-chip measurement slices
-// all come from three flat backing arrays, pre-sized by sram.Prepare.
-// Full-capacity slice expressions keep a chip's append (which never
-// happens in practice) from bleeding into its neighbour. The setup loop
-// polls cancelled periodically and returns the partially wired arena —
-// the caller checks cancellation itself before using it.
+// chipSegment is the number of chips a build that can stop early wires
+// at a time. A stop then leaves at most a few segments wired past the
+// stop prefix, and each segment's arrays and one state check per batch
+// cost nothing measurable.
+const chipSegment = 512
+
+// States of a segment of a segmentedArenas.
+const (
+	segUnwired uint32 = iota
+	segWiring
+	segReady
+)
+
+// segmentedArenas wires the regular and H-YAPD chip arenas of a build
+// that can stop early, chipSegment chips at a time, the first time a
+// batch reaches each segment. A precision build that stops at P chips
+// therefore allocates, zeroes and wires measurement storage only for
+// the segments below P and the few its workers reached past it.
+type segmentedArenas struct {
+	reg, hor []Chip
+	geom     sram.Geometry
+	state    []atomic.Uint32 // per segment: segUnwired, segWiring or segReady
+}
+
+// newPairArenas returns the regular and H-YAPD chip arenas of a build.
+// A build that cannot stop early gets both wired up front as one
+// segment of n, and a nil segs; one that can gets unwired chips and the
+// segmentedArenas through which its workers wire them on demand.
+func newPairArenas(n int, g sram.Geometry, stopsEarly bool, cancelled *atomic.Bool) (reg, hor []Chip, segs *segmentedArenas) {
+	if !stopsEarly {
+		return newChipArena(n, g, cancelled), newChipArena(n, g, cancelled), nil
+	}
+	segs = &segmentedArenas{
+		reg:   make([]Chip, n),
+		hor:   make([]Chip, n),
+		geom:  g,
+		state: make([]atomic.Uint32, (n+chipSegment-1)/chipSegment),
+	}
+	return segs.reg, segs.hor, segs
+}
+
+// wire makes sure chips [lo, hi) of both arenas are wired. The caller
+// that moves a segment from unwired to wiring wires it, so each segment
+// is wired exactly once; a caller that finds it being wired waits until
+// it is ready, which orders the wiring before the caller's writes.
+// Nil-safe: a build wired up front pays one nil check per batch.
+func (a *segmentedArenas) wire(lo, hi int) {
+	if a == nil || hi <= lo {
+		return
+	}
+	for s := lo / chipSegment; s <= (hi-1)/chipSegment; s++ {
+		st := &a.state[s]
+		if st.Load() == segReady {
+			continue
+		}
+		if st.CompareAndSwap(segUnwired, segWiring) {
+			l, h := s*chipSegment, min((s+1)*chipSegment, len(a.reg))
+			wireChips(a.reg, l, h, a.geom, nil)
+			wireChips(a.hor, l, h, a.geom, nil)
+			st.Store(segReady)
+			continue
+		}
+		for st.Load() != segReady {
+			runtime.Gosched()
+		}
+	}
+}
+
+// newChipArena allocates n chips and wires them as one segment. The
+// setup loop polls cancelled periodically and returns the partially
+// wired arena — the caller checks cancellation itself before using it.
 func newChipArena(n int, g sram.Geometry, cancelled *atomic.Bool) []Chip {
 	chips := make([]Chip, n)
+	wireChips(chips, 0, n, g, cancelled)
+	return chips
+}
+
+// wireChips sets the IDs of chips[lo:hi] and slices their per-chip
+// measurement storage from three flat backing arrays sized for just
+// that range, pre-sized by sram.Prepare. Full-capacity slice
+// expressions keep a chip's append (which never happens in practice)
+// from bleeding into its neighbour. A non-nil cancelled is polled every
+// 4096 chips, and the range is left partly wired when it fires.
+func wireChips(chips []Chip, lo, hi int, g sram.Geometry, cancelled *atomic.Bool) {
+	n := hi - lo
 	ways := make([]sram.WayMeasurement, n*g.Ways)
 	banks := make([]sram.BankMeasurement, n*g.Ways*g.BanksPerWay)
 	paths := make([]sram.PathMeasurement, n*g.Ways*g.BanksPerWay*g.PathsPerBank)
-	for i := range chips {
-		if i&4095 == 0 && cancelled.Load() {
-			return chips
+	for k := 0; k < n; k++ {
+		if cancelled != nil && k&4095 == 0 && cancelled.Load() {
+			return
 		}
-		chips[i].ID = i
-		chips[i].Meas.Ways = ways[i*g.Ways : (i+1)*g.Ways : (i+1)*g.Ways]
-		for w := range chips[i].Meas.Ways {
-			bo := (i*g.Ways + w) * g.BanksPerWay
-			chips[i].Meas.Ways[w].Banks = banks[bo : bo+g.BanksPerWay : bo+g.BanksPerWay]
-			for b := range chips[i].Meas.Ways[w].Banks {
+		c := &chips[lo+k]
+		c.ID = lo + k
+		c.Meas.Ways = ways[k*g.Ways : (k+1)*g.Ways : (k+1)*g.Ways]
+		for w := range c.Meas.Ways {
+			bo := (k*g.Ways + w) * g.BanksPerWay
+			c.Meas.Ways[w].Banks = banks[bo : bo+g.BanksPerWay : bo+g.BanksPerWay]
+			for b := range c.Meas.Ways[w].Banks {
 				po := (bo + b) * g.PathsPerBank
-				chips[i].Meas.Ways[w].Banks[b].Paths = paths[po : po+g.PathsPerBank : po+g.PathsPerBank]
+				c.Meas.Ways[w].Banks[b].Paths = paths[po : po+g.PathsPerBank : po+g.PathsPerBank]
 			}
 		}
 	}
-	return chips
 }
 
 // columns computes the latency and leakage columns once. Populations
