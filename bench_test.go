@@ -365,7 +365,7 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 // estimation armed at a server-realistic snapshot interval. Like the
 // checkpointer, the estimator must stay off the per-chip hot path: the
 // streaming case first pins the alloc budget (arming costs at most two
-// allocations per build — the estimator and its frontier slice — and
+// allocations per build — the estimator and its frontier's batch marks — and
 // nothing per chip) and then reports the throughput with snapshots
 // publishing. The precision case is a study-durable-shaped build (20000
 // chips, ±1% at 95%): it reports the chips it keeps and the megabytes

@@ -13,8 +13,10 @@ import (
 // TestPairBuildAllocBudget pins the steady-state allocation budget of
 // Build: at most 28 allocations per build regardless of N
 // (the per-chip hot loop is allocation-free; what remains is per-build
-// setup — models, arenas, sampler, evaluator shell), and arming the
-// checkpointer may add at most 2 more (its struct and frontier).
+// setup — models, arenas, sampler, evaluator shell), arming the
+// checkpointer may add at most 2 more (its struct and frontier), and
+// arming it together with the estimator at most 3 (the two structs and
+// the one frontier they share).
 //
 // GC is disabled for the measurement because the kernel's pooled
 // buffers live in a sync.Pool, which a collection may clear; the
@@ -42,6 +44,19 @@ func TestPairBuildAllocBudget(t *testing.T) {
 	if withCk > plain+2 {
 		t.Errorf("checkpointed pair build allocates %.1f times per run, plain is %.1f: checkpointing may add at most 2",
 			withCk, plain)
+	}
+
+	both := ck
+	both.Estimate = &EstimateConfig{
+		Interval:    time.Millisecond,
+		Constraints: Nominal(),
+		Sink:        func(*YieldEstimate) {},
+	}
+	Build(ctx, both)
+	withBoth := testing.AllocsPerRun(10, func() { Build(ctx, both) })
+	if withBoth > plain+3 {
+		t.Errorf("checkpointed and estimating pair build allocates %.1f times per run, plain is %.1f: the two may add at most 3",
+			withBoth, plain)
 	}
 }
 

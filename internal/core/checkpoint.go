@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"yieldcache/internal/obs"
@@ -12,17 +11,17 @@ import (
 // CheckpointConfig turns on periodic build checkpointing and, when
 // Resume is set, continues an interrupted build from its saved prefix.
 //
-// The consistency argument: worker w measures chips base+w, base+w+W,
-// … and, after finishing a batch ending at chip i, publishes i+W as
-// its frontier with an atomic store. The checkpointer takes P = min
-// over worker frontiers; every chip below P was finished before the
+// The consistency argument: workers claim whole sram.BatchWidth-chip
+// batches of [base, N) and mark each one measured with an atomic store
+// after writing its chips. A checkpoint's Done is the start of the
+// first unmarked batch; every chip below it was finished before the
 // store that made it visible (atomic store/load order), so
-// Regular[:P]/Horizontal[:P] is an immutable, fully-measured prefix —
-// no locks, no copying, and the hot loop pays one frontier store plus
-// a deadline check per batch only when checkpointing is on (nothing at
-// all when it is off). Because frontiers move at batch boundaries, the
-// published prefix is always batch-aligned: a resumed build restarts
-// at a batch edge and re-measures no partially-published batch.
+// Regular[:Done]/Horizontal[:Done] is an immutable, fully-measured
+// prefix — no locks, no copying, and the hot loop pays one mark plus a
+// deadline check per batch only when checkpointing or estimation is on
+// (nothing at all when both are off). Done is therefore always
+// base + k·sram.BatchWidth or N: a resumed build restarts at a batch
+// edge and re-measures no partially-published batch.
 type CheckpointConfig struct {
 	// Interval is the time between checkpoint attempts; zero or
 	// negative disables the checkpointer (Resume still works).
@@ -78,93 +77,44 @@ func copyMeasInto(dst, src *sram.CacheMeasurement) {
 }
 
 // checkpointer drives the periodic Sink calls for one build. It has no
-// goroutine of its own: workers publish their frontier per batch, and
-// whichever worker first crosses the interval deadline CAS-elects
-// itself to assemble the checkpoint (into a reusable embedded
-// BuildCheckpoint — the prefix slices alias the live arena) and call
-// the Sink synchronously. Enabling checkpoints therefore costs exactly
-// two allocations per build (this struct and the frontier slice), and
-// checkpoints track actual progress instead of wall-clock ticks that a
-// busy CPU might never schedule.
+// goroutine of its own: its look on the build's frontier elects the
+// worker that assembles each checkpoint (into a reusable embedded
+// BuildCheckpoint; the prefix slices alias the live arena) and calls
+// the Sink synchronously. Enabling checkpoints therefore costs one
+// allocation per build (this struct) besides the frontier's batch
+// marks, which it shares with the estimator.
 type checkpointer struct {
+	look
 	cfg      *CheckpointConfig
-	frontier []atomic.Int64
-	n        int
-	interval int64        // nanoseconds between publish attempts
-	deadline atomic.Int64 // unix nanos of the next publish attempt
-	electing atomic.Int32 // CAS gate: one publisher at a time
-	last     int          // frontier of the last accepted checkpoint (publisher-only)
+	last     int // prefix of the last accepted checkpoint (publisher-only)
 	buf      BuildCheckpoint
 	reg, hor []Chip
 }
 
-// newCheckpointer returns the worker-driven checkpointer; nil when
-// checkpointing is disabled for this build.
-func newCheckpointer(ck *CheckpointConfig, base, n, workers int, cfg *PopulationConfig,
+// newCheckpointer returns the checkpointer of a build resumed at base;
+// nil when checkpointing is disabled for this build.
+func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 	geom sram.Geometry, reg, hor []Chip) *checkpointer {
 	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
 		return nil
 	}
 	c := &checkpointer{
-		cfg:      ck,
-		frontier: make([]atomic.Int64, workers),
-		n:        n,
-		interval: int64(ck.Interval),
-		last:     base,
+		cfg:  ck,
+		last: base,
 		buf: BuildCheckpoint{
-			Seed: cfg.Seed, N: n, Pair: true,
+			Seed: cfg.Seed, N: cfg.N, Pair: true,
 			Tech: *cfg.Tech, Geom: geom,
 		},
 		reg: reg,
 		hor: hor,
 	}
-	for w := range c.frontier {
-		c.frontier[w].Store(int64(base + w))
-	}
-	c.deadline.Store(time.Now().UnixNano() + c.interval)
+	c.arm(ck.Interval, c)
 	return c
 }
 
-// min returns the consistent frontier: every chip below it is measured.
-func (c *checkpointer) min() int {
-	p := int64(c.n)
-	for w := range c.frontier {
-		if f := c.frontier[w].Load(); f < p {
-			p = f
-		}
-	}
-	return int(p)
-}
-
-// advance publishes that worker w has finished every chip of its stripe
-// up to and including i, and publishes a checkpoint if the interval
-// deadline has passed and no other worker is already publishing. The
-// off-deadline fast path is one atomic store plus one clock read and
-// one atomic load.
-func (c *checkpointer) advance(w, i, workers int) {
-	c.frontier[w].Store(int64(i + workers))
-	now := time.Now().UnixNano()
-	if now < c.deadline.Load() {
-		return
-	}
-	if !c.electing.CompareAndSwap(0, 1) {
-		return
-	}
-	// Re-check under the gate: a racing worker may have just published
-	// and pushed the deadline forward.
-	if now >= c.deadline.Load() {
-		c.publish()
-		c.deadline.Store(now + c.interval)
-	}
-	c.electing.Store(0)
-}
-
-// publish assembles the current frontier prefix into the reusable
-// checkpoint and hands it to the Sink. Caller holds the electing gate;
-// successive publishers are ordered by its CAS, so buf and last are
-// effectively single-threaded.
-func (c *checkpointer) publish() {
-	p := c.min()
+// publish hands the consistent prefix p to the Sink in the reusable
+// checkpoint, unless it adds nothing to the last accepted one.
+func (c *checkpointer) publish(p int) {
 	if p <= c.last {
 		return
 	}

@@ -3,10 +3,15 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"yieldcache/internal/obs"
+	"yieldcache/internal/sram"
 )
 
 // chipsEqual compares two populations chip by chip on the measurement
@@ -53,6 +58,9 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			dec, err := DecodeBuildCheckpoint(&buf)
 			if err != nil {
 				return err
+			}
+			if dec.Done%sram.BatchWidth != 0 && dec.Done != n {
+				t.Errorf("checkpoint Done %d is neither a batch edge nor N = %d", dec.Done, n)
 			}
 			mu.Lock()
 			// Keep the newest strictly-mid-build checkpoint: the final
@@ -126,8 +134,92 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		if kept <= done || kept >= pn {
 			t.Fatalf("precision resume at %d kept %d of %d chips: want an early stop past Done", done, kept, pn)
 		}
+		if (kept-done)%sram.BatchWidth != 0 {
+			t.Errorf("precision resume at %d kept %d chips: the stop prefix is not a batch edge past Done", done, kept)
+		}
 		measIdentical(t, "precision-resumed regular", res.Regular, &Population{Chips: fullReg.Chips[:kept]})
 		measIdentical(t, "precision-resumed horizontal", res.Horizontal, &Population{Chips: fullHor.Chips[:kept]})
+	}
+}
+
+// TestResumeTraceLanes checks that a resumed build draws its workers
+// on trace lanes 2…W+1, by worker index, not by each worker's first
+// chip.
+func TestResumeTraceLanes(t *testing.T) {
+	const n, done, workers, seed = 120, 40, 3, 2006
+	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
+	ck := &BuildCheckpoint{
+		Seed: seed, N: n, Done: done, Pair: true,
+		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
+		Regular: reg.Chips[:done], Horizontal: hor.Chips[:done],
+	}
+	scope := obs.NewScope("resume", nil)
+	_, err := Build(obs.WithScope(context.Background(), scope), PopulationConfig{
+		N: n, Seed: seed, Workers: workers, Checkpoint: &CheckpointConfig{Resume: ck},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[int]int{}
+	for _, s := range scope.Tracer.Spans() {
+		if s.Name == "measure_chips" {
+			lanes[s.Lane]++
+		}
+	}
+	for lane := 2; lane < 2+workers; lane++ {
+		if lanes[lane] != 1 {
+			t.Errorf("resumed build: lane %d holds %d measure_chips spans, want 1 (lanes %v)", lane, lanes[lane], lanes)
+		}
+	}
+	if len(lanes) != workers {
+		t.Errorf("resumed build drew measure_chips on lanes %v, want 2…%d", lanes, workers+1)
+	}
+}
+
+// counters reads the named counters of reg.
+func counters(reg *obs.Registry, names ...string) map[string]int64 {
+	got := map[string]int64{}
+	for _, name := range names {
+		got[name] = reg.Counter(name).Value()
+	}
+	return got
+}
+
+// TestCheckpointCounters pins the build-checkpoint series: every Sink
+// call counts as a checkpoint or, when the Sink errors, as a sink
+// error, and every resumed build counts once.
+func TestCheckpointCounters(t *testing.T) {
+	defer obs.Disable()
+	const n, seed = 64, 5
+	names := []string{"core_checkpoints_total", "core_checkpoint_sink_errors_total", "core_builds_resumed_total"}
+	for _, sinkErr := range []error{nil, errors.New("disk full")} {
+		reg := obs.Enable()
+		calls := int64(0)
+		build(t, PopulationConfig{N: n, Seed: seed, Workers: 1, Checkpoint: &CheckpointConfig{
+			Interval: time.Nanosecond,
+			Sink: func(*BuildCheckpoint) error {
+				calls++
+				return sinkErr
+			},
+		}})
+		want := map[string]int64{names[0]: calls, names[1]: 0, names[2]: 0}
+		if sinkErr != nil {
+			want[names[0]], want[names[1]] = 0, calls
+		}
+		if got := counters(reg, names...); calls == 0 || !reflect.DeepEqual(got, want) {
+			t.Errorf("sink error %v: %d sink calls left the counters at %v, want %v", sinkErr, calls, got, want)
+		}
+	}
+
+	full, fullHor := build(t, PopulationConfig{N: n, Seed: seed})
+	reg := obs.Enable()
+	build(t, PopulationConfig{N: n, Seed: seed, Checkpoint: &CheckpointConfig{Resume: &BuildCheckpoint{
+		Seed: seed, N: n, Done: 16, Pair: true,
+		Tech: full.Model.Tech, Geom: full.Model.Geom,
+		Regular: full.Chips[:16], Horizontal: fullHor.Chips[:16],
+	}}})
+	if got := counters(reg, names...); got[names[2]] != 1 {
+		t.Errorf("a resumed build left the counters at %v, want core_builds_resumed_total 1", got)
 	}
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync"
-	"sync/atomic"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/sram"
@@ -85,17 +83,10 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 	regChips := newChipArena(cfg.N, geom, cancelled)
 	horChips := newChipArena(cfg.N, geom, cancelled)
 
-	nBatches := (cfg.N + sram.BatchWidth - 1) / sram.BatchWidth
-	d.draws = make([]*sram.DrawSet, nBatches)
-	d.leaks = make([]*sram.LeakState, nBatches)
-	forEachBatch(cancelled, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
-		var ids [sram.BatchWidth]int
-		var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
-		for j := 0; j < bn; j++ {
-			ids[j] = lo + j
-			regV[j] = &regChips[lo+j].Meas
-			horV[j] = &horChips[lo+j].Meas
-		}
+	d.draws = make([]*sram.DrawSet, batchCount(cfg.N))
+	d.leaks = make([]*sram.LeakState, batchCount(cfg.N))
+	forEachBatch(cancelled, nil, frontier{}, 0, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+		ids, regV, horV := batchSlots(regChips, horChips, lo, bn)
 		ds := new(sram.DrawSet)
 		ls := new(sram.LeakState)
 		ev.Sample(ids[:bn], ds)
@@ -110,61 +101,6 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 	d.baseHor = &Population{Chips: horChips, Model: newModelWithGeom(*cfg.Tech, true, cfg.Geom), Seed: cfg.Seed}
 	return d, nil
 }
-
-// forEachBatch calls fn for every sram.BatchWidth-chip batch of an
-// n-chip population: batch k covers chips [lo, lo+bn) with
-// lo = k·sram.BatchWidth. Up to workers goroutines each own one
-// evaluator of model drawing from sampler and claim batch indices from
-// a shared counter, so fn must write only batch k's own slots; the
-// results then depend on neither the worker count nor the schedule.
-// Cancellation is polled once per batch; the caller checks ctx.Err()
-// afterwards, since a cancelled loop leaves batches unwritten.
-func forEachBatch(cancelled *atomic.Bool, n, workers int, model *sram.Model,
-	sampler *variation.Sampler, fn func(ev *sram.Evaluator, k, lo, bn int)) {
-	nBatches := (n + sram.BatchWidth - 1) / sram.BatchWidth
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(workers, nBatches); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ev := model.NewEvaluator(sampler.NewScratch())
-			defer ev.Release()
-			for !cancelled.Load() {
-				k := int(next.Add(1) - 1)
-				if k >= nBatches {
-					return
-				}
-				lo := k * sram.BatchWidth
-				fn(ev, k, lo, min(sram.BatchWidth, n-lo))
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// watchCancel translates ctx cancellation into an atomic flag the batch
-// loops can poll without touching the context. The returned stop func
-// must be called to release the watcher goroutine; with no Done channel
-// the flag is a shared never-set atomic and stop is a no-op.
-func watchCancel(ctx context.Context) (*atomic.Bool, func()) {
-	done := ctx.Done()
-	if done == nil {
-		return &neverCancelled, func() {}
-	}
-	var flag atomic.Bool
-	stop := make(chan struct{})
-	go func() {
-		select {
-		case <-done:
-			flag.Store(true)
-		case <-stop:
-		}
-	}()
-	return &flag, func() { close(stop) }
-}
-
-var neverCancelled atomic.Bool
 
 // Base returns the base-technology population pair the builder was
 // constructed from.
@@ -192,11 +128,10 @@ func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (reg
 	defer stopWatch()
 	regChips := newChipArena(d.cfg.N, d.geom, cancelled)
 	horChips := newChipArena(d.cfg.N, d.geom, cancelled)
-	forEachBatch(cancelled, d.cfg.N, d.cfg.Workers, regModel, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
-		var regV, horV, baseV [sram.BatchWidth]*sram.CacheMeasurement
+	forEachBatch(cancelled, nil, frontier{}, 0, d.cfg.N, d.cfg.Workers, regModel, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+		_, regV, horV := batchSlots(regChips, horChips, lo, bn)
+		var baseV [sram.BatchWidth]*sram.CacheMeasurement
 		for j := 0; j < bn; j++ {
-			regV[j] = &regChips[lo+j].Meas
-			horV[j] = &horChips[lo+j].Meas
 			baseV[j] = &d.baseReg.Chips[lo+j].Meas
 		}
 		ev.EvalPairDelta(d.draws[k], parts, baseV[:bn], d.leaks[k], regV[:bn], horV[:bn])

@@ -127,14 +127,15 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 // TestBuildBatchBoundaries sweeps population sizes around the kernel
 // batch width — a single chip, one under, one over, and a prime well
 // past it — across worker counts, checking each against the
-// delta-builder base (an independently-batched evaluation of the same
-// draws, whose batches are claimed in whole rather than striped). This
-// pins the ragged-final-batch and stripe-assembly logic.
+// delta-builder base (the same batches evaluated through the separate
+// Sample and EvalPair kernel entry points). This pins the ragged final
+// batch and, with 16 workers on as few as two batches, a worker count
+// above the batch count.
 func TestBuildBatchBoundaries(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
 		want := newDelta(t, PopulationConfig{N: n, Seed: 2006})
 		wantReg, wantHor := want.Base()
-		for _, workers := range []int{1, 3} {
+		for _, workers := range []int{1, 3, 16} {
 			reg, hor := build(t, PopulationConfig{N: n, Seed: 2006, Workers: workers})
 			measIdentical(t, "regular", reg, wantReg)
 			measIdentical(t, "horizontal", hor, wantHor)

@@ -109,38 +109,33 @@ type YieldEstimate struct {
 }
 
 // estimator drives streaming yield estimation for one build. Like the
-// checkpointer it has no goroutine: workers publish their batch
-// frontier with an atomic store, and whichever worker first crosses
-// the interval deadline CAS-elects itself to compute and publish a
-// snapshot. The snapshot is a sequential scan of the consistent prefix
-// [0, P) — P the min over worker frontiers — rather than a merge of
-// per-worker floating-point partials: per-chip classification needs
-// limits, limits need the whole prefix's moments, and a sequential
-// scan in chip order makes every published number a pure function of
-// P. That is what keeps estimates bit-identical across worker counts
-// (the per-worker state that *is* merged lock-free — the frontier min
-// — is an integer, so merge order cannot matter). The latency and
-// leakage sums are carried from one snapshot to the next and continued
-// in chip order, so they cost O(chips since the last snapshot) and stay
+// checkpointer it has no goroutine: its look on the build's frontier
+// elects the worker that computes and publishes each snapshot. The
+// snapshot is a sequential scan of the consistent prefix [0, P) rather
+// than a merge of per-worker floating-point partials: per-chip
+// classification needs limits, limits need the whole prefix's moments,
+// and a sequential scan in chip order makes every published number a
+// pure function of P. That is what keeps estimates bit-identical across
+// worker counts (the state the workers share is the frontier's batch
+// marks, from which P follows exactly). The latency and leakage sums
+// are carried from one snapshot to the next and continued in chip
+// order, so they cost O(chips since the last snapshot) and stay
 // bit-identical to a scan from chip 0; only the classification pass is
 // O(P). A snapshot runs at most once per Interval (1 ms in yieldd's
 // precision builds) and measured about 60 µs at P = 5.6k chips on a
 // 2-vCPU Xeon, against about 105 µs when it re-summed the prefix.
-// Arming the estimator costs exactly two allocations per build (this
-// struct, with the snapshot buffer embedded, and the frontier slice).
+// Arming the estimator costs one allocation per build (this struct,
+// with the snapshot buffer embedded) besides the frontier's batch
+// marks, which it shares with the checkpointer.
 type estimator struct {
-	cfg      EstimateConfig
-	frontier []atomic.Int64
-	n        int
-	interval int64        // nanoseconds between publish attempts
-	deadline atomic.Int64 // unix nanos of the next publish attempt
-	electing atomic.Int32 // CAS gate: one publisher at a time
-	stop     atomic.Bool  // precision target met: stop sampling
-	stopAt   atomic.Int64 // decision frontier at the moment stop was set
-	last     int          // prefix of the last published snapshot (publisher-only)
-	sums     prefixSums   // moments of the last snapshot's prefix (publisher-only)
-	buf      YieldEstimate
-	reg      []Chip
+	look
+	cfg    EstimateConfig
+	stop   atomic.Bool  // precision target met: stop sampling
+	stopAt atomic.Int64 // decision prefix at the moment stop was set
+	last   int          // prefix of the last published snapshot (publisher-only)
+	sums   prefixSums   // moments of the last snapshot's prefix (publisher-only)
+	buf    YieldEstimate
+	reg    []Chip // the build's regular arena, all N chips
 }
 
 // prefixSums are the latency/leakage sums and moments of the chip
@@ -152,47 +147,20 @@ type prefixSums struct {
 	latM, leakM    stats.Moments
 }
 
-// newEstimator returns the worker-driven estimator; nil when
-// estimation is disabled for this build (no sink and no precision
-// target).
-func newEstimator(ec *EstimateConfig, base, n, workers int, reg []Chip) *estimator {
+// newEstimator returns the estimator of a build of the chips of reg;
+// nil when estimation is disabled for this build (no sink and no
+// precision target).
+func newEstimator(ec *EstimateConfig, reg []Chip) *estimator {
 	if ec == nil || (ec.Sink == nil && ec.TargetCIWidth <= 0) {
 		return nil
 	}
-	e := &estimator{
-		cfg:      *ec,
-		frontier: make([]atomic.Int64, workers),
-		n:        n,
-		reg:      reg,
-	}
+	e := &estimator{cfg: *ec, reg: reg}
 	e.cfg.fill()
-	e.interval = int64(e.cfg.Interval)
-	for w := range e.frontier {
-		e.frontier[w].Store(int64(base + w))
-	}
-	e.deadline.Store(time.Now().UnixNano() + e.interval)
+	e.arm(e.cfg.Interval, e)
 	return e
 }
 
-// min returns the consistent frontier: every chip below it is measured.
-func (e *estimator) min() int {
-	p := int64(e.n)
-	for w := range e.frontier {
-		if f := e.frontier[w].Load(); f < p {
-			p = f
-		}
-	}
-	return int(p)
-}
-
-// stopped reports whether the precision target has fired; workers poll
-// it at batch boundaries alongside the cancellation flag. Nil-safe:
-// the disabled path pays one nil check.
-func (e *estimator) stopped() bool {
-	return e != nil && e.stop.Load()
-}
-
-// stopPrefix returns the frontier at which the stopping rule fired — a
+// stopPrefix returns the prefix at which the stopping rule fired — a
 // consistent prefix: every chip below it is fully measured — or 0 when
 // the build ran to completion. Nil-safe.
 func (e *estimator) stopPrefix() int {
@@ -202,36 +170,9 @@ func (e *estimator) stopPrefix() int {
 	return int(e.stopAt.Load())
 }
 
-// advance publishes that worker w has finished its stripe up to and
-// including chip i, and publishes a snapshot if the interval deadline
-// has passed and no other worker is already publishing — the same
-// election discipline as checkpointer.advance. Nil-safe; the
-// off-deadline fast path is one atomic store plus one clock read and
-// one atomic load.
-func (e *estimator) advance(w, i, workers int) {
-	if e == nil {
-		return
-	}
-	e.frontier[w].Store(int64(i + workers))
-	now := time.Now().UnixNano()
-	if now < e.deadline.Load() {
-		return
-	}
-	if !e.electing.CompareAndSwap(0, 1) {
-		return
-	}
-	if now >= e.deadline.Load() {
-		e.publish()
-		e.deadline.Store(now + e.interval)
-	}
-	e.electing.Store(0)
-}
-
-// publish computes a snapshot over the current consistent prefix and
-// hands it to the Sink, then evaluates the stopping rule. Caller holds
-// the electing gate, so buf and last are effectively single-threaded.
-func (e *estimator) publish() {
-	p := e.min()
+// publish computes a snapshot over the consistent prefix p and hands
+// it to the Sink, then evaluates the stopping rule.
+func (e *estimator) publish(p int) {
 	if p <= e.last || p == 0 {
 		return
 	}
@@ -240,7 +181,7 @@ func (e *estimator) publish() {
 	if e.cfg.Sink != nil {
 		e.cfg.Sink(&e.buf)
 	}
-	if e.cfg.TargetCIWidth > 0 && p >= e.cfg.MinChips && p < e.n &&
+	if e.cfg.TargetCIWidth > 0 && p >= e.cfg.MinChips && p < len(e.reg) &&
 		e.buf.HalfWidth <= e.cfg.TargetCIWidth {
 		e.stopAt.Store(int64(p))
 		e.stop.Store(true)
@@ -248,7 +189,7 @@ func (e *estimator) publish() {
 }
 
 // finalize publishes the terminal snapshot over the finished
-// population (truncated to the decision frontier when the stopping
+// population (truncated to the decision prefix when the stopping
 // rule fired). It runs after the workers have joined, so there is no
 // election to take. Nil-safe.
 func (e *estimator) finalize(p int, early bool) {
@@ -319,7 +260,7 @@ func (e *estimator) snapshot(p int) {
 
 	b := &e.buf
 	b.Chips = p
-	b.Total = e.n
+	b.Total = len(e.reg)
 	b.Confidence = e.cfg.Confidence
 	b.Yield = pass.Rate()
 	b.Lost = pass.N - pass.K

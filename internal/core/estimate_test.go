@@ -2,9 +2,12 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"runtime/debug"
 	"testing"
 	"time"
+
+	"yieldcache/internal/sram"
 )
 
 // armedConfig returns a PopulationConfig with estimation armed at a
@@ -29,7 +32,8 @@ func armedConfig(n int, workers int, sink func(*YieldEstimate)) PopulationConfig
 // bit-identical final estimates (every field, intervals included).
 func TestEstimateWorkerCountIndependent(t *testing.T) {
 	var ref *YieldEstimate
-	for _, workers := range []int{1, 2, 3, 7, 8} {
+	// 64 workers exceed the 30 batches of 240 chips.
+	for _, workers := range []int{1, 2, 3, 7, 8, 64} {
 		res, err := Build(context.Background(), armedConfig(240, workers, nil))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -152,6 +156,9 @@ func TestEstimateEarlyStop(t *testing.T) {
 		if est.Chips <= 2*chipSegment {
 			t.Fatalf("workers=%d: stopped at %d chips, inside the first two segments", workers, est.Chips)
 		}
+		if est.Chips%sram.BatchWidth != 0 {
+			t.Errorf("workers=%d: stopped at %d chips, not a batch edge", workers, est.Chips)
+		}
 		if est.HalfWidth > target {
 			t.Errorf("workers=%d: final half-width %v exceeds target %v", workers, est.HalfWidth, target)
 		}
@@ -164,6 +171,32 @@ func TestEstimateEarlyStop(t *testing.T) {
 		measIdentical(t, "regular prefix", reg, &Population{Chips: fullReg.Chips[:est.Chips]})
 		measIdentical(t, "horizontal prefix", hor, &Population{Chips: fullHor.Chips[:est.Chips]})
 	}
+
+	// More workers than batches, on one P: the first worker measures
+	// batch after batch while the other started workers wait their
+	// turn, and a waiting worker must not hold the prefix back. So
+	// mid-build snapshots still publish, and a loose target stops the
+	// build at its first snapshot (one P keeps the scheduler from
+	// parking the worker of batch 0 until the end).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const small = 25 * sram.BatchWidth
+	mid := 0
+	cfg := armedConfig(small, 32, func(e *YieldEstimate) {
+		if !e.EarlyStop && e.Chips < e.Total {
+			mid++
+		}
+	})
+	cfg.Estimate.TargetCIWidth = 0.3
+	cfg.Estimate.MinChips = sram.BatchWidth
+	res, err := Build(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est := res.Estimate; mid == 0 || est == nil || !est.EarlyStop || est.Chips >= small || est.Chips%sram.BatchWidth != 0 {
+		t.Fatalf("32 workers on %d batches: %d mid-build snapshots, final %+v: want an early stop at a batch edge",
+			small/sram.BatchWidth, mid, est)
+	}
+	measIdentical(t, "regular prefix, more workers than batches", res.Regular, &Population{Chips: fullReg.Chips[:res.Estimate.Chips]})
 }
 
 // TestEstimateCancelled checks that a precision build, whose arena is
@@ -198,10 +231,10 @@ func TestEstimateCancelled(t *testing.T) {
 func TestEstimateSnapshotCarriedSums(t *testing.T) {
 	reg, _ := build(t, PopulationConfig{N: 1200, Seed: 2006})
 	ec := &EstimateConfig{Constraints: Nominal(), TargetCIWidth: 0.01}
-	carried := newEstimator(ec, 0, 1200, 1, reg.Chips)
+	carried := newEstimator(ec, reg.Chips)
 	for _, p := range []int{1, 100, 357, 1000, 800, 1200} {
 		carried.snapshot(p)
-		fresh := newEstimator(ec, 0, 1200, 1, reg.Chips)
+		fresh := newEstimator(ec, reg.Chips)
 		fresh.snapshot(p)
 		if carried.buf != fresh.buf {
 			t.Errorf("prefix %d: carried snapshot %+v differs from fresh %+v", p, carried.buf, fresh.buf)

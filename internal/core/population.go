@@ -78,9 +78,6 @@ func (c *PopulationConfig) fill() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.Workers > c.N {
-		c.Workers = c.N
-	}
 	if c.Tech == nil {
 		t := circuit.PTM45()
 		c.Tech = &t
@@ -136,20 +133,22 @@ type BuildResult struct {
 // a Checkpoint.Resume that belongs to another build, and ctx.Err()
 // when ctx is cancelled or its deadline passes mid-build.
 //
-// Each worker owns a variation scratch, a measurement evaluator and a
-// stripe of the chip arena, evaluated through the structure-of-arrays
-// batch kernel sram.BatchWidth chips at a time, so the hot loop
-// performs no heap allocation: way/bank/path measurement storage comes
-// from flat arrays sliced up front and draw/factor columns live in the
-// evaluator. A build that can stop early (a precision target) instead
-// wires that storage in chipSegment-chip segments as the workers reach
-// them, so it pays only for the chips it measures. Cancellation is
-// polled once per batch — an atomic flag set by a watcher goroutine, so
-// the hot loop never touches the context directly. When ctx carries an obs.Scope (the yieldd per-job path),
-// spans land on the scope's tracer instead of the global one and the
-// scope's progress counter advances once per batch at the same poll
-// point, so a running job can report live chips-done counts at no extra
-// hot-loop cost beyond one atomic add.
+// Workers claim whole sram.BatchWidth-chip batches from one shared
+// counter (forEachBatch, the loop every build runs) and evaluate each
+// through the structure-of-arrays batch kernel with their own variation
+// scratch and measurement evaluator, so the hot loop performs no heap
+// allocation: way/bank/path measurement storage comes from flat arrays
+// sliced up front and draw/factor columns live in the evaluator. A
+// build that can stop early (a precision target) instead wires that
+// storage in chipSegment-chip segments as the workers reach them, so it
+// pays only for the chips it measures. Cancellation is polled once per
+// batch — an atomic flag set by a watcher goroutine, so the hot loop
+// never touches the context directly. When ctx carries an obs.Scope
+// (the yieldd per-job path), spans land on the scope's tracer instead
+// of the global one, worker w on trace lane 2+w, and the scope's
+// progress counter advances once per batch at the same poll point, so a
+// running job can report live chips-done counts at no extra hot-loop
+// cost beyond one atomic add.
 func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	if err := cfg.fill(); err != nil {
 		return BuildResult{}, err
@@ -196,62 +195,28 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		obs.C("core_builds_resumed_total").Inc()
 	}
 
-	workers := cfg.Workers
-	ckp := newCheckpointer(cfg.Checkpoint, base, cfg.N, workers, &cfg, geom, regChips, horChips)
-	est := newEstimator(cfg.Estimate, base, cfg.N, workers, regChips)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w, start int) {
-			defer wg.Done()
-			ws := sp.Worker("measure_chips", start)
-			ev := regModel.NewEvaluator(sampler.NewScratch())
-			defer ev.Release()
-			// The worker walks its stripe (start, start+W, …) in batches
-			// of up to sram.BatchWidth chips through the SoA kernel.
-			// Chip values are a pure function of (Seed, id), so the
-			// batching — like the striping — cannot change any result.
-			// Cancellation is polled and the checkpoint frontier is
-			// published at batch boundaries only, so a checkpointed
-			// prefix never holds a half-measured chip.
-			var ids [sram.BatchWidth]int
-			var regV, horV [sram.BatchWidth]*sram.CacheMeasurement
-			for i := start; i < cfg.N; {
-				if cancelled.Load() || est.stopped() {
-					break
-				}
-				bn, last := 0, i
-				for ; bn < sram.BatchWidth && i < cfg.N; i += workers {
-					ids[bn] = i
-					regV[bn] = &regChips[i].Meas
-					horV[bn] = &horChips[i].Meas
-					last = i
-					bn++
-				}
-				segs.wire(ids[0], last+1)
-				ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
-				scope.AddProgress(int64(bn))
-				if ckp != nil {
-					ckp.advance(w, last, workers)
-				}
-				est.advance(w, last, workers)
-			}
-			ws.End()
-		}(w, base+w)
-	}
-	wg.Wait()
+	ckp := newCheckpointer(cfg.Checkpoint, base, &cfg, geom, regChips, horChips)
+	est := newEstimator(cfg.Estimate, regChips)
+	fr := newFrontier(base, cfg.N, ckp, est)
+	forEachBatch(cancelled, sp, fr, base, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
+		segs.wire(lo, lo+bn)
+		ids, regV, horV := batchSlots(regChips, horChips, lo, bn)
+		ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
+		scope.AddProgress(int64(bn))
+	})
 	if err := ctx.Err(); err != nil {
 		return BuildResult{}, err
 	}
 
-	// Precision-targeted stop: truncate to the frontier at which the
-	// stopping rule fired — a consistent prefix: every chip below it is
-	// fully measured — so the final population, and every statistic
-	// derived from it, is the prefix the decision was made on (final CI
-	// half-width <= target by construction). Workers may have measured
-	// a few batches past the frontier between the decision and their
+	// Precision-targeted stop: truncate to the prefix at which the
+	// stopping rule fired — a consistent prefix of base +
+	// k·sram.BatchWidth chips, every one fully measured — so the final
+	// population, and every statistic derived from it, is the prefix
+	// the decision was made on (final CI half-width <= target by
+	// construction). Workers may have measured
+	// a few batches past the prefix between the decision and their
 	// next poll; those chips are discarded, keeping the result a pure
-	// function of the decision frontier rather than of scheduling luck.
+	// function of the decision prefix rather than of scheduling luck.
 	// The truncation happens at the Population literals below rather
 	// than by reassigning regChips/horChips — a reassignment after the
 	// workers captured the slices would force their headers onto the
@@ -273,6 +238,18 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		Horizontal: &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed},
 		Estimate:   est.final(),
 	}, nil
+}
+
+// batchSlots returns the ids of chips [lo, lo+bn) and their
+// measurement slots in the regular and H-YAPD arenas, the arguments of
+// one batch kernel call.
+func batchSlots(reg, hor []Chip, lo, bn int) (ids [sram.BatchWidth]int, regV, horV [sram.BatchWidth]*sram.CacheMeasurement) {
+	for j := 0; j < bn; j++ {
+		ids[j] = lo + j
+		regV[j] = &reg[lo+j].Meas
+		horV[j] = &hor[lo+j].Meas
+	}
+	return ids, regV, horV
 }
 
 // newModelWithGeom builds an sram.Model and, when g is non-nil,

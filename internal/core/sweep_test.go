@@ -2,10 +2,12 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
 	"yieldcache/internal/circuit"
+	"yieldcache/internal/obs"
 	"yieldcache/internal/sram"
 )
 
@@ -178,22 +180,46 @@ func TestRunSweepBitIdenticalToFullBuilds(t *testing.T) {
 
 // TestRunSweepSkipResume checks the resume contract: skipped configs
 // come back zero-valued with Skipped set, and the re-evaluated rest is
-// bit-identical to an uninterrupted run.
+// bit-identical to an uninterrupted run. It also pins the core_sweep_*
+// counters: one base build per cluster, one delta or copy build per
+// unit, and every config counted as evaluated or skipped.
 func TestRunSweepSkipResume(t *testing.T) {
 	spec := sweepTestSpec(sram.BatchWidth + 1)
 	plan, err := PlanSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer obs.Disable()
+	names := []string{"core_sweep_configs_total", "core_sweep_configs_skipped_total",
+		"core_sweep_base_builds_total", "core_sweep_delta_builds_total", "core_sweep_copy_builds_total"}
+	want := map[string]int64{names[0]: int64(len(plan.Configs)), names[1]: 0, names[2]: int64(len(plan.Clusters))}
+	for _, cl := range plan.Clusters {
+		for _, u := range cl.Units {
+			if u.Parts.Any() {
+				want[names[3]]++
+			} else {
+				want[names[4]]++
+			}
+		}
+	}
+	reg := obs.Enable()
 	full, err := RunSweep(context.Background(), plan, SweepRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := counters(reg, names...); !reflect.DeepEqual(got, want) {
+		t.Errorf("full sweep left the counters at %v, want %v", got, want)
+	}
+	reg = obs.Enable()
 	resumed, err := RunSweep(context.Background(), plan, SweepRunOptions{
 		Skip: func(idx int) bool { return idx%2 == 0 },
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	skipped := int64(len(plan.Configs)+1) / 2
+	if got := counters(reg, names[:2]...); got[names[0]] != int64(len(plan.Configs))-skipped || got[names[1]] != skipped {
+		t.Errorf("sweep skipping %d of %d configs left the counters at %v", skipped, len(plan.Configs), got)
 	}
 	for i := range resumed {
 		if i%2 == 0 {

@@ -4,7 +4,10 @@
 # docs/API.md, see scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
-# and the chaos-tagged storage fault-injection suite.
+# the build, resume, checkpoint and estimate tests again under the race
+# detector at 1 and 4 Ps (the lock-free batch counter and the shared
+# frontier at more Ps than a 2-vCPU runner gives), and the chaos-tagged
+# storage fault-injection suite.
 #
 # Usage: scripts/check.sh
 set -eu
@@ -27,6 +30,9 @@ go run ./scripts/docgate
 
 echo "== go test -race =="
 go test -race ./...
+
+echo "== go test -race -cpu 1,4 (batch loop and shared frontier) =="
+go test -race -count=1 -cpu 1,4 -run 'Build|Resume|Checkpoint|Estimate|WorkerCount|DeltaBuilder' ./internal/core
 
 echo "== go test -race -tags chaos (storage fault injection) =="
 go test -race -tags chaos ./internal/store/...
