@@ -89,6 +89,64 @@ func TestDeltaPairAllocsConstantInN(t *testing.T) {
 	}
 }
 
+// TestDeltaBaseAllocsConstantInN pins that the delta builder's base
+// build allocates per build and per worker, never per batch: the
+// retained draws and leakage aggregates are carved from a few flat
+// slabs, so NewDeltaBuilderCtx allocates as often at N=640 (80 batches)
+// as at N=64 (8 batches). One P and GC off, as in
+// TestDeltaPairAllocsConstantInN.
+func TestDeltaBaseAllocsConstantInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	allocs := func(n int) float64 {
+		cfg := PopulationConfig{N: n, Seed: 1, Workers: 2}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := NewDeltaBuilderCtx(ctx, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(640); small != large {
+		t.Errorf("NewDeltaBuilderCtx allocates %.1f times at N=64 but %.1f at N=640: a batch allocates", small, large)
+	}
+}
+
+// TestDeltaBuildBytesConstantInN pins that a warm BuildCtx allocates no
+// chip storage: it evaluates into the builder's one reused arena, so
+// it allocates the same bytes at N=640 as at N=64. One P and GC off, as
+// in TestDeltaPairAllocsConstantInN.
+func TestDeltaBuildBytesConstantInN(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	ctx := context.Background()
+	tech := circuit.PTM45()
+	tech.Vdd = 1.05
+	bytes := func(n int) uint64 {
+		d, err := NewDeltaBuilderCtx(ctx, PopulationConfig{N: n, Seed: 1, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.BuildCtx(ctx, tech) // wire the arena and warm the kernel buffer pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10; i++ {
+			d.BuildCtx(ctx, tech)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	if small, large := bytes(64), bytes(640); small != large {
+		t.Errorf("10 warm BuildCtx calls allocate %d bytes at N=64 but %d at N=640: a call allocates chip storage", small, large)
+	}
+}
+
 // TestPrecisionBuildBytesTrackPrefix pins that a build which can stop
 // early pays for the chips it keeps: a precision build of N=20000 at
 // ±1% allocates at most 1.5× the bytes of a fixed build of its stop

@@ -11,9 +11,10 @@ import (
 
 // DeltaBuilder makes dense technology sweeps nearly free by sharing
 // one set of variation draws (common random numbers) across every
-// sweep point. It builds the base population pair once, retaining each
-// batch's DrawSet and leakage aggregates; BuildPairCtx then re-evaluates
-// only the measurement parts the technology diff touches:
+// sweep point. It builds the base population once, in the regular
+// organisation only, retaining each batch's DrawSet and leakage
+// aggregates; BuildCtx then re-evaluates only the measurement parts the
+// technology diff touches:
 //
 //   - sampling never reruns — the retained draws are reused verbatim,
 //     which is also what makes adjacent grid points directly
@@ -26,35 +27,41 @@ import (
 //     versa for delay-only diffs (Alpha, CouplingFrac, DiffusionFrac,
 //     sense-margin shape);
 //   - parameters entering both (Vdd, VtNominal, DIBL) re-evaluate both
-//     halves, still skipping sampling.
+//     halves, still skipping sampling;
+//   - no diff at all returns the base population itself.
 //
-// Every BuildPairCtx result is bit-identical to a full Build of the
-// same configuration at the new technology:
-// the kernel preserves draw and accumulation order, and cached
-// aggregates are the exact floats a full build computes.
+// Every BuildCtx result is bit-identical to the regular population of
+// a full Build of the same configuration at the new technology: the
+// kernel preserves draw and accumulation order, and cached aggregates
+// are the exact floats a full build computes. BuildCtx evaluates into
+// one chip arena the builder reuses, so a sweep unit allocates no chip
+// storage; BuildPairCtx and Base, which also derive the H-YAPD
+// organisation, return populations in fresh arenas.
 //
-// The retained draws cost about 7.7 KB per chip (N=2000 ≈ 15 MB), so
-// the builder is an opt-in for sweep-shaped workloads rather than the
-// default build path. Chips are evaluated in fixed batches of
-// sram.BatchWidth spread over cfg.Workers goroutines; a batch's
-// results depend only on its draws, so they are independent of the
-// worker count. A DeltaBuilder is not safe for concurrent use.
+// The retained draws cost about 7.7 KB per chip (N=2000 ≈ 15 MB), held
+// in a few flat slabs per builder, so the builder is an opt-in for
+// sweep-shaped workloads rather than the default build path. Chips are
+// evaluated in fixed batches of sram.BatchWidth spread over cfg.Workers
+// goroutines; a batch's results depend only on its draws, so they are
+// independent of the worker count. A DeltaBuilder is not safe for
+// concurrent use.
 type DeltaBuilder struct {
 	cfg      PopulationConfig
 	baseTech circuit.Tech
 	geom     sram.Geometry
 	sampler  *variation.Sampler
-	draws    []*sram.DrawSet
-	leaks    []*sram.LeakState
-	baseReg  *Population
-	baseHor  *Population
+	draws    []sram.DrawSet   // per batch, carved by sram.RetainedBatches
+	leaks    []sram.LeakState // per batch, likewise
+	base     *Population
+	arena    []Chip // BuildCtx's chips, wired on its first delta build
 }
 
-// NewDeltaBuilderCtx builds the base population pair for cfg on
-// cfg.Workers goroutines (0 means GOMAXPROCS, as for Build) and retains
-// the per-batch draws and leakage aggregates for delta re-evaluation.
-// It rejects the configurations Build rejects, and a non-nil
-// cfg.Checkpoint or cfg.Estimate, which the builder does not support.
+// NewDeltaBuilderCtx builds the base population for cfg on cfg.Workers
+// goroutines (0 means GOMAXPROCS, as for Build) and retains the
+// per-batch draws and leakage aggregates for delta re-evaluation; its
+// allocation count does not grow with cfg.N. It rejects the
+// configurations Build rejects, and a non-nil cfg.Checkpoint or
+// cfg.Estimate, which the builder does not support.
 // The base build polls ctx once per sram.BatchWidth-chip batch and
 // returns ctx.Err() early when it fires, so a sweep job can abandon a
 // large base build the moment its request is cancelled.
@@ -68,9 +75,9 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
+	model := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
-	geom := regModel.Geom
+	geom := model.Geom
 	d := &DeltaBuilder{
 		cfg:      cfg,
 		baseTech: *cfg.Tech,
@@ -80,32 +87,29 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
-	regChips := newChipArena(cfg.N, geom, cancelled)
-	horChips := newChipArena(cfg.N, geom, cancelled)
-
-	d.draws = make([]*sram.DrawSet, batchCount(cfg.N))
-	d.leaks = make([]*sram.LeakState, batchCount(cfg.N))
-	forEachBatch(cancelled, nil, frontier{}, 0, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
-		ids, regV, horV := batchSlots(regChips, horChips, lo, bn)
-		ds := new(sram.DrawSet)
-		ls := new(sram.LeakState)
-		ev.Sample(ids[:bn], ds)
-		ev.EvalPair(ds, regV[:bn], horV[:bn], ls)
-		d.draws[k] = ds
-		d.leaks[k] = ls
+	chips := newChipArena(cfg.N, geom, cancelled)
+	d.draws, d.leaks = sram.RetainedBatches(cfg.N, geom)
+	forEachBatch(cancelled, nil, frontier{}, 0, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+		ids, v := batchIDs(lo, bn), measSlots(chips, lo, bn)
+		ev.Sample(ids[:bn], &d.draws[k])
+		ev.Eval(&d.draws[k], v[:bn], &d.leaks[k])
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	d.baseReg = &Population{Chips: regChips, Model: regModel, Seed: cfg.Seed}
-	d.baseHor = &Population{Chips: horChips, Model: newModelWithGeom(*cfg.Tech, true, cfg.Geom), Seed: cfg.Seed}
+	d.base = &Population{Chips: chips, Model: model, Seed: cfg.Seed}
 	return d, nil
 }
 
-// Base returns the base-technology population pair the builder was
-// constructed from.
+// Base returns the base-technology population pair: the builder's own
+// regular population, which BuildCtx also returns for the base
+// technology, and the H-YAPD organisation derived from it into a fresh
+// arena on each call.
 func (d *DeltaBuilder) Base() (regular, horizontal *Population) {
-	return d.baseReg, d.baseHor
+	// The only error BuildPairCtx returns is its context's, and TODO is
+	// never cancelled.
+	_, horizontal, _ = d.BuildPairCtx(context.TODO(), d.baseTech)
+	return d.base, horizontal
 }
 
 // Parts returns the measurement parts a sweep to tech would
@@ -114,32 +118,63 @@ func (d *DeltaBuilder) Parts(tech circuit.Tech) sram.TechParts {
 	return sram.DiffTech(d.baseTech, tech)
 }
 
-// BuildPairCtx evaluates the retained chip draws under tech on the
+// BuildCtx evaluates the retained chip draws under tech on the
 // builder's worker count, reusing everything the technology diff
-// against the base does not touch. The result is bit-identical to
-// Build of the builder's configuration with Tech set to tech.
-// Cancellation is polled once per batch like NewDeltaBuilderCtx: on
-// cancellation it returns ctx.Err() and nil populations; the builder
-// itself stays valid for further calls.
-func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
-	parts := sram.DiffTech(d.baseTech, tech)
-	regModel := newModelWithGeom(tech, false, &d.geom)
-	cancelled, stopWatch := watchCancel(ctx)
-	defer stopWatch()
-	regChips := newChipArena(d.cfg.N, d.geom, cancelled)
-	horChips := newChipArena(d.cfg.N, d.geom, cancelled)
-	forEachBatch(cancelled, nil, frontier{}, 0, d.cfg.N, d.cfg.Workers, regModel, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
-		_, regV, horV := batchSlots(regChips, horChips, lo, bn)
-		var baseV [sram.BatchWidth]*sram.CacheMeasurement
-		for j := 0; j < bn; j++ {
-			baseV[j] = &d.baseReg.Chips[lo+j].Meas
-		}
-		ev.EvalPairDelta(d.draws[k], parts, baseV[:bn], d.leaks[k], regV[:bn], horV[:bn])
-	})
+// against the base does not touch, and returns the regular population.
+// It is bit-identical to the regular population of Build with the
+// builder's configuration and Tech set to tech. A tech with no diff
+// returns the base population itself without kernel work. Any other
+// result lives in the builder's one reused chip arena: it stays valid
+// only until the next BuildCtx call, which overwrites it, so a caller
+// that keeps populations across calls uses BuildPairCtx. Cancellation
+// is polled once per batch like NewDeltaBuilderCtx: on cancellation it
+// returns ctx.Err() and a nil population; the builder itself stays
+// valid for further calls.
+func (d *DeltaBuilder) BuildCtx(ctx context.Context, tech circuit.Tech) (*Population, error) {
 	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if !sram.DiffTech(d.baseTech, tech).Any() {
+		return d.base, nil
+	}
+	if d.arena == nil {
+		d.arena = newChipArena(d.cfg.N, d.geom, nil)
+	}
+	return d.build(ctx, tech, d.arena, nil)
+}
+
+// BuildPairCtx is BuildCtx into a fresh arena, plus the H-YAPD
+// organisation derived from each regular chip (sram.DeriveHYAPD) into
+// a second fresh arena. Both results stay valid for the builder's
+// lifetime; a tech with no diff copies the base population. Sweeps use
+// BuildCtx: this pair form remains for callers that keep every unit's
+// populations.
+func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
+	hor := newChipArena(d.cfg.N, d.geom, nil)
+	regular, err = d.build(ctx, tech, newChipArena(d.cfg.N, d.geom, nil), hor)
+	if err != nil {
 		return nil, nil, err
 	}
-	regular = &Population{Chips: regChips, Model: regModel, Seed: d.cfg.Seed}
-	horizontal = &Population{Chips: horChips, Model: newModelWithGeom(tech, true, &d.geom), Seed: d.cfg.Seed}
-	return regular, horizontal, nil
+	return regular, &Population{Chips: hor, Model: newModelWithGeom(tech, true, &d.geom), Seed: d.cfg.Seed}, nil
+}
+
+// build is the one batch loop of BuildCtx and BuildPairCtx: it
+// re-evaluates the retained draws under tech into chips and, when hor
+// is non-nil, derives each batch's H-YAPD organisation into hor.
+func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech, chips, hor []Chip) (*Population, error) {
+	parts := sram.DiffTech(d.baseTech, tech)
+	model := newModelWithGeom(tech, false, &d.geom)
+	cancelled, stopWatch := watchCancel(ctx)
+	defer stopWatch()
+	forEachBatch(cancelled, nil, frontier{}, 0, d.cfg.N, d.cfg.Workers, model, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+		base, v := measSlots(d.base.Chips, lo, bn), measSlots(chips, lo, bn)
+		ev.EvalDelta(&d.draws[k], parts, base[:bn], &d.leaks[k], v[:bn])
+		for j := 0; hor != nil && j < bn; j++ {
+			sram.DeriveHYAPD(v[j], &hor[lo+j].Meas, d.geom)
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return &Population{Chips: chips, Model: model, Seed: d.cfg.Seed}, nil
 }

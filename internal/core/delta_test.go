@@ -40,6 +40,23 @@ func newDelta(t *testing.T, cfg PopulationConfig) *DeltaBuilder {
 	return d
 }
 
+// checkBuildCtx checks the reused-arena path at tech: BuildCtx must be
+// bit-identical to want, the regular population of a full build, and
+// a tech with no diff must return the base population itself. Callers
+// check each result before the next call, which overwrites it.
+func checkBuildCtx(t *testing.T, d *DeltaBuilder, tech circuit.Tech, want *Population) {
+	t.Helper()
+	got, err := d.BuildCtx(context.Background(), tech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := d.Parts(tech)
+	if !parts.Any() && got != d.base {
+		t.Fatal("BuildCtx with no diff returned a new population, want the base itself")
+	}
+	measIdentical(t, "BuildCtx "+labelOf(parts), got, want)
+}
+
 // TestDeltaBuilderBaseMatchesFullBuild pins the builder's base pair to
 // the ordinary build path: retaining draws must not perturb results.
 func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
@@ -79,6 +96,7 @@ func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 			label := d.Parts(tech)
 			measIdentical(t, "regular "+labelOf(label), gotReg, wantReg)
 			measIdentical(t, "horizontal "+labelOf(label), gotHor, wantHor)
+			checkBuildCtx(t, d, tech, wantReg)
 		}
 	}
 }
@@ -121,6 +139,7 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 		}
 		measIdentical(t, "regular "+labelOf(d.Parts(tech)), gotReg, wantReg)
 		measIdentical(t, "horizontal "+labelOf(d.Parts(tech)), gotHor, wantHor)
+		checkBuildCtx(t, d, tech, wantReg)
 	}
 }
 
@@ -205,6 +224,7 @@ func TestDeltaBuilderWorkerCountIndependent(t *testing.T) {
 				label := labelOf(d.Parts(tech))
 				measIdentical(t, "regular "+label, reg, want[i][0])
 				measIdentical(t, "horizontal "+label, hor, want[i][1])
+				checkBuildCtx(t, d, tech, want[i][0])
 			}
 		}
 	}
@@ -243,6 +263,11 @@ func TestDeltaBuilderCancellation(t *testing.T) {
 	wantReg, wantHor := build(t, full)
 	measIdentical(t, "regular after a cancelled call", reg, wantReg)
 	measIdentical(t, "horizontal after a cancelled call", hor, wantHor)
+
+	if got, err := d.BuildCtx(cancelled, tech); err != context.Canceled || got != nil {
+		t.Fatalf("BuildCtx on a cancelled ctx = (%v, %v), want a nil population and context.Canceled", got, err)
+	}
+	checkBuildCtx(t, d, tech, wantReg)
 }
 
 // TestDeltaBuilderRejectsCheckpointAndEstimate checks that the delta

@@ -200,7 +200,7 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	fr := newFrontier(base, cfg.N, ckp, est)
 	forEachBatch(cancelled, sp, fr, base, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
 		segs.wire(lo, lo+bn)
-		ids, regV, horV := batchSlots(regChips, horChips, lo, bn)
+		ids, regV, horV := batchIDs(lo, bn), measSlots(regChips, lo, bn), measSlots(horChips, lo, bn)
 		ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
 		scope.AddProgress(int64(bn))
 	})
@@ -240,16 +240,22 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	}, nil
 }
 
-// batchSlots returns the ids of chips [lo, lo+bn) and their
-// measurement slots in the regular and H-YAPD arenas, the arguments of
-// one batch kernel call.
-func batchSlots(reg, hor []Chip, lo, bn int) (ids [sram.BatchWidth]int, regV, horV [sram.BatchWidth]*sram.CacheMeasurement) {
+// batchIDs returns the ids of chips [lo, lo+bn), the first argument of
+// a batch kernel call.
+func batchIDs(lo, bn int) (ids [sram.BatchWidth]int) {
 	for j := 0; j < bn; j++ {
 		ids[j] = lo + j
-		regV[j] = &reg[lo+j].Meas
-		horV[j] = &hor[lo+j].Meas
 	}
-	return ids, regV, horV
+	return ids
+}
+
+// measSlots returns the measurement slots of chips [lo, lo+bn) of an
+// arena, a destination (or delta base) of a batch kernel call.
+func measSlots(chips []Chip, lo, bn int) (v [sram.BatchWidth]*sram.CacheMeasurement) {
+	for j := 0; j < bn; j++ {
+		v[j] = &chips[lo+j].Meas
+	}
+	return v
 }
 
 // newModelWithGeom builds an sram.Model and, when g is non-nil,

@@ -197,9 +197,9 @@ func (c SweepConfig) Label() string {
 
 // SweepUnit is one population build: a distinct technology within a
 // cluster, the measurement parts its diff against the cluster base
-// touches, and the configs (by Index) that share its populations.
-// Deduplication means a unit's populations are built once however many
-// constraint sets read them.
+// touches, and the configs (by Index) that share its population.
+// Deduplication means a unit's population is built once however many
+// constraint sets read it.
 type SweepUnit struct {
 	Tech    circuit.Tech
 	Point   map[string]float64
@@ -210,7 +210,7 @@ type SweepUnit struct {
 // SweepCluster groups the units that share one DeltaBuilder: all tech
 // grid points of one geometry, delta-evaluated against Base (the grid
 // origin — every axis at its first value), whose full build doubles as
-// the origin unit's populations.
+// the origin unit's population.
 type SweepCluster struct {
 	Geometry sram.Geometry
 	Base     circuit.Tech
@@ -226,7 +226,7 @@ type SweepStats struct {
 	// cluster: the DeltaBuilder base).
 	FullBuilds int `json:"full_builds"`
 	// CopyBuilds is the number of units whose tech diff touches nothing
-	// (populations copied from the base, no kernel work).
+	// (they evaluate the base population itself: no kernel work).
 	CopyBuilds int `json:"copy_builds"`
 	// DeltaBuilds is the number of units re-evaluated from retained
 	// draws (sampling skipped; only the diffed parts recomputed).
@@ -272,16 +272,17 @@ func (p *SweepPlan) Stats() SweepStats {
 //   - one unit per distinct technology (identical grid points
 //     deduplicate: draws are sampled once per cluster and every unit
 //     reuses them);
-//   - every constraint set of a unit shares its populations — the
+//   - every constraint set of a unit shares its population — the
 //     cheapest reuse of all, zero kernel work per extra config;
 //   - units ordered cheapest-delta-first (copy, leak-rescale,
 //     single-sided re-eval, both-sided re-eval), so early results
 //     stream out at minimum cost and same-shape deltas run
 //     back-to-back.
 //
-// Every evaluated population is bit-identical to a full Build at that
-// config (the DeltaBuilder guarantee), so a sweep's numbers never
-// differ from one-off studies of the same seed.
+// Every evaluated population is bit-identical to the regular
+// population of a full Build at that config (the DeltaBuilder
+// guarantee), so a sweep's numbers never differ from one-off studies of
+// the same seed.
 func PlanSweep(spec SweepSpec) (*SweepPlan, error) {
 	spec.fill()
 	if err := spec.validate(); err != nil {
@@ -415,15 +416,18 @@ func DefaultSweepSchemes() []Scheme {
 }
 
 // RunSweep executes a plan: cluster by cluster, in plan order, it
-// builds the DeltaBuilder base once, delta-builds each unit's
-// population pair from the retained draws, and evaluates every config
-// sharing those populations. Every build spreads its batches over all
-// CPUs. Evaluations are returned densely indexed by SweepConfig.Index
-// — spec order, independent of the planner's cheapest-first evaluation
-// order. Cancellation is polled between batches inside builds and
-// between configs outside them; the first error stops the sweep. When
-// ctx carries an obs.Scope, its progress counter runs in configs (not
-// chips).
+// builds the DeltaBuilder base once, delta-builds each unit's regular
+// population from the retained draws into the builder's one reused
+// arena (DeltaBuilder.BuildCtx), and evaluates every config sharing
+// that population before the next unit overwrites it. Configs are
+// evaluated on the regular organisation only, so no unit derives or
+// allocates an H-YAPD population. Every build spreads its batches over
+// all CPUs. Evaluations are returned densely indexed by
+// SweepConfig.Index — spec order, independent of the planner's
+// cheapest-first evaluation order. Cancellation is polled between
+// batches inside builds and between configs outside them; the first
+// error stops the sweep. When ctx carries an obs.Scope, its progress
+// counter runs in configs (not chips).
 func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]SweepEval, error) {
 	schemes := opt.Schemes
 	if schemes == nil {
@@ -460,7 +464,8 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 }
 
 // runCluster evaluates one geometry cluster: base build, then units in
-// planned order, skipping any unit whose configs were all resumed.
+// planned order, skipping any unit whose configs were all resumed. A
+// unit's population lives only until the next unit's BuildCtx.
 func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes []Scheme,
 	evals []SweepEval, done *int, total int, onEval func(SweepEval, int, int)) error {
 	needed := func(u *SweepUnit) bool {
@@ -504,7 +509,7 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 			return err
 		}
 		usp := obs.StartSpanCtx(ctx, "sweep_unit")
-		reg, _, err := db.BuildPairCtx(ctx, u.Tech)
+		reg, err := db.BuildCtx(ctx, u.Tech)
 		if err != nil {
 			usp.End()
 			return err

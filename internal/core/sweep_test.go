@@ -141,38 +141,52 @@ func sweepTestSpec(n int) SweepSpec {
 // criterion: every evaluation of a planned sweep must equal — bit for
 // bit — the evaluation of an independently built population pair at
 // that config.
+//
+// The second spec adds the leak-only class and the both-sided class the
+// sweep-grid workload runs. The planner orders its Vdd 0.95 units
+// before the faster Vdd 1.05 ones, so a latency maximum left behind in
+// the builder's reused arena would surface there.
 func TestRunSweepBitIdenticalToFullBuilds(t *testing.T) {
-	spec := sweepTestSpec(2*sram.BatchWidth + 3)
-	plan, err := PlanSweep(spec)
-	if err != nil {
-		t.Fatal(err)
+	vddSlope := SweepSpec{
+		N:    2*sram.BatchWidth + 3,
+		Seed: 2006,
+		Axes: []TechAxis{
+			{Param: "vdd", Values: []float64{1.10, 0.95, 1.05}},
+			{Param: "subvt_slope", Values: []float64{0.027, 0.030}},
+		},
 	}
-	evals, err := RunSweep(context.Background(), plan, SweepRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schemes := DefaultSweepSchemes()
-	for _, ev := range evals {
-		cfg := ev.Config
-		tech := cfg.Tech
-		geom := cfg.Geometry
-		reg, _ := build(t, PopulationConfig{
-			N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom,
-		})
-		want := evalSweepConfig(cfg, reg, schemes)
-		if ev.Limits != want.Limits {
-			t.Fatalf("config %d (%s): limits %+v != independent %+v", cfg.Index, cfg.Label(), ev.Limits, want.Limits)
+	for _, spec := range []SweepSpec{sweepTestSpec(2*sram.BatchWidth + 3), vddSlope} {
+		plan, err := PlanSweep(spec)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.BaseYield != want.BaseYield || ev.BaseLost != want.BaseLost {
-			t.Fatalf("config %d: base yield %v/%d != %v/%d", cfg.Index, ev.BaseYield, ev.BaseLost, want.BaseYield, want.BaseLost)
+		evals, err := RunSweep(context.Background(), plan, SweepRunOptions{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if ev.MeanLatencyPS != want.MeanLatencyPS || ev.MeanLeakageW != want.MeanLeakageW {
-			t.Fatalf("config %d: means (%v, %v) != (%v, %v)", cfg.Index,
-				ev.MeanLatencyPS, ev.MeanLeakageW, want.MeanLatencyPS, want.MeanLeakageW)
-		}
-		for i := range ev.Yields {
-			if ev.Yields[i] != want.Yields[i] {
-				t.Fatalf("config %d scheme %s: %+v != %+v", cfg.Index, ev.Yields[i].Scheme, ev.Yields[i], want.Yields[i])
+		schemes := DefaultSweepSchemes()
+		for _, ev := range evals {
+			cfg := ev.Config
+			tech := cfg.Tech
+			geom := cfg.Geometry
+			reg, _ := build(t, PopulationConfig{
+				N: plan.Spec.N, Seed: plan.Spec.Seed, Tech: &tech, Geom: &geom,
+			})
+			want := evalSweepConfig(cfg, reg, schemes)
+			if ev.Limits != want.Limits {
+				t.Fatalf("config %d (%s): limits %+v != independent %+v", cfg.Index, cfg.Label(), ev.Limits, want.Limits)
+			}
+			if ev.BaseYield != want.BaseYield || ev.BaseLost != want.BaseLost {
+				t.Fatalf("config %d: base yield %v/%d != %v/%d", cfg.Index, ev.BaseYield, ev.BaseLost, want.BaseYield, want.BaseLost)
+			}
+			if ev.MeanLatencyPS != want.MeanLatencyPS || ev.MeanLeakageW != want.MeanLeakageW {
+				t.Fatalf("config %d: means (%v, %v) != (%v, %v)", cfg.Index,
+					ev.MeanLatencyPS, ev.MeanLeakageW, want.MeanLatencyPS, want.MeanLeakageW)
+			}
+			for i := range ev.Yields {
+				if ev.Yields[i] != want.Yields[i] {
+					t.Fatalf("config %d scheme %s: %+v != %+v", cfg.Index, ev.Yields[i].Scheme, ev.Yields[i], want.Yields[i])
+				}
 			}
 		}
 	}

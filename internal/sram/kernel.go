@@ -361,6 +361,51 @@ func (ls *LeakState) resize(n int, g Geometry) {
 	ls.PeriphSum = grow(ls.PeriphSum, n*g.Ways)
 }
 
+// RetainedBatches returns a DrawSet and a LeakState for every
+// BatchWidth-chip batch of n chips at geometry g, batch k holding chips
+// [k·BatchWidth, min((k+1)·BatchWidth, n)). Their columns are carved
+// from a few flat slabs, one per column kind, so Sample and Eval into
+// them allocate nothing: retaining a population's draws costs a handful
+// of allocations instead of a few hundred per batch.
+func RetainedBatches(n int, g Geometry) ([]DrawSet, []LeakState) {
+	nw, nb, np := g.Ways, g.BanksPerWay, g.BanksPerWay*g.PathsPerBank
+	// Variation lanes per chip, as sampleRegions draws them: the root,
+	// the bands and bank bands, and per way the way, decoder and output
+	// blocks, four per-bank batches and the rows.
+	lanes := 1 + np + nb + nw*(3+4*nb+np)
+	batches := (n + BatchWidth - 1) / BatchWidth
+	slab := variation.NewSlab(n * lanes)
+	ids := make([]int, n)
+	ways := make([]WayDraws, batches*nw)
+	leak := make([]float64, n*nw*(nb+1))
+	sets := make([]DrawSet, batches)
+	leaks := make([]LeakState, batches)
+	for k := range sets {
+		c := min(BatchWidth, n-k*BatchWidth)
+		ds := &sets[k]
+		ds.IDs, ids = ids[:0:c], ids[c:]
+		ds.Chips.Carve(c, slab)
+		ds.Bands.Carve(c*np, slab)
+		ds.BankBands.Carve(c*nb, slab)
+		ds.Ways, ways = ways[:nw:nw], ways[nw:]
+		for w := range ds.Ways {
+			wd := &ds.Ways[w]
+			wd.Way.Carve(c, slab)
+			wd.Dec.Carve(c, slab)
+			wd.Out.Carve(c, slab)
+			wd.Pre.Carve(c*nb, slab)
+			wd.SA.Carve(c*nb, slab)
+			wd.MM.Carve(c*nb, slab)
+			wd.Rows.Carve(c*np, slab)
+			wd.BandRows.Carve(c*nb, slab)
+		}
+		ls := &leaks[k]
+		ls.Mix, leak = leak[:0:c*nw*nb], leak[c*nw*nb:]
+		ls.PeriphSum, leak = leak[:0:c*nw], leak[c*nw:]
+	}
+	return sets, leaks
+}
+
 // TechParts classifies which parts of the measurement a technology
 // change touches; DiffTech computes it for a pair of technologies. The
 // delta-build path re-evaluates only the touched parts from retained
@@ -408,11 +453,10 @@ func DiffTech(a, b circuit.Tech) TechParts {
 	return p
 }
 
-// EvalPair evaluates every lane of ds into both cache organisations:
-// the regular one into reg and H-YAPD (derived from the same path
-// delays) into hor. When rec is non-nil it captures the leakage
-// aggregates for later LeakScale-only delta evaluation.
-func (e *Evaluator) EvalPair(ds *DrawSet, reg, hor []*CacheMeasurement, rec *LeakState) {
+// Eval evaluates every lane of ds into the regular organisation, reg.
+// When rec is non-nil it captures the leakage aggregates for later
+// LeakScale-only delta evaluation.
+func (e *Evaluator) Eval(ds *DrawSet, reg []*CacheMeasurement, rec *LeakState) {
 	n := ds.Len()
 	g := e.m.Geom
 	if rec != nil {
@@ -422,44 +466,51 @@ func (e *Evaluator) EvalPair(ds *DrawSet, reg, hor []*CacheMeasurement, rec *Lea
 		Prepare(reg[l], g)
 	}
 	e.eval(ds, reg, true, true, rec)
-	for l := 0; l < n; l++ {
-		deriveHYAPD(reg[l], hor[l], g)
+}
+
+// EvalPair evaluates every lane of ds into both cache organisations:
+// the regular one into reg (as Eval, capturing leakage aggregates into
+// a non-nil rec) and H-YAPD, derived from the same path delays, into
+// hor.
+func (e *Evaluator) EvalPair(ds *DrawSet, reg, hor []*CacheMeasurement, rec *LeakState) {
+	e.Eval(ds, reg, rec)
+	for l := 0; l < ds.Len(); l++ {
+		DeriveHYAPD(reg[l], hor[l], e.m.Geom)
 	}
 }
 
-// EvalPairDelta re-evaluates a retained DrawSet under the evaluator's
-// technology, reusing base measurements of the same draws taken under a
-// technology whose difference is parts (from DiffTech): untouched parts
-// are copied from baseReg, leak aggregates are rescaled from baseLeak
-// when only the leakage scaling moved, and only the touched columns are
-// recomputed. The result is bit-identical to a full EvalPair of ds
-// under the evaluator's technology.
-func (e *Evaluator) EvalPairDelta(ds *DrawSet, parts TechParts, baseReg []*CacheMeasurement,
-	baseLeak *LeakState, reg, hor []*CacheMeasurement) {
+// EvalDelta re-evaluates a retained DrawSet into the regular
+// organisation under the evaluator's technology, reusing base
+// measurements of the same draws taken under a technology whose
+// difference is parts (from DiffTech): untouched parts are copied from
+// base, leak aggregates are rescaled from baseLeak when only the
+// leakage scaling moved, and only the touched columns are recomputed.
+// The result is bit-identical to Eval of ds under the evaluator's
+// technology. Every dst lane is Prepared first, so dst may hold any
+// earlier measurement of the same geometry.
+func (e *Evaluator) EvalDelta(ds *DrawSet, parts TechParts, base []*CacheMeasurement,
+	baseLeak *LeakState, dst []*CacheMeasurement) {
 	n := ds.Len()
 	g := e.m.Geom
 	for l := 0; l < n; l++ {
-		Prepare(reg[l], g)
+		Prepare(dst[l], g)
 	}
 	if !parts.Delay {
 		for l := 0; l < n; l++ {
-			copyDelayInto(reg[l], baseReg[l])
+			copyDelayInto(dst[l], base[l])
 		}
 	}
 	if !parts.LeakFactors {
 		if parts.LeakScale {
-			e.rescaleLeak(baseLeak, reg)
+			e.rescaleLeak(baseLeak, dst)
 		} else {
 			for l := 0; l < n; l++ {
-				copyLeakInto(reg[l], baseReg[l])
+				copyLeakInto(dst[l], base[l])
 			}
 		}
 	}
 	if parts.Delay || parts.LeakFactors {
-		e.eval(ds, reg, parts.Delay, parts.LeakFactors, nil)
-	}
-	for l := 0; l < n; l++ {
-		deriveHYAPD(reg[l], hor[l], g)
+		e.eval(ds, dst, parts.Delay, parts.LeakFactors, nil)
 	}
 }
 
@@ -474,7 +525,7 @@ func (e *Evaluator) MeasurePairBatch(ids []int, reg, hor []*CacheMeasurement) {
 
 // eval is the kernel core: derive factor columns per region, then
 // assemble regular-organisation measurements lane by lane in the scalar
-// accumulation order (deriveHYAPD applies the H-YAPD penalty). dst
+// accumulation order (DeriveHYAPD applies the H-YAPD penalty). dst
 // lanes must already be Prepared (or, in delta mode, carry the copied
 // untouched parts). doDelay/doLeak select which halves run; rec, when
 // non-nil, captures leakage aggregates (requires doLeak).

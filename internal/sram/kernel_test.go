@@ -2,6 +2,7 @@ package sram
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"yieldcache/internal/circuit"
@@ -83,7 +84,7 @@ func TestMeasurePairBatchMatchesScalarPair(t *testing.T) {
 	for j, cid := range ids {
 		chip := ref.Scratch().Chip(cid)
 		ref.measureRef(&chip, &wantReg, false)
-		deriveHYAPD(&wantReg, &wantHor, m.Geom)
+		DeriveHYAPD(&wantReg, &wantHor, m.Geom)
 		if !reflect.DeepEqual(wantReg, *reg[j]) {
 			t.Fatalf("chip %d: regular lane diverges from scalar pair", cid)
 		}
@@ -113,6 +114,61 @@ func TestBatchZeroAlloc(t *testing.T) {
 		ev.MeasurePairBatch(ids, dst, hor)
 	}); allocs != 0 {
 		t.Errorf("warm MeasurePairBatch allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// TestRetainedBatchesZeroAlloc pins the carved retained storage: on a
+// ragged chip count at a non-paper geometry, sampling and evaluating
+// every batch into it allocates nothing, and its draws and leakage
+// aggregates equal those of freshly allocated sets.
+func TestRetainedBatchesZeroAlloc(t *testing.T) {
+	const n = 3*BatchWidth + 5
+	m := NewModel(circuit.PTM45(), false)
+	m.Geom = Geometry{Ways: 3, BanksPerWay: 2, RowsPerBank: 64, BitsPerRow: 64, PathsPerBank: 5}
+	s := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
+	ev := m.NewEvaluator(s.NewScratch())
+	defer ev.Release()
+	sets, leaks := RetainedBatches(n, m.Geom)
+	if len(sets) != (n+BatchWidth-1)/BatchWidth || len(leaks) != len(sets) {
+		t.Fatalf("RetainedBatches(%d) = %d sets, %d leak states", n, len(sets), len(leaks))
+	}
+	dst := measViews(BatchWidth, m.Geom)
+	ids := make([]int, BatchWidth)
+	fill := func(k int) []int {
+		lo := k * BatchWidth
+		bn := min(BatchWidth, n-lo)
+		for j := 0; j < bn; j++ {
+			ids[j] = lo + j
+		}
+		return ids[:bn]
+	}
+	// Warm the kernel columns on throwaway sets, then count the
+	// allocations of the first pass into the carved ones: a batch
+	// carved too small would allocate there, and only there.
+	warm := new(DrawSet)
+	ev.Sample(fill(0), warm)
+	ev.Eval(warm, dst, new(LeakState))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := range sets {
+		b := fill(k)
+		ev.Sample(b, &sets[k])
+		ev.Eval(&sets[k], dst[:len(b)], &leaks[k])
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs != 0 {
+		t.Errorf("sampling and evaluating into retained batches allocates %d times, want 0", allocs)
+	}
+	for k := range sets {
+		b := fill(k)
+		want, wantLeak := new(DrawSet), new(LeakState)
+		ev.Sample(b, want)
+		ev.Eval(want, dst[:len(b)], wantLeak)
+		if !reflect.DeepEqual(sets[k].IDs, want.IDs) || !reflect.DeepEqual(sets[k].Chips, want.Chips) ||
+			!reflect.DeepEqual(sets[k].Bands, want.Bands) || !reflect.DeepEqual(sets[k].BankBands, want.BankBands) ||
+			!reflect.DeepEqual(sets[k].Ways, want.Ways) || !reflect.DeepEqual(leaks[k], *wantLeak) {
+			t.Fatalf("batch %d: retained draws or leakage aggregates differ from fresh ones", k)
+		}
 	}
 }
 
@@ -166,11 +222,15 @@ func TestDiffTechClassification(t *testing.T) {
 	}
 }
 
-// TestEvalPairDeltaBitIdentical is the delta-build acceptance anchor:
-// for every diff class, re-evaluating a retained DrawSet with only the
-// touched parts must reproduce a full evaluation under the new
-// technology bit for bit — both organisations, every field.
-func TestEvalPairDeltaBitIdentical(t *testing.T) {
+// TestEvalDeltaBitIdentical is the delta-build acceptance anchor: for
+// every diff class, re-evaluating a retained DrawSet with only the
+// touched parts must reproduce the regular half of a full EvalPair
+// under the new technology bit for bit, every field. The destination
+// lanes are reused across classes, so a value one class leaves behind
+// that the next fails to overwrite fails too. The H-YAPD half is
+// derived from the regular one (DeriveHYAPD) and is pinned by the
+// delta builder's BuildPairCtx tests.
+func TestEvalDeltaBitIdentical(t *testing.T) {
 	const n = BatchWidth + 3 // cover a ragged batch too
 	base := circuit.PTM45()
 	mBase := NewModel(base, false)
@@ -184,10 +244,10 @@ func TestEvalPairDeltaBitIdentical(t *testing.T) {
 	ds := new(DrawSet)
 	var ls LeakState
 	baseReg := measViews(n, mBase.Geom)
-	baseHor := measViews(n, mBase.Geom)
 	evBase.Sample(ids, ds)
-	evBase.EvalPair(ds, baseReg, baseHor, &ls)
+	evBase.Eval(ds, baseReg, &ls)
 
+	got := measViews(n, mBase.Geom)
 	for _, tc := range deltaTechCases() {
 		mod := base
 		tc.mut(&mod)
@@ -198,17 +258,12 @@ func TestEvalPairDeltaBitIdentical(t *testing.T) {
 		wantHor := measViews(n, m2.Geom)
 		ev2.EvalPair(ds, wantReg, wantHor, nil)
 
-		gotReg := measViews(n, m2.Geom)
-		gotHor := measViews(n, m2.Geom)
-		ev2.EvalPairDelta(ds, DiffTech(base, mod), baseReg, &ls, gotReg, gotHor)
+		ev2.EvalDelta(ds, DiffTech(base, mod), baseReg, &ls, got)
 
 		for l := 0; l < n; l++ {
-			if !reflect.DeepEqual(*wantReg[l], *gotReg[l]) {
+			if !reflect.DeepEqual(*wantReg[l], *got[l]) {
 				t.Fatalf("%s: chip %d regular delta eval diverges from full eval\nwant %+v\ngot  %+v",
-					tc.name, l, *wantReg[l], *gotReg[l])
-			}
-			if !reflect.DeepEqual(*wantHor[l], *gotHor[l]) {
-				t.Fatalf("%s: chip %d H-YAPD delta eval diverges from full eval", tc.name, l)
+					tc.name, l, *wantReg[l], *got[l])
 			}
 		}
 	}

@@ -51,7 +51,7 @@ type Model struct {
 	// HYAPD selects the horizontal-power-down decoder organisation,
 	// which costs HYAPDLatencyPenalty on every access path. Its
 	// measurement is always derived from the regular organisation's
-	// (deriveHYAPD), never evaluated on its own.
+	// (DeriveHYAPD), never evaluated on its own.
 	HYAPD bool
 }
 
@@ -181,11 +181,11 @@ func (e *Evaluator) Measure(chip *variation.Draw, dst *CacheMeasurement) {
 	e.eval(ds, e.ks.one[:], true, true, nil)
 	e.ks.one[0] = nil
 	if e.m.HYAPD {
-		deriveHYAPD(reg, dst, e.m.Geom)
+		DeriveHYAPD(reg, dst, e.m.Geom)
 	}
 }
 
-// deriveHYAPD fills hor with the H-YAPD organisation's measurement of
+// DeriveHYAPD fills hor with the H-YAPD organisation's measurement of
 // the chip already measured (regular organisation) in reg: every path
 // delay takes the constant decoder penalty, maxima are re-selected from
 // the scaled delays, and leakage carries over unchanged. It is the only
@@ -193,7 +193,7 @@ func (e *Evaluator) Measure(chip *variation.Draw, dst *CacheMeasurement) {
 // come from the same draws; the scalar reference (measureRef in
 // reference_test.go) applies the penalty inline and pins this
 // derivation bit for bit.
-func deriveHYAPD(reg, hor *CacheMeasurement, g Geometry) {
+func DeriveHYAPD(reg, hor *CacheMeasurement, g Geometry) {
 	Prepare(hor, g)
 	for w := range reg.Ways {
 		rw, hw := &reg.Ways[w], &hor.Ways[w]

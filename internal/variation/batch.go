@@ -10,7 +10,7 @@ import "yieldcache/internal/stats"
 // Lane l of a Batch corresponds to Draw{Values: {Col[p][l]...},
 // seed: Seeds[l]}; the scalar and batched forms are interchangeable
 // bit for bit. Buffers are reused across Resize calls, so a warm Batch
-// costs no allocation.
+// (or one Carved with enough lanes) costs no allocation.
 type Batch struct {
 	// Seeds holds the per-lane stream seeds (children are derived from
 	// them exactly as Draw children are).
@@ -19,8 +19,7 @@ type Batch struct {
 	// of parameter p in lane l.
 	Col [NumParams][]float64
 
-	n    int
-	view [][]float64 // Col as a slice-of-slices, for stats batch calls
+	n int
 }
 
 // Len returns the number of lanes currently in the batch.
@@ -40,13 +39,31 @@ func (b *Batch) Resize(n int) {
 			b.Col[p] = b.Col[p][:n]
 		}
 	}
-	if b.view == nil {
-		b.view = make([][]float64, NumParams)
-	}
-	for p := range b.Col {
-		b.view[p] = b.Col[p]
-	}
 	b.n = n
+}
+
+// Slab is flat backing storage from which Carve cuts the columns of
+// many batches, so that a caller retaining thousands of batches pays a
+// few allocations for all of them instead of several per batch.
+type Slab struct {
+	seeds []int64
+	vals  []float64
+}
+
+// NewSlab returns a slab holding lanes batch lanes in total.
+func NewSlab(lanes int) *Slab {
+	return &Slab{seeds: make([]int64, lanes), vals: make([]float64, lanes*int(NumParams))}
+}
+
+// Carve backs a zero b with n lanes cut from the front of s, so that a
+// later Resize to at most n lanes allocates nothing. Full-capacity slice
+// expressions keep one batch's columns from bleeding into the next.
+// It panics when s holds fewer than n lanes.
+func (b *Batch) Carve(n int, s *Slab) {
+	b.Seeds, s.seeds = s.seeds[:0:n], s.seeds[n:]
+	for p := range b.Col {
+		b.Col[p], s.vals = s.vals[:0:n], s.vals[n:]
+	}
 }
 
 // Lane returns the scalar Draw view of lane l.
@@ -84,7 +101,7 @@ func (sc *Scratch) ChipBatch(ids []int, dst *Batch) {
 			col[l] = nom
 		}
 	}
-	sc.rng.TruncNormalColumns(dst.Seeds, dst.view, sigma[:], bound[:])
+	sc.rng.TruncNormalColumns(dst.Seeds, dst.Col[:], sigma[:], bound[:])
 }
 
 // ChildrenBatch draws, for every parent lane, fanout correlated
@@ -124,7 +141,7 @@ func (sc *Scratch) ChildrenBatch(parent *Batch, factor float64, label0 int64, fa
 		sigma[p] = factor * sc.spec.Sigma(p)
 		bound[p] = factor * sc.spec.Bound(p)
 	}
-	sc.rng.TruncNormalColumns(dst.Seeds, dst.view, sigma[:], bound[:])
+	sc.rng.TruncNormalColumns(dst.Seeds, dst.Col[:], sigma[:], bound[:])
 }
 
 // WayBatch mirrors Scratch.Way for batches: one lane per parent lane,

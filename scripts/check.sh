@@ -4,10 +4,11 @@
 # docs/API.md, see scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
-# the build, resume, checkpoint and estimate tests again under the race
-# detector at 1 and 4 Ps (the lock-free batch counter and the shared
-# frontier at more Ps than a 2-vCPU runner gives), and the chaos-tagged
-# storage fault-injection suite.
+# the build, resume, checkpoint, estimate and sweep tests again under
+# the race detector at 1 and 4 Ps (the lock-free batch counter, the
+# shared frontier and the delta builder's reused arena at more Ps than
+# a 2-vCPU runner gives), and the chaos-tagged storage fault-injection
+# suite.
 #
 # Usage: scripts/check.sh
 set -eu
@@ -31,8 +32,8 @@ go run ./scripts/docgate
 echo "== go test -race =="
 go test -race ./...
 
-echo "== go test -race -cpu 1,4 (batch loop and shared frontier) =="
-go test -race -count=1 -cpu 1,4 -run 'Build|Resume|Checkpoint|Estimate|WorkerCount|DeltaBuilder' ./internal/core
+echo "== go test -race -cpu 1,4 (batch loop, shared frontier, reused sweep arena) =="
+go test -race -count=1 -cpu 1,4 -run 'Build|Resume|Checkpoint|Estimate|WorkerCount|DeltaBuilder|RunSweep' ./internal/core
 
 echo "== go test -race -tags chaos (storage fault injection) =="
 go test -race -tags chaos ./internal/store/...
