@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	yieldsim [-chips N] [-seed S] [-constraints nominal|relaxed|strict] [-csv] [-save pop.gob]
+//	yieldsim [-chips N] [-seed S] [-constraints nominal|relaxed|strict] [-csv]
 //	         [-target-ci W] [-confidence C]
 //	         [-metrics-out m.json] [-trace-out t.json] [-manifest-out run.json] [-pprof addr]
 package main
@@ -29,7 +29,6 @@ func main() {
 	seed := flag.Int64("seed", 2006, "master seed")
 	consName := flag.String("constraints", "nominal", "yield constraints: nominal, relaxed or strict")
 	csv := flag.Bool("csv", false, "emit the population (latency, leakage, classification) as CSV and exit")
-	save := flag.String("save", "", "write the regular population to this file (gob) after building")
 	targetCI := flag.Float64("target-ci", 0,
 		"stop sampling early once the base-yield interval half-width reaches this target (0 < W < 1; 0 builds the full population)")
 	confidence := flag.Float64("confidence", 0.95,
@@ -88,23 +87,6 @@ func main() {
 		Set("limit_leakage_w", study.Limits.LeakageW)
 	if est := study.Estimate; est != nil && est.EarlyStop {
 		run.Manifest.Set("early_stop", true).Set("chips_measured", est.Chips)
-	}
-
-	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			slog.Error("saving population", "path", *save, "error", err)
-			os.Exit(1)
-		}
-		if err := study.SavePopulation(f); err != nil {
-			slog.Error("saving population", "path", *save, "error", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			slog.Error("saving population", "path", *save, "error", err)
-			os.Exit(1)
-		}
-		slog.Info("population written", "path", *save, "chips", *chips, "seed", *seed)
 	}
 
 	if *csv {

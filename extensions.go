@@ -6,8 +6,6 @@ package yieldcache
 // DESIGN.md §4 ("Ablations beyond the paper").
 
 import (
-	"io"
-
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/core"
 	"yieldcache/internal/econ"
@@ -194,8 +192,3 @@ func RenderTrend(rows []NodeYield) string {
 	}
 	return t.String()
 }
-
-// SavePopulation writes the study's regular population to w as a
-// versioned gob stream so later runs can skip the Monte Carlo. The
-// yieldsim -save flag uses this; docs/API.md describes the format.
-func (s *Study) SavePopulation(w io.Writer) error { return s.Regular.Save(w) }

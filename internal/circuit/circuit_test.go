@@ -218,32 +218,22 @@ func TestStageEvalUnknownKindPanics(t *testing.T) {
 	Stage{Kind: StageKind(99), NominalPS: 1}.Eval(PTM45(), nominalDevice(), nominalWire())
 }
 
-func TestPathDelaySums(t *testing.T) {
-	tech := PTM45()
-	stages := []Stage{
-		{Kind: GateStage, NominalPS: 50},
-		{Kind: WireStage, NominalPS: 30},
-	}
-	got := PathDelayPS(tech, stages, nominalDevice(), nominalWire())
-	if math.Abs(got-80) > 1e-9 {
-		t.Errorf("PathDelayPS at nominal = %v, want 80", got)
-	}
-}
-
 func TestDeviceWireFromNode(t *testing.T) {
 	spec := variation.Nassif45nm()
 	s := variation.NewSampler(spec, variation.PaperFactors(), 11)
 	n := s.Chip(0)
-	d := DeviceFrom(n)
-	w := WireFrom(n)
+	d := DeviceOf(&n.Values, &spec)
+	w := WireOf(&n.Values, &spec)
+	delta := func(p variation.Param) float64 { return (n.Values[p] - spec.Nominal[p]) / spec.Nominal[p] }
 	if math.Abs(d.VtV-n.Values[variation.Vt]/1000) > 1e-12 {
-		t.Errorf("DeviceFrom Vt conversion wrong: %v", d.VtV)
+		t.Errorf("DeviceOf Vt conversion wrong: %v", d.VtV)
 	}
-	if d.DLeff != n.Delta(variation.Leff) {
-		t.Error("DeviceFrom DLeff wrong")
+	if math.Abs(d.DLeff-delta(variation.Leff)) > 1e-12 {
+		t.Error("DeviceOf DLeff wrong")
 	}
-	if w.DW != n.Delta(variation.W) || w.DT != n.Delta(variation.T) || w.DH != n.Delta(variation.H) {
-		t.Error("WireFrom deltas wrong")
+	if math.Abs(w.DW-delta(variation.W)) > 1e-12 || math.Abs(w.DT-delta(variation.T)) > 1e-12 ||
+		math.Abs(w.DH-delta(variation.H)) > 1e-12 {
+		t.Error("WireOf deltas wrong")
 	}
 }
 

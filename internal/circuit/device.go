@@ -15,17 +15,8 @@ type Device struct {
 	VtV   float64 // sampled threshold voltage, V (before DIBL correction)
 }
 
-// DeviceFrom extracts the device state from a variation node.
-func DeviceFrom(n *variation.Node) Device {
-	return Device{
-		DLeff: n.Delta(variation.Leff),
-		VtV:   n.Values[variation.Vt] / 1000, // mV -> V
-	}
-}
-
 // DeviceOf extracts the device state from sampled parameter values under
-// the given process spec. It is the value-typed counterpart of
-// DeviceFrom for the allocation-free measurement path.
+// the given process spec.
 func DeviceOf(v *variation.Values, spec *variation.Spec) Device {
 	return Device{
 		DLeff: spec.DeltaOf(variation.Leff, v[variation.Leff]),
@@ -78,17 +69,8 @@ type Wire struct {
 	DH float64 // inter-layer dielectric thickness
 }
 
-// WireFrom extracts the interconnect state from a variation node.
-func WireFrom(n *variation.Node) Wire {
-	return Wire{
-		DW: n.Delta(variation.W),
-		DT: n.Delta(variation.T),
-		DH: n.Delta(variation.H),
-	}
-}
-
 // WireOf extracts the interconnect state from sampled parameter values
-// under the given process spec (value-typed counterpart of WireFrom).
+// under the given process spec.
 func WireOf(v *variation.Values, spec *variation.Spec) Wire {
 	return Wire{
 		DW: spec.DeltaOf(variation.W, v[variation.W]),

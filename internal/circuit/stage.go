@@ -46,14 +46,3 @@ func (s Stage) Eval(t Tech, d Device, w Wire) float64 {
 		panic("circuit: unknown stage kind")
 	}
 }
-
-// PathDelayPS sums the stage delays of a critical path where every stage
-// shares one device/wire process state. Callers that model per-block
-// variation evaluate stages individually instead.
-func PathDelayPS(t Tech, stages []Stage, d Device, w Wire) float64 {
-	total := 0.0
-	for _, s := range stages {
-		total += s.Eval(t, d, w)
-	}
-	return total
-}

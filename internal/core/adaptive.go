@@ -1,7 +1,5 @@
 package core
 
-import "sort"
-
 // AdaptiveHybrid implements the policy Section 4.4 discusses but leaves
 // fixed in the paper: when a chip can be saved either by keeping a
 // 5-cycle way enabled (VACA behaviour) or by turning it off (YAPD
@@ -121,14 +119,4 @@ func (l LineDisable) Apply(m CacheView, lim Limits) Outcome {
 	// CPI cost of scattered dead lines is bounded by the way-shutdown
 	// cost the budget encodes).
 	return Outcome{Saved: true, Config: BaseConfig(len(m.Ways)), DisabledWay: -1, DisabledRegion: -1}
-}
-
-// SchemeComparison evaluates an arbitrary set of schemes on one
-// population and returns their total losses, sorted best-first. It is
-// the generalised engine behind the examples' scheme shoot-outs.
-func SchemeComparison(pop *Population, lim Limits, schemes []Scheme) []SchemeLosses {
-	bd := BreakdownLosses(pop, lim, schemes...)
-	out := append([]SchemeLosses(nil), bd.Schemes...)
-	sort.SliceStable(out, func(a, b int) bool { return out[a].Total < out[b].Total })
-	return out
 }

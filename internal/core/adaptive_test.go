@@ -110,19 +110,20 @@ func TestLineDisableBudget(t *testing.T) {
 	}
 }
 
-func TestSchemeComparisonSorted(t *testing.T) {
+func TestHybridWinsSchemeShootOut(t *testing.T) {
 	pop, _ := build(t, PopulationConfig{N: 300, Seed: 2006})
 	lim := DeriveLimits(pop, Nominal())
-	rows := SchemeComparison(pop, lim, []Scheme{VACA{}, Hybrid{}, YAPD{}, LineDisable{}})
+	rows := BreakdownLosses(pop, lim, VACA{}, Hybrid{}, YAPD{}, LineDisable{}).Schemes
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1].Total > rows[i].Total {
-			t.Fatal("comparison not sorted best-first")
+	best := rows[0]
+	for _, r := range rows[1:] {
+		if r.Total < best.Total {
+			best = r
 		}
 	}
-	if rows[0].Scheme != "Hybrid" {
-		t.Errorf("Hybrid should win the shoot-out, got %s", rows[0].Scheme)
+	if best.Scheme != "Hybrid" {
+		t.Errorf("Hybrid should win the shoot-out, got %s", best.Scheme)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -119,6 +120,13 @@ func TestDeltaBaseAllocsConstantInN(t *testing.T) {
 // chip storage: it evaluates into the builder's one reused arena, so
 // it allocates the same bytes at N=640 as at N=64. One P and GC off, as
 // in TestDeltaPairAllocsConstantInN.
+//
+// TotalAlloc counts the whole process, so a one-off runtime allocation
+// can land in a measured window: the runtime filling math/rand.New's
+// type-assertion cache (48 bytes, once, on a random slow-path call) or
+// starting a thread did so about once in 200 runs. Such noise only
+// adds, so each N reports the least of three windows; a call that
+// allocated chip storage would add it to every window.
 func TestDeltaBuildBytesConstantInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
@@ -134,13 +142,17 @@ func TestDeltaBuildBytesConstantInN(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.BuildCtx(ctx, tech) // wire the arena and warm the kernel buffer pool
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 10; i++ {
-			d.BuildCtx(ctx, tech)
+		least := uint64(math.MaxUint64)
+		for w := 0; w < 3; w++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < 10; i++ {
+				d.BuildCtx(ctx, tech)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
 		}
-		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc
+		return least
 	}
 	if small, large := bytes(64), bytes(640); small != large {
 		t.Errorf("10 warm BuildCtx calls allocate %d bytes at N=64 but %d at N=640: a call allocates chip storage", small, large)

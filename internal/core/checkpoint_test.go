@@ -262,8 +262,8 @@ func TestResumeValidatesProvenance(t *testing.T) {
 	}
 }
 
-// The checkpoint wire format round-trips and rejects damage with
-// descriptive errors.
+// The checkpoint wire format round-trips and rejects an inconsistent
+// frontier.
 func TestCheckpointEncodeDecode(t *testing.T) {
 	const n, seed = 30, 3
 	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
@@ -301,12 +301,93 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 		t.Errorf("inconsistent checkpoint: err = %v, want named inconsistency", err)
 	}
 
-	// A population file is not a checkpoint.
-	buf.Reset()
-	if err := reg.Save(&buf); err != nil {
-		t.Fatal(err)
+}
+
+// encodedCheckpoint returns the encoding of a complete n-chip
+// checkpoint.
+func encodedCheckpoint(tb testing.TB, n int) []byte {
+	reg, hor := build(tb, PopulationConfig{N: n, Seed: 5})
+	ck := &BuildCheckpoint{
+		Seed: 5, N: n, Done: n, Pair: true,
+		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
+		Regular: reg.Chips, Horizontal: hor.Chips,
 	}
-	if _, err := DecodeBuildCheckpoint(&buf); err == nil || !strings.Contains(err.Error(), "magic") {
-		t.Errorf("population file decoded as checkpoint: err = %v", err)
+	var buf bytes.Buffer
+	if err := ck.Encode(&buf); err != nil {
+		tb.Fatal(err)
 	}
+	return buf.Bytes()
+}
+
+// damage is one damaged checkpoint encoding and the phrase its decode
+// error must contain.
+type damage struct {
+	name, want string
+	data       []byte
+}
+
+// damagedCheckpoints returns every way the encoding good can be
+// damaged.
+func damagedCheckpoints(good []byte) []damage {
+	edit := func(f func(b []byte)) []byte {
+		b := append([]byte(nil), good...)
+		f(b)
+		return b
+	}
+	return []damage{
+		{"empty input", "truncated in header", nil},
+		{"garbage", "magic", []byte(strings.Repeat("not gob ", 4))},
+		{"truncated header", "truncated in header", good[:7]},
+		{"foreign magic", "magic", edit(func(b []byte) { copy(b, "YCPOP") })},
+		{"wrong version", "version 99", edit(func(b []byte) { b[5] = 99 })},
+		{"truncated payload", "truncated", good[:len(good)-10]},
+		{"oversized length", "truncated", edit(func(b []byte) { copy(b[6:10], "\xff\xff\xff\xff") })},
+		{"payload bit flip", "checksum", edit(func(b []byte) { b[len(b)-1] ^= 0x40 })},
+	}
+}
+
+// Every way a checkpoint file can be damaged must fail with an error
+// that names the problem, before gob ever touches the bytes.
+func TestDecodeBuildCheckpointDamage(t *testing.T) {
+	for _, c := range damagedCheckpoints(encodedCheckpoint(t, 4)) {
+		_, err := DecodeBuildCheckpoint(bytes.NewReader(c.data))
+		if err == nil {
+			t.Fatalf("%s accepted", c.name)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzDecodeBuildCheckpoint feeds arbitrary bytes to the checkpoint
+// decoder: it must never panic, and a checkpoint it accepts must
+// re-encode and decode to an equal value.
+func FuzzDecodeBuildCheckpoint(f *testing.F) {
+	good := encodedCheckpoint(f, 2)
+	f.Add(good)
+	for _, c := range damagedCheckpoints(good) {
+		f.Add(c.data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := DecodeBuildCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := ck.Encode(&first); err != nil {
+			t.Fatalf("re-encoding an accepted checkpoint: %v", err)
+		}
+		again, err := DecodeBuildCheckpoint(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("decoding a re-encoded checkpoint: %v", err)
+		}
+		// Compare encodings, not values: a NaN field never equals itself.
+		if err := again.Encode(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatal("checkpoint changed across a re-encode and decode")
+		}
+	})
 }

@@ -101,23 +101,6 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 	return d, nil
 }
 
-// Base returns the base-technology population pair: the builder's own
-// regular population, which BuildCtx also returns for the base
-// technology, and the H-YAPD organisation derived from it into a fresh
-// arena on each call.
-func (d *DeltaBuilder) Base() (regular, horizontal *Population) {
-	// The only error BuildPairCtx returns is its context's, and TODO is
-	// never cancelled.
-	_, horizontal, _ = d.BuildPairCtx(context.TODO(), d.baseTech)
-	return d.base, horizontal
-}
-
-// Parts returns the measurement parts a sweep to tech would
-// re-evaluate, for callers that want to inspect sweep cost up front.
-func (d *DeltaBuilder) Parts(tech circuit.Tech) sram.TechParts {
-	return sram.DiffTech(d.baseTech, tech)
-}
-
 // BuildCtx evaluates the retained chip draws under tech on the
 // builder's worker count, reusing everything the technology diff
 // against the base does not touch, and returns the regular population.

@@ -40,6 +40,17 @@ func newDelta(t *testing.T, cfg PopulationConfig) *DeltaBuilder {
 	return d
 }
 
+// basePair returns the builder's base-technology pair: its own regular
+// population and the H-YAPD organisation BuildPairCtx derives from it.
+func basePair(t *testing.T, d *DeltaBuilder) (regular, horizontal *Population) {
+	t.Helper()
+	_, horizontal, err := d.BuildPairCtx(context.Background(), d.baseTech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.base, horizontal
+}
+
 // checkBuildCtx checks the reused-arena path at tech: BuildCtx must be
 // bit-identical to want, the regular population of a full build, and
 // a tech with no diff must return the base population itself. Callers
@@ -50,7 +61,7 @@ func checkBuildCtx(t *testing.T, d *DeltaBuilder, tech circuit.Tech, want *Popul
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts := d.Parts(tech)
+	parts := sram.DiffTech(d.baseTech, tech)
 	if !parts.Any() && got != d.base {
 		t.Fatal("BuildCtx with no diff returned a new population, want the base itself")
 	}
@@ -63,7 +74,7 @@ func TestDeltaBuilderBaseMatchesFullBuild(t *testing.T) {
 	cfg := PopulationConfig{N: 37, Seed: 2006}
 	wantReg, wantHor := build(t, cfg)
 	d := newDelta(t, cfg)
-	gotReg, gotHor := d.Base()
+	gotReg, gotHor := basePair(t, d)
 	measIdentical(t, "base regular", gotReg, wantReg)
 	measIdentical(t, "base horizontal", gotHor, wantHor)
 }
@@ -93,7 +104,7 @@ func TestDeltaBuilderGridBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := d.Parts(tech)
+			label := sram.DiffTech(d.baseTech, tech)
 			measIdentical(t, "regular "+labelOf(label), gotReg, wantReg)
 			measIdentical(t, "horizontal "+labelOf(label), gotHor, wantHor)
 			checkBuildCtx(t, d, tech, wantReg)
@@ -137,8 +148,8 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		measIdentical(t, "regular "+labelOf(d.Parts(tech)), gotReg, wantReg)
-		measIdentical(t, "horizontal "+labelOf(d.Parts(tech)), gotHor, wantHor)
+		measIdentical(t, "regular "+labelOf(sram.DiffTech(d.baseTech, tech)), gotReg, wantReg)
+		measIdentical(t, "horizontal "+labelOf(sram.DiffTech(d.baseTech, tech)), gotHor, wantHor)
 		checkBuildCtx(t, d, tech, wantReg)
 	}
 }
@@ -153,7 +164,7 @@ func TestDeltaBuilderFullReevalGrid(t *testing.T) {
 func TestBuildBatchBoundaries(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97} {
 		want := newDelta(t, PopulationConfig{N: n, Seed: 2006})
-		wantReg, wantHor := want.Base()
+		wantReg, wantHor := basePair(t, want)
 		for _, workers := range []int{1, 3, 16} {
 			reg, hor := build(t, PopulationConfig{N: n, Seed: 2006, Workers: workers})
 			measIdentical(t, "regular", reg, wantReg)
@@ -201,7 +212,7 @@ func TestDeltaBuilderWorkerCountIndependent(t *testing.T) {
 	for _, n := range []int{1, sram.BatchWidth - 1, sram.BatchWidth + 1, 97, 500} {
 		cfg := PopulationConfig{N: n, Seed: 2006, Tech: &base, Workers: 1}
 		ref := newDelta(t, cfg)
-		refReg, refHor := ref.Base()
+		refReg, refHor := basePair(t, ref)
 		want := make([][2]*Population, len(techs))
 		for i, tech := range techs {
 			reg, hor, err := ref.BuildPairCtx(context.Background(), tech)
@@ -213,7 +224,7 @@ func TestDeltaBuilderWorkerCountIndependent(t *testing.T) {
 		for _, workers := range []int{2, 3, 8} {
 			cfg.Workers = workers
 			d := newDelta(t, cfg)
-			reg, hor := d.Base()
+			reg, hor := basePair(t, d)
 			measIdentical(t, "base regular", reg, refReg)
 			measIdentical(t, "base horizontal", hor, refHor)
 			for i, tech := range techs {
@@ -221,7 +232,7 @@ func TestDeltaBuilderWorkerCountIndependent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				label := labelOf(d.Parts(tech))
+				label := labelOf(sram.DiffTech(d.baseTech, tech))
 				measIdentical(t, "regular "+label, reg, want[i][0])
 				measIdentical(t, "horizontal "+label, hor, want[i][1])
 				checkBuildCtx(t, d, tech, want[i][0])

@@ -248,14 +248,6 @@ func (c *Cache) baseLatency() int {
 	return best
 }
 
-// MissRate returns misses/accesses.
-func (c *Cache) MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.Misses) / float64(c.Accesses)
-}
-
 // Hierarchy ties the caches together with the memory latency and a
 // finite set of MSHRs (the caches are lock-up free, Section 5.2).
 type Hierarchy struct {
@@ -338,14 +330,4 @@ func (h *Hierarchy) DataAccess(addr uint64, isWrite bool, now int64) int64 {
 		}
 	}
 	return done
-}
-
-// FetchAccess performs an instruction fetch of the block containing pc
-// and returns the cycle at which the block is available.
-func (h *Hierarchy) FetchAccess(pc uint64, now int64) int64 {
-	lat, hit, _ := h.L1I.Access(pc, false)
-	if hit {
-		return now + int64(lat)
-	}
-	return now + int64(h.L1I.Spec.HitCycles) + h.missPath(pc, false, now)
 }

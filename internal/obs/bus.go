@@ -33,10 +33,6 @@ const (
 	// them ends every admitted job, carrying the error class.
 	EventJobCompleted EventType = "job_completed"
 	EventJobFailed    EventType = "job_failed"
-	// EventJobResumed fires when a restarted yieldd picks an incomplete
-	// job back up from its last durable checkpoint; Done carries the
-	// checkpoint frontier and Restarts the job's restart count.
-	EventJobResumed EventType = "job_resumed"
 	// EventJobCheckpoint is a throttled record of a build checkpoint
 	// reaching the store, carrying the checkpointed chip frontier.
 	EventJobCheckpoint EventType = "job_checkpoint"
@@ -57,9 +53,9 @@ const (
 // allEventTypes is the closed taxonomy in declaration order.
 var allEventTypes = []EventType{
 	EventJobAdmitted, EventJobStarted, EventJobProgress, EventJobPhase,
-	EventJobEstimate, EventJobCompleted, EventJobFailed, EventJobResumed,
-	EventJobCheckpoint, EventSweepConfig, EventCacheHit, EventCacheEvict,
-	EventQueuePressure, EventShed,
+	EventJobEstimate, EventJobCompleted, EventJobFailed, EventJobCheckpoint,
+	EventSweepConfig, EventCacheHit, EventCacheEvict, EventQueuePressure,
+	EventShed,
 }
 
 // Valid reports whether t is one of the defined event types.
@@ -107,8 +103,6 @@ type Event struct {
 	QueueWaitMS float64 `json:"queue_wait_ms,omitempty"`
 	// ElapsedMS is the build wall time of job_completed events.
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
-	// Restarts is the crash-resume count of job_resumed events.
-	Restarts int `json:"restarts,omitempty"`
 }
 
 // EventBus is a bounded, drop-oldest, multi-subscriber pub/sub for
@@ -119,9 +113,8 @@ type Event struct {
 // its buffer loses its oldest events, never blocking the publisher or
 // its fellow subscribers. All methods are nil-safe.
 type EventBus struct {
-	active  atomic.Int32  // subscriber count; the Publish fast-path gate
-	seq     atomic.Uint64 // publish sequence; gaps reveal drops
-	dropped atomic.Uint64 // events dropped across all subscribers
+	active atomic.Int32  // subscriber count; the Publish fast-path gate
+	seq    atomic.Uint64 // publish sequence; gaps reveal drops
 
 	mu   sync.Mutex
 	subs map[*EventSub]struct{}
@@ -143,15 +136,6 @@ func (b *EventBus) Subscribers() int {
 		return 0
 	}
 	return int(b.active.Load())
-}
-
-// Dropped returns the total events dropped across all subscribers since
-// the bus was created.
-func (b *EventBus) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped.Load()
 }
 
 // Publish stamps ev with the next sequence number and the current time
@@ -182,14 +166,12 @@ func (b *EventBus) Publish(ev Event) {
 		select {
 		case <-s.ch:
 			s.dropped.Add(1)
-			b.dropped.Add(1)
 		default:
 		}
 		select {
 		case s.ch <- ev:
 		default:
 			s.dropped.Add(1)
-			b.dropped.Add(1)
 		}
 	}
 	b.mu.Unlock()

@@ -47,20 +47,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add adds delta to the current value.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		nv := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {

@@ -44,9 +44,6 @@ func Disable() {
 // Default returns the default registry, or nil when disabled.
 func Default() *Registry { return defaultRegistry.Load() }
 
-// DefaultTracer returns the default tracer, or nil when disabled.
-func DefaultTracer() *Tracer { return defaultTracer.Load() }
-
 // C returns the named counter of the default registry (nil → no-op).
 func C(name string) *Counter { return defaultRegistry.Load().Counter(name) }
 

@@ -25,9 +25,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	}
 	g := r.Gauge("speed")
 	g.Set(2.5)
-	g.Add(0.5)
-	if got := g.Value(); got != 3.0 {
-		t.Errorf("gauge = %v, want 3", got)
+	if got := g.Value(); got != 2.5 {
+		t.Errorf("gauge = %v, want 2.5", got)
 	}
 }
 
@@ -39,7 +38,6 @@ func TestNilSafety(t *testing.T) {
 	r.Histogram("x", nil).Observe(1)
 	var tr *Tracer
 	sp := tr.StartSpan("x")
-	sp.Child("y").End()
 	sp.Worker("z", 3).End()
 	sp.End()
 	if s := tr.Summary(); !strings.Contains(s, "no spans") {
@@ -103,7 +101,7 @@ func TestRegistryConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				r.Counter("c").Inc()
-				r.Gauge("g").Add(1)
+				r.Gauge("g").Set(float64(w))
 				r.Histogram("h", []float64{10, 100, 1000}).Observe(float64(i))
 			}
 		}()
@@ -112,8 +110,8 @@ func TestRegistryConcurrency(t *testing.T) {
 	if got := r.Counter("c").Value(); got != 8000 {
 		t.Errorf("concurrent counter = %d, want 8000", got)
 	}
-	if got := r.Gauge("g").Value(); got != 8000 {
-		t.Errorf("concurrent gauge = %v, want 8000", got)
+	if got := r.Gauge("g").Value(); got < 0 || got > 7 || got != math.Trunc(got) {
+		t.Errorf("concurrent gauge = %v, want one of the values set", got)
 	}
 	if got := r.Histogram("h", nil).Count(); got != 8000 {
 		t.Errorf("concurrent histogram count = %d, want 8000", got)
@@ -310,7 +308,7 @@ func TestEnableDisableDefault(t *testing.T) {
 		t.Error("package-level span did not reach the default tracer")
 	}
 	Disable()
-	if Default() != nil || DefaultTracer() != nil {
+	if Default() != nil || defaultTracer.Load() != nil {
 		t.Error("Disable did not clear the defaults")
 	}
 }

@@ -58,17 +58,6 @@ func (t *Tracer) StartSpan(name string) *Span {
 	return &Span{t: t, idx: idx}
 }
 
-// Child opens a span explicitly parented to s, without involving the
-// phase stack; safe to call from any goroutine.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	return &Span{t: s.t, idx: s.t.push(name, s.idx, s.t.spans[s.idx].tid)}
-}
-
 // Worker opens a child span on its own trace lane (thread id 2+id), for
 // concurrent workers whose spans overlap in time.
 func (s *Span) Worker(name string, id int) *Span {

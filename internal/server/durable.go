@@ -330,8 +330,6 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 	obs.G("server_jobs_admitted").Set(float64(admitted))
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
-	s.bus.Publish(obs.Event{Type: obs.EventJobResumed, Job: j.id, Key: jr.Key,
-		Done: int64(ckpt), Total: int64(k.total()), Restarts: j.restarts})
 	j.scope.Log().Info("job resumed from store",
 		"restarts", j.restarts, "checkpoint", ckpt, "total", k.total(),
 		"seed", jr.Seed, "chips", jr.Chips)

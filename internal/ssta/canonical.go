@@ -72,36 +72,6 @@ func Correlation(a, b Canonical) float64 {
 	return Covariance(a, b) / (sa * sb)
 }
 
-// Add returns the canonical form of a + b (series composition of path
-// segments). The independent parts add in quadrature.
-func Add(a, b Canonical) Canonical {
-	n := len(a.Sens)
-	if len(b.Sens) > n {
-		n = len(b.Sens)
-	}
-	out := New(a.Mean+b.Mean, n)
-	for i := range out.Sens {
-		if i < len(a.Sens) {
-			out.Sens[i] += a.Sens[i]
-		}
-		if i < len(b.Sens) {
-			out.Sens[i] += b.Sens[i]
-		}
-	}
-	out.Rand = math.Hypot(a.Rand, b.Rand)
-	return out
-}
-
-// Scale returns k·a.
-func Scale(a Canonical, k float64) Canonical {
-	out := New(a.Mean*k, len(a.Sens))
-	for i, s := range a.Sens {
-		out.Sens[i] = s * k
-	}
-	out.Rand = a.Rand * k
-	return out
-}
-
 // Max returns the canonical approximation of max(a, b) using Clark's
 // moment-matching: the exact first two moments of the max of two
 // correlated Gaussians, with the sensitivities blended by the tightness
@@ -169,34 +139,8 @@ func (c Canonical) ProbAbove(x float64) float64 {
 	return 1 - phi((x-c.Mean)/s)
 }
 
-// Quantile returns the q-quantile (0 < q < 1) of the canonical delay.
-func (c Canonical) Quantile(q float64) float64 {
-	return c.Mean + c.Sigma()*probit(q)
-}
-
 // phi is the standard normal CDF.
 func phi(x float64) float64 { return 0.5 * math.Erfc(-x/math.Sqrt2) }
 
 // gauss is the standard normal density.
 func gauss(x float64) float64 { return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi) }
-
-// probit inverts phi by bisection (sufficient precision for reporting;
-// called rarely).
-func probit(q float64) float64 {
-	if q <= 0 {
-		return math.Inf(-1)
-	}
-	if q >= 1 {
-		return math.Inf(1)
-	}
-	lo, hi := -10.0, 10.0
-	for i := 0; i < 80; i++ {
-		mid := (lo + hi) / 2
-		if phi(mid) < q {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}

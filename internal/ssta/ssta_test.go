@@ -24,27 +24,6 @@ func TestCanonicalBasics(t *testing.T) {
 	}
 }
 
-func TestAddAndScale(t *testing.T) {
-	a := New(10, 2)
-	a.Sens[0] = 1
-	a.Rand = 3
-	b := New(20, 2)
-	b.Sens[0] = 2
-	b.Sens[1] = 1
-	b.Rand = 4
-	s := Add(a, b)
-	if s.Mean != 30 || s.Sens[0] != 3 || s.Sens[1] != 1 {
-		t.Errorf("Add wrong: %+v", s)
-	}
-	if math.Abs(s.Rand-5) > 1e-12 {
-		t.Errorf("independent parts should add in quadrature: %v", s.Rand)
-	}
-	k := Scale(a, 2)
-	if k.Mean != 20 || k.Sens[0] != 2 || k.Rand != 6 {
-		t.Errorf("Scale wrong: %+v", k)
-	}
-}
-
 func TestCorrelation(t *testing.T) {
 	a := New(0, 1)
 	a.Sens[0] = 1
@@ -92,7 +71,7 @@ func TestMaxEqualIndependent(t *testing.T) {
 	}
 }
 
-func TestProbAboveAndQuantile(t *testing.T) {
+func TestProbAbove(t *testing.T) {
 	c := New(100, 0)
 	c.Rand = 10
 	if p := c.ProbAbove(100); math.Abs(p-0.5) > 1e-9 {
@@ -100,12 +79,6 @@ func TestProbAboveAndQuantile(t *testing.T) {
 	}
 	if p := c.ProbAbove(110); math.Abs(p-0.1586) > 1e-3 {
 		t.Errorf("P(D > mean+sigma) = %v, want ~0.159", p)
-	}
-	if q := c.Quantile(0.5); math.Abs(q-100) > 1e-6 {
-		t.Errorf("median = %v", q)
-	}
-	if q := c.Quantile(0.8413); math.Abs(q-110) > 0.01 {
-		t.Errorf("84th percentile = %v, want ~110", q)
 	}
 	det := New(5, 0)
 	if det.ProbAbove(4) != 1 || det.ProbAbove(6) != 0 {

@@ -201,12 +201,3 @@ func verifyZiggurat() bool {
 	}
 	return true
 }
-
-// MixSeeds fills dst[l] with MixSeed(parents[l], label) for every lane.
-// It is the batched form of the child-seed derivation used when a whole
-// column of sibling regions is drawn at once.
-func MixSeeds(dst, parents []int64, label int64) {
-	for l, p := range parents {
-		dst[l] = MixSeed(p, label)
-	}
-}

@@ -1,18 +1,17 @@
 // Package stats provides the statistical substrate for the yield-aware
 // cache study: deterministic random number generation, truncated Gaussian
-// sampling as used by the Monte Carlo process-variation framework, and
-// summary statistics (mean, standard deviation, percentiles, histograms,
-// correlation) used to set yield constraints and report results.
+// sampling as used by the Monte Carlo process-variation framework,
+// summary statistics (mean, standard deviation, percentiles,
+// correlation) used to set yield constraints and report results, and
+// the streaming accumulators and confidence intervals behind the live
+// yield estimate.
 //
 // Everything in this package is deterministic given a seed, so that the
 // 2000-chip Monte Carlo populations used in the experiments are exactly
 // reproducible from run to run.
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic source of random samples. It wraps math/rand
 // with the sampling primitives the variation model needs. It is not safe
@@ -107,17 +106,3 @@ func (g *RNG) TruncNormal(mean, sigma, bound float64) float64 {
 	// window so the sampler always terminates.
 	return mean + (2*g.r.Float64()-1)*bound
 }
-
-// Uniform returns a uniform sample in [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
-}
-
-// LogNormal returns exp(N(mu, sigma)); used in tests as a reference
-// heavy-tailed distribution for leakage-like quantities.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*g.r.NormFloat64())
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -92,9 +93,6 @@ func TestMeanStdAgainstDefinitions(t *testing.T) {
 	if m := Mean(xs); m != 5 {
 		t.Errorf("Mean = %v, want 5", m)
 	}
-	if s := StdDev(xs); s != 2 {
-		t.Errorf("StdDev = %v, want 2", s)
-	}
 	m, s := MeanStd(xs)
 	if m != 5 || math.Abs(s-2) > 1e-12 {
 		t.Errorf("MeanStd = %v, %v, want 5, 2", m, s)
@@ -105,15 +103,11 @@ func TestMeanStdEmptyAndSingle(t *testing.T) {
 	if m := Mean(nil); m != 0 {
 		t.Errorf("Mean(nil) = %v", m)
 	}
-	if s := StdDev([]float64{3}); s != 0 {
-		t.Errorf("StdDev of single sample = %v", s)
+	if m, s := MeanStd(nil); m != 0 || s != 0 {
+		t.Errorf("MeanStd(nil) = %v, %v", m, s)
 	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Errorf("Min/Max = %v/%v", Min(xs), Max(xs))
+	if m, s := MeanStd([]float64{3}); m != 3 || s != 0 {
+		t.Errorf("MeanStd of single sample = %v, %v", m, s)
 	}
 }
 
@@ -151,65 +145,6 @@ func TestCorrelation(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	xs := []float64{1, 2, 3}
-	n := Normalize(xs)
-	if math.Abs(Mean(n)-1) > 1e-12 {
-		t.Errorf("normalized mean = %v, want 1", Mean(n))
-	}
-	zero := Normalize([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Errorf("Normalize of zeros altered values: %v", zero)
-	}
-}
-
-func TestWeightedMean(t *testing.T) {
-	// The Table 6 VACA example from the paper: degradations weighted by
-	// saved-chip counts.
-	degr := []float64{1.81, 3.32, 5.47, 6.42}
-	w := []float64{91, 16, 4, 1}
-	got := WeightedMean(degr, w)
-	if math.Abs(got-2.20) > 0.02 {
-		t.Errorf("weighted mean = %v, want ~2.20 (paper Table 6)", got)
-	}
-	if WeightedMean(nil, nil) != 0 {
-		t.Error("WeightedMean of empty inputs should be 0")
-	}
-	if WeightedMean([]float64{1}, []float64{0}) != 0 {
-		t.Error("WeightedMean with zero total weight should be 0")
-	}
-}
-
-func TestHistogramBinning(t *testing.T) {
-	h := NewHistogram([]float64{0.05, 0.15, 0.95, -1, 2}, 10, 0, 1)
-	if h.N != 5 {
-		t.Fatalf("N = %d, want 5", h.N)
-	}
-	if h.Counts[0] != 2 { // 0.05 and clamped -1
-		t.Errorf("bin 0 = %d, want 2", h.Counts[0])
-	}
-	if h.Counts[1] != 1 {
-		t.Errorf("bin 1 = %d, want 1", h.Counts[1])
-	}
-	if h.Counts[9] != 2 { // 0.95 and clamped 2
-		t.Errorf("bin 9 = %d, want 2", h.Counts[9])
-	}
-	if c := h.BinCenter(0); math.Abs(c-0.05) > 1e-12 {
-		t.Errorf("BinCenter(0) = %v, want 0.05", c)
-	}
-	if f := h.Fraction(0); math.Abs(f-0.4) > 1e-12 {
-		t.Errorf("Fraction(0) = %v, want 0.4", f)
-	}
-}
-
-func TestHistogramString(t *testing.T) {
-	h := NewHistogram([]float64{0.1, 0.1, 0.9}, 2, 0, 1)
-	s := h.String()
-	if len(s) == 0 {
-		t.Error("histogram rendering is empty")
-	}
-}
-
 // Property: percentile is monotone in p and bounded by min/max.
 func TestPercentileMonotoneProperty(t *testing.T) {
 	f := func(raw []float64, a, b uint8) bool {
@@ -229,7 +164,7 @@ func TestPercentileMonotoneProperty(t *testing.T) {
 			p1, p2 = p2, p1
 		}
 		v1, v2 := Percentile(xs, p1), Percentile(xs, p2)
-		return v1 <= v2 && v1 >= Min(xs) && v2 <= Max(xs)
+		return v1 <= v2 && v1 >= slices.Min(xs) && v2 <= slices.Max(xs)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -250,22 +185,6 @@ func TestCorrelationBoundsProperty(t *testing.T) {
 		c1 := Correlation(xs, ys)
 		c2 := Correlation(ys, xs)
 		return math.Abs(c1-c2) < 1e-9 && c1 >= -1-1e-9 && c1 <= 1+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: mean of Normalize(xs) is 1 whenever mean(xs) != 0.
-func TestNormalizeProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		g := NewRNG(seed)
-		k := int(n%40) + 1
-		xs := make([]float64, k)
-		for i := range xs {
-			xs[i] = g.Uniform(0.5, 10)
-		}
-		return math.Abs(Mean(Normalize(xs))-1) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -4,11 +4,8 @@ import "math"
 
 // Moments is a streaming accumulator for the first two moments of a
 // series: count, mean and M2 (the sum of squared deviations from the
-// running mean), maintained with Welford's update. It supports exact
-// O(1) merging of independently accumulated partials (Chan et al.'s
-// parallel variance formula), which is what lets build workers keep
-// per-stripe moments and combine them without a second pass. The zero
-// value is an empty accumulator ready for use.
+// running mean), maintained with Welford's update. The zero value is
+// an empty accumulator ready for use.
 type Moments struct {
 	N    int64
 	Mean float64
@@ -22,44 +19,6 @@ func (m *Moments) Add(x float64) {
 	m.Mean += d / float64(m.N)
 	m.M2 += d * (x - m.Mean)
 }
-
-// Merge folds another accumulator into m in O(1). Merging partials is
-// algebraically exact: the combined N, Mean and M2 equal those of a
-// single accumulator fed both series (up to floating-point rounding,
-// which the merge-order tests bound).
-func (m *Moments) Merge(o Moments) {
-	if o.N == 0 {
-		return
-	}
-	if m.N == 0 {
-		*m = o
-		return
-	}
-	n1, n2 := float64(m.N), float64(o.N)
-	n := n1 + n2
-	d := o.Mean - m.Mean
-	m.Mean += d * n2 / n
-	m.M2 += o.M2 + d*d*n1*n2/n
-	m.N += o.N
-}
-
-// Variance returns the population variance M2/N; 0 when fewer than two
-// observations have been added. Population semantics match StdDev and
-// MeanStd — the paper's constraints are derived over the full
-// population.
-func (m *Moments) Variance() float64 {
-	if m.N < 2 {
-		return 0
-	}
-	v := m.M2 / float64(m.N)
-	if v < 0 {
-		return 0
-	}
-	return v
-}
-
-// Std returns the population standard deviation.
-func (m *Moments) Std() float64 { return math.Sqrt(m.Variance()) }
 
 // StdErr returns the standard error of the mean using the sample
 // (n-1) variance, the quantity a confidence interval on the mean
@@ -76,9 +35,7 @@ func (m *Moments) StdErr() float64 {
 }
 
 // Tally is a streaming Bernoulli accumulator: K successes out of N
-// trials. Merging is exact integer addition, so tallies accumulated
-// per worker combine independently of merge order. The zero value is
-// an empty tally.
+// trials. The zero value is an empty tally.
 type Tally struct {
 	K int64 // successes
 	N int64 // trials
@@ -90,18 +47,6 @@ func (t *Tally) Add(success bool) {
 	if success {
 		t.K++
 	}
-}
-
-// AddN folds k successes out of n trials into the tally.
-func (t *Tally) AddN(k, n int64) {
-	t.K += k
-	t.N += n
-}
-
-// Merge folds another tally into t.
-func (t *Tally) Merge(o Tally) {
-	t.K += o.K
-	t.N += o.N
 }
 
 // Rate returns the success fraction K/N; 0 for an empty tally.
@@ -127,25 +72,10 @@ func ZForConfidence(conf float64) float64 {
 	return math.Sqrt2 * math.Erfinv(conf)
 }
 
-// NormalInterval returns the normal-approximation (Wald) confidence
-// interval for a Bernoulli proportion with k successes in n trials,
-// clamped to [0, 1]. It degenerates to a zero-width interval at p = 0
-// and p = 1 — which is why yield reporting uses WilsonInterval — but
-// is the textbook comparison point and is exposed for tests and for
-// mean-style intervals.
-func NormalInterval(k, n int64, conf float64) (lo, hi float64) {
-	if n == 0 {
-		return 0, 1
-	}
-	p := float64(k) / float64(n)
-	z := ZForConfidence(conf)
-	half := z * math.Sqrt(p*(1-p)/float64(n))
-	return clamp01(p - half), clamp01(p + half)
-}
-
 // WilsonInterval returns the Wilson score confidence interval for a
 // Bernoulli proportion with k successes in n trials. Unlike the normal
-// approximation it stays meaningful at k = 0 and k = n (the interval
+// (Wald) approximation, which collapses to zero width there, it stays
+// meaningful at k = 0 and k = n (the interval
 // keeps positive width, acknowledging that a streak proves nothing
 // exactly) and at small n, which is exactly the regime a streaming
 // yield estimate passes through early in a build. An empty tally gets

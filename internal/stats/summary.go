@@ -17,24 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// StdDev returns the population standard deviation of xs
-// (sqrt of the mean squared deviation), or 0 for fewer than two samples.
-// The paper's delay constraint "mean + k*sigma" is computed over the full
-// Monte Carlo population, for which the population estimator is the
-// natural choice.
-func StdDev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
 // MeanStd returns both the mean and the population standard deviation in
 // a single pass over the data.
 func MeanStd(xs []float64) (mean, std float64) {
@@ -53,28 +35,6 @@ func MeanStd(xs []float64) (mean, std float64) {
 		v = 0
 	}
 	return mean, math.Sqrt(v)
-}
-
-// Min returns the smallest element of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
@@ -122,37 +82,4 @@ func Correlation(xs, ys []float64) float64 {
 		s += (xs[i] - mx) * (ys[i] - my)
 	}
 	return s / (float64(len(xs)) * sx * sy)
-}
-
-// Normalize returns xs scaled so its mean is 1. A zero-mean series is
-// returned unchanged. Used for the "normalized leakage" axis of Figure 8.
-func Normalize(xs []float64) []float64 {
-	m := Mean(xs)
-	out := make([]float64, len(xs))
-	if m == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, x := range xs {
-		out[i] = x / m
-	}
-	return out
-}
-
-// WeightedMean returns sum(w_i * x_i) / sum(w_i); 0 when the weights sum
-// to zero. Table 6's bottom row is a weighted mean of per-configuration
-// CPI degradations weighted by saved-chip counts.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var sw, sx float64
-	for i := range xs {
-		sw += ws[i]
-		sx += ws[i] * xs[i]
-	}
-	if sw == 0 {
-		return 0
-	}
-	return sx / sw
 }

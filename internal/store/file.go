@@ -87,9 +87,6 @@ func OpenFile(dir string) (*File, error) {
 	return f, nil
 }
 
-// Dir returns the store's data directory.
-func (f *File) Dir() string { return f.dir }
-
 // replay scans the WAL, truncating at the first torn or corrupt frame,
 // and materialises the live state into f.recovered / f.ckpts.
 func (f *File) replay() error {

@@ -66,15 +66,6 @@ func (b *Batch) Carve(n int, s *Slab) {
 	}
 }
 
-// Lane returns the scalar Draw view of lane l.
-func (b *Batch) Lane(l int) Draw {
-	d := Draw{seed: b.Seeds[l]}
-	for p := range b.Col {
-		d.Values[p] = b.Col[p][l]
-	}
-	return d
-}
-
 // SetLane overwrites lane l with the given draw.
 func (b *Batch) SetLane(l int, d *Draw) {
 	b.Seeds[l] = d.seed

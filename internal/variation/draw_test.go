@@ -3,8 +3,9 @@ package variation
 import "testing"
 
 // TestScratchMatchesNodeTree pins the shared-draw contract: the
-// value-typed scratch path must reproduce the pointer-based node tree
-// draw for draw, at every level of the hierarchy.
+// value-typed scratch path must reproduce the sampler's node tree draw
+// for draw, at every level of the hierarchy: the root values match,
+// and a node's own scratch derives the same subtree as the sampler's.
 func TestScratchMatchesNodeTree(t *testing.T) {
 	s := NewSampler(Nassif45nm(), PaperFactors(), 2006)
 	sc := s.NewScratch()
@@ -14,56 +15,44 @@ func TestScratchMatchesNodeTree(t *testing.T) {
 		if root.Values != rootD.Values {
 			t.Fatalf("chip %d: root values differ\nnode:  %v\ndraw:  %v", id, root.Values, rootD.Values)
 		}
+		nsc := root.NewScratch()
 		for w := 0; w < 4; w++ {
-			way := root.Way(w)
-			wayD := sc.Way(&rootD, w)
+			way, wayD := nsc.Way(&rootD, w), sc.Way(&rootD, w)
 			if way.Values != wayD.Values {
 				t.Fatalf("chip %d way %d: values differ", id, w)
 			}
-			blk := way.Block(3)
-			blkD := sc.Block(&wayD, 3)
+			blk, blkD := nsc.Block(&way, 3), sc.Block(&wayD, 3)
 			if blk.Values != blkD.Values {
 				t.Fatalf("chip %d way %d block: values differ", id, w)
 			}
-			row := blk.Row(9)
-			rowD := sc.Row(&blkD, 9)
+			row, rowD := nsc.Row(&blk, 9), sc.Row(&blkD, 9)
 			if row.Values != rowD.Values {
 				t.Fatalf("chip %d way %d row: values differ", id, w)
 			}
-			bit := row.Bit(1)
-			bitD := sc.Bit(&rowD, 1)
-			if bit.Values != bitD.Values {
-				t.Fatalf("chip %d way %d bit: values differ", id, w)
-			}
-			mm := blk.Child(1.0, 9000)
-			mmD := sc.Child(&blkD, 1.0, 9000)
+			mm, mmD := nsc.Child(&blk, 1.0, 9000), sc.Child(&blkD, 1.0, 9000)
 			if mm.Values != mmD.Values {
 				t.Fatalf("chip %d way %d full-range child: values differ", id, w)
-			}
-			for p := Param(0); p < NumParams; p++ {
-				if row.Delta(p) != sc.Delta(&rowD, p) {
-					t.Fatalf("chip %d way %d param %v: deltas differ", id, w, p)
-				}
 			}
 		}
 	}
 }
 
 // TestAsDrawBridges checks that a Node can enter the scratch path
-// mid-tree and keep producing identical subtrees.
+// through AsDraw and keep producing identical subtrees.
 func TestAsDrawBridges(t *testing.T) {
 	s := NewSampler(Nassif45nm(), PaperFactors(), 7)
-	n := s.Chip(3).Way(2)
+	n := s.Chip(3)
 	d := n.AsDraw()
-	sc := n.NewScratch()
 	if n.Values != d.Values {
 		t.Fatal("AsDraw changed values")
 	}
-	a := n.Block(5).Row(1)
-	bD := sc.Block(&d, 5)
-	b := sc.Row(&bD, 1)
-	if a.Values != b.Values {
-		t.Fatal("subtree from AsDraw diverges from node subtree")
+	nsc, sc := n.NewScratch(), s.NewScratch()
+	want := sc.Chip(3)
+	way, wantWay := nsc.Way(&d, 2), sc.Way(&want, 2)
+	blk, wantBlk := nsc.Block(&way, 5), sc.Block(&wantWay, 5)
+	row, wantRow := nsc.Row(&blk, 1), sc.Row(&wantBlk, 1)
+	if way.Values != wantWay.Values || blk.Values != wantBlk.Values || row.Values != wantRow.Values {
+		t.Fatal("subtree from AsDraw diverges from the sampler's subtree")
 	}
 }
 

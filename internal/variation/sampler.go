@@ -18,12 +18,6 @@ func NewSampler(spec Spec, fact Factors, seed int64) *Sampler {
 	return &Sampler{spec: spec, fact: fact, seed: seed}
 }
 
-// Spec returns the process specification the sampler draws from.
-func (s *Sampler) Spec() Spec { return s.spec }
-
-// Factors returns the correlation factors in use.
-func (s *Sampler) Factors() Factors { return s.fact }
-
 // Chip returns the root variation node for chip id. The root draw covers
 // the combined inter-die and way-0 intra-die variation: parameters are
 // drawn around the Table 1 nominals inside the full 3-sigma window.
@@ -36,9 +30,8 @@ func (s *Sampler) Chip(id int) *Node {
 	return n
 }
 
-// Node is one region of the chip with its sampled parameter values.
-// Child regions are drawn around the node's values with the Table 1
-// range scaled by a correlation factor.
+// Node is a chip's root region with its sampled parameter values. Its
+// subtree is derived through a Scratch: see AsDraw and NewScratch.
 type Node struct {
 	Values Values
 	spec   Spec
@@ -46,56 +39,9 @@ type Node struct {
 	rng    *stats.RNG
 }
 
-// Child draws a sub-region correlated with n: each parameter is redrawn
-// with mean n.Values[p] and the Table 1 sigma and 3-sigma window scaled
-// by factor. label distinguishes siblings; the same (node, factor, label)
-// always yields the same child.
-func (n *Node) Child(factor float64, label int64) *Node {
-	rng := n.rng.Split(label)
-	c := &Node{spec: n.spec, fact: n.fact, rng: rng}
-	if factor <= 0 {
-		c.Values = n.Values
-		return c
-	}
-	for p := Param(0); p < NumParams; p++ {
-		c.Values[p] = rng.TruncNormal(n.Values[p], factor*n.spec.Sigma(p), factor*n.spec.Bound(p))
-	}
-	return c
-}
-
-// Way returns the variation node for way i (0..3) of the cache, using
-// the 2x2-mesh way factors. Way 0 is perfectly correlated with the chip
-// root (it *is* the reference region).
-func (n *Node) Way(i int) *Node {
-	return n.Child(n.fact.WayFactor(i), int64(1000+i))
-}
-
-// Block returns the variation node for a circuit block (decoder,
-// precharge, cell array, sense amplifiers, output drivers) of a region.
-func (n *Node) Block(label int64) *Node {
-	return n.Child(n.fact.Block, 2000+label)
-}
-
-// Row returns the variation node for one row (word line) of a bank.
-func (n *Node) Row(label int64) *Node {
-	return n.Child(n.fact.Row, 3000+label)
-}
-
-// Bit returns the variation node for one bit cell of a row.
-func (n *Node) Bit(label int64) *Node {
-	return n.Child(n.fact.Bit, 4000+label)
-}
-
-// Delta returns the fractional deviation of parameter p from nominal:
-// (value - nominal) / nominal. Circuit models consume deltas so they
-// stay unit-agnostic.
-func (n *Node) Delta(p Param) float64 {
-	return n.spec.DeltaOf(p, n.Values[p])
-}
-
 // AsDraw returns the node's value-typed form for the scratch-based
-// measurement path. The draw reproduces the node exactly: same values,
-// and children derived from it match the node's children draw for draw.
+// measurement path: same values, and the same random stream for the
+// children a Scratch derives from it.
 func (n *Node) AsDraw() Draw {
 	return Draw{Values: n.Values, seed: n.rng.Seed()}
 }
@@ -106,11 +52,11 @@ func (n *Node) NewScratch() *Scratch {
 	return &Scratch{spec: n.spec, fact: n.fact, seed: n.rng.Seed(), rng: stats.NewRNG(0)}
 }
 
-// Draw is a value-typed variation node: the sampled parameter values
-// plus the seed of the node's random stream, from which children are
-// derived. Unlike Node it carries no generator or spec of its own —
-// a Scratch performs the sampling — so the Monte Carlo measurement
-// kernel can hold draws in reusable buffers with zero heap traffic.
+// Draw is a value-typed variation region: the sampled parameter values
+// plus the seed of the region's random stream, from which children are
+// derived. It carries no generator or spec of its own — a Scratch
+// performs the sampling — so the Monte Carlo measurement kernel can
+// hold draws in reusable buffers with zero heap traffic.
 type Draw struct {
 	Values Values
 	seed   int64
@@ -118,10 +64,9 @@ type Draw struct {
 
 // Scratch is the per-worker sampling state of the allocation-free
 // measurement path: one reusable generator plus the spec and factors.
-// A Scratch draws exactly the streams the Node tree would — chip i's
-// subtree is a pure function of (seed, i) either way — but repositions
-// one generator per region instead of allocating one. Not safe for
-// concurrent use; give each worker its own.
+// Chip i's subtree is a pure function of (seed, i): the Scratch
+// repositions one generator per region instead of allocating one. Not
+// safe for concurrent use; give each worker its own.
 type Scratch struct {
 	spec Spec
 	fact Factors
@@ -150,7 +95,10 @@ func (sc *Scratch) Chip(id int) Draw {
 	return d
 }
 
-// Child draws a sub-region correlated with parent, mirroring Node.Child.
+// Child draws a sub-region correlated with parent: each parameter is
+// redrawn with mean parent.Values[p] and the Table 1 sigma and 3-sigma
+// window scaled by factor. label distinguishes siblings; the same
+// (parent, factor, label) always yields the same child.
 func (sc *Scratch) Child(parent *Draw, factor float64, label int64) Draw {
 	seed := stats.MixSeed(parent.seed, label)
 	d := Draw{seed: seed}
@@ -165,28 +113,20 @@ func (sc *Scratch) Child(parent *Draw, factor float64, label int64) Draw {
 	return d
 }
 
-// Way mirrors Node.Way for draws.
+// Way returns the draw for way i (0..3) of the cache, using the
+// 2x2-mesh way factors. Way 0 is perfectly correlated with the chip
+// root (it *is* the reference region).
 func (sc *Scratch) Way(parent *Draw, i int) Draw {
 	return sc.Child(parent, sc.fact.WayFactor(i), int64(1000+i))
 }
 
-// Block mirrors Node.Block for draws.
+// Block returns the draw for a circuit block (decoder, precharge, cell
+// array, sense amplifiers, output drivers) of a region.
 func (sc *Scratch) Block(parent *Draw, label int64) Draw {
 	return sc.Child(parent, sc.fact.Block, 2000+label)
 }
 
-// Row mirrors Node.Row for draws.
+// Row returns the draw for one row (word line) of a bank.
 func (sc *Scratch) Row(parent *Draw, label int64) Draw {
 	return sc.Child(parent, sc.fact.Row, 3000+label)
-}
-
-// Bit mirrors Node.Bit for draws.
-func (sc *Scratch) Bit(parent *Draw, label int64) Draw {
-	return sc.Child(parent, sc.fact.Bit, 4000+label)
-}
-
-// Delta returns the fractional deviation of parameter p from nominal
-// for a draw, mirroring Node.Delta.
-func (sc *Scratch) Delta(d *Draw, p Param) float64 {
-	return sc.spec.DeltaOf(p, d.Values[p])
 }

@@ -73,9 +73,9 @@ func TestChipDeterminism(t *testing.T) {
 	if a.Values != b.Values {
 		t.Error("same chip id produced different root draws")
 	}
-	aw := a.Way(3)
-	bw := b.Way(3)
-	if aw.Values != bw.Values {
+	sc := s.NewScratch()
+	ad, bd := a.AsDraw(), b.AsDraw()
+	if sc.Way(&ad, 3).Values != sc.Way(&bd, 3).Values {
 		t.Error("same chip id produced different way draws")
 	}
 	c := s.Chip(6)
@@ -86,11 +86,14 @@ func TestChipDeterminism(t *testing.T) {
 
 func TestChipOrderIndependence(t *testing.T) {
 	s := NewSampler(Nassif45nm(), PaperFactors(), 7)
-	first := s.Chip(3).Way(2).Values
+	sc := s.NewScratch()
+	root := sc.Chip(3)
+	first := sc.Way(&root, 2).Values
 	// Drawing other chips in between must not change chip 3.
-	s.Chip(0)
-	s.Chip(9)
-	second := s.Chip(3).Way(2).Values
+	sc.Chip(0)
+	sc.Chip(9)
+	root = sc.Chip(3)
+	second := sc.Way(&root, 2).Values
 	if first != second {
 		t.Error("chip draws depend on evaluation order")
 	}
@@ -113,13 +116,13 @@ func TestRootWithinBounds(t *testing.T) {
 
 func TestChildTracksParentByFactor(t *testing.T) {
 	spec := Nassif45nm()
-	s := NewSampler(spec, PaperFactors(), 2)
+	sc := NewSampler(spec, PaperFactors(), 2).NewScratch()
 	n := 2000
 	var devSmall, devLarge float64
 	for id := 0; id < n; id++ {
-		root := s.Chip(id)
-		small := root.Child(0.05, 1) // strongly correlated
-		large := root.Child(0.7125, 2)
+		root := sc.Chip(id)
+		small := sc.Child(&root, 0.05, 1) // strongly correlated
+		large := sc.Child(&root, 0.7125, 2)
 		devSmall += math.Abs(small.Values[Vt] - root.Values[Vt])
 		devLarge += math.Abs(large.Values[Vt] - root.Values[Vt])
 	}
@@ -130,24 +133,23 @@ func TestChildTracksParentByFactor(t *testing.T) {
 }
 
 func TestChildFactorZeroCopies(t *testing.T) {
-	s := NewSampler(Nassif45nm(), PaperFactors(), 3)
-	root := s.Chip(0)
-	c := root.Child(0, 1)
-	if c.Values != root.Values {
+	sc := NewSampler(Nassif45nm(), PaperFactors(), 3).NewScratch()
+	root := sc.Chip(0)
+	if c := sc.Child(&root, 0, 1); c.Values != root.Values {
 		t.Error("factor-0 child must copy parent values exactly")
 	}
-	if w := root.Way(0); w.Values != root.Values {
+	if w := sc.Way(&root, 0); w.Values != root.Values {
 		t.Error("way 0 must equal the chip root")
 	}
 }
 
 func TestChildBounds(t *testing.T) {
 	spec := Nassif45nm()
-	s := NewSampler(spec, PaperFactors(), 4)
+	sc := NewSampler(spec, PaperFactors(), 4).NewScratch()
 	for id := 0; id < 200; id++ {
-		root := s.Chip(id)
+		root := sc.Chip(id)
 		for wi := 0; wi < 4; wi++ {
-			w := root.Way(wi)
+			w := sc.Way(&root, wi)
 			f := PaperFactors().WayFactor(wi)
 			for p := Param(0); p < NumParams; p++ {
 				if d := math.Abs(w.Values[p] - root.Values[p]); d > f*spec.Bound(p)+1e-12 {
@@ -159,11 +161,11 @@ func TestChildBounds(t *testing.T) {
 }
 
 func TestSiblingLabelsDiffer(t *testing.T) {
-	s := NewSampler(Nassif45nm(), PaperFactors(), 5)
-	root := s.Chip(0)
-	r1 := root.Row(1)
-	r2 := root.Row(2)
-	r1again := root.Row(1)
+	sc := NewSampler(Nassif45nm(), PaperFactors(), 5).NewScratch()
+	root := sc.Chip(0)
+	r1 := sc.Row(&root, 1)
+	r2 := sc.Row(&root, 2)
+	r1again := sc.Row(&root, 1)
 	if r1.Values == r2.Values {
 		t.Error("different row labels gave identical draws")
 	}
@@ -177,18 +179,18 @@ func TestInterWayCorrelationOrdering(t *testing.T) {
 	// than the horizontal way (0.375), which is less than vertical (0.45)
 	// ... i.e. correlation coefficient ordering is the inverse of factor
 	// ordering: horiz > vert > diag.
-	s := NewSampler(Nassif45nm(), PaperFactors(), 6)
+	sc := NewSampler(Nassif45nm(), PaperFactors(), 6).NewScratch()
 	n := 4000
 	w0 := make([]float64, n)
 	w1 := make([]float64, n)
 	w2 := make([]float64, n)
 	w3 := make([]float64, n)
 	for id := 0; id < n; id++ {
-		root := s.Chip(id)
-		w0[id] = root.Way(0).Values[Leff]
-		w1[id] = root.Way(1).Values[Leff]
-		w2[id] = root.Way(2).Values[Leff]
-		w3[id] = root.Way(3).Values[Leff]
+		root := sc.Chip(id)
+		w0[id] = sc.Way(&root, 0).Values[Leff]
+		w1[id] = sc.Way(&root, 1).Values[Leff]
+		w2[id] = sc.Way(&root, 2).Values[Leff]
+		w3[id] = sc.Way(&root, 3).Values[Leff]
 	}
 	c1 := stats.Correlation(w0, w1) // horizontal, factor 0.375
 	c2 := stats.Correlation(w0, w2) // vertical, factor 0.45
@@ -202,15 +204,16 @@ func TestInterWayCorrelationOrdering(t *testing.T) {
 }
 
 func TestDelta(t *testing.T) {
-	s := NewSampler(Nassif45nm(), PaperFactors(), 8)
-	root := s.Chip(0)
+	spec := Nassif45nm()
+	root := NewSampler(spec, PaperFactors(), 8).Chip(0)
 	for p := Param(0); p < NumParams; p++ {
-		want := (root.Values[p] - s.Spec().Nominal[p]) / s.Spec().Nominal[p]
-		if got := root.Delta(p); math.Abs(got-want) > 1e-12 {
-			t.Errorf("Delta(%v) = %v, want %v", p, got, want)
+		want := (root.Values[p] - spec.Nominal[p]) / spec.Nominal[p]
+		got := spec.DeltaOf(p, root.Values[p])
+		if math.Abs(got-want) > 1e-12 {
+			t.Errorf("DeltaOf(%v) = %v, want %v", p, got, want)
 		}
-		if math.Abs(root.Delta(p)) > s.Spec().Sigma3Pct[p]/100+1e-12 {
-			t.Errorf("Delta(%v) = %v exceeds the 3-sigma fractional window", p, root.Delta(p))
+		if math.Abs(got) > spec.Sigma3Pct[p]/100+1e-12 {
+			t.Errorf("DeltaOf(%v) = %v exceeds the 3-sigma fractional window", p, got)
 		}
 	}
 }
@@ -221,11 +224,14 @@ func TestDelta(t *testing.T) {
 func TestTreeProperty(t *testing.T) {
 	spec := Nassif45nm()
 	f := func(seed int64, id uint16, label uint8) bool {
-		s := NewSampler(spec, PaperFactors(), seed)
-		root := s.Chip(int(id))
-		w := root.Way(int(label) % 4)
-		row := w.Row(int64(label))
-		bit := row.Bit(int64(label))
+		sc := NewSampler(spec, PaperFactors(), seed).NewScratch()
+		draw := func() (row, bit Draw) {
+			root := sc.Chip(int(id))
+			w := sc.Way(&root, int(label)%4)
+			row = sc.Row(&w, int64(label))
+			return row, sc.Child(&row, PaperFactors().Bit, int64(label))
+		}
+		row, bit := draw()
 		// Bit factor 0.01: the bit must be within 1% of the Table 1 bound
 		// from its row.
 		for p := Param(0); p < NumParams; p++ {
@@ -233,7 +239,7 @@ func TestTreeProperty(t *testing.T) {
 				return false
 			}
 		}
-		again := s.Chip(int(id)).Way(int(label) % 4).Row(int64(label)).Bit(int64(label))
+		_, again := draw()
 		return bit.Values == again.Values
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -64,8 +64,6 @@ type Generator struct {
 	streamPtrs  []uint64 // strided walkers
 	streamReuse []int    // remaining touches of the current element
 	streamIdx   int
-
-	count uint64
 }
 
 // streamStagger offsets each stream's walk so that the concurrently
@@ -108,9 +106,6 @@ func NewGenerator(p Profile, seed int64) *Generator {
 	g.loopLeft = g.loopLen()
 	return g
 }
-
-// Profile returns the profile the generator was built from.
-func (g *Generator) Profile() Profile { return g.p }
 
 func (g *Generator) loopLen() int {
 	// Loop bodies of 20..200 instructions walked repeatedly.
@@ -243,9 +238,5 @@ func (g *Generator) Next() Instr {
 		g.pc = g.loopStart
 		g.loopLeft = g.loopLen()
 	}
-	g.count++
 	return in
 }
-
-// Generated reports how many instructions have been produced.
-func (g *Generator) Generated() uint64 { return g.count }

@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Pre-merge gate: formatting, vet, the docs gate (godoc coverage of the
-# facade, README/docs flag sync and the /metrics catalogue in
-# docs/API.md, see scripts/docgate), the full test
+# facade, README/docs flag sync, the /metrics catalogue in docs/API.md
+# and no internal export reached only by its own tests, see
+# scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
 # the build, resume, checkpoint, estimate and sweep tests again under

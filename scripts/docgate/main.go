@@ -1,5 +1,5 @@
 // Command docgate is the documentation gate run by scripts/check.sh and
-// CI. It enforces three invariants:
+// CI. It enforces four invariants:
 //
 //  1. Every exported identifier of the root yieldcache package (types,
 //     funcs, methods, const/var groups) carries a doc comment — the
@@ -12,6 +12,11 @@
 //     listed in docs/API.md, so no series ships undocumented. A
 //     {label=...} suffix is stripped first; names built by
 //     concatenation are skipped.
+//  4. Every exported identifier of an internal/ package, and every
+//     exported method of its exported types, is referenced by non-test
+//     code or by another package's tests (see checkDeadExports and its
+//     short testOnly allowlist), so nothing is kept alive only by its
+//     own tests.
 //
 // Usage: go run ./scripts/docgate [repo-root]   (default ".")
 //
@@ -41,6 +46,7 @@ func main() {
 	problems = append(problems, checkRootDocs(root)...)
 	problems = append(problems, checkFlagSync(root)...)
 	problems = append(problems, checkMetricDocs(root)...)
+	problems = append(problems, checkDeadExports(root, testOnly)...)
 	if len(problems) > 0 {
 		for _, p := range problems {
 			fmt.Fprintln(os.Stderr, "docgate: "+p)
@@ -48,7 +54,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "docgate: %d problem(s)\n", len(problems))
 		os.Exit(1)
 	}
-	fmt.Println("docgate: root-package godoc complete, docs flags in sync, metrics documented")
+	fmt.Println("docgate: root-package godoc complete, docs flags in sync, metrics documented, no test-only internal exports")
 }
 
 // checkRootDocs reports exported identifiers of the root package that

@@ -262,8 +262,7 @@ done
 curl -sf "$BASE/v1/jobs/$CRASH_JOB" >"$TMP/resumed.json"
 grep -q '"resumed": true' "$TMP/resumed.json" || fail "job not marked resumed: $(cat "$TMP/resumed.json")"
 grep -q '"restarts": 1' "$TMP/resumed.json" || fail "job restarts != 1: $(cat "$TMP/resumed.json")"
-grep -q "job_resumed" "$TMP/yieldd.log" || grep -q "job resumed from store" "$TMP/yieldd.log" ||
-    fail "restart logged no resume"
+grep -q "job resumed from store" "$TMP/yieldd.log" || fail "restart logged no resume"
 
 echo "== resumed tables match the uninterrupted build =="
 curl -sf -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
