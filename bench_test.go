@@ -329,22 +329,23 @@ func BenchmarkAblationAdaptiveHybrid(b *testing.B) {
 
 // BenchmarkPopulationBuildPair measures the Monte Carlo throughput
 // itself (chips evaluated per second drives every other experiment):
-// one sampling pass yields both organisations, so each iteration
-// produces 2N measurements.
+// each iteration builds the regular organisation and derives H-YAPD
+// from it, the 2N measurements a study holds.
 func BenchmarkPopulationBuildPair(b *testing.B) {
 	const n = 200
 	for i := 0; i < b.N; i++ {
-		benchBuild(b, core.PopulationConfig{N: n, Seed: int64(i + 1)})
+		core.DeriveHorizontal(benchBuild(b, core.PopulationConfig{N: n, Seed: int64(i + 1)}).Regular)
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
 
-// BenchmarkPopulationBuildPairCheckpointed is the pair builder with the
-// durable-jobs checkpointer armed at a server-realistic interval. The
+// BenchmarkPopulationBuildPairCheckpointed is BenchmarkPopulationBuildPair
+// with the durable-jobs checkpointer armed at a server-realistic
+// interval. The
 // comparison against BenchmarkPopulationBuildPair (Checkpoint nil) pins
 // the acceptance bar: the disabled-store path adds zero allocations to
 // the per-chip hot loop, and enabling checkpointing costs only the
-// checkpointer goroutine plus per-tick sink work, nothing per chip.
+// checkpointer plus per-tick sink work, nothing per chip.
 func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 	const n = 200
 	sunk := 0
@@ -353,15 +354,15 @@ func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
 		Sink:     func(*core.BuildCheckpoint) error { sunk++; return nil },
 	}
 	for i := 0; i < b.N; i++ {
-		benchBuild(b, core.PopulationConfig{
+		core.DeriveHorizontal(benchBuild(b, core.PopulationConfig{
 			N: n, Seed: int64(i + 1), Checkpoint: ck,
-		})
+		}).Regular)
 	}
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 	b.ReportMetric(float64(sunk)/float64(b.N), "ckpts/op")
 }
 
-// BenchmarkEstimateArmed is the pair builder with streaming yield
+// BenchmarkEstimateArmed is the builder with streaming yield
 // estimation armed at a server-realistic snapshot interval. Like the
 // checkpointer, the estimator must stay off the per-chip hot path: the
 // streaming case first pins the alloc budget (arming costs at most two
@@ -399,7 +400,7 @@ func BenchmarkEstimateArmed(b *testing.B) {
 			armedCfg.Seed = int64(i + 1)
 			benchBuild(b, armedCfg)
 		}
-		b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
+		b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "chips/s")
 		b.ReportMetric(float64(published)/float64(b.N), "snapshots/op")
 	})
 	b.Run("precision", func(b *testing.B) {
@@ -499,7 +500,7 @@ func BenchmarkSweepDelta(b *testing.B) {
 }
 
 // BenchmarkSweepFullRebuild evaluates the same grid the naive way: an
-// independent full pair build per config, no draw reuse. This is
+// independent full build per config, no draw reuse. This is
 // the wall-clock baseline the sweep service's delta planning is judged
 // against.
 func BenchmarkSweepFullRebuild(b *testing.B) {
@@ -547,7 +548,7 @@ func requireZeroAllocs(b *testing.B, op func()) {
 	}
 }
 
-// BenchmarkSample is the variation-sampling layer of a pair build: one
+// BenchmarkSample is the variation-sampling layer of a build: one
 // warm DrawSet refilled with the full variation tree of BatchWidth new
 // chips per op. It fails unless an op allocates nothing.
 func BenchmarkSample(b *testing.B) {
@@ -567,9 +568,10 @@ func BenchmarkSample(b *testing.B) {
 	reportPerChip(b, sram.BatchWidth)
 }
 
-// BenchmarkKernelPair is the kernel layer of a pair build: both cache
-// organisations evaluated from one warm DrawSet of BatchWidth chips per
-// op, the leakage aggregates captured as the delta-build path does. It
+// BenchmarkKernelPair is the kernel layer of a study: both cache
+// organisations, the regular one evaluated from one warm DrawSet of
+// BatchWidth chips per op and H-YAPD derived from it, the leakage
+// aggregates captured as the delta-build path does. It
 // fails unless an op allocates nothing.
 func BenchmarkKernelPair(b *testing.B) {
 	ev, ds, _ := layerFixture()

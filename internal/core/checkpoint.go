@@ -11,31 +11,26 @@ import (
 // CheckpointConfig turns on periodic build checkpointing and, when
 // Resume is set, continues an interrupted build from its saved prefix.
 //
-// The consistency argument: workers claim whole sram.BatchWidth-chip
-// batches of [base, N) and mark each one measured with an atomic store
-// after writing its chips. A checkpoint's Done is the start of the
-// first unmarked batch; every chip below it was finished before the
-// store that made it visible (atomic store/load order), so
-// Regular[:Done]/Horizontal[:Done] is an immutable, fully-measured
-// prefix — no locks, no copying, and the hot loop pays one mark plus a
-// deadline check per batch only when checkpointing or estimation is on
-// (nothing at all when both are off). Done is therefore always
-// base + k·sram.BatchWidth or N: a resumed build restarts at a batch
-// edge and re-measures no partially-published batch.
+// Workers mark each sram.BatchWidth-chip batch measured with an atomic
+// store after writing it, and a checkpoint's Done is the start of the
+// first unmarked batch: Regular[:Done] is immutable and fully measured,
+// with no locks or copying, and Done is base + k·sram.BatchWidth or N,
+// so a resumed build restarts at a batch edge.
 type CheckpointConfig struct {
 	// Interval is the time between checkpoint attempts; zero or
 	// negative disables the checkpointer (Resume still works).
 	Interval time.Duration
-	// Sink receives each checkpoint. The pointed-to chips alias the
-	// live build arena: the prefix is immutable, but the Sink must
-	// finish with it (encode, hash) before returning and must not
-	// retain the slices. A Sink error skips that checkpoint; the build
-	// carries on and tries again next interval.
+	// Sink receives each checkpoint: the measured prefix of the regular
+	// organisation, from which a resumed build derives everything else.
+	// Its chips alias the live build arena: the prefix is immutable,
+	// but the Sink must finish with it (encode, hash) before returning
+	// and must not retain the slices. A Sink error skips that
+	// checkpoint; the build carries on and tries again next interval.
 	Sink func(*BuildCheckpoint) error
 	// Resume, when set, seeds the build with a previously checkpointed
 	// prefix: chips below Resume.Done are copied into the arena and
-	// measurement starts at Done. The checkpoint's seed, size, mode and
-	// model must match the build's.
+	// measurement starts at Done. The checkpoint's seed, size and model
+	// must match the build's.
 	Resume *BuildCheckpoint
 }
 
@@ -46,34 +41,12 @@ func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometr
 		return fmt.Errorf("core: resume checkpoint seed %d, build seed %d", r.Seed, cfg.Seed)
 	case r.N != cfg.N:
 		return fmt.Errorf("core: resume checkpoint for %d chips, build wants %d", r.N, cfg.N)
-	case !r.Pair:
-		return fmt.Errorf("core: resume checkpoint is not a pair build")
 	case r.Geom != geom:
 		return fmt.Errorf("core: resume checkpoint geometry %+v, build geometry %+v", r.Geom, geom)
 	case r.Tech != *cfg.Tech:
 		return fmt.Errorf("core: resume checkpoint built under a different technology model")
 	}
 	return nil
-}
-
-// copyMeasInto copies a checkpointed chip measurement into an arena
-// slot whose nested slices are already wired to the flat backing
-// arrays, preserving the arena's allocation discipline.
-func copyMeasInto(dst, src *sram.CacheMeasurement) {
-	dst.LatencyPS = src.LatencyPS
-	dst.LeakageW = src.LeakageW
-	for w := range dst.Ways {
-		dw, sw := &dst.Ways[w], &src.Ways[w]
-		dw.PeriphLeakW = sw.PeriphLeakW
-		dw.LatencyPS = sw.LatencyPS
-		dw.LeakageW = sw.LeakageW
-		for b := range dw.Banks {
-			db, sb := &dw.Banks[b], &sw.Banks[b]
-			db.MaxPS = sb.MaxPS
-			db.ArrayLeakW = sb.ArrayLeakW
-			copy(db.Paths, sb.Paths)
-		}
-	}
 }
 
 // checkpointer drives the periodic Sink calls for one build. It has no
@@ -85,16 +58,16 @@ func copyMeasInto(dst, src *sram.CacheMeasurement) {
 // marks, which it shares with the estimator.
 type checkpointer struct {
 	look
-	cfg      *CheckpointConfig
-	last     int // prefix of the last accepted checkpoint (publisher-only)
-	buf      BuildCheckpoint
-	reg, hor []Chip
+	cfg   *CheckpointConfig
+	last  int // prefix of the last accepted checkpoint (publisher-only)
+	buf   BuildCheckpoint
+	chips []Chip
 }
 
 // newCheckpointer returns the checkpointer of a build resumed at base;
 // nil when checkpointing is disabled for this build.
 func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
-	geom sram.Geometry, reg, hor []Chip) *checkpointer {
+	geom sram.Geometry, chips []Chip) *checkpointer {
 	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
 		return nil
 	}
@@ -102,11 +75,10 @@ func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 		cfg:  ck,
 		last: base,
 		buf: BuildCheckpoint{
-			Seed: cfg.Seed, N: cfg.N, Pair: true,
+			Seed: cfg.Seed, N: cfg.N,
 			Tech: *cfg.Tech, Geom: geom,
 		},
-		reg: reg,
-		hor: hor,
+		chips: chips,
 	}
 	c.arm(ck.Interval, c)
 	return c
@@ -119,8 +91,7 @@ func (c *checkpointer) publish(p int) {
 		return
 	}
 	c.buf.Done = p
-	c.buf.Regular = c.reg[:p]
-	c.buf.Horizontal = c.hor[:p]
+	c.buf.Regular = c.chips[:p]
 	if err := c.cfg.Sink(&c.buf); err != nil {
 		obs.C("core_checkpoint_sink_errors_total").Inc()
 		return

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"reflect"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
 	"yieldcache/internal/sram"
 )
@@ -78,7 +80,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	chipsEqual(t, "instrumented regular", res.Regular, wantReg)
-	chipsEqual(t, "instrumented horizontal", res.Horizontal, wantHor)
+	chipsEqual(t, "instrumented horizontal", DeriveHorizontal(res.Regular), wantHor)
 
 	mu.Lock()
 	ck := last
@@ -87,10 +89,9 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		// Build finished between ticks; force a checkpoint by hand from
 		// the uninterrupted run's prefix so the resume path still runs.
 		ck = &BuildCheckpoint{
-			Seed: seed, N: n, Done: n / 3, Pair: true,
+			Seed: seed, N: n, Done: n / 3,
 			Tech: wantReg.Model.Tech, Geom: wantReg.Model.Geom,
-			Regular:    wantReg.Chips[:n/3],
-			Horizontal: wantHor.Chips[:n/3],
+			Regular: wantReg.Chips[:n/3],
 		}
 	}
 	if ck.Done == 0 || ck.Done >= n {
@@ -106,7 +107,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	chipsEqual(t, "resumed regular", res.Regular, wantReg)
-	chipsEqual(t, "resumed horizontal", res.Horizontal, wantHor)
+	chipsEqual(t, "resumed horizontal", DeriveHorizontal(res.Regular), wantHor)
 
 	// A precision build wires its arena segment by segment, and resume
 	// wires the segments below Done before copying the prefix in. Resume
@@ -117,10 +118,9 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	fullReg, fullHor := build(t, PopulationConfig{N: pn, Seed: seed})
 	for _, done := range []int{chipSegment + 188, 2 * chipSegment} {
 		ck := &BuildCheckpoint{
-			Seed: seed, N: pn, Done: done, Pair: true,
+			Seed: seed, N: pn, Done: done,
 			Tech: fullReg.Model.Tech, Geom: fullReg.Model.Geom,
-			Regular:    fullReg.Chips[:done],
-			Horizontal: fullHor.Chips[:done],
+			Regular: fullReg.Chips[:done],
 		}
 		cfg := armedConfig(pn, 3, nil)
 		cfg.Seed = seed
@@ -138,7 +138,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 			t.Errorf("precision resume at %d kept %d chips: the stop prefix is not a batch edge past Done", done, kept)
 		}
 		measIdentical(t, "precision-resumed regular", res.Regular, &Population{Chips: fullReg.Chips[:kept]})
-		measIdentical(t, "precision-resumed horizontal", res.Horizontal, &Population{Chips: fullHor.Chips[:kept]})
+		measIdentical(t, "precision-resumed horizontal", DeriveHorizontal(res.Regular), &Population{Chips: fullHor.Chips[:kept]})
 	}
 }
 
@@ -147,11 +147,11 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 // chip.
 func TestResumeTraceLanes(t *testing.T) {
 	const n, done, workers, seed = 120, 40, 3, 2006
-	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
+	reg, _ := build(t, PopulationConfig{N: n, Seed: seed})
 	ck := &BuildCheckpoint{
-		Seed: seed, N: n, Done: done, Pair: true,
+		Seed: seed, N: n, Done: done,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
-		Regular: reg.Chips[:done], Horizontal: hor.Chips[:done],
+		Regular: reg.Chips[:done],
 	}
 	scope := obs.NewScope("resume", nil)
 	_, err := Build(obs.WithScope(context.Background(), scope), PopulationConfig{
@@ -211,12 +211,12 @@ func TestCheckpointCounters(t *testing.T) {
 		}
 	}
 
-	full, fullHor := build(t, PopulationConfig{N: n, Seed: seed})
+	full, _ := build(t, PopulationConfig{N: n, Seed: seed})
 	reg := obs.Enable()
 	build(t, PopulationConfig{N: n, Seed: seed, Checkpoint: &CheckpointConfig{Resume: &BuildCheckpoint{
-		Seed: seed, N: n, Done: 16, Pair: true,
+		Seed: seed, N: n, Done: 16,
 		Tech: full.Model.Tech, Geom: full.Model.Geom,
-		Regular: full.Chips[:16], Horizontal: fullHor.Chips[:16],
+		Regular: full.Chips[:16],
 	}}})
 	if got := counters(reg, names...); got[names[2]] != 1 {
 		t.Errorf("a resumed build left the counters at %v, want core_builds_resumed_total 1", got)
@@ -227,11 +227,11 @@ func TestCheckpointCounters(t *testing.T) {
 // blended into the wrong population.
 func TestResumeValidatesProvenance(t *testing.T) {
 	const n, seed = 40, 7
-	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
+	reg, _ := build(t, PopulationConfig{N: n, Seed: seed})
 	good := &BuildCheckpoint{
-		Seed: seed, N: n, Done: 10, Pair: true,
+		Seed: seed, N: n, Done: 10,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
-		Regular: reg.Chips[:10], Horizontal: hor.Chips[:10],
+		Regular: reg.Chips[:10],
 	}
 
 	cases := []struct {
@@ -241,7 +241,6 @@ func TestResumeValidatesProvenance(t *testing.T) {
 	}{
 		{"wrong seed", func(c *BuildCheckpoint) { c.Seed = 999 }, "seed"},
 		{"wrong n", func(c *BuildCheckpoint) { c.N = n + 1 }, "chips"},
-		{"wrong mode", func(c *BuildCheckpoint) { c.Pair = false }, "pair"},
 		{"wrong geometry", func(c *BuildCheckpoint) { c.Geom.Ways = 99 }, "geometry"},
 		{"wrong tech", func(c *BuildCheckpoint) { c.Tech.Vdd = 9.9 }, "technology"},
 	}
@@ -266,11 +265,11 @@ func TestResumeValidatesProvenance(t *testing.T) {
 // frontier.
 func TestCheckpointEncodeDecode(t *testing.T) {
 	const n, seed = 30, 3
-	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
+	reg, _ := build(t, PopulationConfig{N: n, Seed: seed})
 	ck := &BuildCheckpoint{
-		Seed: seed, N: n, Done: n, Pair: true,
+		Seed: seed, N: n, Done: n,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
-		Regular: reg.Chips, Horizontal: hor.Chips,
+		Regular: reg.Chips,
 	}
 	var buf bytes.Buffer
 	if err := ck.Encode(&buf); err != nil {
@@ -280,7 +279,7 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Done != n || got.Seed != seed || len(got.Regular) != n || len(got.Horizontal) != n {
+	if got.Done != n || got.Seed != seed || len(got.Regular) != n {
 		t.Fatalf("round trip mangled the checkpoint: %+v", got)
 	}
 	for i := range got.Regular {
@@ -306,14 +305,44 @@ func TestCheckpointEncodeDecode(t *testing.T) {
 // encodedCheckpoint returns the encoding of a complete n-chip
 // checkpoint.
 func encodedCheckpoint(tb testing.TB, n int) []byte {
-	reg, hor := build(tb, PopulationConfig{N: n, Seed: 5})
+	reg, _ := build(tb, PopulationConfig{N: n, Seed: 5})
 	ck := &BuildCheckpoint{
-		Seed: 5, N: n, Done: n, Pair: true,
+		Seed: 5, N: n, Done: n,
 		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
-		Regular: reg.Chips, Horizontal: hor.Chips,
+		Regular: reg.Chips,
 	}
 	var buf bytes.Buffer
 	if err := ck.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// encodedPairCheckpoint returns the encoding of the [0, done) prefix of
+// an n-chip build in the layout of builds that also stored the H-YAPD
+// prefix: the type's name and fields are that layout's, so the bytes
+// are the ones such a build wrote.
+func encodedPairCheckpoint(tb testing.TB, reg, hor *Population, n, done int) []byte {
+	type BuildCheckpoint struct {
+		Seed       int64
+		N          int
+		Done       int
+		Pair       bool
+		Tech       circuit.Tech
+		Geom       sram.Geometry
+		Regular    []Chip
+		Horizontal []Chip
+	}
+	ck := &BuildCheckpoint{
+		Seed: reg.Seed, N: n, Done: done, Pair: true,
+		Tech: reg.Model.Tech, Geom: reg.Model.Geom,
+		Regular: reg.Chips[:done], Horizontal: hor.Chips[:done],
+	}
+	var payload, buf bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
+		tb.Fatal(err)
+	}
+	if err := writeFramed(&buf, payload.Bytes()); err != nil {
 		tb.Fatal(err)
 	}
 	return buf.Bytes()
@@ -326,13 +355,27 @@ type damage struct {
 	data       []byte
 }
 
-// damagedCheckpoints returns every way the encoding good can be
-// damaged.
-func damagedCheckpoints(good []byte) []damage {
+// damagedCheckpoints returns every way the encoding good, of a
+// checkpoint of at least one chip, can be damaged.
+func damagedCheckpoints(tb testing.TB, good []byte) []damage {
 	edit := func(f func(b []byte)) []byte {
 		b := append([]byte(nil), good...)
 		f(b)
 		return b
+	}
+	// reshape re-encodes good with one chip's measurement cut short:
+	// framing and checksum intact, the chip's shape off its geometry.
+	reshape := func(f func(m *sram.CacheMeasurement)) []byte {
+		ck, err := DecodeBuildCheckpoint(bytes.NewReader(good))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		f(&ck.Regular[len(ck.Regular)-1].Meas)
+		var buf bytes.Buffer
+		if err := ck.Encode(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	return []damage{
 		{"empty input", "truncated in header", nil},
@@ -343,13 +386,22 @@ func damagedCheckpoints(good []byte) []damage {
 		{"truncated payload", "truncated", good[:len(good)-10]},
 		{"oversized length", "truncated", edit(func(b []byte) { copy(b[6:10], "\xff\xff\xff\xff") })},
 		{"payload bit flip", "checksum", edit(func(b []byte) { b[len(b)-1] ^= 0x40 })},
+		{"chip with one way", "does not match its 4×", reshape(func(m *sram.CacheMeasurement) {
+			m.Ways = m.Ways[:1]
+		})},
+		{"chip missing a path", "does not match", reshape(func(m *sram.CacheMeasurement) {
+			p := m.Ways[3].Banks[1].Paths
+			m.Ways[3].Banks[1].Paths = p[:len(p)-1]
+		})},
 	}
 }
 
 // Every way a checkpoint file can be damaged must fail with an error
-// that names the problem, before gob ever touches the bytes.
+// that names the problem: the framing before gob ever touches the
+// bytes, and a chip whose shape does not match the checkpoint's
+// geometry before a resume copies it into a build arena.
 func TestDecodeBuildCheckpointDamage(t *testing.T) {
-	for _, c := range damagedCheckpoints(encodedCheckpoint(t, 4)) {
+	for _, c := range damagedCheckpoints(t, encodedCheckpoint(t, 4)) {
 		_, err := DecodeBuildCheckpoint(bytes.NewReader(c.data))
 		if err == nil {
 			t.Fatalf("%s accepted", c.name)
@@ -360,15 +412,54 @@ func TestDecodeBuildCheckpointDamage(t *testing.T) {
 	}
 }
 
+// TestResumeFromPairCheckpoint pins compatibility with checkpoints
+// written when builds also stored the H-YAPD prefix (Pair and
+// Horizontal): one decodes, resumes bit-identically to an
+// uninterrupted build, the horizontal population derived from the
+// resumed one equals the uninterrupted build's, and the current
+// encoding of the same 256-chip prefix is at most 0.55× its size.
+func TestResumeFromPairCheckpoint(t *testing.T) {
+	const n, done, seed = 320, 256, 2006
+	reg, hor := build(t, PopulationConfig{N: n, Seed: seed})
+	old := encodedPairCheckpoint(t, reg, hor, n, done)
+	ck, err := DecodeBuildCheckpoint(bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Done != done || len(ck.Regular) != done {
+		t.Fatalf("pair checkpoint decoded to done=%d with %d chips, want %d", ck.Done, len(ck.Regular), done)
+	}
+	res, err := Build(context.Background(), PopulationConfig{
+		N: n, Seed: seed, Workers: 2, Checkpoint: &CheckpointConfig{Resume: ck},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	measIdentical(t, "resumed regular", res.Regular, reg)
+	measIdentical(t, "derived horizontal", DeriveHorizontal(res.Regular), hor)
+
+	var cur bytes.Buffer
+	if err := ck.Encode(&cur); err != nil {
+		t.Fatal(err)
+	}
+	if ratio := float64(cur.Len()) / float64(len(old)); ratio > 0.55 {
+		t.Errorf("a %d-chip checkpoint encodes to %d bytes, %.2f× the %d of the pair layout: want at most 0.55×",
+			done, cur.Len(), ratio, len(old))
+	}
+}
+
 // FuzzDecodeBuildCheckpoint feeds arbitrary bytes to the checkpoint
-// decoder: it must never panic, and a checkpoint it accepts must
-// re-encode and decode to an equal value.
+// decoder: it must never panic, a checkpoint it accepts must re-encode
+// and decode to an equal value, and resuming a build of up to 64 chips
+// from it must not panic either.
 func FuzzDecodeBuildCheckpoint(f *testing.F) {
 	good := encodedCheckpoint(f, 2)
 	f.Add(good)
-	for _, c := range damagedCheckpoints(good) {
+	for _, c := range damagedCheckpoints(f, good) {
 		f.Add(c.data)
 	}
+	reg, hor := build(f, PopulationConfig{N: 2, Seed: 5})
+	f.Add(encodedPairCheckpoint(f, reg, hor, 2, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := DecodeBuildCheckpoint(bytes.NewReader(data))
 		if err != nil {
@@ -388,6 +479,12 @@ func FuzzDecodeBuildCheckpoint(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatal("checkpoint changed across a re-encode and decode")
+		}
+		// A resume of another build is an error, never a panic.
+		if ck.N <= 64 {
+			Build(context.Background(), PopulationConfig{
+				N: ck.N, Seed: ck.Seed, Workers: 1, Checkpoint: &CheckpointConfig{Resume: ck},
+			})
 		}
 	})
 }

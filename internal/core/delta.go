@@ -35,8 +35,8 @@ import (
 // kernel preserves draw and accumulation order, and cached aggregates
 // are the exact floats a full build computes. BuildCtx evaluates into
 // one chip arena the builder reuses, so a sweep unit allocates no chip
-// storage; BuildPairCtx and Base, which also derive the H-YAPD
-// organisation, return populations in fresh arenas.
+// storage; BuildPairCtx, which also derives the H-YAPD organisation,
+// returns populations in fresh arenas.
 //
 // The retained draws cost about 7.7 KB per chip (N=2000 ≈ 15 MB), held
 // in a few flat slabs per builder, so the builder is an opt-in for
@@ -123,28 +123,25 @@ func (d *DeltaBuilder) BuildCtx(ctx context.Context, tech circuit.Tech) (*Popula
 	if d.arena == nil {
 		d.arena = newChipArena(d.cfg.N, d.geom, nil)
 	}
-	return d.build(ctx, tech, d.arena, nil)
+	return d.build(ctx, tech, d.arena)
 }
 
 // BuildPairCtx is BuildCtx into a fresh arena, plus the H-YAPD
-// organisation derived from each regular chip (sram.DeriveHYAPD) into
-// a second fresh arena. Both results stay valid for the builder's
-// lifetime; a tech with no diff copies the base population. Sweeps use
-// BuildCtx: this pair form remains for callers that keep every unit's
-// populations.
+// organisation DeriveHorizontal derives from it. Both results stay
+// valid for the builder's lifetime; a tech with no diff copies the base
+// population. Sweeps use BuildCtx: this pair form remains for callers
+// that keep every unit's populations.
 func (d *DeltaBuilder) BuildPairCtx(ctx context.Context, tech circuit.Tech) (regular, horizontal *Population, err error) {
-	hor := newChipArena(d.cfg.N, d.geom, nil)
-	regular, err = d.build(ctx, tech, newChipArena(d.cfg.N, d.geom, nil), hor)
+	regular, err = d.build(ctx, tech, newChipArena(d.cfg.N, d.geom, nil))
 	if err != nil {
 		return nil, nil, err
 	}
-	return regular, &Population{Chips: hor, Model: newModelWithGeom(tech, true, &d.geom), Seed: d.cfg.Seed}, nil
+	return regular, DeriveHorizontal(regular), nil
 }
 
 // build is the one batch loop of BuildCtx and BuildPairCtx: it
-// re-evaluates the retained draws under tech into chips and, when hor
-// is non-nil, derives each batch's H-YAPD organisation into hor.
-func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech, chips, hor []Chip) (*Population, error) {
+// re-evaluates the retained draws under tech into chips.
+func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech, chips []Chip) (*Population, error) {
 	parts := sram.DiffTech(d.baseTech, tech)
 	model := newModelWithGeom(tech, false, &d.geom)
 	cancelled, stopWatch := watchCancel(ctx)
@@ -152,9 +149,6 @@ func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech, chips, hor 
 	forEachBatch(cancelled, nil, frontier{}, 0, d.cfg.N, d.cfg.Workers, model, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
 		base, v := measSlots(d.base.Chips, lo, bn), measSlots(chips, lo, bn)
 		ev.EvalDelta(&d.draws[k], parts, base[:bn], &d.leaks[k], v[:bn])
-		for j := 0; hor != nil && j < bn; j++ {
-			sram.DeriveHYAPD(v[j], &hor[lo+j].Meas, d.geom)
-		}
 	})
 	if err := ctx.Err(); err != nil {
 		return nil, err

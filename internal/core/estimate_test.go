@@ -102,7 +102,7 @@ func TestEstimateGoldenUnaffected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, hor, est := res.Regular, res.Horizontal, res.Estimate
+	reg, hor, est := res.Regular, DeriveHorizontal(res.Regular), res.Estimate
 	if snapshots == 0 || est == nil {
 		t.Fatalf("estimation did not publish (snapshots=%d)", snapshots)
 	}
@@ -146,7 +146,7 @@ func TestEstimateEarlyStop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		reg, hor, est := res.Regular, res.Horizontal, res.Estimate
+		reg, hor, est := res.Regular, DeriveHorizontal(res.Regular), res.Estimate
 		if est == nil || !est.EarlyStop {
 			t.Fatalf("workers=%d: expected early stop, got %+v", workers, est)
 		}
@@ -281,7 +281,7 @@ func TestEstimateAllocBudget(t *testing.T) {
 	Build(ctx, armed)
 	withEst := testing.AllocsPerRun(10, func() { Build(ctx, armed) })
 	if withEst > plain+2 {
-		t.Errorf("estimating pair build allocates %.1f times per run, plain is %.1f: estimation may add at most 2",
+		t.Errorf("estimating build allocates %.1f times per run, plain is %.1f: estimation may add at most 2",
 			withEst, plain)
 	}
 }

@@ -71,25 +71,24 @@ func readFramed(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// BuildCheckpoint is a consistent prefix of an interrupted pair build:
-// every chip below Done measured for both organisations, plus the
+// BuildCheckpoint is a consistent prefix of an interrupted build:
+// every chip below Done measured in the regular organisation (the
+// H-YAPD one is derived from it, see DeriveHorizontal), plus the
 // parameters needed to validate that a resume really continues the
 // same build. Chip i is a pure function of (Seed, i) — the O(1)
 // seed-jump — so Done alone locates the resume point; no sampler state
-// is saved.
+// is saved. Checkpoints written when builds also stored the H-YAPD
+// prefix still decode: gob skips the stream fields this struct lacks.
 type BuildCheckpoint struct {
-	// Seed and N identify the build; Pair records that both cache
-	// organisations were measured (the only checkpointed mode).
+	// Seed and N identify the build.
 	Seed int64
 	N    int
 	Done int
-	Pair bool
 	// Tech and Geom guard against resuming under a different model.
 	Tech circuit.Tech
 	Geom sram.Geometry
-	// Regular and Horizontal hold the measured prefix [0, Done).
-	Regular    []Chip
-	Horizontal []Chip
+	// Regular holds the measured prefix [0, Done).
+	Regular []Chip
 }
 
 // Encode serialises the checkpoint in the framed magic/version/checksum
@@ -103,7 +102,10 @@ func (c *BuildCheckpoint) Encode(w io.Writer) error {
 }
 
 // DecodeBuildCheckpoint reads a checkpoint written by Encode, verifying
-// the header and payload checksum before decoding.
+// the header and payload checksum before decoding, and after it that
+// the prefix is consistent with Done and N and that every chip has the
+// way, bank and path counts of the checkpoint's geometry, so that a
+// resume never copies a chip that does not fit its arena.
 func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 	payload, err := readFramed(r)
 	if err != nil {
@@ -113,9 +115,23 @@ func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	if c.Done < 0 || c.Done > c.N || len(c.Regular) != c.Done || (c.Pair && len(c.Horizontal) != c.Done) {
-		return nil, fmt.Errorf("core: checkpoint inconsistent: done=%d n=%d regular=%d horizontal=%d",
-			c.Done, c.N, len(c.Regular), len(c.Horizontal))
+	if c.Done < 0 || c.Done > c.N || len(c.Regular) != c.Done {
+		return nil, fmt.Errorf("core: checkpoint inconsistent: done=%d n=%d regular=%d",
+			c.Done, c.N, len(c.Regular))
+	}
+	g := c.Geom
+	for i := range c.Regular {
+		fits := len(c.Regular[i].Meas.Ways) == g.Ways
+		for _, w := range c.Regular[i].Meas.Ways {
+			fits = fits && len(w.Banks) == g.BanksPerWay
+			for _, b := range w.Banks {
+				fits = fits && len(b.Paths) == g.PathsPerBank
+			}
+		}
+		if !fits {
+			return nil, fmt.Errorf("core: checkpoint chip %d does not match its %d×%d×%d-path geometry",
+				i, g.Ways, g.BanksPerWay, g.PathsPerBank)
+		}
 	}
 	return &c, nil
 }

@@ -107,48 +107,40 @@ func checkGeometry(g sram.Geometry) error {
 	return nil
 }
 
-// BuildResult is one Monte Carlo build: the regular and H-YAPD
-// organisations measured from the same variation draws, and the final
-// streaming yield estimate.
+// BuildResult is one Monte Carlo build: the regular organisation
+// measured from the build's variation draws, and the final streaming
+// yield estimate. The H-YAPD organisation is a pure function of it
+// (DeriveHorizontal).
 type BuildResult struct {
-	Regular    *Population
-	Horizontal *Population
+	Regular *Population
 	// Estimate is nil unless PopulationConfig.Estimate armed
-	// estimation. When its EarlyStop field is set, both populations are
-	// truncated to the fully measured prefix at which the precision
-	// target was met, and every chip in them is bit-identical to the
-	// same chip of an untruncated build.
+	// estimation. When its EarlyStop field is set, Regular is truncated
+	// to the fully measured prefix at which the precision target was
+	// met, and every chip in it is bit-identical to the same chip of an
+	// untruncated build.
 	Estimate *YieldEstimate
 }
 
-// Build samples every chip's variation tree once and measures both
-// cache organisations from the same draws. Chip i is a pure function of
-// (Seed, i), so the regular and H-YAPD populations see identical
-// process variation — the paper's "we have applied the same process
-// variation parameters used in the previous simulations" holds by
-// construction. Evaluation is parallelised across cfg.Workers; the
-// result is independent of the worker count.
+// Build samples every chip's variation tree once and measures the
+// regular cache organisation from it; DeriveHorizontal derives the
+// H-YAPD one from the result. Chip i is a pure function of (Seed, i),
+// so both organisations see identical process variation (the paper's
+// "same process variation parameters") and the result does not depend
+// on cfg.Workers.
 //
 // Build returns an error for a negative N or an out-of-range Geom, for
 // a Checkpoint.Resume that belongs to another build, and ctx.Err()
 // when ctx is cancelled or its deadline passes mid-build.
 //
-// Workers claim whole sram.BatchWidth-chip batches from one shared
-// counter (forEachBatch, the loop every build runs) and evaluate each
-// through the structure-of-arrays batch kernel with their own variation
-// scratch and measurement evaluator, so the hot loop performs no heap
-// allocation: way/bank/path measurement storage comes from flat arrays
-// sliced up front and draw/factor columns live in the evaluator. A
-// build that can stop early (a precision target) instead wires that
-// storage in chipSegment-chip segments as the workers reach them, so it
-// pays only for the chips it measures. Cancellation is polled once per
-// batch — an atomic flag set by a watcher goroutine, so the hot loop
-// never touches the context directly. When ctx carries an obs.Scope
-// (the yieldd per-job path), spans land on the scope's tracer instead
-// of the global one, worker w on trace lane 2+w, and the scope's
-// progress counter advances once per batch at the same poll point, so a
-// running job can report live chips-done counts at no extra hot-loop
-// cost beyond one atomic add.
+// Workers run forEachBatch, sampling each batch into their evaluator's
+// own draw set and evaluating it through the structure-of-arrays
+// kernel, so the hot loop allocates nothing: measurement storage is
+// sliced from flat arrays up front or, for a build that can stop early
+// (a precision target), wired in chipSegment-chip segments as workers
+// reach them, so it pays only for the chips it measures. When ctx
+// carries an obs.Scope (the yieldd per-job path), spans land on its
+// tracer, worker w on trace lane 2+w, and its progress counter advances
+// once per batch.
 func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	if err := cfg.fill(); err != nil {
 		return BuildResult{}, err
@@ -158,20 +150,19 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	sp := obs.StartSpanCtx(ctx, "build_population/pair")
 	defer sp.End()
 
-	regModel := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
-	horModel := newModelWithGeom(*cfg.Tech, true, cfg.Geom)
+	model := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
-	geom := regModel.Geom
+	geom := model.Geom
 
 	// Cancellation: the workers poll one shared atomic per batch instead
 	// of selecting on ctx.Done() in the hot loop. Started before the
-	// arenas so that their setup loops (millions of slice-header writes
-	// for large N) can poll it too.
+	// arena so that its setup loop (millions of slice-header writes for
+	// large N) can poll it too.
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
 
 	stopsEarly := cfg.Estimate != nil && cfg.Estimate.TargetCIWidth > 0
-	regChips, horChips, segs := newPairArenas(cfg.N, geom, stopsEarly, cancelled)
+	chips, segs := newBuildArena(cfg.N, geom, stopsEarly, cancelled)
 	if cancelled.Load() {
 		return BuildResult{}, ctx.Err()
 	}
@@ -187,40 +178,34 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		}
 		segs.wire(0, r.Done)
 		for i := 0; i < r.Done; i++ {
-			copyMeasInto(&regChips[i].Meas, &r.Regular[i].Meas)
-			copyMeasInto(&horChips[i].Meas, &r.Horizontal[i].Meas)
+			sram.CopyMeasurement(&chips[i].Meas, &r.Regular[i].Meas)
 		}
 		base = r.Done
 		scope.AddProgress(int64(base))
 		obs.C("core_builds_resumed_total").Inc()
 	}
 
-	ckp := newCheckpointer(cfg.Checkpoint, base, &cfg, geom, regChips, horChips)
-	est := newEstimator(cfg.Estimate, regChips)
+	ckp := newCheckpointer(cfg.Checkpoint, base, &cfg, geom, chips)
+	est := newEstimator(cfg.Estimate, chips)
 	fr := newFrontier(base, cfg.N, ckp, est)
-	forEachBatch(cancelled, sp, fr, base, cfg.N, cfg.Workers, regModel, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
+	forEachBatch(cancelled, sp, fr, base, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
 		segs.wire(lo, lo+bn)
-		ids, regV, horV := batchIDs(lo, bn), measSlots(regChips, lo, bn), measSlots(horChips, lo, bn)
-		ev.MeasurePairBatch(ids[:bn], regV[:bn], horV[:bn])
+		ids, v := batchIDs(lo, bn), measSlots(chips, lo, bn)
+		ev.Sample(ids[:bn], ev.Draws())
+		ev.Eval(ev.Draws(), v[:bn], nil)
 		scope.AddProgress(int64(bn))
 	})
 	if err := ctx.Err(); err != nil {
 		return BuildResult{}, err
 	}
 
-	// Precision-targeted stop: truncate to the prefix at which the
-	// stopping rule fired — a consistent prefix of base +
-	// k·sram.BatchWidth chips, every one fully measured — so the final
-	// population, and every statistic derived from it, is the prefix
-	// the decision was made on (final CI half-width <= target by
-	// construction). Workers may have measured
-	// a few batches past the prefix between the decision and their
-	// next poll; those chips are discarded, keeping the result a pure
-	// function of the decision prefix rather than of scheduling luck.
-	// The truncation happens at the Population literals below rather
-	// than by reassigning regChips/horChips — a reassignment after the
-	// workers captured the slices would force their headers onto the
-	// heap and cost the disabled path an allocation.
+	// Precision-targeted stop: truncate to the consistent prefix the
+	// stopping rule fired on, so the population and every statistic
+	// derived from it are those the decision was made on (final CI
+	// half-width <= target by construction). Chips workers measured past
+	// it before their next poll are discarded. The truncation happens
+	// in the Population literal: reassigning chips, which the workers
+	// captured, would move its header to the heap.
 	built := cfg.N
 	early := false
 	if p := est.stopPrefix(); p > 0 {
@@ -231,13 +216,38 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	}
 	est.finalize(built, early)
 
-	// Both organisations count: a build measures 2×built chips.
-	obs.C("core_chips_built_total").Add(int64(2 * built))
+	obs.C("core_chips_built_total").Add(int64(built))
 	return BuildResult{
-		Regular:    &Population{Chips: regChips[:built], Model: regModel, Seed: cfg.Seed},
-		Horizontal: &Population{Chips: horChips[:built], Model: horModel, Seed: cfg.Seed},
-		Estimate:   est.final(),
+		Regular:  &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed},
+		Estimate: est.final(),
 	}, nil
+}
+
+// DeriveHorizontal returns the H-YAPD organisation of reg, a regular
+// population from Build or a DeltaBuilder: each chip derived from the
+// same chip of reg by sram.DeriveHYAPD, in one fresh arena, under an
+// H-YAPD model of reg's technology and geometry. The chips are wired
+// and derived on GOMAXPROCS goroutines, each over a contiguous share:
+// at the paper geometry derivation costs about 8% of a one-worker
+// build, which a serial pass after a parallel build would add to a
+// study's wall time.
+func DeriveHorizontal(reg *Population) *Population {
+	g, n := reg.Model.Geom, len(reg.Chips)
+	chips := make([]Chip, n)
+	share := max(1, (n+runtime.GOMAXPROCS(0)-1)/runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += share {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			wireChips(chips, lo, hi, g, nil)
+			for i := lo; i < hi; i++ {
+				sram.DeriveHYAPD(&reg.Chips[i].Meas, &chips[i].Meas, g)
+			}
+		}(lo, min(lo+share, n))
+	}
+	wg.Wait()
+	return &Population{Chips: chips, Model: newModelWithGeom(reg.Model.Tech, true, &g), Seed: reg.Seed}
 }
 
 // batchIDs returns the ids of chips [lo, lo+bn), the first argument of
@@ -275,47 +285,43 @@ func newModelWithGeom(tech circuit.Tech, hyapd bool, g *sram.Geometry) *sram.Mod
 // cost nothing measurable.
 const chipSegment = 512
 
-// States of a segment of a segmentedArenas.
+// States of a segment of a segmentedArena.
 const (
 	segUnwired uint32 = iota
 	segWiring
 	segReady
 )
 
-// segmentedArenas wires the regular and H-YAPD chip arenas of a build
-// that can stop early, chipSegment chips at a time, the first time a
-// batch reaches each segment. A precision build that stops at P chips
-// therefore allocates, zeroes and wires measurement storage only for
-// the segments below P and the few its workers reached past it.
-type segmentedArenas struct {
-	reg, hor []Chip
-	geom     sram.Geometry
-	state    []atomic.Uint32 // per segment: segUnwired, segWiring or segReady
+// segmentedArena wires the chip arena of a build that can stop early,
+// chipSegment chips at a time, the first time a batch reaches each
+// segment, so the build pays only for the segments its workers reach.
+type segmentedArena struct {
+	chips []Chip
+	geom  sram.Geometry
+	state []atomic.Uint32 // per segment: segUnwired, segWiring or segReady
 }
 
-// newPairArenas returns the regular and H-YAPD chip arenas of a build.
-// A build that cannot stop early gets both wired up front as one
-// segment of n, and a nil segs; one that can gets unwired chips and the
-// segmentedArenas through which its workers wire them on demand.
-func newPairArenas(n int, g sram.Geometry, stopsEarly bool, cancelled *atomic.Bool) (reg, hor []Chip, segs *segmentedArenas) {
+// newBuildArena returns the chip arena of a build: wired up front, with
+// a nil segmentedArena, unless the build can stop early; then unwired,
+// with the segmentedArena through which its workers wire it.
+func newBuildArena(n int, g sram.Geometry, stopsEarly bool, cancelled *atomic.Bool) ([]Chip, *segmentedArena) {
 	if !stopsEarly {
-		return newChipArena(n, g, cancelled), newChipArena(n, g, cancelled), nil
+		return newChipArena(n, g, cancelled), nil
 	}
-	segs = &segmentedArenas{
-		reg:   make([]Chip, n),
-		hor:   make([]Chip, n),
+	a := &segmentedArena{
+		chips: make([]Chip, n),
 		geom:  g,
 		state: make([]atomic.Uint32, (n+chipSegment-1)/chipSegment),
 	}
-	return segs.reg, segs.hor, segs
+	return a.chips, a
 }
 
-// wire makes sure chips [lo, hi) of both arenas are wired. The caller
-// that moves a segment from unwired to wiring wires it, so each segment
-// is wired exactly once; a caller that finds it being wired waits until
-// it is ready, which orders the wiring before the caller's writes.
-// Nil-safe: a build wired up front pays one nil check per batch.
-func (a *segmentedArenas) wire(lo, hi int) {
+// wire makes sure chips [lo, hi) are wired. The caller that moves a
+// segment from unwired to wiring wires it, so each segment is wired
+// exactly once; a caller that finds it being wired waits until it is
+// ready, which orders the wiring before the caller's writes. Nil-safe:
+// a build wired up front pays one nil check per batch.
+func (a *segmentedArena) wire(lo, hi int) {
 	if a == nil || hi <= lo {
 		return
 	}
@@ -325,9 +331,7 @@ func (a *segmentedArenas) wire(lo, hi int) {
 			continue
 		}
 		if st.CompareAndSwap(segUnwired, segWiring) {
-			l, h := s*chipSegment, min((s+1)*chipSegment, len(a.reg))
-			wireChips(a.reg, l, h, a.geom, nil)
-			wireChips(a.hor, l, h, a.geom, nil)
+			wireChips(a.chips, s*chipSegment, min((s+1)*chipSegment, len(a.chips)), a.geom, nil)
 			st.Store(segReady)
 			continue
 		}

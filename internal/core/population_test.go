@@ -16,15 +16,16 @@ import (
 	"yieldcache/internal/variation"
 )
 
-// build is Build on a background context returning the regular and
-// H-YAPD populations; it fails the test on error.
+// build is Build on a background context returning the regular
+// population and the H-YAPD one derived from it; it fails the test on
+// error.
 func build(t testing.TB, cfg PopulationConfig) (reg, hor *Population) {
 	t.Helper()
 	res, err := Build(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res.Regular, res.Horizontal
+	return res.Regular, DeriveHorizontal(res.Regular)
 }
 
 // goldenChip pins a chip's measurement to hex-exact values captured
@@ -114,6 +115,37 @@ func TestPairMatchesDoubleBuild(t *testing.T) {
 	}
 	if reg.Model.HYAPD || !hor.Model.HYAPD {
 		t.Fatal("pair models carry wrong organisations")
+	}
+}
+
+// TestBuildDerivesHorizontal checks DeriveHorizontal on a parallel
+// build at a non-paper technology and geometry: every derived chip
+// equals the H-YAPD measurement of the same chip under that technology
+// and geometry, keeps its id, and the derived population carries an
+// H-YAPD model of the regular one's technology and geometry and its
+// seed.
+func TestBuildDerivesHorizontal(t *testing.T) {
+	tech := circuit.PTM45()
+	tech.Vdd = 1.05
+	g := sram.Paper16KB()
+	g.Ways, g.PathsPerBank = 2, 3
+	reg, hor := build(t, PopulationConfig{N: 2*sram.BatchWidth + 5, Seed: 17, Workers: 3, Tech: &tech, Geom: &g})
+	sampler := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 17)
+	mHor := &sram.Model{Tech: tech, Geom: g, HYAPD: true}
+	if len(hor.Chips) != len(reg.Chips) {
+		t.Fatalf("derived %d chips from %d", len(hor.Chips), len(reg.Chips))
+	}
+	for i := range hor.Chips {
+		if hor.Chips[i].ID != reg.Chips[i].ID {
+			t.Fatalf("chip %d: derived id %d, regular id %d", i, hor.Chips[i].ID, reg.Chips[i].ID)
+		}
+		if !reflect.DeepEqual(hor.Chips[i].Meas, mHor.Measure(sampler.Chip(i))) {
+			t.Fatalf("chip %d: derived H-YAPD measurement diverges from a single measurement", i)
+		}
+	}
+	if !hor.Model.HYAPD || hor.Model.Tech != tech || hor.Model.Geom != g || hor.Seed != 17 {
+		t.Errorf("derived population carries model %+v and seed %d, want H-YAPD at the build's technology, geometry and seed 17",
+			*hor.Model, hor.Seed)
 	}
 }
 

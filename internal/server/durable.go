@@ -90,7 +90,7 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 // error skips that checkpoint; the build carries on.
 //
 // The sink self-clocks against the storage it writes to: a checkpoint
-// snapshot grows with the build (retained draws are O(chips)), and on
+// snapshot grows with the build (it holds every measured chip), and on
 // slow disks persisting one can take far longer than the configured
 // interval. Each persisted checkpoint therefore postpones the next by
 // its own cost, so slow storage degrades checkpoint granularity —

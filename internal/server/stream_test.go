@@ -283,7 +283,7 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 	// checkpointing offers one 10-chip checkpoint to the server's sink,
 	// then finishes with a small real study.
 	checkpointing := func(_ context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error) {
-		bc := &yieldcache.BuildCheckpoint{Seed: cfg.Seed, N: cfg.Chips, Done: 10, Pair: true}
+		bc := &yieldcache.BuildCheckpoint{Seed: cfg.Seed, N: cfg.Chips, Done: 10}
 		if err := cfg.Checkpoint.Sink(bc); err != nil {
 			return nil, err
 		}

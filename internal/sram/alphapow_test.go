@@ -164,7 +164,7 @@ func TestBatchKernelMatchesReferenceAcrossTechs(t *testing.T) {
 		ev := m.NewEvaluator(s.NewScratch())
 		ref := m.NewEvaluator(s.NewScratch())
 		got := measViews(len(ids), m.Geom)
-		ev.MeasurePairBatch(ids, got, measViews(len(ids), m.Geom))
+		measureBatch(ev, ids, got)
 		for j, cid := range ids {
 			chip := ref.Scratch().Chip(cid)
 			var want CacheMeasurement

@@ -83,6 +83,12 @@ type DrawSet struct {
 // Len returns the number of chips in the set.
 func (ds *DrawSet) Len() int { return ds.Chips.Len() }
 
+// Draws returns the evaluator's own draw set: a destination for Sample
+// whose draws need not outlive the next batch, reused so that a warm
+// Sample into it and Eval of it allocate nothing. Measure overwrites
+// it, and it goes back to the pool with Release.
+func (e *Evaluator) Draws() *DrawSet { return &e.ks.ds }
+
 // Sample draws the full variation tree of the given chips into ds,
 // reusing its buffers. Lane l holds chip ids[l]; every draw is
 // bit-identical to the scalar Scratch walk of the same chip.
@@ -123,7 +129,7 @@ func (e *Evaluator) sampleRegions(ds *DrawSet) {
 // through kernelPool so that building a population costs a pool Get
 // instead of re-allocating the ~40 column slices per evaluator.
 type kernelScratch struct {
-	ds  DrawSet              // draw storage for Measure/MeasurePairBatch
+	ds  DrawSet              // draw storage for Measure and Draws
 	one [1]*CacheMeasurement // width-1 view for Measure
 	reg CacheMeasurement     // regular lane an H-YAPD Measure derives from
 
@@ -514,15 +520,6 @@ func (e *Evaluator) EvalDelta(ds *DrawSet, parts TechParts, base []*CacheMeasure
 	}
 }
 
-// MeasurePairBatch samples the given chips once and evaluates both
-// cache organisations; reg[l]/hor[l] receive chip ids[l]. Warm calls
-// are allocation-free.
-func (e *Evaluator) MeasurePairBatch(ids []int, reg, hor []*CacheMeasurement) {
-	ds := &e.ks.ds
-	e.Sample(ids, ds)
-	e.EvalPair(ds, reg, hor, nil)
-}
-
 // eval is the kernel core: derive factor columns per region, then
 // assemble regular-organisation measurements lane by lane in the scalar
 // accumulation order (DeriveHYAPD applies the H-YAPD penalty). dst
@@ -690,6 +687,13 @@ func (e *Evaluator) rescaleLeak(ls *LeakState, dst []*CacheMeasurement) {
 			cm.LeakageW += wm.LeakageW
 		}
 	}
+}
+
+// CopyMeasurement copies src into dst, a measurement of the same
+// geometry, keeping dst's storage.
+func CopyMeasurement(dst, src *CacheMeasurement) {
+	copyDelayInto(dst, src)
+	copyLeakInto(dst, src)
 }
 
 // copyDelayInto copies the delay side of a measurement (path delays and

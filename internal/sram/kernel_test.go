@@ -19,6 +19,15 @@ func measViews(n int, g Geometry) []*CacheMeasurement {
 	return vs
 }
 
+// measureBatch measures chips ids into reg the way the population
+// builder measures a batch: Sample into the evaluator's own draw set,
+// then Eval it.
+func measureBatch(ev *Evaluator, ids []int, reg []*CacheMeasurement) {
+	ds := ev.Draws()
+	ev.Sample(ids, ds)
+	ev.Eval(ds, reg, nil)
+}
+
 // TestBatchKernelMatchesScalarReference pins the SoA pair kernel to
 // the scalar reference implementation bit for bit, across batch widths
 // around and beyond BatchWidth: every regular lane must equal the
@@ -44,8 +53,9 @@ func TestBatchKernelMatchesScalarReference(t *testing.T) {
 		}
 		reg := measViews(width, m.Geom)
 		hor := measViews(width, m.Geom)
-		ev.MeasurePairBatch(ids, reg, hor)
+		measureBatch(ev, ids, reg)
 		for j, cid := range ids {
+			DeriveHYAPD(reg[j], hor[j], m.Geom)
 			chip := ref.Scratch().Chip(cid)
 			ref.measureRef(&chip, &wantReg, false)
 			ref.measureRef(&chip, &wantHor, true)
@@ -69,19 +79,21 @@ func TestBatchKernelMatchesScalarReference(t *testing.T) {
 	}
 }
 
-// TestMeasurePairBatchMatchesScalarPair pins the batched pair path on
-// a scattered id set: each lane must equal the scalar reference's
-// regular measurement and the H-YAPD measurement derived from it.
-func TestMeasurePairBatchMatchesScalarPair(t *testing.T) {
+// TestSampleEvalMatchesScalarPair pins the batched path on a scattered
+// id set: each lane must equal the scalar reference's regular
+// measurement, and the H-YAPD measurement derived from the lane the one
+// derived from the reference.
+func TestSampleEvalMatchesScalarPair(t *testing.T) {
 	m, s := evalFixture(false)
 	ev := m.NewEvaluator(s.NewScratch())
 	ref := m.NewEvaluator(s.NewScratch())
 	ids := []int{3, 7, 11, 19, 23}
 	reg := measViews(len(ids), m.Geom)
 	hor := measViews(len(ids), m.Geom)
-	ev.MeasurePairBatch(ids, reg, hor)
+	measureBatch(ev, ids, reg)
 	var wantReg, wantHor CacheMeasurement
 	for j, cid := range ids {
+		DeriveHYAPD(reg[j], hor[j], m.Geom)
 		chip := ref.Scratch().Chip(cid)
 		ref.measureRef(&chip, &wantReg, false)
 		DeriveHYAPD(&wantReg, &wantHor, m.Geom)
@@ -103,7 +115,13 @@ func TestBatchZeroAlloc(t *testing.T) {
 	ids := make([]int, BatchWidth)
 	dst := measViews(BatchWidth, m.Geom)
 	hor := measViews(BatchWidth, m.Geom)
-	ev.MeasurePairBatch(ids, dst, hor)
+	pair := func() {
+		measureBatch(ev, ids, dst)
+		for j := range dst {
+			DeriveHYAPD(dst[j], hor[j], m.Geom)
+		}
+	}
+	pair()
 
 	next := BatchWidth
 	if allocs := testing.AllocsPerRun(20, func() {
@@ -111,9 +129,9 @@ func TestBatchZeroAlloc(t *testing.T) {
 			ids[j] = next
 			next++
 		}
-		ev.MeasurePairBatch(ids, dst, hor)
+		pair()
 	}); allocs != 0 {
-		t.Errorf("warm MeasurePairBatch allocates %.1f times per run, want 0", allocs)
+		t.Errorf("warm Sample, Eval and DeriveHYAPD allocate %.1f times per run, want 0", allocs)
 	}
 }
 

@@ -123,9 +123,9 @@ func Prepare(dst *CacheMeasurement, g Geometry) {
 // Evaluator is the single-pass measurement engine: one variation
 // scratch plus the reusable draw and derived-column storage of the
 // batched structure-of-arrays kernel (kernel.go), so that a warm
-// Measure or MeasurePairBatch does zero heap allocations. Evaluators are
-// not safe for concurrent use; the population builder gives each worker
-// its own.
+// Measure, or a Sample into Draws and its Eval, does zero heap
+// allocations. Evaluators are not safe for concurrent use; the
+// population builder gives each worker its own.
 type Evaluator struct {
 	m        *Model
 	sc       *variation.Scratch
@@ -165,7 +165,8 @@ func (e *Evaluator) Scratch() *variation.Scratch { return e.sc }
 // Prepare) at this geometry. It runs the batched kernel at width 1;
 // the result is bit-identical to the scalar reference path. An H-YAPD
 // model measures the regular organisation into the pooled kernel
-// scratch and derives dst from it, as the pair build does.
+// scratch and derives dst from it (DeriveHYAPD), as every H-YAPD
+// population is derived.
 func (e *Evaluator) Measure(chip *variation.Draw, dst *CacheMeasurement) {
 	ds := &e.ks.ds
 	ds.IDs = ds.IDs[:0]

@@ -22,7 +22,7 @@ func TestGoldenSeed2006StockSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, hor := res.Regular, res.Horizontal
+	reg, hor := res.Regular, core.DeriveHorizontal(res.Regular)
 	spot := []struct {
 		id              int
 		regLat, regLeak float64

@@ -29,9 +29,9 @@ type (
 	Scheme = core.Scheme
 	// LossReason classifies a parametric failure.
 	LossReason = core.LossReason
-	// BuildCheckpoint is a consistent prefix of an interrupted pair
-	// build: the chips measured so far plus the parameters that validate
-	// a resume (see CheckpointConfig).
+	// BuildCheckpoint is a consistent prefix of an interrupted build:
+	// the regular chips measured so far plus the parameters that
+	// validate a resume (see CheckpointConfig).
 	BuildCheckpoint = core.BuildCheckpoint
 	// CheckpointConfig enables periodic build checkpointing and crash
 	// resume on a study build (StudyConfig.Checkpoint).
@@ -99,8 +99,9 @@ type StudyConfig struct {
 	Estimate *EstimateConfig
 }
 
-// Study holds the two cache-organisation populations (regular and
-// H-YAPD, built from identical variation draws) and the derived limits.
+// Study holds the two cache-organisation populations (regular, and
+// H-YAPD derived from it, so both see identical variation draws) and
+// the derived limits.
 type Study struct {
 	Regular    *core.Population
 	Horizontal *core.Population
@@ -162,7 +163,7 @@ func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	lsp.End()
 	return &Study{
 		Regular:    res.Regular,
-		Horizontal: res.Horizontal,
+		Horizontal: core.DeriveHorizontal(res.Regular),
 		Cons:       cons,
 		Limits:     lim,
 		Estimate:   res.Estimate,
