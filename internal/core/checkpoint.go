@@ -30,11 +30,13 @@ type CheckpointConfig struct {
 	// Resume, when set, seeds the build with a previously checkpointed
 	// prefix: chips below Resume.Done are copied into the arena and
 	// measurement starts at Done. The checkpoint's seed, size and model
-	// must match the build's.
+	// must match the build's, and its prefix must be Done chips of its
+	// geometry; Build returns an error otherwise.
 	Resume *BuildCheckpoint
 }
 
-// validateResume checks that a checkpoint belongs to this build.
+// validateResume checks that a checkpoint belongs to this build and
+// that its prefix has the shape a resume copies.
 func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometry) error {
 	switch {
 	case r.Seed != cfg.Seed:
@@ -46,7 +48,7 @@ func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometr
 	case r.Tech != *cfg.Tech:
 		return fmt.Errorf("core: resume checkpoint built under a different technology model")
 	}
-	return nil
+	return r.checkShape()
 }
 
 // checkpointer drives the periodic Sink calls for one build. It has no

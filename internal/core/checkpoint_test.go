@@ -243,6 +243,14 @@ func TestResumeValidatesProvenance(t *testing.T) {
 		{"wrong n", func(c *BuildCheckpoint) { c.N = n + 1 }, "chips"},
 		{"wrong geometry", func(c *BuildCheckpoint) { c.Geom.Ways = 99 }, "geometry"},
 		{"wrong tech", func(c *BuildCheckpoint) { c.Tech.Vdd = 9.9 }, "technology"},
+		// Shape checks: a prefix shorter than Done, and a chip that does
+		// not fit the geometry, must be refused before the resume copy
+		// indexes into them.
+		{"done past the prefix", func(c *BuildCheckpoint) { c.Done, c.Regular = 8, c.Regular[:4] }, "inconsistent"},
+		{"chip with one way", func(c *BuildCheckpoint) {
+			c.Regular = append([]Chip(nil), c.Regular...)
+			c.Regular[3].Meas.Ways = c.Regular[3].Meas.Ways[:1]
+		}, "does not match"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -102,10 +102,8 @@ func (c *BuildCheckpoint) Encode(w io.Writer) error {
 }
 
 // DecodeBuildCheckpoint reads a checkpoint written by Encode, verifying
-// the header and payload checksum before decoding, and after it that
-// the prefix is consistent with Done and N and that every chip has the
-// way, bank and path counts of the checkpoint's geometry, so that a
-// resume never copies a chip that does not fit its arena.
+// the header and payload checksum before decoding and the prefix's
+// shape (checkShape) after it.
 func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 	payload, err := readFramed(r)
 	if err != nil {
@@ -115,8 +113,20 @@ func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&c); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
+	if err := c.checkShape(); err != nil {
+		return nil, err
+	}
+	return &c, nil
+}
+
+// checkShape checks that the prefix is consistent with Done and N and
+// that every chip has the way, bank and path counts of the checkpoint's
+// geometry, so that a resume never copies a chip that does not fit its
+// arena. Both the decoder and Build's resume run it: a checkpoint built
+// in memory is checked like one read from disk.
+func (c *BuildCheckpoint) checkShape() error {
 	if c.Done < 0 || c.Done > c.N || len(c.Regular) != c.Done {
-		return nil, fmt.Errorf("core: checkpoint inconsistent: done=%d n=%d regular=%d",
+		return fmt.Errorf("core: checkpoint inconsistent: done=%d n=%d regular=%d",
 			c.Done, c.N, len(c.Regular))
 	}
 	g := c.Geom
@@ -129,9 +139,9 @@ func DecodeBuildCheckpoint(r io.Reader) (*BuildCheckpoint, error) {
 			}
 		}
 		if !fits {
-			return nil, fmt.Errorf("core: checkpoint chip %d does not match its %d×%d×%d-path geometry",
+			return fmt.Errorf("core: checkpoint chip %d does not match its %d×%d×%d-path geometry",
 				i, g.Ways, g.BanksPerWay, g.PathsPerBank)
 		}
 	}
-	return &c, nil
+	return nil
 }

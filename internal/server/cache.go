@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 
 	"yieldcache/internal/obs"
@@ -14,14 +16,12 @@ import (
 // variants past the bound are encoded per request and not kept.
 const maxHitVariants = 4
 
-// cacheEntry is one result-cache slot: the decoded result (exactly one
-// of study and sweep is set) and a memo of its encoded cached:true
-// bodies, one per presentation variant. The result is immutable; the
-// memo fills lazily on the first hit of each variant and is dropped
-// with the entry on eviction.
+// cacheEntry is one result-cache slot: the decoded result and a memo of
+// its encoded cached:true bodies, one per presentation variant. The
+// result is immutable; the memo fills lazily on the first hit of each
+// variant and is dropped with the entry on eviction.
 type cacheEntry struct {
-	study *StudyResponse
-	sweep *SweepResponse
+	val result
 
 	mu   sync.Mutex // guards memo; never held across an encode
 	memo []*memoBody
@@ -67,13 +67,25 @@ func (e *cacheEntry) hitBody(v hitVariant, encode func() []byte) []byte {
 	return hb.body
 }
 
-// result is the entry's decoded value and the wall time of the build
-// that produced it.
-func (e *cacheEntry) result() (any, float64) {
-	if e.study != nil {
-		return e.study, e.study.ElapsedMS
+// result is a finished job's response value: a *StudyResponse under a
+// study key, a *SweepResponse under a sweep key. Each kind asserts its
+// own type; decodeResult is the one place that picks it from a key.
+type result interface {
+	// elapsedMS is the wall time of the build that produced the result.
+	elapsedMS() float64
+}
+
+func (r *StudyResponse) elapsedMS() float64 { return r.ElapsedMS }
+func (r *SweepResponse) elapsedMS() float64 { return r.ElapsedMS }
+
+// decodeResult decodes a persisted result body into its kind's response
+// type, chosen by the key's namespace.
+func decodeResult(key string, body []byte) (result, error) {
+	var v result = new(StudyResponse)
+	if strings.HasPrefix(key, sweepKeyPrefix) {
+		v = new(SweepResponse)
 	}
-	return e.sweep, e.sweep.ElapsedMS
+	return v, json.Unmarshal(body, v)
 }
 
 // cacheInsertLocked adds a finished result under key, evicting the

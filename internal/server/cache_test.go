@@ -175,7 +175,7 @@ func TestStudyHitBodiesMatchReference(t *testing.T) {
 	for _, v := range []struct{ scatter, saved bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
 		body := fmt.Sprintf(`{"chips": 60, "seed": 2006, "include_scatter": %t, "include_saved_configs": %t}`,
 			v.scatter, v.saved)
-		want := refStudyBody(t, e.study, v.scatter, v.saved)
+		want := refStudyBody(t, e.val.(*StudyResponse), v.scatter, v.saved)
 		for hit := 1; hit <= 2; hit++ {
 			resp, got := postRaw(t, ts.URL, "/v1/study", body, "")
 			if !bytes.Equal(got, want) {
@@ -212,7 +212,7 @@ func TestSweepHitBodiesMatchReference(t *testing.T) {
 	}
 	for round := 1; round <= 2; round++ {
 		for i, body := range bodies {
-			want := refSweepBody(t, e.sweep, sweepParamsOf(t, srv, body).econ)
+			want := refSweepBody(t, e.val.(*SweepResponse), sweepParamsOf(t, srv, body).econ)
 			resp, got := postRaw(t, ts.URL, "/v1/sweep", body, "")
 			if !bytes.Equal(got, want) {
 				t.Errorf("round %d variant %d: body differs from the reference encoding (%d vs %d bytes)",
@@ -268,7 +268,7 @@ func TestIdempotentReplayAfterReopenMatchesReference(t *testing.T) {
 	if resp.Header.Get("Idempotency-Replayed") != "true" {
 		t.Error("study was not replayed")
 	}
-	if want := refStudyBody(t, es.study, true, true); !bytes.Equal(got, want) {
+	if want := refStudyBody(t, es.val.(*StudyResponse), true, true); !bytes.Equal(got, want) {
 		t.Errorf("replayed study differs from the reference encoding (%d vs %d bytes)", len(got), len(want))
 	}
 	checkHitHeaders(t, resp, got, studyJob, "Idempotency-Replayed")
@@ -277,7 +277,7 @@ func TestIdempotentReplayAfterReopenMatchesReference(t *testing.T) {
 	if resp.Header.Get("Idempotency-Replayed") != "true" {
 		t.Error("sweep was not replayed")
 	}
-	if want := refSweepBody(t, ew.sweep, sp.econ); !bytes.Equal(got, want) {
+	if want := refSweepBody(t, ew.val.(*SweepResponse), sp.econ); !bytes.Equal(got, want) {
 		t.Errorf("replayed sweep differs from the reference encoding (%d vs %d bytes)", len(got), len(want))
 	}
 	checkHitHeaders(t, resp, got, sweepJob, "Idempotency-Replayed")
@@ -316,10 +316,10 @@ func TestEvictedKeyRebuiltGetsFreshBytes(t *testing.T) {
 	}
 
 	_, got := postRaw(t, ts.URL, "/v1/study", a, "")
-	if want := refStudyBody(t, fresh.study, true, false); !bytes.Equal(got, want) {
+	if want := refStudyBody(t, fresh.val.(*StudyResponse), true, false); !bytes.Equal(got, want) {
 		t.Errorf("hit after rebuild differs from the reference encoding of the new entry")
 	}
-	if fresh.study.ElapsedMS != old.study.ElapsedMS && bytes.Equal(got, oldHit) {
+	if fresh.val.(*StudyResponse).ElapsedMS != old.val.(*StudyResponse).ElapsedMS && bytes.Equal(got, oldHit) {
 		t.Error("hit after rebuild replays the evicted entry's bytes")
 	}
 }
@@ -358,7 +358,7 @@ func TestConcurrentFirstHitsShareOneBody(t *testing.T) {
 	close(start)
 	wg.Wait()
 
-	want := refStudyBody(t, e.study, true, true)
+	want := refStudyBody(t, e.val.(*StudyResponse), true, true)
 	for i, b := range got {
 		if !bytes.Equal(b, want) {
 			t.Errorf("client %d: body differs from the reference encoding (%d vs %d bytes)", i, len(b), len(want))

@@ -3,9 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"log/slog"
 	"net/http"
-	"strings"
 	"time"
 
 	"yieldcache"
@@ -38,7 +39,7 @@ func (s *Server) persistJob(j *job, k jobKind, state string) {
 		return
 	}
 	rec := k.record()
-	rec.ID, rec.Seq, rec.Key, rec.State = j.id, j.seq, j.key, state
+	rec.ID, rec.Seq, rec.Key, rec.Kind, rec.State = j.id, j.seq, j.key, j.kind, state
 	rec.EarlyStop = j.earlyStop.Load()
 	rec.Restarts = j.restarts
 	rec.QueueWaitMS = j.priorWaitMS
@@ -56,7 +57,7 @@ func (s *Server) persistJob(j *job, k jobKind, state string) {
 // persistOutcome records a build's terminal state: the final job
 // record, the cached result body, evicted results, expired idempotency
 // keys (including those bound to a failed build), and the checkpoint
-// that is no longer needed.
+// that is no longer needed, if the store may hold one.
 func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted, expiredIdem []string) {
 	if s.store == nil {
 		return
@@ -67,8 +68,7 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 	}
 	s.persistJob(j, k, state)
 	if cached {
-		v, _ := c.res.result()
-		if body, err := json.Marshal(v); err == nil {
+		if body, err := json.Marshal(c.res.val); err == nil {
 			s.storeDo("put_result", func() error { return s.store.PutResult(j.key, body) })
 		}
 	}
@@ -80,47 +80,70 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 		ik := ik
 		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
 	}
-	if s.cfg.CheckpointInterval > 0 || k.resuming() {
+	if j.checkpointed.Load() {
 		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
 	}
 }
 
-// checkpointSink returns the build-checkpoint callback for one job:
-// encode, persist with retry, and announce on the event bus. A sink
-// error skips that checkpoint; the build carries on.
+// checkpointWriter persists one job's checkpoints for both kinds:
+// encode, put with retry, log a failure, announce job_checkpoint.
 //
-// The sink self-clocks against the storage it writes to: a checkpoint
-// snapshot grows with the build (it holds every measured chip), and on
-// slow disks persisting one can take far longer than the configured
-// interval. Each persisted checkpoint therefore postpones the next by
-// its own cost, so slow storage degrades checkpoint granularity —
-// bounded at a ~50% duty cycle of the publishing worker — instead of
-// starving the build itself.
-func (s *Server) checkpointSink(j *job) func(*yieldcache.BuildCheckpoint) error {
-	jobID := j.id
-	var wrote time.Time    // when the last persisted checkpoint finished
-	var cost time.Duration // how long it took to persist
-	return func(bc *yieldcache.BuildCheckpoint) error {
-		if !wrote.IsZero() && time.Since(wrote) < cost {
-			return nil // still paying for the last write: skip this offer
-		}
-		var buf bytes.Buffer
-		if err := bc.Encode(&buf); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		if err := store.Do("put_checkpoint", func() error {
-			return s.store.PutCheckpoint(jobID, bc.Done, buf.Bytes())
-		}); err != nil {
-			s.log.Warn("checkpoint persist failed", "job", jobID, "chips", bc.Done, "error", err)
-			return err
-		}
-		wrote = time.Now()
-		cost = wrote.Sub(t0)
-		s.bus.Publish(obs.Event{Type: obs.EventJobCheckpoint, Job: jobID,
-			Done: int64(bc.Done), Total: int64(bc.N)})
+// It self-clocks against the storage it writes to: a write starts no
+// sooner than every after the previous one started, and no sooner than
+// that write's own cost after it finished. A checkpoint grows with the
+// job (a study's holds every measured chip), and on slow disks
+// persisting one can take far longer than the configured interval, so
+// slow storage degrades checkpoint granularity — bounded at a ~50% duty
+// cycle of the writing goroutine — instead of starving the job. Studies
+// pass every = 0, because core's checkpointer already offers at
+// CheckpointInterval; sweeps offer every finished config and pass
+// CheckpointInterval. Writes never overlap: core elects one publishing
+// worker at a time, and RunSweep calls OnEval on one goroutine.
+type checkpointWriter struct {
+	s     *Server
+	j     *job
+	every time.Duration
+	next  time.Time // earliest start of the next write
+}
+
+// checkpointWriter returns j's checkpoint writer, or nil when the
+// server does not checkpoint.
+func (s *Server) checkpointWriter(j *job, every time.Duration) *checkpointWriter {
+	if s.store == nil || s.cfg.CheckpointInterval <= 0 {
 		return nil
 	}
+	return &checkpointWriter{s: s, j: j, every: every}
+}
+
+// write persists the checkpoint encode produces, covering done of total
+// units, unless the clock says to skip it. An error skips only this
+// checkpoint; the job carries on.
+func (w *checkpointWriter) write(done, total int, encode func(io.Writer) error) error {
+	start := time.Now()
+	if start.Before(w.next) {
+		return nil
+	}
+	var buf bytes.Buffer
+	if err := encode(&buf); err != nil {
+		return err
+	}
+	// A put that reports failure may still have landed: delete it too.
+	w.j.checkpointed.Store(true)
+	err := store.Do("put_checkpoint", func() error {
+		return w.s.store.PutCheckpoint(w.j.id, done, buf.Bytes())
+	})
+	end := time.Now()
+	w.next = end.Add(end.Sub(start))
+	if t := start.Add(w.every); t.After(w.next) {
+		w.next = t
+	}
+	if err != nil {
+		w.s.log.Warn("checkpoint persist failed", "job", w.j.id, "done", done, "error", err)
+		return err
+	}
+	w.s.bus.Publish(obs.Event{Type: obs.EventJobCheckpoint, Job: w.j.id,
+		Done: int64(done), Total: int64(total)})
+	return nil
 }
 
 // recordIdem binds an Idempotency-Key to the study that answers it, in
@@ -198,21 +221,39 @@ func (s *Server) expireIdemLocked(studyKey string) []string {
 	return expired
 }
 
-// paramsFromRecord rebuilds the canonical study parameters from a
-// persisted job record, so a resumed build runs exactly the study the
-// crashed server admitted.
-func (s *Server) paramsFromRecord(rec store.JobRecord) params {
-	p := params{
+// kindFromRecord is the one reader of store.JobRecord.Kind: it
+// rebuilds the kind a persisted job was admitted as, so the registry
+// lists a finished job in its own progress unit and resumeJob re-runs
+// an interrupted one exactly as the crashed server admitted it. It does
+// no real work for either: a sweep's spec is decoded but planned only
+// when the job runs, so restoring a finished sweep stays cheap, and a
+// spec that no longer decodes fails the resumed job when it runs.
+func (s *Server) kindFromRecord(rec store.JobRecord) jobKind {
+	timeout := time.Duration(rec.TimeoutMS) * time.Millisecond
+	if timeout <= 0 {
+		timeout = s.cfg.DefaultTimeout
+	}
+	if rec.Kind == jobKindSweep {
+		sp := &sweepParams{spec: yieldcache.SweepSpec{Seed: rec.Seed, N: rec.Chips},
+			timeout: timeout, canonical: rec.Spec, key: rec.Key}
+		var can sweepCanonical
+		if sp.specErr = json.Unmarshal(rec.Spec, &can); sp.specErr == nil {
+			sp.spec, sp.schemes = can.Spec, can.Schemes
+			sp.configs, _ = sweepConfigCount(can.Spec)
+		}
+		if len(sp.schemes) == 0 {
+			sp.schemes = schemeOrder
+		}
+		return sp
+	}
+	p := &params{
 		seed:       rec.Seed,
 		chips:      rec.Chips,
 		cons:       yieldcache.Constraints{Name: rec.ConsName, DelaySigmaK: rec.DelaySigmaK, LeakageMult: rec.LeakageMult},
 		schemes:    rec.Schemes,
-		timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
+		timeout:    timeout,
 		targetCI:   rec.TargetCIWidth,
 		confidence: rec.Confidence,
-	}
-	if p.timeout <= 0 {
-		p.timeout = s.cfg.DefaultTimeout
 	}
 	if p.confidence <= 0 {
 		// Records from before the estimation layer carry no confidence.
@@ -244,20 +285,12 @@ func (s *Server) recoverFromStore() {
 		}
 		for _, res := range rec.Results[start:] {
 			// Only the value is restored; hit bodies encode on first use.
-			e := &cacheEntry{}
-			var err error
-			if strings.HasPrefix(res.Key, sweepKeyPrefix) {
-				e.sweep = new(SweepResponse)
-				err = json.Unmarshal(res.Body, e.sweep)
-			} else {
-				e.study = new(StudyResponse)
-				err = json.Unmarshal(res.Body, e.study)
-			}
+			v, err := decodeResult(res.Key, res.Body)
 			if err != nil {
 				s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
 				continue
 			}
-			s.cache[res.Key] = e
+			s.cache[res.Key] = &cacheEntry{val: v}
 			s.order = append(s.order, res.Key)
 		}
 	}
@@ -283,7 +316,7 @@ func (s *Server) recoverFromStore() {
 	for _, jr := range rec.Jobs {
 		switch jr.State {
 		case jobDone, jobFailed:
-			s.jobsReg.restoreFinished(jr, s.log)
+			s.jobsReg.restoreFinished(jr, s.kindFromRecord(jr), s.log)
 		case jobQueued, jobRunning:
 			s.resumeJob(jr)
 			resumed++
@@ -297,30 +330,13 @@ func (s *Server) recoverFromStore() {
 
 // resumeJob re-admits one interrupted job under its original id,
 // loading its newest checkpoint so the build continues where the dead
-// process stopped (an unreadable checkpoint falls back to a full
-// rebuild — correctness never depends on the checkpoint). A sweep whose
-// spec cannot be replanned fails terminally: there is nothing to re-run.
+// process stopped.
 func (s *Server) resumeJob(jr store.JobRecord) {
-	var k jobKind
-	if jr.Kind == jobKindSweep {
-		sp, err := s.sweepParamsFromRecord(jr)
-		if err != nil {
-			s.log.Warn("sweep spec unreadable; job failed", "job", jr.ID, "error", err)
-			jr.State = jobFailed
-			jr.Class = string(obs.ClassInternal)
-			jr.Error = "sweep spec unreadable after restart: " + err.Error()
-			s.jobsReg.restoreFinished(jr, s.log)
-			s.storeDo("put_job", func() error { return s.store.PutJob(jr) })
-			return
-		}
-		k = &sp
-	} else {
-		p := s.paramsFromRecord(jr)
-		k = &p
-	}
-	ckpt := k.loadCheckpoint(s, jr.ID)
+	k := s.kindFromRecord(jr)
+	units, found := s.loadCheckpoint(jr.ID, k)
 
-	j := s.jobsReg.restoreResumed(jr, s.log)
+	j := s.jobsReg.restoreResumed(jr, k, s.log)
+	j.checkpointed.Store(found)
 	c := &call{done: make(chan struct{}), job: j}
 	s.mu.Lock()
 	s.inflight[jr.Key] = c
@@ -331,7 +347,7 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
 	j.scope.Log().Info("job resumed from store",
-		"restarts", j.restarts, "checkpoint", ckpt, "total", k.total(),
+		"restarts", j.restarts, "checkpoint", units, "total", k.total(),
 		"seed", jr.Seed, "chips", jr.Chips)
 	// Persist the bumped restart count right away, so a crash during
 	// the resumed build counts this lifetime too.
@@ -339,37 +355,37 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 	go s.run(k, c)
 }
 
-// loadCheckpoint decodes a crashed study build's newest checkpoint.
-func (p *params) loadCheckpoint(s *Server, jobID string) int {
-	data, chips, err := s.store.Checkpoint(jobID)
+// loadCheckpoint reads an interrupted job's newest checkpoint and has
+// its kind decode it. It returns the units the checkpoint covers and
+// whether the store may hold one, readable or not (found), so the
+// finished job deletes it. An unreadable checkpoint resumes from
+// scratch: correctness never depends on the checkpoint.
+func (s *Server) loadCheckpoint(jobID string, k jobKind) (units int, found bool) {
+	data, _, err := s.store.Checkpoint(jobID)
 	if err != nil {
-		return 0
+		return 0, !errors.Is(err, store.ErrNoCheckpoint)
 	}
-	bc, err := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
-	if err != nil {
+	if units, err = k.resumeFrom(data); err != nil {
 		s.log.Warn("checkpoint unreadable; resuming from scratch", "job", jobID, "error", err)
-		return 0
+		return 0, true
 	}
-	p.resume = bc
-	return chips
+	return units, true
 }
 
 // restoreFinished rebuilds one finished job's history entry from its
-// persisted record. Span traces and exact timings died with the old
-// process; identity, outcome and provenance survive. Progress is
-// restored in the job's own unit: chips, or a sweep's configs.
-func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
+// persisted record and its kind k. Span traces and exact timings died
+// with the old process; identity, outcome and provenance survive.
+// Progress is restored in the job's own unit: chips, or a sweep's
+// configs.
+func (r *jobRegistry) restoreFinished(rec store.JobRecord, k jobKind, base *slog.Logger) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(rec, base)
+	j := r.newJobLocked(rec, k, base)
 	j.state = rec.State
 	j.class = obs.ErrClass(rec.Class)
 	j.errMsg = rec.Error
 	j.earlyStop.Store(rec.EarlyStop)
-	total := int64(rec.Chips)
-	if rec.Kind == jobKindSweep {
-		total = int64(sweepRecordConfigs(rec.Spec))
-	}
+	total := int64(k.total())
 	j.scope.SetProgressTotal(total)
 	if rec.State == jobDone && !rec.EarlyStop {
 		j.scope.AddProgress(total)
@@ -385,10 +401,10 @@ func (r *jobRegistry) restoreFinished(rec store.JobRecord, base *slog.Logger) {
 // restoreResumed rebuilds an interrupted job under its original id —
 // X-Job-Id stays valid across the restart — with its restart count
 // bumped and its past queue waits carried in priorWaitMS.
-func (r *jobRegistry) restoreResumed(rec store.JobRecord, base *slog.Logger) *job {
+func (r *jobRegistry) restoreResumed(rec store.JobRecord, k jobKind, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	j := r.newJobLocked(rec, base)
+	j := r.newJobLocked(rec, k, base)
 	j.state = jobQueued
 	j.restarts++
 	j.admitted = time.Now()

@@ -3,10 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -384,5 +386,141 @@ func TestStoreErrorsDoNotFailRequests(t *testing.T) {
 	}
 	if res.Regular.N != 30 {
 		t.Errorf("study with dead store returned %d chips", res.Regular.N)
+	}
+}
+
+// ckptStore is a Mem store whose PutCheckpoint takes delay and records
+// when each call started, and whose DeleteCheckpoint records the job.
+type ckptStore struct {
+	*store.Mem
+	delay time.Duration
+
+	mu      sync.Mutex
+	puts    map[string][]time.Time
+	deletes []string
+}
+
+func newCkptStore(delay time.Duration) *ckptStore {
+	return &ckptStore{Mem: store.NewMem(), delay: delay, puts: make(map[string][]time.Time)}
+}
+
+func (c *ckptStore) PutCheckpoint(jobID string, done int, data []byte) error {
+	c.mu.Lock()
+	c.puts[jobID] = append(c.puts[jobID], time.Now())
+	c.mu.Unlock()
+	time.Sleep(c.delay)
+	return c.Mem.PutCheckpoint(jobID, done, data)
+}
+
+func (c *ckptStore) DeleteCheckpoint(jobID string) error {
+	c.mu.Lock()
+	c.deletes = append(c.deletes, jobID)
+	c.mu.Unlock()
+	return c.Mem.DeleteCheckpoint(jobID)
+}
+
+// Checkpoint writes of both kinds self-clock against the store: on a
+// store whose writes take d, a write starts no sooner than its
+// predecessor's cost after that one finished, so successive writes
+// start at least 2·d apart even with a 1 ms CheckpointInterval.
+func TestCheckpointWritesSelfClock(t *testing.T) {
+	const d = 10 * time.Millisecond
+	st := newCkptStore(d)
+	srv := New(Config{Workers: 1, Store: st, CheckpointInterval: time.Millisecond, FlightInterval: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drain(t, srv)
+
+	var vdd []string
+	for i := 0; i < 24; i++ {
+		vdd = append(vdd, fmt.Sprintf("%.3f", 1.1-0.005*float64(i)))
+	}
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/study", `{"chips": 8000, "seed": 2006}`},
+		{"/v1/sweep", `{"chips": 300, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`},
+	} {
+		resp, _ := postRaw(t, ts.URL, tc.path, tc.body, "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
+		}
+		id := resp.Header.Get("X-Job-Id")
+		st.mu.Lock()
+		starts := st.puts[id]
+		st.mu.Unlock()
+		if len(starts) < 2 {
+			t.Fatalf("%s: %d checkpoint writes, want at least 2 to measure", tc.path, len(starts))
+		}
+		for i := 1; i < len(starts); i++ {
+			if gap := starts[i].Sub(starts[i-1]); gap < 2*d {
+				t.Errorf("%s: write %d started %v after write %d, want at least %v", tc.path, i, gap, i-1, 2*d)
+			}
+		}
+	}
+}
+
+// A finished job deletes its checkpoint only when the store may hold
+// one. A job that never checkpointed (a small study under the default
+// 2 s interval) costs no delete; a resumed job whose stored checkpoint
+// is unreadable still has it deleted.
+func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
+	st := newCkptStore(0)
+	p, err := New(Config{FlightInterval: -1}).parseRequest(&StudyRequest{Chips: 30, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := p.record()
+	rec.ID, rec.Seq, rec.Key, rec.State = "j000001", 1, p.key(), jobRunning
+	if err := st.PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutCheckpoint(rec.ID, 8, []byte("not a checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, _, _ := postStudyIdem(t, ts.URL, `{"chips": 20, "seed": 6}`, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("fresh study: status %d", resp.StatusCode)
+	}
+	drain(t, srv) // the resumed job has finished too
+
+	var d JobDetail
+	getJSON(t, ts.URL+"/v1/jobs/"+rec.ID, &d)
+	if d.State != jobDone || d.Restarts != 1 {
+		t.Errorf("resumed job: state %q restarts %d, want done after 1 restart", d.State, d.Restarts)
+	}
+	st.mu.Lock()
+	deletes := st.deletes
+	st.mu.Unlock()
+	if len(deletes) != 1 || deletes[0] != rec.ID {
+		t.Errorf("DeleteCheckpoint calls %v, want only the resumed job %s", deletes, rec.ID)
+	}
+	if _, _, err := st.Checkpoint(rec.ID); err == nil {
+		t.Errorf("the resumed job's unreadable checkpoint is still stored")
+	}
+}
+
+// An interrupted sweep whose persisted spec no longer decodes is still
+// listed as a sweep under its id and seed, and fails when it runs.
+func TestResumedSweepWithUnreadableSpecFails(t *testing.T) {
+	st := store.NewMem()
+	rec := store.JobRecord{ID: "j000001", Seq: 1, Key: sweepKeyPrefix + "0", State: jobRunning,
+		Seed: 2006, Chips: 40, ConsName: "sweep", Kind: jobKindSweep, Spec: []byte(`{"spec":`)}
+	if err := st.PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	drain(t, srv)
+
+	var d JobDetail
+	getJSON(t, ts.URL+"/v1/jobs/"+rec.ID, &d)
+	if d.Kind != jobKindSweep || d.State != jobFailed || d.Seed != 2006 ||
+		!strings.Contains(d.Error, "sweep spec unreadable after restart") {
+		t.Errorf("job: kind %q state %q seed %d error %q, want a failed sweep of seed 2006 with an unreadable spec",
+			d.Kind, d.State, d.Seed, d.Error)
 	}
 }

@@ -24,9 +24,19 @@ const (
 	jobFailed  = "failed"  // finished with an error (timeout, cancel, …)
 )
 
-// jobKindSweep marks a design-space sweep job; the empty kind is a
-// study build. The value is persisted in store.JobRecord.Kind.
+// jobKindSweep marks a design-space sweep job (kindName of a sweep);
+// the empty kind is a study build. The value is persisted in
+// store.JobRecord.Kind.
 const jobKindSweep = "sweep"
+
+// kindName is a job's kind as JobSummary.Kind and store.JobRecord.Kind
+// carry it: its noun, left empty for studies, which predate the field.
+func kindName(k jobKind) string {
+	if n := k.noun(); n != "study" {
+		return n
+	}
+	return ""
+}
 
 // job is one admitted build and its telemetry scope. The scope's
 // progress counters are updated lock-free by the build workers; every
@@ -69,6 +79,11 @@ type job struct {
 	// target truncated the build.
 	estimate  atomic.Pointer[yieldcache.YieldEstimate]
 	earlyStop atomic.Bool
+
+	// checkpointed records that the store may hold a checkpoint of this
+	// job: one was found at resume (readable or not) or written since.
+	// Only then does the finished job delete it.
+	checkpointed atomic.Bool
 }
 
 // jobRegistry tracks in-flight jobs and a bounded FIFO history of
@@ -99,18 +114,16 @@ func newJobRegistry(maxDone int, bus *obs.EventBus, streamInterval time.Duration
 	}
 }
 
-// create registers a queued job for one admitted build of key; rec
-// holds the request fields the job echoes. base is the server's logger;
-// the job's scope stamps it with the job id.
-func (r *jobRegistry) create(rec store.JobRecord, key string, base *slog.Logger) *job {
+// create registers a queued job for one admitted build of k. base is
+// the server's logger; the job's scope stamps it with the job id.
+func (r *jobRegistry) create(k jobKind, base *slog.Logger) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec.Key = key
-	j := r.newJobLocked(rec, base)
+	j := r.newJobLocked(k.record(), k, base)
 	j.state = jobQueued
 	j.scope.AttachEvents(r.bus, r.streamInterval)
 	r.byID[j.id] = j
-	r.byKey[key] = j
+	r.byKey[j.key] = j
 	return j
 }
 
@@ -119,11 +132,10 @@ func (r *jobRegistry) create(rec store.JobRecord, key string, base *slog.Logger)
 // builds. The job goes straight into the bounded finished history and
 // deliberately stays out of byKey: a later cache hit on the same study
 // must attribute to the job that actually built the entry.
-func (r *jobRegistry) createFailed(rec store.JobRecord, key string, class obs.ErrClass, msg string) *job {
+func (r *jobRegistry) createFailed(k jobKind, class obs.ErrClass, msg string) *job {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	rec.Key = key
-	j := r.newJobLocked(rec, nil)
+	j := r.newJobLocked(k.record(), k, nil)
 	j.state = jobFailed
 	j.finished = j.created
 	j.class = class
@@ -135,21 +147,22 @@ func (r *jobRegistry) createFailed(rec store.JobRecord, key string, class obs.Er
 	return j
 }
 
-// newJobLocked builds the job for rec: a new job gets the next id, a
-// job restored from the store keeps its persisted id, creation time,
-// restart count and queue wait. The caller holds r.mu and sets the
-// lifecycle state.
-func (r *jobRegistry) newJobLocked(rec store.JobRecord, base *slog.Logger) *job {
+// newJobLocked builds the job of kind k for rec, which holds the
+// request fields the job echoes: a new job (rec is k.record()) gets the
+// next id and k's cache key, a job restored from the store keeps its
+// persisted id, key, creation time, restart count and queue wait. The
+// caller holds r.mu and sets the lifecycle state.
+func (r *jobRegistry) newJobLocked(rec store.JobRecord, k jobKind, base *slog.Logger) *job {
 	created := time.Now()
 	if rec.ID == "" {
 		r.seq++
-		rec.ID, rec.Seq = fmt.Sprintf("j%06d", r.seq), r.seq
+		rec.ID, rec.Seq, rec.Key = fmt.Sprintf("j%06d", r.seq), r.seq, k.cacheKey()
 	} else {
 		r.seq = max(r.seq, rec.Seq)
 		created = time.UnixMilli(rec.CreatedUnixMS)
 	}
 	return &job{
-		id: rec.ID, seq: rec.Seq, key: rec.Key, kind: rec.Kind,
+		id: rec.ID, seq: rec.Seq, key: rec.Key, kind: kindName(k),
 		scope: obs.NewScope(rec.ID, base),
 		seed:  rec.Seed, chips: rec.Chips,
 		constraints: rec.ConsName, schemes: rec.Schemes,
@@ -271,11 +284,6 @@ func (r *jobRegistry) totalChips() int64 {
 // handleJobs serves GET /v1/jobs: every in-flight job plus the bounded
 // finished history, newest first.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	jobs := s.jobsReg.all()
 	out := JobsResponse{Jobs: make([]JobSummary, 0, len(jobs)), HistoryCap: s.jobsReg.maxDone}
 	for _, j := range jobs {
@@ -286,17 +294,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 // handleJob serves GET /v1/jobs/{id}: live state, queue wait, progress,
 // an EWMA-based completion estimate, and cache-hit provenance.
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
-		return
-	}
+func (s *Server) handleJob(w http.ResponseWriter, _ *http.Request, j *job) {
 	writeJSON(w, http.StatusOK, s.jobDetail(j))
 }
 
@@ -304,17 +302,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 // in the Chrome trace_event JSON format, readable at chrome://tracing
 // or ui.perfetto.dev. For a running job the trace is a live snapshot
 // with open spans closed at "now".
-func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
-		return
-	}
+func (s *Server) handleJobTrace(w http.ResponseWriter, _ *http.Request, j *job) {
 	w.Header().Set("Content-Type", "application/json")
 	_ = j.scope.Tracer.WriteChromeTrace(w)
 }
@@ -323,17 +311,7 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // recent streaming yield estimate — live confidence intervals while the
 // build runs, the final estimate once it is done. A job whose build has
 // not yet published a snapshot (or that never ran) returns 404.
-func (s *Server) handleJobEstimate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
-		return
-	}
+func (s *Server) handleJobEstimate(w http.ResponseWriter, _ *http.Request, j *job) {
 	e := j.estimate.Load()
 	if e == nil {
 		writeError(w, http.StatusNotFound, "no estimate published yet for this job")

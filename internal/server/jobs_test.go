@@ -265,29 +265,52 @@ func TestJobHistoryFIFOEviction(t *testing.T) {
 	}
 }
 
-// The jobs endpoints reject wrong methods with 405 and unknown ids
-// with 404, in the service's JSON error format.
+// Every GET route rejects other methods with 405 and Allow: GET, and
+// every {id} route answers an unknown id with 404, each in the
+// service's JSON error format, byte for byte; /healthz takes any method.
 func TestJobEndpointErrors(t *testing.T) {
-	srv := New(Config{})
+	srv := New(Config{FlightInterval: -1})
+	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if resp := getJSON(t, ts.URL+"/v1/jobs/j999999", nil); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown job: status %d, want 404", resp.StatusCode)
-	}
-	for _, path := range []string{"/v1/jobs", "/v1/jobs/j000001", "/v1/jobs/j000001/trace"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
+	const (
+		getOnlyBody  = "{\n  \"error\": \"GET only\",\n  \"class\": \"validation\"\n}\n"
+		notFoundBody = "{\n  \"error\": \"unknown job id (finished jobs are retained up to the -job-history bound)\",\n  \"class\": \"validation\"\n}\n"
+	)
+	do := func(method, path string, wantStatus int, wantAllow, wantBody string) {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if allow := resp.Header.Get("Allow"); allow != http.MethodGet {
-			t.Errorf("POST %s: Allow = %q, want GET", path, allow)
+		defer resp.Body.Close()
+		body := readAll(t, resp)
+		if resp.StatusCode != wantStatus {
+			t.Errorf("%s %s: status %d, want %d", method, path, resp.StatusCode, wantStatus)
+		}
+		if allow := resp.Header.Get("Allow"); allow != wantAllow {
+			t.Errorf("%s %s: Allow = %q, want %q", method, path, allow, wantAllow)
+		}
+		if wantBody != "" && body != wantBody {
+			t.Errorf("%s %s: body %q, want %q", method, path, body, wantBody)
 		}
 	}
+
+	idRoutes := []string{"/v1/jobs/j999999", "/v1/jobs/j999999/trace", "/v1/jobs/j999999/estimate", "/v1/jobs/j999999/events"}
+	for _, path := range idRoutes {
+		do(http.MethodGet, path, http.StatusNotFound, "", notFoundBody)
+	}
+	for _, path := range append([]string{"/v1/constraints", "/v1/jobs", "/v1/events", "/v1/runtime/history"}, idRoutes...) {
+		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
+			do(method, path, http.StatusMethodNotAllowed, http.MethodGet, getOnlyBody)
+		}
+	}
+	do(http.MethodPost, "/healthz", http.StatusOK, "", "")
 }
 
 // Cache hits must stay attributable: the cached response carries the

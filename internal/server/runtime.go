@@ -12,11 +12,6 @@ import (
 // recorder disabled (-flight-interval < 0) the response carries zero
 // capacity and no samples.
 func (s *Server) handleRuntimeHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	out := RuntimeHistoryResponse{Samples: []obs.RuntimeSample{}}
 	if s.flight != nil {
 		out.IntervalMS = s.flight.Interval().Seconds() * 1e3

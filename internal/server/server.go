@@ -161,8 +161,9 @@ type call struct {
 // jobKind is what differs between the two computations the job pipeline
 // runs: a study (*params) and a design-space sweep (*sweepParams).
 // Admission, coalescing, the result cache, Idempotency-Key, durable
-// records, checkpoint resume and lifecycle events are shared; once a
-// request is parsed, the pipeline sees it only through this interface.
+// records, checkpoint writing and resume, and lifecycle events are
+// shared; once a request is parsed (or a persisted record is read back
+// by kindFromRecord), the pipeline sees it only through this interface.
 type jobKind interface {
 	// cacheKey is the canonical cache, singleflight and store key. Keys
 	// are namespaced per kind, and so are the idempotency body hashes, so
@@ -172,8 +173,8 @@ type jobKind interface {
 	// error text.
 	noun() string
 	// record holds the request fields the job registry and the persisted
-	// store.JobRecord echo; the pipeline fills in the job's identity and
-	// lifecycle.
+	// store.JobRecord echo; the pipeline fills in the job's kind, identity
+	// and lifecycle.
 	record() store.JobRecord
 	// deadline bounds the build, queue wait included.
 	deadline() time.Duration
@@ -185,11 +186,10 @@ type jobKind interface {
 	// is the memoized cached:true body, encoded on its first use.
 	view(e *cacheEntry) any
 	hitBody(e *cacheEntry) []byte
-	// loadCheckpoint loads a crashed job's newest readable checkpoint
-	// into the params and returns how many units it covers; resuming
-	// reports whether one was loaded.
-	loadCheckpoint(s *Server, jobID string) int
-	resuming() bool
+	// resumeFrom decodes a crashed job's checkpoint bytes into the
+	// params, so compute continues where the dead process stopped, and
+	// returns how many units it covers.
+	resumeFrom(data []byte) (int, error)
 }
 
 // Server is the yieldd request handler plus its job queue and caches.
@@ -206,8 +206,8 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     int // builds admitted (queued + running)
 	inflight map[string]*call
-	cache    map[string]*cacheEntry // study results, and sweeps under "sweep/" keys
-	order    []string               // cache keys, oldest first
+	cache    map[string]*cacheEntry
+	order    []string // cache keys, oldest first
 	draining bool
 
 	store     store.Store                 // nil when durability is disabled
@@ -332,17 +332,42 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/study", obs.Instrument("study", http.HandlerFunc(s.handleStudy)))
 	mux.Handle("/v1/sweep", obs.Instrument("sweep", http.HandlerFunc(s.handleSweep)))
-	mux.Handle("/v1/constraints", obs.Instrument("constraints", http.HandlerFunc(s.handleConstraints)))
-	mux.Handle("/v1/jobs", obs.Instrument("jobs", http.HandlerFunc(s.handleJobs)))
-	mux.Handle("/v1/jobs/{id}", obs.Instrument("job", http.HandlerFunc(s.handleJob)))
-	mux.Handle("/v1/jobs/{id}/trace", obs.Instrument("job_trace", http.HandlerFunc(s.handleJobTrace)))
-	mux.Handle("/v1/jobs/{id}/estimate", obs.Instrument("job_estimate", http.HandlerFunc(s.handleJobEstimate)))
-	mux.Handle("/v1/jobs/{id}/events", obs.Instrument("job_events", http.HandlerFunc(s.handleJobEvents)))
-	mux.Handle("/v1/events", obs.Instrument("events", http.HandlerFunc(s.handleEvents)))
-	mux.Handle("/v1/runtime/history", obs.Instrument("runtime_history", http.HandlerFunc(s.handleRuntimeHistory)))
+	mux.Handle("/v1/constraints", obs.Instrument("constraints", getOnly(s.handleConstraints)))
+	mux.Handle("/v1/jobs", obs.Instrument("jobs", getOnly(s.handleJobs)))
+	mux.Handle("/v1/jobs/{id}", obs.Instrument("job", getOnly(s.withJob(s.handleJob))))
+	mux.Handle("/v1/jobs/{id}/trace", obs.Instrument("job_trace", getOnly(s.withJob(s.handleJobTrace))))
+	mux.Handle("/v1/jobs/{id}/estimate", obs.Instrument("job_estimate", getOnly(s.withJob(s.handleJobEstimate))))
+	mux.Handle("/v1/jobs/{id}/events", obs.Instrument("job_events", getOnly(s.withJob(s.handleJobEvents))))
+	mux.Handle("/v1/events", obs.Instrument("events", getOnly(s.handleEvents)))
+	mux.Handle("/v1/runtime/history", obs.Instrument("runtime_history", getOnly(s.handleRuntimeHistory)))
 	mux.Handle("/healthz", obs.Instrument("healthz", http.HandlerFunc(s.handleHealthz)))
 	mux.Handle("/metrics", obs.Instrument("metrics", obs.MetricsHandler()))
 	return mux
+}
+
+// getOnly refuses every method but GET with 405 and Allow: GET.
+func getOnly(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet {
+			w.Header().Set("Allow", http.MethodGet)
+			writeError(w, http.StatusMethodNotAllowed, "GET only")
+			return
+		}
+		h(w, r)
+	}
+}
+
+// withJob resolves the {id} path segment to its job for h, answering
+// 404 itself when the id is unknown.
+func (s *Server) withJob(h func(http.ResponseWriter, *http.Request, *job)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.jobsReg.get(r.PathValue("id"))
+		if !ok {
+			writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
+			return
+		}
+		h(w, r, j)
+	}
 }
 
 // Drain stops admitting new builds (they get 503) and waits for every
@@ -403,7 +428,6 @@ func (p *params) cacheKey() string        { return p.key() }
 func (p *params) noun() string            { return "study" }
 func (p *params) deadline() time.Duration { return p.timeout }
 func (p *params) total() int              { return p.chips }
-func (p *params) resuming() bool          { return p.resume != nil }
 
 func (p *params) record() store.JobRecord {
 	return store.JobRecord{
@@ -414,12 +438,22 @@ func (p *params) record() store.JobRecord {
 	}
 }
 
-func (p *params) view(e *cacheEntry) any { return studyView(e.study, *p, false) }
+func (p *params) view(e *cacheEntry) any { return studyView(e.val.(*StudyResponse), *p, false) }
 
 func (p *params) hitBody(e *cacheEntry) []byte {
 	return e.hitBody(hitVariant{scatter: p.scatter, saved: p.saved}, func() []byte {
-		return encodeJSON(studyView(e.study, *p, true))
+		return encodeJSON(studyView(e.val.(*StudyResponse), *p, true))
 	})
+}
+
+// resumeFrom decodes a crashed study build's checkpoint.
+func (p *params) resumeFrom(data []byte) (int, error) {
+	bc, err := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		return 0, err
+	}
+	p.resume = bc
+	return bc.Done, nil
 }
 
 // schemeOrder is the canonical scheme order; request scheme sets are
@@ -651,7 +685,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemB
 		admitted := s.jobs
 		s.mu.Unlock()
 		obs.C("server_" + noun + "_shed_total").Inc()
-		j := s.jobsReg.createFailed(k.record(), key, obs.ClassShed, "build queue is full")
+		j := s.jobsReg.createFailed(k, obs.ClassShed, "build queue is full")
 		s.bus.Publish(obs.Event{Type: obs.EventShed, Job: j.id, Key: key,
 			Class: string(obs.ClassShed), Queued: admitted})
 		s.log.Warn(noun+" shed: build queue full", "job", j.id, "key", key,
@@ -661,8 +695,7 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemB
 		writeError(w, http.StatusTooManyRequests, "build queue is full")
 		return
 	}
-	rec := k.record()
-	c := &call{done: make(chan struct{}), job: s.jobsReg.create(rec, key, s.log)}
+	c := &call{done: make(chan struct{}), job: s.jobsReg.create(k, s.log)}
 	s.inflight[key] = c
 	s.jobs++
 	admitted := s.jobs
@@ -678,8 +711,8 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemB
 			Queued: admitted - s.cfg.Workers, Running: s.cfg.Workers})
 	}
 	c.job.scope.Log().Info("job admitted",
-		"seed", rec.Seed, "chips", rec.Chips, "constraints", rec.ConsName,
-		"schemes", strings.Join(rec.Schemes, "+"), "total", k.total(), "timeout", k.deadline())
+		"seed", c.job.seed, "chips", c.job.chips, "constraints", c.job.constraints,
+		"schemes", strings.Join(c.job.schemes, "+"), "total", k.total(), "timeout", k.deadline())
 	s.recordIdem(idemKey, bodyHash, key, c.job.id)
 	s.persistJob(c.job, k, jobQueued)
 
@@ -728,7 +761,7 @@ func (s *Server) run(k jobKind, c *call) {
 			Class: string(j.class), Error: c.err.Error(), Done: done, Total: total})
 		j.scope.Log().Error("job failed", "error", c.err.Error(), "class", j.class)
 	} else {
-		_, elapsed := c.res.result()
+		elapsed := c.res.val.elapsedMS()
 		s.bus.Publish(obs.Event{Type: obs.EventJobCompleted, Job: j.id,
 			Class: string(obs.ClassOK), Done: done, Total: total, ElapsedMS: elapsed})
 		j.scope.Log().Info("job done", "done", done, "total", total, "elapsed_ms", elapsed)
@@ -756,17 +789,19 @@ func (s *Server) run(k jobKind, c *call) {
 // compute builds the populations and assembles the full (unfiltered)
 // response. Scatter and saved configurations are always computed — they
 // are cheap next to the build — so a cached entry can serve any
-// combination of include_* flags. With a store attached, the build
-// checkpoints its measured prefix every CheckpointInterval and, on a
-// resumed call, continues from the checkpoint decoded at recovery.
+// combination of include_* flags. With checkpointing on, core offers
+// the measured prefix every CheckpointInterval to the job's checkpoint
+// writer (every = 0: core's own clock paces the offers) and, on a
+// resumed call, the build continues from the checkpoint decoded at
+// recovery.
 func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
-	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons}
-	if s.store != nil && (s.cfg.CheckpointInterval > 0 || p.resume != nil) {
-		scfg.Checkpoint = &yieldcache.CheckpointConfig{
-			Interval: s.cfg.CheckpointInterval,
-			Sink:     s.checkpointSink(j),
-			Resume:   p.resume,
+	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons,
+		Checkpoint: &yieldcache.CheckpointConfig{Resume: p.resume}}
+	if ckpt := s.checkpointWriter(j, 0); ckpt != nil {
+		scfg.Checkpoint.Interval = s.cfg.CheckpointInterval
+		scfg.Checkpoint.Sink = func(bc *yieldcache.BuildCheckpoint) error {
+			return ckpt.write(bc.Done, bc.N, bc.Encode)
 		}
 	}
 	scfg.Estimate = s.estimateConfig(*p, j)
@@ -817,7 +852,7 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 			j.earlyStop.Store(true)
 		}
 	}
-	return &cacheEntry{study: res}, nil
+	return &cacheEntry{val: res}, nil
 }
 
 // estimateConfig arms streaming yield estimation for one build: every
@@ -996,11 +1031,6 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, k jobKin
 }
 
 func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	sets := []yieldcache.Constraints{yieldcache.Nominal(), yieldcache.Relaxed(), yieldcache.Strict()}
 	out := make([]ConstraintsInfo, 0, len(sets))
 	for _, c := range sets {

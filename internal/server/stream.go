@@ -110,17 +110,7 @@ func terminalEvent(t obs.EventType) bool {
 // snapshot and the terminal event, never a silent hang — then live
 // events follow until the job reaches a terminal state, the client
 // disconnects, or the server drains.
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
-	j, ok := s.jobsReg.get(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "unknown job id (finished jobs are retained up to the -job-history bound)")
-		return
-	}
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request, j *job) {
 	if !canStream(w) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported by the underlying connection")
 		return
@@ -151,11 +141,6 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 // SSE stream, optionally narrowed with ?types=job_completed,shed,… to a
 // comma-separated subset of event types.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, "GET only")
-		return
-	}
 	var types []obs.EventType
 	if raw := r.URL.Query().Get("types"); raw != "" {
 		for _, name := range strings.Split(raw, ",") {

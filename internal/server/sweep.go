@@ -14,9 +14,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
-	"sync"
 	"time"
 
 	"yieldcache"
@@ -186,38 +186,42 @@ type sweepEconParams struct {
 	cpiPct float64
 }
 
-// sweepParams is a validated, normalised sweep request: the planned
-// evaluation, the canonical spec bytes behind the cache key, and the
-// presentation-only economics.
+// sweepParams is a validated, normalised sweep request: the resolved
+// spec and its planned evaluation, the canonical spec bytes behind the
+// cache key, and the presentation-only economics.
 type sweepParams struct {
-	plan      *yieldcache.SweepPlan
-	schemes   []string // canonical order, non-empty
+	spec      yieldcache.SweepSpec  // resolved (filled) spec
+	plan      *yieldcache.SweepPlan // nil for a recovered sweep until it runs
+	configs   int                   // len(plan.Configs), known without planning
+	schemes   []string              // canonical order, non-empty
 	econ      *sweepEconParams
 	timeout   time.Duration
 	canonical []byte // resolved spec JSON; hashed into key, persisted for resume
 	key       string
 
-	resume map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
+	specErr error                     // a recovered record's spec did not decode
+	resume  map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
 }
 
 func (sp *sweepParams) cacheKey() string        { return sp.key }
 func (sp *sweepParams) noun() string            { return "sweep" }
 func (sp *sweepParams) deadline() time.Duration { return sp.timeout }
-func (sp *sweepParams) total() int              { return len(sp.plan.Configs) }
-func (sp *sweepParams) resuming() bool          { return len(sp.resume) > 0 }
+func (sp *sweepParams) total() int              { return sp.configs }
 
 // record echoes the sweep's shared knobs in the study fields; the
 // constraint name "sweep" flags the job kind in listings that predate
 // the kind field, and Spec carries what a resume replans from.
 func (sp *sweepParams) record() store.JobRecord {
 	return store.JobRecord{
-		Seed: sp.plan.Spec.Seed, Chips: sp.plan.Spec.N, ConsName: "sweep",
+		Seed: sp.spec.Seed, Chips: sp.spec.N, ConsName: "sweep",
 		Schemes: sp.schemes, TimeoutMS: sp.timeout.Milliseconds(),
-		Kind: jobKindSweep, Spec: sp.canonical,
+		Spec: sp.canonical,
 	}
 }
 
-func (sp *sweepParams) view(e *cacheEntry) any { return sweepView(e.sweep, sp.econ, false) }
+func (sp *sweepParams) view(e *cacheEntry) any {
+	return sweepView(e.val.(*SweepResponse), sp.econ, false)
+}
 
 func (sp *sweepParams) hitBody(e *cacheEntry) []byte {
 	v := hitVariant{}
@@ -225,8 +229,24 @@ func (sp *sweepParams) hitBody(e *cacheEntry) []byte {
 		v.econ, v.hasEcon = *sp.econ, true
 	}
 	return e.hitBody(v, func() []byte {
-		return encodeJSON(sweepView(e.sweep, sp.econ, true))
+		return encodeJSON(sweepView(e.val.(*SweepResponse), sp.econ, true))
 	})
+}
+
+// resumeFrom decodes a crashed sweep's completed configs, so they are
+// overlaid rather than rebuilt.
+func (sp *sweepParams) resumeFrom(data []byte) (int, error) {
+	var ck sweepCheckpoint
+	if err := json.Unmarshal(data, &ck); err != nil {
+		return 0, err
+	}
+	sp.resume = make(map[int]SweepConfigResult)
+	for _, r := range ck.Results {
+		if r.Index >= 0 && r.Index < sp.configs {
+			sp.resume[r.Index] = r
+		}
+	}
+	return len(sp.resume), nil
 }
 
 // sweepCanonical is the canonical resolved request: the filled spec
@@ -305,7 +325,7 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 	if err != nil {
 		return sp, err
 	}
-	sp.plan = plan
+	sp.spec, sp.plan, sp.configs = plan.Spec, plan, len(plan.Configs)
 
 	if req.Economics != nil {
 		e := *req.Economics
@@ -394,50 +414,45 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.handle(w, r, &sp, append([]byte("sweep\x00"), body...))
 }
 
-// compute runs the planned sweep with per-config events and
-// durable config-granular checkpoints, overlays any resumed results,
-// and reduces the merged set to Pareto frontiers. Frontiers are always
-// computed from the wire-typed results (which round-trip exactly
-// through JSON), so a crash-resumed sweep reduces to bit-identical
-// frontiers.
+// compute runs the planned sweep with per-config events and durable
+// config-granular checkpoints (the job's checkpoint writer, offered
+// every finished config and paced at CheckpointInterval), overlays any
+// resumed results, and reduces the merged set to Pareto frontiers.
+// Frontiers are always computed from the wire-typed results (which
+// round-trip exactly through JSON), so a crash-resumed sweep reduces to
+// bit-identical frontiers. A sweep recovered from its job record is
+// planned here, when it runs.
 func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
 	plan := sp.plan
+	if plan == nil {
+		if sp.specErr != nil {
+			return nil, fmt.Errorf("sweep spec unreadable after restart: %w", sp.specErr)
+		}
+		var err error
+		if plan, err = yieldcache.PlanSweep(sp.spec); err != nil {
+			return nil, fmt.Errorf("replanning sweep: %w", err)
+		}
+	}
 	results := make([]SweepConfigResult, len(plan.Configs))
-
-	var (
-		mu        sync.Mutex
-		completed []SweepConfigResult
-		lastCkpt  time.Time
-	)
-	ckptEnabled := s.store != nil && s.cfg.CheckpointInterval > 0
+	completed := make([]SweepConfigResult, 0, len(plan.Configs))
 	for _, r := range sp.resume {
 		completed = append(completed, r)
 	}
+	ckpt := s.checkpointWriter(j, s.cfg.CheckpointInterval)
 
 	opt := yieldcache.SweepOptions{
 		Schemes: regularSchemes(sp.schemes),
+		// RunSweep calls OnEval on its own goroutine, one call at a time.
 		OnEval: func(ev yieldcache.SweepEval, done, total int) {
 			r := toSweepConfigResult(ev)
-			mu.Lock()
 			results[r.Index] = r
 			completed = append(completed, r)
-			nDone := len(completed)
-			if ckptEnabled && time.Since(lastCkpt) >= s.cfg.CheckpointInterval {
-				lastCkpt = time.Now()
-				if data, err := json.Marshal(sweepCheckpoint{Results: completed}); err == nil {
-					if err := store.Do("put_checkpoint", func() error {
-						return s.store.PutCheckpoint(j.id, nDone, data)
-					}); err != nil {
-						s.log.Warn("sweep checkpoint persist failed",
-							"job", j.id, "configs", nDone, "error", err)
-					} else {
-						s.bus.Publish(obs.Event{Type: obs.EventJobCheckpoint, Job: j.id,
-							Done: int64(nDone), Total: int64(total)})
-					}
-				}
+			if ckpt != nil { // a failed write is logged; the sweep carries on
+				_ = ckpt.write(len(completed), total, func(w io.Writer) error {
+					return json.NewEncoder(w).Encode(sweepCheckpoint{Results: completed})
+				})
 			}
-			mu.Unlock()
 			s.bus.Publish(obs.Event{Type: obs.EventSweepConfig, Job: j.id, Key: r.Label,
 				Done: int64(done), Total: int64(total)})
 		},
@@ -471,7 +486,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 	obs.H("server_sweep_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
 	s.observeBuild(elapsed)
 
-	return &cacheEntry{sweep: &SweepResponse{
+	return &cacheEntry{val: &SweepResponse{
 		Seed:           plan.Spec.Seed,
 		Chips:          plan.Spec.N,
 		Configs:        len(plan.Configs),
@@ -585,64 +600,4 @@ func sweepEconomicsRow(r SweepConfigResult, econ *sweepEconParams) []SweepEconom
 		add(y.Scheme, y.Yield, econ.cpiPct)
 	}
 	return out
-}
-
-// sweepParamsFromRecord replans a persisted sweep from its canonical
-// spec bytes, so a resumed sweep evaluates exactly the grid the crashed
-// server admitted.
-func (s *Server) sweepParamsFromRecord(rec store.JobRecord) (sweepParams, error) {
-	var can sweepCanonical
-	if err := json.Unmarshal(rec.Spec, &can); err != nil {
-		return sweepParams{}, fmt.Errorf("decoding canonical sweep spec: %w", err)
-	}
-	plan, err := yieldcache.PlanSweep(can.Spec)
-	if err != nil {
-		return sweepParams{}, fmt.Errorf("replanning sweep: %w", err)
-	}
-	sp := sweepParams{
-		plan:      plan,
-		schemes:   can.Schemes,
-		timeout:   time.Duration(rec.TimeoutMS) * time.Millisecond,
-		canonical: rec.Spec,
-		key:       rec.Key,
-	}
-	if len(sp.schemes) == 0 {
-		sp.schemes = schemeOrder
-	}
-	if sp.timeout <= 0 {
-		sp.timeout = s.cfg.DefaultTimeout
-	}
-	return sp, nil
-}
-
-// loadCheckpoint loads a crashed sweep's completed configs, so they are
-// overlaid rather than rebuilt.
-func (sp *sweepParams) loadCheckpoint(s *Server, jobID string) int {
-	data, _, err := s.store.Checkpoint(jobID)
-	if err != nil {
-		return 0
-	}
-	var ck sweepCheckpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		s.log.Warn("sweep checkpoint unreadable; resuming from scratch", "job", jobID, "error", err)
-		return 0
-	}
-	sp.resume = make(map[int]SweepConfigResult)
-	for _, r := range ck.Results {
-		if r.Index >= 0 && r.Index < len(sp.plan.Configs) {
-			sp.resume[r.Index] = r
-		}
-	}
-	return len(sp.resume)
-}
-
-// sweepRecordConfigs counts a persisted sweep's configs from its
-// canonical spec without planning it; 0 when the spec is unreadable.
-func sweepRecordConfigs(spec []byte) int {
-	var can sweepCanonical
-	if json.Unmarshal(spec, &can) != nil {
-		return 0
-	}
-	n, _ := sweepConfigCount(can.Spec)
-	return n
 }

@@ -60,9 +60,8 @@ type JobRecord struct {
 	Spec []byte `json:"spec,omitempty"`
 
 	// Restarts counts how many times the job has been resumed after a
-	// crash; CheckpointChips is the frontier of its newest checkpoint.
-	Restarts        int `json:"restarts,omitempty"`
-	CheckpointChips int `json:"checkpoint_chips,omitempty"`
+	// crash.
+	Restarts int `json:"restarts,omitempty"`
 
 	// QueueWaitMS accumulates admission-to-slot waits across restarts.
 	QueueWaitMS   float64 `json:"queue_wait_ms,omitempty"`

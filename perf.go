@@ -28,21 +28,20 @@ type PerfConfig struct {
 
 // PerfEvaluator prices cache configurations in CPI over the SPEC2000
 // suite. Identical configurations are evaluated once and cached; a
-// per-key singleflight guard makes that "once" hold under concurrency.
+// per-key sync.Once makes that "once" hold under concurrency.
 type PerfEvaluator struct {
 	cfg PerfConfig
 
 	mu       sync.Mutex
-	cache    map[string][]float64 // config key -> per-benchmark CPI
-	inflight map[string]*perfCall // config key -> in-progress evaluation
-	computes atomic.Int64         // suite evaluations actually run (tests)
+	suites   map[string]*suiteEntry // config key -> its suite evaluation
+	computes atomic.Int64           // suite evaluations actually run (tests)
 	names    []string
 }
 
-// perfCall is one in-progress suite evaluation; latecomers for the same
-// key wait on done instead of recomputing.
-type perfCall struct {
-	done chan struct{}
+// suiteEntry is one configuration's suite evaluation; once makes the
+// first caller compute it and concurrent callers wait for that result.
+type suiteEntry struct {
+	once sync.Once
 	cpis []float64
 }
 
@@ -56,10 +55,9 @@ func NewPerfEvaluator(cfg PerfConfig) *PerfEvaluator {
 		cfg.Seed = 1
 	}
 	return &PerfEvaluator{
-		cfg:      cfg,
-		cache:    make(map[string][]float64),
-		inflight: make(map[string]*perfCall),
-		names:    workload.Names(),
+		cfg:    cfg,
+		suites: make(map[string]*suiteEntry),
+		names:  workload.Names(),
 	}
 }
 
@@ -86,26 +84,33 @@ func configKey(wayCycles []int, hRegion, predicted int) string {
 }
 
 // suiteCPI returns the per-benchmark CPI of the given L1D configuration,
-// evaluating the whole suite in parallel on first use. Concurrent calls
-// for the same uncached key coalesce onto one evaluation: the first
-// caller computes, latecomers block on its completion — without this
-// guard every concurrent miss ran the full 24-benchmark suite.
+// evaluating the whole suite in parallel on first use. Concurrent first
+// calls for one key coalesce on its entry's Once: one caller computes,
+// the others wait for its result. Every call but the computing one
+// counts as a cache hit.
 func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []float64 {
 	key := configKey(wayCycles, hRegion, predicted)
 	e.mu.Lock()
-	if got, ok := e.cache[key]; ok {
-		e.mu.Unlock()
-		obs.C("perf_config_cache_hits_total").Inc()
-		return got
+	ent, ok := e.suites[key]
+	if !ok {
+		ent = &suiteEntry{}
+		e.suites[key] = ent
 	}
-	if call, ok := e.inflight[key]; ok {
-		e.mu.Unlock()
-		<-call.done
-		return call.cpis
-	}
-	call := &perfCall{done: make(chan struct{})}
-	e.inflight[key] = call
 	e.mu.Unlock()
+	hit := true
+	ent.once.Do(func() {
+		hit = false
+		ent.cpis = e.runSuite(key, wayCycles, hRegion, predicted)
+	})
+	if hit {
+		obs.C("perf_config_cache_hits_total").Inc()
+	}
+	return ent.cpis
+}
+
+// runSuite evaluates every benchmark of the suite under one L1D
+// configuration, spread over GOMAXPROCS workers.
+func (e *PerfEvaluator) runSuite(key string, wayCycles []int, hRegion, predicted int) []float64 {
 	obs.C("perf_config_cache_misses_total").Inc()
 	e.computes.Add(1)
 
@@ -132,13 +137,6 @@ func (e *PerfEvaluator) suiteCPI(wayCycles []int, hRegion, predicted int) []floa
 		}(w)
 	}
 	wg.Wait()
-
-	e.mu.Lock()
-	e.cache[key] = cpis
-	delete(e.inflight, key)
-	e.mu.Unlock()
-	call.cpis = cpis
-	close(call.done)
 	return cpis
 }
 
