@@ -52,15 +52,8 @@ func main() {
 		}
 	}()
 
-	var cons yieldcache.Constraints
-	switch *consName {
-	case "nominal":
-		cons = yieldcache.Nominal()
-	case "relaxed":
-		cons = yieldcache.Relaxed()
-	case "strict":
-		cons = yieldcache.Strict()
-	default:
+	cons, ok := yieldcache.NamedConstraints(*consName)
+	if !ok {
 		slog.Error("unknown constraint set", "constraints", *consName,
 			"want", "nominal, relaxed or strict")
 		os.Exit(2)

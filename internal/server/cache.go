@@ -21,7 +21,8 @@ const maxHitVariants = 4
 // result is immutable; the memo fills lazily on the first hit of each
 // variant and is dropped with the entry on eviction.
 type cacheEntry struct {
-	val result
+	val  result
+	noun string // the kind that built val, for its eviction counter
 
 	mu   sync.Mutex // guards memo; never held across an encode
 	memo []*memoBody
@@ -78,14 +79,14 @@ type result interface {
 func (r *StudyResponse) elapsedMS() float64 { return r.ElapsedMS }
 func (r *SweepResponse) elapsedMS() float64 { return r.ElapsedMS }
 
-// decodeResult decodes a persisted result body into its kind's response
-// type, chosen by the key's namespace.
-func decodeResult(key string, body []byte) (result, error) {
-	var v result = new(StudyResponse)
+// decodeResult decodes a persisted result body into a cache entry of
+// its kind's response type, chosen by the key's namespace.
+func decodeResult(key string, body []byte) (*cacheEntry, error) {
+	e := &cacheEntry{val: new(StudyResponse), noun: "study"}
 	if strings.HasPrefix(key, sweepKeyPrefix) {
-		v = new(SweepResponse)
+		e.val, e.noun = new(SweepResponse), "sweep"
 	}
-	return v, json.Unmarshal(body, v)
+	return e, json.Unmarshal(body, e.val)
 }
 
 // cacheInsertLocked adds a finished result under key, evicting the
@@ -103,10 +104,10 @@ func (s *Server) cacheInsertLocked(key string, e *cacheEntry) (cached bool, evic
 	for len(s.cache) >= s.cfg.CacheEntries {
 		oldest := s.order[0]
 		s.order = s.order[1:]
+		obs.C("server_" + s.cache[oldest].noun + "_cache_evictions_total").Inc()
 		delete(s.cache, oldest)
 		evicted = append(evicted, oldest)
 		expiredIdem = append(expiredIdem, s.expireIdemLocked(oldest)...)
-		obs.C("server_study_cache_evictions_total").Inc()
 	}
 	s.cache[key] = e
 	s.order = append(s.order, key)

@@ -56,8 +56,9 @@ func (s *Server) persistJob(j *job, k jobKind, state string) {
 
 // persistOutcome records a build's terminal state: the final job
 // record, the cached result body, evicted results, expired idempotency
-// keys (including those bound to a failed build), and the checkpoint
-// that is no longer needed, if the store may hold one.
+// keys (including those bound to a build whose result is not cached),
+// and the checkpoint that is no longer needed, if the store may hold
+// one.
 func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted, expiredIdem []string) {
 	if s.store == nil {
 		return
@@ -285,12 +286,12 @@ func (s *Server) recoverFromStore() {
 		}
 		for _, res := range rec.Results[start:] {
 			// Only the value is restored; hit bodies encode on first use.
-			v, err := decodeResult(res.Key, res.Body)
+			e, err := decodeResult(res.Key, res.Body)
 			if err != nil {
 				s.log.Warn("recovered result unreadable; dropped", "key", res.Key, "error", err)
 				continue
 			}
-			s.cache[res.Key] = &cacheEntry{val: v}
+			s.cache[res.Key] = e
 			s.order = append(s.order, res.Key)
 		}
 	}

@@ -64,18 +64,43 @@ func TestFailedBuildExpiresIdempotencyKeys(t *testing.T) {
 			t.Fatalf("build %d: status %d (%v), want 500", i, resp.StatusCode, fail)
 		}
 	}
+	checkNoIdem(t, srv, st, "after 5 failed builds")
+}
+
+// With the cache off a successful build keeps nothing either, so its
+// Idempotency-Keys expire with it the same way.
+func TestUncachedBuildExpiresIdempotencyKeys(t *testing.T) {
+	st := store.NewMem()
+	srv := New(Config{Workers: 1, Store: st, CacheEntries: -1, FlightInterval: -1})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i := 1; i <= 5; i++ {
+		resp, res, fail := postStudyIdem(t, ts.URL, fmt.Sprintf(`{"chips": 20, "seed": %d}`, i), fmt.Sprintf("key-%d", i))
+		if resp.StatusCode != http.StatusOK || res.Cached {
+			t.Fatalf("build %d: status %d cached %v (%v), want 200 uncached", i, resp.StatusCode, res.Cached, fail)
+		}
+	}
+	checkNoIdem(t, srv, st, "after 5 uncached builds")
+}
+
+// checkNoIdem fails unless srv holds no idempotency record in memory
+// and st none in the store.
+func checkNoIdem(t *testing.T, srv *Server, st *store.Mem, when string) {
+	t.Helper()
 	srv.mu.Lock()
 	idem, byKey := len(srv.idem), len(srv.idemByKey)
 	srv.mu.Unlock()
 	if idem != 0 || byKey != 0 {
-		t.Errorf("after 5 failed builds: %d idempotency records, %d key bindings in memory, want 0", idem, byKey)
+		t.Errorf("%s: %d idempotency records, %d key bindings in memory, want 0", when, idem, byKey)
 	}
 	rec, err := st.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Idem) != 0 {
-		t.Errorf("after 5 failed builds: %d idempotency records in the store, want 0", len(rec.Idem))
+		t.Errorf("%s: %d idempotency records in the store, want 0", when, len(rec.Idem))
 	}
 }
 

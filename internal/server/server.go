@@ -479,15 +479,11 @@ func (s *Server) parseRequest(req *StudyRequest) (params, error) {
 				c.DelaySigmaK, c.LeakageMult)
 		}
 		p.cons = yieldcache.Constraints{Name: "custom", DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult}
+	case req.Constraints == "":
+		p.cons = yieldcache.Nominal()
 	default:
-		switch req.Constraints {
-		case "", "nominal":
-			p.cons = yieldcache.Nominal()
-		case "relaxed":
-			p.cons = yieldcache.Relaxed()
-		case "strict":
-			p.cons = yieldcache.Strict()
-		default:
+		var ok bool
+		if p.cons, ok = yieldcache.NamedConstraints(req.Constraints); !ok {
 			return p, fmt.Errorf("unknown constraints %q (want nominal, relaxed or strict)", req.Constraints)
 		}
 	}
@@ -725,9 +721,9 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemB
 // every waiter. It runs detached from the initiating request so a
 // client disconnect does not waste the work for coalesced waiters. The
 // build context carries the job's telemetry scope, so every phase span
-// and the progress counter are attributable to this job alone. A failed
-// build expires the idempotency keys bound to it: there is nothing for
-// them to replay.
+// and the progress counter are attributable to this job alone. A build
+// whose result is not cached (it failed, or the cache is off) expires
+// the idempotency keys bound to it: there is nothing for them to replay.
 func (s *Server) run(k jobKind, c *call) {
 	defer s.wg.Done()
 	j := c.job
@@ -772,9 +768,11 @@ func (s *Server) run(k jobKind, c *call) {
 	s.mu.Lock()
 	delete(s.inflight, j.key)
 	if c.err == nil {
+		c.res.noun = k.noun()
 		cached, evicted, expiredIdem = s.cacheInsertLocked(j.key, c.res)
-	} else {
-		expiredIdem = s.expireIdemLocked(j.key)
+	}
+	if s.cache[j.key] == nil {
+		expiredIdem = append(expiredIdem, s.expireIdemLocked(j.key)...)
 	}
 	s.jobs--
 	obs.G("server_jobs_admitted").Set(float64(s.jobs))
@@ -1031,9 +1029,8 @@ func (s *Server) await(w http.ResponseWriter, r *http.Request, c *call, k jobKin
 }
 
 func (s *Server) handleConstraints(w http.ResponseWriter, r *http.Request) {
-	sets := []yieldcache.Constraints{yieldcache.Nominal(), yieldcache.Relaxed(), yieldcache.Strict()}
-	out := make([]ConstraintsInfo, 0, len(sets))
-	for _, c := range sets {
+	var out []ConstraintsInfo
+	for _, c := range yieldcache.ConstraintSets() {
 		out = append(out, ConstraintsInfo{Name: c.Name, DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"constraints": out, "schemes": schemeOrder})

@@ -14,6 +14,7 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
+	"yieldcache/internal/store"
 )
 
 func postStudy(t *testing.T, url string, body string) (*http.Response, StudyResponse, ErrorResponse) {
@@ -417,6 +418,53 @@ func TestCacheEviction(t *testing.T) {
 	if got := reg.Counter("server_study_cache_evictions_total").Value(); got != 2 {
 		t.Errorf("server_study_cache_evictions_total = %d, want 2", got)
 	}
+}
+
+// An eviction counts under its entry's own kind, for an entry a sweep
+// or a study built and for one recovered from the store.
+func TestCacheEvictionCountsPerKind(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	st := store.NewMem()
+	sweep := func(url string, vdd float64) {
+		t.Helper()
+		body := fmt.Sprintf(`{"chips": 20, "axes": [{"param": "vdd", "values": [%g]}]}`, vdd)
+		if resp, _, fail := postSweep(t, url, body, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep vdd %g: status %d (%v)", vdd, resp.StatusCode, fail)
+		}
+	}
+	study := func(url string) {
+		t.Helper()
+		if resp, _, fail := postStudy(t, url, `{"chips": 20}`); resp.StatusCode != http.StatusOK {
+			t.Fatalf("study: status %d (%v)", resp.StatusCode, fail)
+		}
+	}
+	want := func(sweeps, studies int64) {
+		t.Helper()
+		if got := reg.Counter("server_sweep_cache_evictions_total").Value(); got != sweeps {
+			t.Errorf("server_sweep_cache_evictions_total = %d, want %d", got, sweeps)
+		}
+		if got := reg.Counter("server_study_cache_evictions_total").Value(); got != studies {
+			t.Errorf("server_study_cache_evictions_total = %d, want %d", got, studies)
+		}
+	}
+
+	srv1 := New(Config{Workers: 1, CacheEntries: 1, Store: st, FlightInterval: -1})
+	ts1 := httptest.NewServer(srv1.Handler())
+	sweep(ts1.URL, 1.1)
+	sweep(ts1.URL, 1.05) // evicts the first sweep
+	want(1, 0)
+	drain(t, srv1)
+	ts1.Close()
+
+	srv2 := New(Config{Workers: 1, CacheEntries: 1, Store: st, FlightInterval: -1})
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	study(ts2.URL) // evicts the recovered sweep
+	want(2, 0)
+	sweep(ts2.URL, 1.1) // evicts the study
+	want(2, 1)
 }
 
 func TestConstraintsEndpoint(t *testing.T) {

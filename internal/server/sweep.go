@@ -281,23 +281,15 @@ func (s *Server) parseSweepRequest(req *SweepRequest) (sweepParams, error) {
 		spec.Axes = append(spec.Axes, yieldcache.TechAxis{Param: ax.Param, Values: ax.Values})
 	}
 	for i, c := range req.Constraints {
-		switch c.Name {
-		case "nominal", "relaxed", "strict":
-			if c.DelaySigmaK != 0 || c.LeakageMult != 0 {
-				return sp, fmt.Errorf("constraints[%d]: named set %q cannot also carry custom parameters", i, c.Name)
-			}
-			switch c.Name {
-			case "nominal":
-				spec.Constraints = append(spec.Constraints, yieldcache.Nominal())
-			case "relaxed":
-				spec.Constraints = append(spec.Constraints, yieldcache.Relaxed())
-			case "strict":
-				spec.Constraints = append(spec.Constraints, yieldcache.Strict())
-			}
+		named, ok := yieldcache.NamedConstraints(c.Name)
+		switch {
+		case ok && (c.DelaySigmaK != 0 || c.LeakageMult != 0):
+			return sp, fmt.Errorf("constraints[%d]: named set %q cannot also carry custom parameters", i, c.Name)
+		case ok:
+			spec.Constraints = append(spec.Constraints, named)
+		case c.DelaySigmaK <= 0 || c.LeakageMult <= 0:
+			return sp, fmt.Errorf("constraints[%d]: want a named set (nominal, relaxed, strict) or positive delay_sigma_k and leakage_mult", i)
 		default:
-			if c.DelaySigmaK <= 0 || c.LeakageMult <= 0 {
-				return sp, fmt.Errorf("constraints[%d]: want a named set (nominal, relaxed, strict) or positive delay_sigma_k and leakage_mult", i)
-			}
 			spec.Constraints = append(spec.Constraints, yieldcache.Constraints{
 				Name: c.Name, DelaySigmaK: c.DelaySigmaK, LeakageMult: c.LeakageMult})
 		}

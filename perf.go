@@ -201,26 +201,12 @@ func (s *Study) Table6(e *PerfEvaluator) Table6 {
 	rows := s.SavedConfigurations()
 	out := Table6{}
 
-	// Scheme-effective configurations per row.
-	threeWay := CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}
-
 	distinct := map[string]CacheConfig{}
-	need := func(cfg CacheConfig) {
-		distinct[configKey(cfg.WayCycles, cfg.HRegionOff, 0)] = cfg
-	}
 	for _, r := range rows {
-		if r.Key.N5+r.Key.N6 <= 1 {
-			need(threeWay)
-		}
-		if r.Key.N6 == 0 && !r.LeakageLimited {
-			need(vacaConfig(r.Key.N5, 4))
-		}
-		switch {
-		case r.LeakageLimited && r.Key.N5 == 0 && r.Key.N6 == 0:
-			need(threeWay)
-		case r.Key.N6 == 1:
-			need(vacaConfig(r.Key.N5, 3))
-		}
+		table6Row(r, func(cfg CacheConfig) float64 {
+			distinct[configKey(cfg.WayCycles, cfg.HRegionOff, 0)] = cfg
+			return 0
+		})
 	}
 	var wg sync.WaitGroup
 	for _, cfg := range distinct {
@@ -235,37 +221,9 @@ func (s *Study) Table6(e *PerfEvaluator) Table6 {
 	wg.Wait()
 
 	for _, r := range rows {
-		row := Table6Row{Key: r.Key, LeakageLimited: r.LeakageLimited, Chips: r.Chips}
-
-		// YAPD: applicable when at most one way is slow (it gets turned
-		// off) or the chip is leakage-limited; result is always a 3-way
-		// 4-cycle cache.
-		if r.Key.N5+r.Key.N6 <= 1 {
-			row.YAPD = e.AverageDegradation(threeWay, 0)
-			row.YAPDOK = true
-		}
-
-		// VACA: applicable when nothing needs more than 5 cycles and the
-		// chip is not leakage-limited; all ways stay on.
-		if r.Key.N6 == 0 && !r.LeakageLimited {
-			row.VACA = e.AverageDegradation(vacaConfig(r.Key.N5, 4), 0)
-			row.VACAOK = true
-		}
-
-		// Hybrid: keeps ways on when possible (VACA behaviour), turns off
-		// a single 6-cycle way, or the leakiest way on leakage limits.
-		switch {
-		case r.LeakageLimited && r.Key.N5 == 0 && r.Key.N6 == 0:
-			row.Hybrid = e.AverageDegradation(threeWay, 0)
-			row.HybridOK = true
-		case r.Key.N6 == 0 && !r.LeakageLimited:
-			row.Hybrid = row.VACA
-			row.HybridOK = row.VACAOK
-		case r.Key.N6 == 1:
-			row.Hybrid = e.AverageDegradation(vacaConfig(r.Key.N5, 3), 0)
-			row.HybridOK = true
-		}
-		out.Rows = append(out.Rows, row)
+		out.Rows = append(out.Rows, table6Row(r, func(cfg CacheConfig) float64 {
+			return e.AverageDegradation(cfg, 0)
+		}))
 	}
 
 	var yw, yv, vw, vv, hw, hv float64
@@ -293,6 +251,39 @@ func (s *Study) Table6(e *PerfEvaluator) Table6 {
 		out.HybridSum = hv / hw
 	}
 	return out
+}
+
+// table6Row decides which schemes apply to saved configuration r and
+// the configuration each runs at, taking each scheme's degradation from
+// deg.
+func table6Row(r SavedConfig, deg func(CacheConfig) float64) Table6Row {
+	row := Table6Row{Key: r.Key, LeakageLimited: r.LeakageLimited, Chips: r.Chips}
+	threeWay := CacheConfig{WayCycles: []int{0, 4, 4, 4}, HRegionOff: -1}
+
+	// YAPD: applicable when at most one way is slow (it gets turned
+	// off) or the chip is leakage-limited; result is always a 3-way
+	// 4-cycle cache.
+	if r.Key.N5+r.Key.N6 <= 1 {
+		row.YAPD, row.YAPDOK = deg(threeWay), true
+	}
+
+	// VACA: applicable when nothing needs more than 5 cycles and the
+	// chip is not leakage-limited; all ways stay on.
+	if r.Key.N6 == 0 && !r.LeakageLimited {
+		row.VACA, row.VACAOK = deg(vacaConfig(r.Key.N5, 4)), true
+	}
+
+	// Hybrid: keeps ways on when possible (VACA behaviour), turns off
+	// a single 6-cycle way, or the leakiest way on leakage limits.
+	switch {
+	case r.LeakageLimited && r.Key.N5 == 0 && r.Key.N6 == 0:
+		row.Hybrid, row.HybridOK = deg(threeWay), true
+	case row.VACAOK:
+		row.Hybrid, row.HybridOK = row.VACA, true
+	case r.Key.N6 == 1:
+		row.Hybrid, row.HybridOK = deg(vacaConfig(r.Key.N5, 3)), true
+	}
+	return row
 }
 
 // vacaConfig builds a configuration with `ways` enabled ways, of which

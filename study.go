@@ -61,6 +61,21 @@ var (
 	Strict  = core.Strict
 )
 
+// ConstraintSets returns the constraint sets of Section 5.1 in order:
+// nominal, relaxed, strict.
+func ConstraintSets() []Constraints { return []Constraints{Nominal(), Relaxed(), Strict()} }
+
+// NamedConstraints returns the set of ConstraintSets called name, and
+// false when there is none.
+func NamedConstraints(name string) (Constraints, bool) {
+	for _, c := range ConstraintSets() {
+		if c.Name == name {
+			return c, true
+		}
+	}
+	return Constraints{}, false
+}
+
 // LossNoneReason returns the classification of a chip with no
 // parametric violation.
 func LossNoneReason() LossReason { return core.LossNone }
