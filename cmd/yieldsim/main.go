@@ -21,7 +21,6 @@ import (
 	"yieldcache"
 	"yieldcache/internal/obs"
 	"yieldcache/internal/report"
-	"yieldcache/internal/stats"
 )
 
 func main() {
@@ -102,16 +101,10 @@ func main() {
 	}
 	fmt.Println()
 
-	// ciHalf is the half-width of the Wilson score interval on a yield
-	// with k sellable chips out of n, at the -confidence level.
-	ciHalf := func(k, n int) float64 {
-		lo, hi := stats.WilsonInterval(int64(k), int64(n), *confidence)
-		return (hi - lo) / 2
-	}
 	printYields := func(bd yieldcache.LossBreakdown) {
-		fmt.Printf("base yield %.1f%% ±%.1f%%", bd.Yield(-1)*100, ciHalf(bd.N-bd.BaseTotal, bd.N)*100)
+		fmt.Printf("base yield %.1f%% ±%.1f%%", bd.Yield(-1)*100, bd.YieldCI(-1, *confidence).HalfWidth()*100)
 		for i, s := range bd.Schemes {
-			fmt.Printf("; %s %.1f%% ±%.1f%%", s.Scheme, bd.Yield(i)*100, ciHalf(bd.N-s.Total, bd.N)*100)
+			fmt.Printf("; %s %.1f%% ±%.1f%%", s.Scheme, bd.Yield(i)*100, bd.YieldCI(i, *confidence).HalfWidth()*100)
 		}
 		fmt.Print("\n\n")
 	}

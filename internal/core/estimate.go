@@ -264,8 +264,8 @@ func (e *estimator) snapshot(p int) {
 	b.Confidence = e.cfg.Confidence
 	b.Yield = pass.Rate()
 	b.Lost = pass.N - pass.K
-	b.CILow, b.CIHigh = stats.WilsonInterval(pass.K, pass.N, b.Confidence)
-	b.HalfWidth = (b.CIHigh - b.CILow) / 2
+	ci := yieldInterval(pass.K, pass.N, b.Confidence)
+	b.CILow, b.CIHigh, b.HalfWidth = ci.Low, ci.High, ci.HalfWidth()
 	b.Limits = lim
 	b.MeanLatencyPS = ps.latM.Mean
 	b.StdErrLatencyPS = ps.latM.StdErr()
@@ -278,6 +278,7 @@ func (e *estimator) snapshot(p int) {
 		re.Reason = LossLeakage + LossReason(j)
 		re.Lost = t.K
 		re.Share = t.Rate()
-		re.CILow, re.CIHigh = stats.WilsonInterval(t.K, t.N, b.Confidence)
+		ci := yieldInterval(t.K, t.N, b.Confidence)
+		re.CILow, re.CIHigh = ci.Low, ci.High
 	}
 }

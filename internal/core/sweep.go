@@ -366,11 +366,16 @@ func deltaClass(p sram.TechParts) int {
 	}
 }
 
-// SchemeYield is one scheme's outcome at one sweep config.
+// sweepConfidence is the level of every sweep interval.
+const sweepConfidence = 0.95
+
+// SchemeYield is one scheme's outcome at one sweep config, with the
+// interval on its yield at the sweep confidence.
 type SchemeYield struct {
 	Scheme string  `json:"scheme"`
 	Yield  float64 `json:"yield"`
 	Lost   int     `json:"lost"`
+	Interval
 }
 
 // SweepEval is the evaluation of one sweep config on the regular cache
@@ -384,9 +389,11 @@ type SweepEval struct {
 	MeanLatencyPS float64 `json:"mean_latency_ps"`
 	MeanLeakageW  float64 `json:"mean_leakage_w"`
 	// BaseYield is the yield-unaware sellable fraction; BaseLost the
-	// chips it loses.
-	BaseYield float64 `json:"base_yield"`
-	BaseLost  int     `json:"base_lost"`
+	// chips it loses; BaseCI the interval on BaseYield at the sweep
+	// confidence.
+	BaseYield float64  `json:"base_yield"`
+	BaseLost  int      `json:"base_lost"`
+	BaseCI    Interval `json:"base_ci"`
 	// Yields are the per-scheme outcomes, in option scheme order.
 	Yields []SchemeYield `json:"yields"`
 	// Skipped marks configs the Skip hook short-circuited (resume);
@@ -551,13 +558,15 @@ func evalSweepConfig(cfg SweepConfig, reg *Population, schemes []Scheme) SweepEv
 		Limits:    lim,
 		BaseYield: bd.Yield(-1),
 		BaseLost:  bd.BaseTotal,
+		BaseCI:    bd.YieldCI(-1, sweepConfidence),
 		Yields:    make([]SchemeYield, len(schemes)),
 	}
 	for i := range schemes {
 		ev.Yields[i] = SchemeYield{
-			Scheme: bd.Schemes[i].Scheme,
-			Yield:  bd.Yield(i),
-			Lost:   bd.Schemes[i].Total,
+			Scheme:   bd.Schemes[i].Scheme,
+			Yield:    bd.Yield(i),
+			Lost:     bd.Schemes[i].Total,
+			Interval: bd.YieldCI(i, sweepConfidence),
 		}
 	}
 	lats, leaks := reg.Latencies(), reg.Leakages()

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"yieldcache/internal/obs"
+	"yieldcache/internal/stats"
 )
 
 // SchemeLosses is one scheme's column in Tables 2/3: how many chips of
@@ -67,11 +68,38 @@ func BreakdownLosses(pop *Population, lim Limits, schemes ...Scheme) LossBreakdo
 // Yield returns the fraction of sellable chips for the scheme at column
 // index i (the base case for i < 0).
 func (bd LossBreakdown) Yield(i int) float64 {
-	lost := bd.BaseTotal
-	if i >= 0 {
-		lost = bd.Schemes[i].Total
+	return 1 - float64(bd.lost(i))/float64(bd.N)
+}
+
+// YieldCI returns the interval on Yield(i) at confidence conf.
+func (bd LossBreakdown) YieldCI(i int, conf float64) Interval {
+	return yieldInterval(int64(bd.N-bd.lost(i)), int64(bd.N), conf)
+}
+
+// lost is the loss count of column i (the base case for i < 0).
+func (bd LossBreakdown) lost(i int) int {
+	if i < 0 {
+		return bd.BaseTotal
 	}
-	return 1 - float64(lost)/float64(bd.N)
+	return bd.Schemes[i].Total
+}
+
+// Interval is a confidence interval on one yield or loss share.
+type Interval struct {
+	Low  float64 `json:"ci_low"`
+	High float64 `json:"ci_high"`
+}
+
+// HalfWidth is half the interval's width, the precision a target
+// CI width is checked against.
+func (c Interval) HalfWidth() float64 { return (c.High - c.Low) / 2 }
+
+// yieldInterval is the one computation behind every reported interval:
+// the Wilson score interval on k sellable (or lost) chips out of n at
+// confidence conf.
+func yieldInterval(k, n int64, conf float64) Interval {
+	lo, hi := stats.WilsonInterval(k, n, conf)
+	return Interval{Low: lo, High: hi}
 }
 
 // LossReduction returns the fractional reduction in parametric yield

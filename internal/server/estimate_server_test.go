@@ -8,71 +8,93 @@ import (
 )
 
 // Every real study build streams yield estimates: the response must
-// carry the final estimate block, post-hoc Wilson intervals on every
-// breakdown yield, and the GET /v1/jobs/{id}/estimate endpoint must
-// serve the same final snapshot.
+// carry the final estimate block, intervals on every breakdown yield at
+// the request's confidence, and the GET /v1/jobs/{id}/estimate endpoint
+// must serve the same final snapshot. The final snapshot derives the
+// table limits bit for bit, so yield_cis.base is exactly the estimate's
+// interval, at the default 0.95 and at a precision request's 0.99.
 func TestStudyResponseCarriesEstimateAndYieldCIs(t *testing.T) {
 	srv := New(Config{Workers: 1, FlightInterval: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, res, _ := postStudy(t, ts.URL, `{"chips": 120, "seed": 2006}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("study: status %d", resp.StatusCode)
-	}
-	if res.Estimate == nil {
-		t.Fatal("study response has no estimate block")
-	}
-	e := res.Estimate
-	if e.Chips != 120 || e.Total != 120 || e.EarlyStop || res.EarlyStop {
-		t.Errorf("final estimate shape = %+v (early_stop %v)", e, res.EarlyStop)
-	}
-	if e.Confidence != 0.95 {
-		t.Errorf("estimate confidence = %v, want the 0.95 default", e.Confidence)
-	}
-	if e.CILow > e.Yield || e.CIHigh < e.Yield || e.HalfWidth <= 0 {
-		t.Errorf("estimate interval [%v, %v] around %v (half-width %v)",
-			e.CILow, e.CIHigh, e.Yield, e.HalfWidth)
-	}
-	if got, want := e.Yield, res.Regular.Yields["base"]; got != want {
-		t.Errorf("estimate yield %v != breakdown base yield %v", got, want)
-	}
-	if len(e.Reasons) == 0 {
-		t.Error("estimate has no per-reason error bars")
-	}
+	for _, tc := range []struct {
+		body  string
+		chips int
+		conf  float64
+		// sameYieldBits: the estimate's yield (k/n) and the table's
+		// (1 - lost/n) round alike. At 2000 chips they read 0.824 and
+		// 0.8240000000000001 over the same counts.
+		sameYieldBits bool
+	}{
+		{`{"chips": 120, "seed": 2006}`, 120, 0.95, true},
+		// The 0.02 target is not reached within 2000 chips at 99%, so
+		// the build measures every chip.
+		{`{"chips": 2000, "seed": 2006, "precision": {"target_ci_width": 0.02, "confidence": 0.99}}`, 2000, 0.99, false},
+	} {
+		resp, res, _ := postStudy(t, ts.URL, tc.body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", tc.body, resp.StatusCode)
+		}
+		if res.Estimate == nil {
+			t.Fatalf("%s: study response has no estimate block", tc.body)
+		}
+		e := res.Estimate
+		if e.Chips != tc.chips || e.Total != tc.chips || e.EarlyStop || res.EarlyStop {
+			t.Errorf("%s: final estimate shape = %+v (early_stop %v)", tc.body, e, res.EarlyStop)
+		}
+		if e.Confidence != tc.conf {
+			t.Errorf("%s: estimate confidence = %v, want %v", tc.body, e.Confidence, tc.conf)
+		}
+		if e.CILow > e.Yield || e.CIHigh < e.Yield || e.HalfWidth <= 0 {
+			t.Errorf("%s: estimate interval [%v, %v] around %v (half-width %v)",
+				tc.body, e.CILow, e.CIHigh, e.Yield, e.HalfWidth)
+		}
+		if e.Lost != int64(res.Regular.BaseTotal) {
+			t.Errorf("%s: estimate lost %d != breakdown base_total %d", tc.body, e.Lost, res.Regular.BaseTotal)
+		}
+		if got, want := e.Yield, res.Regular.Yields["base"]; tc.sameYieldBits && got != want {
+			t.Errorf("%s: estimate yield %v != breakdown base yield %v", tc.body, got, want)
+		}
+		if ci := res.Regular.YieldCIs["base"]; ci.Low != e.CILow || ci.High != e.CIHigh {
+			t.Errorf("%s: yield_cis.base [%v, %v] != final estimate interval [%v, %v]",
+				tc.body, ci.Low, ci.High, e.CILow, e.CIHigh)
+		}
+		if len(e.Reasons) == 0 {
+			t.Errorf("%s: estimate has no per-reason error bars", tc.body)
+		}
 
-	for _, bd := range []Breakdown{res.Regular, res.Horizontal} {
-		for name, y := range bd.Yields {
-			ci, ok := bd.YieldCIs[name]
-			if !ok {
-				t.Errorf("breakdown yield %q has no confidence interval", name)
-				continue
-			}
-			if ci.Low > y || ci.High < y {
-				t.Errorf("yield %q: interval [%v, %v] does not bracket %v", name, ci.Low, ci.High, y)
+		for _, bd := range []Breakdown{res.Regular, res.Horizontal} {
+			for name, y := range bd.Yields {
+				ci, ok := bd.YieldCIs[name]
+				if !ok {
+					t.Errorf("%s: breakdown yield %q has no confidence interval", tc.body, name)
+					continue
+				}
+				if ci.Low > y || ci.High < y {
+					t.Errorf("%s: yield %q: interval [%v, %v] does not bracket %v", tc.body, name, ci.Low, ci.High, y)
+				}
 			}
 		}
-	}
 
-	id := resp.Header.Get("X-Job-Id")
-	jr, err := http.Get(ts.URL + "/v1/jobs/" + id + "/estimate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Body.Close()
-	if jr.StatusCode != http.StatusOK {
-		t.Fatalf("GET /v1/jobs/%s/estimate: status %d", id, jr.StatusCode)
-	}
-	var je JobEstimateResponse
-	if err := json.NewDecoder(jr.Body).Decode(&je); err != nil {
-		t.Fatal(err)
-	}
-	if je.Job != id || je.State != jobDone {
-		t.Errorf("estimate endpoint job/state = %s/%s, want %s/done", je.Job, je.State, id)
-	}
-	if je.Estimate.Chips != 120 || je.Estimate.Yield != e.Yield {
-		t.Errorf("endpoint estimate %+v differs from response estimate %+v", je.Estimate, e)
+		id := resp.Header.Get("X-Job-Id")
+		jr, err := http.Get(ts.URL + "/v1/jobs/" + id + "/estimate")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var je JobEstimateResponse
+		err = json.NewDecoder(jr.Body).Decode(&je)
+		jr.Body.Close()
+		if jr.StatusCode != http.StatusOK || err != nil {
+			t.Fatalf("GET /v1/jobs/%s/estimate: status %d, decode error %v", id, jr.StatusCode, err)
+		}
+		if je.Job != id || je.State != jobDone {
+			t.Errorf("estimate endpoint job/state = %s/%s, want %s/done", je.Job, je.State, id)
+		}
+		if je.Estimate.Chips != tc.chips || je.Estimate.Yield != e.Yield {
+			t.Errorf("endpoint estimate %+v differs from response estimate %+v", je.Estimate, e)
+		}
 	}
 }
 
@@ -197,9 +219,9 @@ func TestSweepYieldCIs(t *testing.T) {
 			t.Errorf("config %d: base interval missing", r.Index)
 		}
 		for _, y := range r.Yields {
-			if y.CILow > y.Yield || y.CIHigh < y.Yield {
+			if y.Low > y.Yield || y.High < y.Yield {
 				t.Errorf("config %d scheme %s: interval [%v, %v] does not bracket %v",
-					r.Index, y.Scheme, y.CILow, y.CIHigh, y.Yield)
+					r.Index, y.Scheme, y.Low, y.High, y.Yield)
 			}
 		}
 	}

@@ -30,7 +30,6 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
-	"yieldcache/internal/stats"
 	"yieldcache/internal/store"
 )
 
@@ -823,8 +822,8 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 			LeakageMult: p.cons.LeakageMult,
 		},
 		Limits:           LimitsInfo{DelayPS: study.Limits.DelayPS, LeakageW: study.Limits.LeakageW},
-		Regular:          toBreakdown(study.Breakdown(regularSchemes(p.schemes)...)),
-		Horizontal:       toBreakdown(study.BreakdownHorizontal(horizontalSchemes(p.schemes)...)),
+		Regular:          toBreakdown(study.Breakdown(regularSchemes(p.schemes)...), p.confidence),
+		Horizontal:       toBreakdown(study.BreakdownHorizontal(horizontalSchemes(p.schemes)...), p.confidence),
 		RegularTotals:    toTotals(study.Totals(extra, regularSchemes(p.schemes)...)),
 		HorizontalTotals: toTotals(study.TotalsHorizontal(extra, horizontalSchemes(p.schemes)...)),
 		ElapsedMS:        elapsed * 1e3,
@@ -909,13 +908,6 @@ func toEstimateInfo(e *yieldcache.YieldEstimate) EstimateInfo {
 	return out
 }
 
-// wilsonYieldCI is the post-hoc 95% Wilson interval on a final yield:
-// k passing chips out of n.
-func wilsonYieldCI(k, n int) YieldCI {
-	lo, hi := stats.WilsonInterval(int64(k), int64(n), 0.95)
-	return YieldCI{Low: lo, High: hi}
-}
-
 // regularSchemes maps request scheme names to the regular-organisation
 // scheme set (Table 2 columns).
 func regularSchemes(names []string) []yieldcache.Scheme {
@@ -951,20 +943,21 @@ func horizontalSchemes(names []string) []yieldcache.Scheme {
 	return out
 }
 
-func toBreakdown(bd yieldcache.LossBreakdown) Breakdown {
+// toBreakdown converts a loss breakdown to the wire, intervals at conf.
+func toBreakdown(bd yieldcache.LossBreakdown, conf float64) Breakdown {
 	out := Breakdown{
 		N:         bd.N,
 		BaseTotal: bd.BaseTotal,
 		Totals:    make(map[string]int, len(bd.Schemes)),
 		Yields:    make(map[string]float64, len(bd.Schemes)+1),
+		YieldCIs:  make(map[string]yieldcache.Interval, len(bd.Schemes)+1),
 	}
-	out.YieldCIs = make(map[string]YieldCI, len(bd.Schemes)+1)
 	out.Yields["base"] = bd.Yield(-1)
-	out.YieldCIs["base"] = wilsonYieldCI(bd.N-bd.BaseTotal, bd.N)
+	out.YieldCIs["base"] = bd.YieldCI(-1, conf)
 	for i, s := range bd.Schemes {
 		out.Totals[s.Scheme] = s.Total
 		out.Yields[s.Scheme] = bd.Yield(i)
-		out.YieldCIs[s.Scheme] = wilsonYieldCI(bd.N-s.Total, bd.N)
+		out.YieldCIs[s.Scheme] = bd.YieldCI(i, conf)
 	}
 	for _, r := range yieldcache.AllLossReasons() {
 		row := BreakdownRow{

@@ -147,27 +147,19 @@ type SweepConfigResult struct {
 	MeanLatencyPS float64 `json:"mean_latency_ps"`
 	MeanLeakageW  float64 `json:"mean_leakage_w"`
 	// BaseYield is the yield-unaware sellable fraction; BaseLost the
-	// chips it discards. BaseCILow/BaseCIHigh is the 95% Wilson
-	// interval on BaseYield over the config's population.
+	// chips it discards. BaseCILow/BaseCIHigh is the interval on
+	// BaseYield over the config's population, at a fixed 95%: a sweep
+	// request has no confidence field.
 	BaseYield  float64 `json:"base_yield"`
 	BaseLost   int     `json:"base_lost"`
 	BaseCILow  float64 `json:"base_ci_low"`
 	BaseCIHigh float64 `json:"base_ci_high"`
-	// Yields are the per-scheme outcomes in request scheme order.
-	Yields []SweepYield `json:"yields"`
+	// Yields are the per-scheme outcomes in request scheme order, each
+	// with its 95% interval (ci_low, ci_high).
+	Yields []yieldcache.SchemeYield `json:"yields"`
 	// Economics prices base plus each scheme (present only when the
 	// request carried an economics spec).
 	Economics []SweepEconomicsResult `json:"economics,omitempty"`
-}
-
-// SweepYield is one scheme's outcome at one config, with the 95%
-// Wilson interval on its yield.
-type SweepYield struct {
-	Scheme string  `json:"scheme"`
-	Yield  float64 `json:"yield"`
-	Lost   int     `json:"lost"`
-	CILow  float64 `json:"ci_low"`
-	CIHigh float64 `json:"ci_high"`
 }
 
 // SweepEconomicsResult prices one scheme at one config under the
@@ -242,7 +234,9 @@ func (sp *sweepParams) resumeFrom(data []byte) (int, error) {
 	}
 	sp.resume = make(map[int]SweepConfigResult)
 	for _, r := range ck.Results {
-		if r.Index >= 0 && r.Index < sp.configs {
+		// A config checkpointed before results carried intervals has no
+		// (always positive) upper bound, so it is evaluated again.
+		if r.Index >= 0 && r.Index < sp.configs && r.BaseCIHigh != 0 {
 			sp.resume[r.Index] = r
 		}
 	}
@@ -467,12 +461,6 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 			resumed++
 		}
 	}
-	// CIs derive from (lost, n) alone, so recomputing here also fills
-	// them on configs resumed from checkpoints written before the CI
-	// fields existed.
-	for i := range results {
-		results[i].fillCIs(plan.Spec.N)
-	}
 
 	elapsed := time.Since(t0).Seconds()
 	obs.H("server_sweep_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
@@ -494,7 +482,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 // toSweepConfigResult converts a core evaluation to the wire shape.
 func toSweepConfigResult(ev yieldcache.SweepEval) SweepConfigResult {
 	g := ev.Config.Geometry
-	r := SweepConfigResult{
+	return SweepConfigResult{
 		Index: ev.Config.Index,
 		Label: ev.Config.Label(),
 		Point: ev.Config.Point,
@@ -512,22 +500,9 @@ func toSweepConfigResult(ev yieldcache.SweepEval) SweepConfigResult {
 		MeanLeakageW:  ev.MeanLeakageW,
 		BaseYield:     ev.BaseYield,
 		BaseLost:      ev.BaseLost,
-		Yields:        make([]SweepYield, len(ev.Yields)),
-	}
-	for i, y := range ev.Yields {
-		r.Yields[i] = SweepYield{Scheme: y.Scheme, Yield: y.Yield, Lost: y.Lost}
-	}
-	return r
-}
-
-// fillCIs stamps the config's base and per-scheme yields with their
-// post-hoc 95% Wilson intervals over a population of n chips.
-func (r *SweepConfigResult) fillCIs(n int) {
-	base := wilsonYieldCI(n-r.BaseLost, n)
-	r.BaseCILow, r.BaseCIHigh = base.Low, base.High
-	for i := range r.Yields {
-		ci := wilsonYieldCI(n-r.Yields[i].Lost, n)
-		r.Yields[i].CILow, r.Yields[i].CIHigh = ci.Low, ci.High
+		BaseCILow:     ev.BaseCI.Low,
+		BaseCIHigh:    ev.BaseCI.High,
+		Yields:        ev.Yields,
 	}
 }
 

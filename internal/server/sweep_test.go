@@ -260,27 +260,7 @@ func TestCrashedSweepResumesBitIdentical(t *testing.T) {
 	defer ts2.Close()
 	defer drain(t, srv2)
 
-	var detail JobDetail
-	for i := 0; ; i++ {
-		jresp, err := http.Get(ts2.URL + "/v1/jobs/" + jobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jresp.StatusCode != http.StatusOK {
-			t.Fatalf("resumed sweep %s not found after restart: status %d", jobID, jresp.StatusCode)
-		}
-		if err := json.NewDecoder(jresp.Body).Decode(&detail); err != nil {
-			t.Fatal(err)
-		}
-		jresp.Body.Close()
-		if detail.State == jobDone || detail.State == jobFailed {
-			break
-		}
-		if i > 20000 {
-			t.Fatalf("resumed sweep stuck in state %q", detail.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	detail := waitFinished(t, ts2.URL, jobID)
 	if detail.State != jobDone {
 		t.Fatalf("resumed sweep finished %q (%s), want done", detail.State, detail.Error)
 	}
@@ -299,6 +279,104 @@ func TestCrashedSweepResumesBitIdentical(t *testing.T) {
 	}
 	if got.ResumedConfigs == 0 {
 		t.Error("resumed sweep reports zero resumed configs")
+	}
+	assertSameSweep(t, got, want)
+}
+
+// waitFinished polls a job until it is done or failed.
+func waitFinished(t *testing.T, url, jobID string) JobDetail {
+	t.Helper()
+	var detail JobDetail
+	for i := 0; ; i++ {
+		jresp, err := http.Get(url + "/v1/jobs/" + jobID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jresp.StatusCode != http.StatusOK {
+			t.Fatalf("resumed sweep %s not found after restart: status %d", jobID, jresp.StatusCode)
+		}
+		if err := json.NewDecoder(jresp.Body).Decode(&detail); err != nil {
+			t.Fatal(err)
+		}
+		jresp.Body.Close()
+		if detail.State == jobDone || detail.State == jobFailed {
+			return detail
+		}
+		if i > 20000 {
+			t.Fatalf("resumed sweep stuck in state %q", detail.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// A sweep checkpoint written before configs carried intervals has no
+// ci_* fields. On resume such configs are evaluated again, configs with
+// intervals are taken from the checkpoint, and the results and
+// frontiers match an uninterrupted sweep bit for bit.
+func TestSweepResumesCheckpointWithoutIntervals(t *testing.T) {
+	body := `{"chips": 200, "seed": 2006, "axes": [{"param": "vdd", "values": [1.1, 1.08, 1.05, 1.02]}]}`
+
+	ref := New(Config{Workers: 1})
+	tsRef := httptest.NewServer(ref.Handler())
+	_, want, _ := postSweep(t, tsRef.URL, body, "")
+	sp := sweepParamsOf(t, ref, body)
+	drain(t, ref)
+	tsRef.Close()
+	if want.Configs != 4 {
+		t.Fatalf("reference sweep resolved to %d configs, want 4", want.Configs)
+	}
+
+	// Configs 0 and 2 as an old server stored them, config 1 as this
+	// one does; config 3 never finished.
+	var stored []map[string]any
+	raw, err := json.Marshal(want.Results[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &stored); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []map[string]any{stored[0], stored[2]} {
+		delete(r, "base_ci_low")
+		delete(r, "base_ci_high")
+		for _, y := range r["yields"].([]any) {
+			delete(y.(map[string]any), "ci_low")
+			delete(y.(map[string]any), "ci_high")
+		}
+	}
+	ckpt, err := json.Marshal(map[string]any{"results": stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Count(string(ckpt), "ci_low") != 1+len(sp.schemes) {
+		t.Fatalf("checkpoint keeps intervals beyond config 1: %s", ckpt)
+	}
+
+	st := store.NewMem()
+	rec := sp.record()
+	rec.ID, rec.Seq, rec.Key, rec.Kind, rec.State = "j000001", 1, sp.key, jobKindSweep, jobRunning
+	if err := st.PutJob(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutCheckpoint(rec.ID, 3, ckpt); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{Workers: 1, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drain(t, srv)
+	if d := waitFinished(t, ts.URL, rec.ID); d.State != jobDone {
+		t.Fatalf("resumed sweep finished %q (%s), want done", d.State, d.Error)
+	}
+	waitSettled(t, srv)
+
+	resp, got, _ := postSweep(t, ts.URL, body, "")
+	if resp.StatusCode != http.StatusOK || !got.Cached {
+		t.Fatalf("fetching resumed sweep: status %d, cached %v", resp.StatusCode, got.Cached)
+	}
+	if got.ResumedConfigs != 1 {
+		t.Errorf("resumed %d configs from the checkpoint, want 1 (the one with intervals)", got.ResumedConfigs)
 	}
 	assertSameSweep(t, got, want)
 }

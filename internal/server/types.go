@@ -3,6 +3,7 @@ package server
 import (
 	"time"
 
+	"yieldcache"
 	"yieldcache/internal/obs"
 )
 
@@ -148,12 +149,6 @@ type JobEstimateResponse struct {
 	Estimate EstimateInfo `json:"estimate"`
 }
 
-// YieldCI is a Wilson confidence interval on one sellable fraction.
-type YieldCI struct {
-	Low  float64 `json:"ci_low"`
-	High float64 `json:"ci_high"`
-}
-
 // ConstraintsInfo echoes the resolved yield requirement.
 type ConstraintsInfo struct {
 	Name        string  `json:"name"`
@@ -178,9 +173,9 @@ type Breakdown struct {
 	Totals map[string]int `json:"totals"`
 	// Yields maps "base" and each scheme name to the sellable fraction.
 	Yields map[string]float64 `json:"yields"`
-	// YieldCIs maps "base" and each scheme name to the 95% Wilson
-	// interval on its yield, computed from the loss counts over N chips.
-	YieldCIs map[string]YieldCI `json:"yield_cis"`
+	// YieldCIs maps "base" and each scheme name to the interval on its
+	// yield over N chips, at the request's precision.confidence.
+	YieldCIs map[string]yieldcache.Interval `json:"yield_cis"`
 }
 
 // BreakdownRow is one loss-reason row of a Breakdown.

@@ -17,6 +17,8 @@ type (
 	Limits = core.Limits
 	// LossBreakdown is the content of Tables 2/3.
 	LossBreakdown = core.LossBreakdown
+	// Interval is a confidence interval on one yield.
+	Interval = core.Interval
 	// ConstraintTotals is one row of Tables 4/5.
 	ConstraintTotals = core.ConstraintTotals
 	// ScatterPoint is one chip of Figure 8.
