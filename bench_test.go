@@ -405,7 +405,6 @@ func BenchmarkEstimateArmed(b *testing.B) {
 	})
 	b.Run("precision", func(b *testing.B) {
 		cfg := core.PopulationConfig{N: 20000, Estimate: &core.EstimateConfig{
-			Interval:      time.Millisecond,
 			Constraints:   core.Nominal(),
 			TargetCIWidth: 0.01,
 		}}

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
 
 	"yieldcache"
 	"yieldcache/internal/obs"
@@ -61,10 +60,7 @@ func main() {
 
 	scfg := yieldcache.StudyConfig{Chips: *chips, Seed: *seed, Constraints: &cons}
 	if *targetCI > 0 {
-		// Check the stopping rule on (nearly) every chip: CLI builds
-		// finish in well under the default 250ms snapshot interval.
 		scfg.Estimate = &yieldcache.EstimateConfig{
-			Interval:      time.Nanosecond,
 			TargetCIWidth: *targetCI,
 			Confidence:    *confidence,
 		}

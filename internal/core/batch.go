@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"yieldcache/internal/obs"
 	"yieldcache/internal/sram"
@@ -54,68 +53,84 @@ func forEachBatch(cancelled *atomic.Bool, sp *obs.Span, fr frontier, base, n, wo
 	wg.Wait()
 }
 
+// lookStep is the chip spacing of every build's looks: a look point
+// falls at each multiple of it, whatever the clock, the workers or the
+// scheduling. Eight batches keep a precision build to one O(P)
+// snapshot per 64 chips and its stop overshoot to about 32 chips.
+const lookStep = 8 * sram.BatchWidth
+
 // frontier tracks which batches of a build are measured, for the looks
-// (the checkpointer and the estimator) that publish its consistent
-// prefix. A worker marks batch k with one atomic store after writing
-// its chips, so a look that loads the mark also sees the chips, and
-// every chip below the first unmarked batch is measured and immutable:
-// no locks, no copying. The prefix is therefore base +
+// that hand its consistent prefix to the estimator and the
+// checkpointer. A worker marks batch k with one atomic store after
+// writing its chips, so a look that loads the mark also sees the chips,
+// and every chip below the first unmarked batch is measured and
+// immutable: no locks, no copying. The prefix is therefore base +
 // k·sram.BatchWidth or n, and neither a stop nor a worker that claims
 // nothing can move it past an unmeasured chip or hold it back. The
 // zero frontier arms nothing and costs the loop one nil check per
 // batch.
 type frontier struct {
-	done    []atomic.Bool // per batch of [base, n): measured; nil when no look is armed
+	done    []atomic.Bool // per batch of [base, n): measured; nil when nothing is armed
 	base, n int
-	looks   [2]*look     // the checkpointer's and the estimator's, each nil when unarmed
-	stop    *atomic.Bool // set by a look to end the loop early; nil for none
+	sched   *schedule     // the estimator's when it is armed, else the checkpointer's
+	est     *estimator    // nil when unarmed
+	ckp     *checkpointer // nil when unarmed
+}
+
+// schedule is the state of a build's looks, which the election keeps
+// single-threaded, as it does the consumers' own. The estimator and the
+// checkpointer each embed one, so arming either adds no allocation; a
+// build uses one.
+type schedule struct {
+	electing atomic.Int32 // CAS gate: one looker at a time
+	next     int          // first batch not known to be measured (looker-only)
+	passed   int          // look points at or below the prefix of the last look (looker-only)
 }
 
 // newFrontier returns the frontier of chips [base, n) shared by a
-// build's checkpointer and estimator, either of which may be nil; with
+// build's estimator and checkpointer, either of which may be nil; with
 // neither it is the zero frontier.
 func newFrontier(base, n int, ckp *checkpointer, est *estimator) frontier {
-	f := frontier{base: base, n: n}
-	if ckp != nil {
-		f.looks[0] = &ckp.look
+	f := frontier{base: base, n: n, est: est, ckp: ckp}
+	switch {
+	case est != nil:
+		f.sched = &est.schedule
+	case ckp != nil:
+		f.sched = &ckp.schedule
+	default:
+		return f
 	}
-	if est != nil {
-		f.looks[1], f.stop = &est.look, &est.stop
-	}
-	if f.looks != [2]*look{} {
-		f.done = make([]atomic.Bool, batchCount(n-base))
-	}
+	f.done = make([]atomic.Bool, batchCount(n-base))
 	return f
 }
 
-// stopped reports whether a look has ended the loop early.
+// stopped reports whether the estimator has ended the loop early.
 func (f frontier) stopped() bool {
-	return f.stop != nil && f.stop.Load()
+	return f.est != nil && f.est.stop.Load()
 }
 
-// finish marks batch k measured. The first worker past an armed look's
-// deadline CAS-elects itself and publishes the prefix synchronously, so
-// looks track actual progress instead of wall-clock ticks that a busy
-// CPU might never schedule. The off-deadline path is one atomic store,
-// one clock read and one atomic load per look.
+// finish marks batch k measured. When the consistent prefix has passed
+// a look point since the last look, the worker that wins the election
+// hands it to the estimator, then to the checkpointer, synchronously.
+// A worker that loses the election leaves its batch to the next look;
+// estimator.finish evaluates the look points no worker reached. The
+// loop reads no clock: the consumers do, once per look, to throttle
+// their Sinks.
 func (f frontier) finish(k int) {
 	if f.done == nil {
 		return
 	}
 	f.done[k].Store(true)
-	now := time.Now().UnixNano()
-	for _, l := range f.looks {
-		if l == nil || now < l.deadline.Load() || !l.electing.CompareAndSwap(0, 1) {
-			continue
-		}
-		// Re-check under the gate: a racing worker may have just
-		// published and pushed the deadline forward.
-		if now >= l.deadline.Load() {
-			l.pub.publish(f.prefix(&l.next))
-			l.deadline.Store(now + l.interval)
-		}
-		l.electing.Store(0)
+	s := f.sched
+	if !s.electing.CompareAndSwap(0, 1) {
+		return
 	}
+	if p := f.prefix(&s.next); p/lookStep > s.passed {
+		s.passed = p / lookStep
+		f.est.look(p)
+		f.ckp.look(p)
+	}
+	s.electing.Store(0)
 }
 
 // prefix returns the consistent prefix: every chip below it is
@@ -126,28 +141,6 @@ func (f frontier) prefix(next *int) int {
 		*next++
 	}
 	return min(f.base+*next*sram.BatchWidth, f.n)
-}
-
-// look is a frontier's schedule for one consumer, embedded in the
-// checkpointer and the estimator: at most once per interval, the worker
-// that wins its election hands the consistent prefix to pub, whose
-// state the election therefore keeps single-threaded.
-type look struct {
-	interval int64        // nanoseconds between publish attempts
-	deadline atomic.Int64 // unix nanos of the next publish attempt
-	electing atomic.Int32 // CAS gate: one publisher at a time
-	next     int          // first batch not known to be measured (publisher-only)
-	pub      publisher
-}
-
-// publisher receives a look's consistent prefix p.
-type publisher interface{ publish(p int) }
-
-// arm starts l's first interval now.
-func (l *look) arm(interval time.Duration, pub publisher) {
-	l.interval = int64(interval)
-	l.pub = pub
-	l.deadline.Store(time.Now().UnixNano() + l.interval)
 }
 
 // watchCancel translates ctx cancellation into an atomic flag the batch

@@ -17,15 +17,18 @@ import (
 // with no locks or copying, and Done is base + k·sram.BatchWidth or N,
 // so a resumed build restarts at a batch edge.
 type CheckpointConfig struct {
-	// Interval is the time between checkpoint attempts; zero or
-	// negative disables the checkpointer (Resume still works).
+	// Interval is the minimum time between checkpoints; zero or
+	// negative disables the checkpointer (Resume still works). The
+	// build offers its measured prefix each time it passes a multiple
+	// of 64 chips, and the checkpointer takes an offer only when
+	// Interval has passed since the last one it took.
 	Interval time.Duration
 	// Sink receives each checkpoint: the measured prefix of the regular
 	// organisation, from which a resumed build derives everything else.
 	// Its chips alias the live build arena: the prefix is immutable,
 	// but the Sink must finish with it (encode, hash) before returning
 	// and must not retain the slices. A Sink error skips that
-	// checkpoint; the build carries on and tries again next interval.
+	// checkpoint; the build carries on and tries again an Interval later.
 	Sink func(*BuildCheckpoint) error
 	// Resume, when set, seeds the build with a previously checkpointed
 	// prefix: chips below Resume.Done are copied into the arena and
@@ -52,16 +55,18 @@ func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometr
 }
 
 // checkpointer drives the periodic Sink calls for one build. It has no
-// goroutine of its own: its look on the build's frontier elects the
-// worker that assembles each checkpoint (into a reusable embedded
-// BuildCheckpoint; the prefix slices alias the live arena) and calls
-// the Sink synchronously. Enabling checkpoints therefore costs one
-// allocation per build (this struct) besides the frontier's batch
-// marks, which it shares with the estimator.
+// goroutine of its own: the build's looks offer it the consistent
+// prefix on the elected worker, which assembles each checkpoint (into
+// a reusable embedded BuildCheckpoint; the prefix slices alias the live
+// arena) and calls the Sink synchronously. Enabling checkpoints
+// therefore costs one allocation per build (this struct, with the look
+// schedule embedded) besides the frontier's batch marks, which it
+// shares with the estimator.
 type checkpointer struct {
-	look
+	schedule
 	cfg   *CheckpointConfig
-	last  int // prefix of the last accepted checkpoint (publisher-only)
+	due   time.Time // no checkpoint before this (looker-only)
+	last  int       // prefix of the last accepted checkpoint (looker-only)
 	buf   BuildCheckpoint
 	chips []Chip
 }
@@ -73,8 +78,9 @@ func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
 		return nil
 	}
-	c := &checkpointer{
+	return &checkpointer{
 		cfg:  ck,
+		due:  time.Now().Add(ck.Interval),
 		last: base,
 		buf: BuildCheckpoint{
 			Seed: cfg.Seed, N: cfg.N,
@@ -82,16 +88,20 @@ func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 		},
 		chips: chips,
 	}
-	c.arm(ck.Interval, c)
-	return c
 }
 
-// publish hands the consistent prefix p to the Sink in the reusable
-// checkpoint, unless it adds nothing to the last accepted one.
-func (c *checkpointer) publish(p int) {
-	if p <= c.last {
+// look hands the consistent prefix p to the Sink in the reusable
+// checkpoint, at most once per Interval and only when p adds to the
+// last accepted checkpoint. Nil-safe.
+func (c *checkpointer) look(p int) {
+	if c == nil || p <= c.last {
 		return
 	}
+	now := time.Now()
+	if now.Before(c.due) {
+		return
+	}
+	c.due = now.Add(c.cfg.Interval)
 	c.buf.Done = p
 	c.buf.Regular = c.chips[:p]
 	if err := c.cfg.Sink(&c.buf); err != nil {

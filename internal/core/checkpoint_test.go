@@ -40,9 +40,10 @@ func chipsEqual(t *testing.T, label string, a, b *Population) {
 
 // A build resumed from a mid-flight checkpoint must produce populations
 // bit-identical to an uninterrupted run with the same seed — the
-// acceptance bar for crash recovery.
+// acceptance bar for crash recovery. Checkpoints are offered at look
+// points, so the build spans several of them.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
-	const n, seed = 120, 2006
+	const n, seed = 600, 2006
 	wantReg, wantHor := build(t, PopulationConfig{N: n, Seed: seed})
 
 	// Capture checkpoints from an instrumented build.
@@ -112,10 +113,19 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	// A precision build wires its arena segment by segment, and resume
 	// wires the segments below Done before copying the prefix in. Resume
 	// one with Done inside a segment and one exactly on a segment edge;
-	// the target stops both past Done, and the kept prefix must match an
-	// uninterrupted build on every field.
+	// the target stops both past Done, at the uninterrupted build's stop,
+	// and the kept prefix must match an uninterrupted build on every
+	// field.
 	const pn = 4000
 	fullReg, fullHor := build(t, PopulationConfig{N: pn, Seed: seed})
+	uncfg := armedConfig(pn, 3, nil)
+	uncfg.Seed = seed
+	uncfg.Estimate.TargetCIWidth = 0.02
+	uninterrupted, err := Build(context.Background(), uncfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := len(uninterrupted.Regular.Chips)
 	for _, done := range []int{chipSegment + 188, 2 * chipSegment} {
 		ck := &BuildCheckpoint{
 			Seed: seed, N: pn, Done: done,
@@ -134,8 +144,8 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 		if kept <= done || kept >= pn {
 			t.Fatalf("precision resume at %d kept %d of %d chips: want an early stop past Done", done, kept, pn)
 		}
-		if (kept-done)%sram.BatchWidth != 0 {
-			t.Errorf("precision resume at %d kept %d chips: the stop prefix is not a batch edge past Done", done, kept)
+		if kept != stop {
+			t.Errorf("precision resume at %d kept %d chips, the uninterrupted build %d", done, kept, stop)
 		}
 		measIdentical(t, "precision-resumed regular", res.Regular, &Population{Chips: fullReg.Chips[:kept]})
 		measIdentical(t, "precision-resumed horizontal", DeriveHorizontal(res.Regular), &Population{Chips: fullHor.Chips[:kept]})

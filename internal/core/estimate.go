@@ -9,19 +9,23 @@ import (
 )
 
 // EstimateConfig arms streaming yield estimation on a population
-// build: while workers measure chips, the build periodically publishes
-// a YieldEstimate snapshot — live yield with a Wilson confidence
-// interval, per-loss-reason shares with their own intervals, and
-// latency/leakage moments — computed over the consistent prefix of
-// chips measured so far. With TargetCIWidth set it also turns the
-// estimate into a stopping rule: once the yield interval's half-width
-// reaches the target, the build stops sampling at the next batch
-// boundary and returns the population truncated to the prefix the
-// decision was made on — a consistent prefix: every chip below it is
-// fully measured. Nil adds nothing to the build's hot loop.
+// build: while workers measure chips, the build publishes YieldEstimate
+// snapshots — live yield with a Wilson confidence interval,
+// per-loss-reason shares with their own intervals, and latency/leakage
+// moments — computed over a consistent prefix of the chips measured so
+// far. With TargetCIWidth set it also turns the estimate into a
+// stopping rule, evaluated in order at every look point (each multiple
+// of 64 chips): the build stops at the first look point where the
+// yield interval's half-width reaches the target and returns the
+// population truncated to that prefix, every chip of which is fully
+// measured. The stop prefix is a function of the seed, the population
+// size, the target, the confidence and the constraints; it does not
+// depend on the workers, the scheduling, Interval or a resume. Nil adds
+// nothing to the build's hot loop.
 type EstimateConfig struct {
-	// Interval is the minimum time between snapshots; zero or negative
-	// defaults to 250ms.
+	// Interval is the minimum time between mid-build Sink calls; zero
+	// or negative defaults to 250ms. It throttles only the Sink: the
+	// stopping rule runs at every look point whatever its value.
 	Interval time.Duration
 	// Constraints selects the yield requirement the estimate classifies
 	// against. Snapshots derive *provisional* limits from the measured
@@ -33,9 +37,10 @@ type EstimateConfig struct {
 	// zero defaults to 0.95.
 	Confidence float64
 	// TargetCIWidth, when positive, enables precision-targeted
-	// stopping: the build stops early once the yield interval's
-	// half-width is <= TargetCIWidth (and at least MinChips are
-	// measured). Zero disables stopping; snapshots still stream.
+	// stopping: the build stops at the first look point of at least
+	// MinChips chips, short of the full population, where the yield
+	// interval's half-width is <= TargetCIWidth. Zero disables
+	// stopping; snapshots still stream.
 	TargetCIWidth float64
 	// MinChips is the floor below which the stopping rule never fires,
 	// guarding against lucky early streaks; zero defaults to 128.
@@ -109,33 +114,32 @@ type YieldEstimate struct {
 }
 
 // estimator drives streaming yield estimation for one build. Like the
-// checkpointer it has no goroutine: its look on the build's frontier
-// elects the worker that computes and publishes each snapshot. The
-// snapshot is a sequential scan of the consistent prefix [0, P) rather
-// than a merge of per-worker floating-point partials: per-chip
-// classification needs limits, limits need the whole prefix's moments,
-// and a sequential scan in chip order makes every published number a
-// pure function of P. That is what keeps estimates bit-identical across
-// worker counts (the state the workers share is the frontier's batch
-// marks, from which P follows exactly). The latency and leakage sums
-// are carried from one snapshot to the next and continued in chip
-// order, so they cost O(chips since the last snapshot) and stay
-// bit-identical to a scan from chip 0; only the classification pass is
-// O(P). A snapshot runs at most once per Interval (1 ms in yieldd's
-// precision builds) and measured about 60 µs at P = 5.6k chips on a
-// 2-vCPU Xeon, against about 105 µs when it re-summed the prefix.
-// Arming the estimator costs one allocation per build (this struct,
-// with the snapshot buffer embedded) besides the frontier's batch
-// marks, which it shares with the checkpointer.
+// checkpointer it has no goroutine: the build's looks run it on the
+// elected worker, and after the join Build runs the look points no
+// worker reached. Each snapshot is a sequential scan of a consistent
+// prefix [0, P) rather than a merge of per-worker floating-point
+// partials: per-chip classification needs limits, limits need the
+// whole prefix's moments, and a sequential scan in chip order makes
+// every published number a pure function of P. The stopping rule runs
+// at the look points, multiples of lookStep, in order, so the stop
+// prefix is the first look point where it fires, and the estimate
+// stays bit-identical across worker counts. Snapshot prefixes only
+// grow, so the latency and leakage sums are carried from one snapshot
+// to the next and continued in chip order: they cost O(chips since the
+// last snapshot) and stay bit-identical to a scan from chip 0; only the
+// classification pass is O(P), about 60 µs at P = 5.6k chips on a
+// 2-vCPU Xeon. Arming the estimator costs one allocation per build
+// (this struct, with the snapshot buffer and the look schedule
+// embedded) besides the frontier's batch marks.
 type estimator struct {
-	look
-	cfg    EstimateConfig
-	stop   atomic.Bool  // precision target met: stop sampling
-	stopAt atomic.Int64 // decision prefix at the moment stop was set
-	last   int          // prefix of the last published snapshot (publisher-only)
-	sums   prefixSums   // moments of the last snapshot's prefix (publisher-only)
-	buf    YieldEstimate
-	reg    []Chip // the build's regular arena, all N chips
+	schedule
+	cfg  EstimateConfig
+	stop atomic.Bool // the stopping rule fired, at look point at: stop sampling
+	at   int         // last look point evaluated (looker-only)
+	due  time.Time   // no mid-build Sink call before this (looker-only)
+	sums prefixSums  // moments of the last snapshot's prefix (looker-only)
+	buf  YieldEstimate
+	reg  []Chip // the build's regular arena, all N chips
 }
 
 // prefixSums are the latency/leakage sums and moments of the chip
@@ -156,78 +160,78 @@ func newEstimator(ec *EstimateConfig, reg []Chip) *estimator {
 	}
 	e := &estimator{cfg: *ec, reg: reg}
 	e.cfg.fill()
-	e.arm(e.cfg.Interval, e)
+	e.due = time.Now().Add(e.cfg.Interval)
 	return e
 }
 
-// stopPrefix returns the prefix at which the stopping rule fired — a
-// consistent prefix: every chip below it is fully measured — or 0 when
-// the build ran to completion. Nil-safe.
-func (e *estimator) stopPrefix() int {
-	if e == nil {
-		return 0
-	}
-	return int(e.stopAt.Load())
-}
-
-// publish computes a snapshot over the consistent prefix p and hands
-// it to the Sink, then evaluates the stopping rule.
-func (e *estimator) publish(p int) {
-	if p <= e.last || p == 0 {
+// look evaluates the stopping rule at each look point up to the
+// consistent prefix p not yet evaluated, in order, and stops the build
+// at the first that has at least MinChips chips, falls short of the
+// whole population and meets the target. Then, at most once per
+// Interval, it hands the Sink the snapshot at the last look point
+// evaluated. Nil-safe.
+func (e *estimator) look(p int) {
+	if e == nil || e.stop.Load() {
 		return
 	}
-	e.snapshot(p)
-	e.last = p
-	if e.cfg.Sink != nil {
+	for e.at+lookStep <= p {
+		e.at += lookStep
+		if e.cfg.TargetCIWidth > 0 && e.at >= e.cfg.MinChips && e.at < len(e.reg) {
+			e.snapshot(e.at)
+			if e.buf.HalfWidth <= e.cfg.TargetCIWidth {
+				e.stop.Store(true)
+				break
+			}
+		}
+	}
+	if e.cfg.Sink == nil || e.at == 0 {
+		return
+	}
+	if now := time.Now(); !now.Before(e.due) {
+		e.due = now.Add(e.cfg.Interval)
+		if e.buf.Chips != e.at {
+			e.snapshot(e.at)
+		}
 		e.cfg.Sink(&e.buf)
 	}
-	if e.cfg.TargetCIWidth > 0 && p >= e.cfg.MinChips && p < len(e.reg) &&
-		e.buf.HalfWidth <= e.cfg.TargetCIWidth {
-		e.stopAt.Store(int64(p))
-		e.stop.Store(true)
-	}
 }
 
-// finalize publishes the terminal snapshot over the finished
-// population (truncated to the decision prefix when the stopping
-// rule fired). It runs after the workers have joined, so there is no
-// election to take. Nil-safe.
-func (e *estimator) finalize(p int, early bool) {
-	if e == nil || p == 0 {
-		return
+// finish runs after the workers have joined. It evaluates the look
+// points no worker reached (every chip is measured unless the rule
+// fired), so the stop is the first look point where the rule fires
+// whatever the workers saw. Then it publishes the terminal snapshot
+// over the chips the build keeps, the stop prefix or all n, and returns
+// their count and that snapshot, which is not written again. Nil-safe:
+// n and no estimate.
+func (e *estimator) finish(n int) (int, *YieldEstimate) {
+	if e == nil {
+		return n, nil
 	}
-	e.snapshot(p)
+	if e.cfg.TargetCIWidth > 0 {
+		e.look(n)
+	}
+	early := e.stop.Load()
+	if early {
+		n = e.at
+	}
+	e.snapshot(n)
 	e.buf.EarlyStop = early
 	if e.cfg.Sink != nil {
 		e.cfg.Sink(&e.buf)
 	}
-}
-
-// final returns the last snapshot, for Build to hand the caller as the
-// end-of-build estimate. The buffer is not written after finalize, so
-// the caller may keep it. Nil-safe (nil when estimation is disabled or
-// nothing was measured).
-func (e *estimator) final() *YieldEstimate {
-	if e == nil || e.buf.Chips == 0 {
-		return nil
-	}
-	return &e.buf
+	return n, &e.buf
 }
 
 // snapshot fills the reusable buffer with the estimate over the
-// immutable prefix [0, p). Pass 1 continues the carried latency/leakage
-// moments from the last snapshot's prefix to p and derives provisional
+// immutable prefix [0, p), where p is at least the last snapshot's
+// prefix. Pass 1 continues the carried latency/leakage moments from the
+// last snapshot's prefix to p and derives provisional
 // limits with exactly the arithmetic of stats.MeanStd + DeriveLimits
 // (naive sum / sum-of-squares in chip order), so the p == n snapshot
 // reproduces the table limits bit for bit; pass 2 classifies each chip
 // under those limits. It allocates nothing.
 func (e *estimator) snapshot(p int) {
 	ps := &e.sums
-	if p < ps.n {
-		// A publish after the stop moved past the stop prefix that
-		// finalize asks for: sum again from chip 0.
-		*ps = prefixSums{}
-	}
 	for i := ps.n; i < p; i++ {
 		m := &e.reg[i].Meas
 		ps.s += m.LatencyPS

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"testing"
@@ -10,8 +11,8 @@ import (
 	"yieldcache/internal/sram"
 )
 
-// armedConfig returns a PopulationConfig with estimation armed at a
-// per-batch cadence (1ns interval => every deadline check fires).
+// armedConfig returns a PopulationConfig with estimation armed and an
+// unthrottled Sink (1ns interval => a snapshot at every look).
 func armedConfig(n int, workers int, sink func(*YieldEstimate)) PopulationConfig {
 	if sink == nil {
 		sink = func(*YieldEstimate) {}
@@ -156,8 +157,8 @@ func TestEstimateEarlyStop(t *testing.T) {
 		if est.Chips <= 2*chipSegment {
 			t.Fatalf("workers=%d: stopped at %d chips, inside the first two segments", workers, est.Chips)
 		}
-		if est.Chips%sram.BatchWidth != 0 {
-			t.Errorf("workers=%d: stopped at %d chips, not a batch edge", workers, est.Chips)
+		if est.Chips%lookStep != 0 {
+			t.Errorf("workers=%d: stopped at %d chips, not a look point", workers, est.Chips)
 		}
 		if est.HalfWidth > target {
 			t.Errorf("workers=%d: final half-width %v exceeds target %v", workers, est.HalfWidth, target)
@@ -174,10 +175,10 @@ func TestEstimateEarlyStop(t *testing.T) {
 
 	// More workers than batches, on one P: the first worker measures
 	// batch after batch while the other started workers wait their
-	// turn, and a waiting worker must not hold the prefix back. So
-	// mid-build snapshots still publish, and a loose target stops the
-	// build at its first snapshot (one P keeps the scheduler from
-	// parking the worker of batch 0 until the end).
+	// turn, and a waiting worker must not hold the prefix back. Every
+	// look point is evaluated, by a worker or after the join, so a
+	// loose target stops the build at its first look point, and the
+	// Sink sees that look's snapshot before the final one.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const small = 25 * sram.BatchWidth
 	mid := 0
@@ -192,11 +193,68 @@ func TestEstimateEarlyStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est := res.Estimate; mid == 0 || est == nil || !est.EarlyStop || est.Chips >= small || est.Chips%sram.BatchWidth != 0 {
-		t.Fatalf("32 workers on %d batches: %d mid-build snapshots, final %+v: want an early stop at a batch edge",
+	if est := res.Estimate; mid == 0 || est == nil || !est.EarlyStop || est.Chips != lookStep {
+		t.Fatalf("32 workers on %d batches: %d mid-build snapshots, final %+v: want an early stop at the first look point",
 			small/sram.BatchWidth, mid, est)
 	}
 	measIdentical(t, "regular prefix, more workers than batches", res.Regular, &Population{Chips: fullReg.Chips[:res.Estimate.Chips]})
+}
+
+// TestEstimateStopDeterministic pins that a precision stop is a
+// function of its request: one seed, size and target stop at the same
+// look point, with the same final estimate and the same chips, whatever
+// the worker count, GOMAXPROCS, the Sink interval (an hour means no
+// mid-build Sink call at all), or the checkpoint the build resumes
+// from, below or above the stop.
+func TestEstimateStopDeterministic(t *testing.T) {
+	const n, seed, target = 4000, 2006, 0.02
+	full, _ := build(t, PopulationConfig{N: n, Seed: seed})
+	request := func(workers int, interval time.Duration, done int) PopulationConfig {
+		cfg := armedConfig(n, workers, nil)
+		cfg.Estimate.Interval = interval
+		cfg.Estimate.TargetCIWidth = target
+		if done > 0 {
+			cfg.Checkpoint = &CheckpointConfig{Resume: &BuildCheckpoint{
+				Seed: seed, N: n, Done: done,
+				Tech: full.Model.Tech, Geom: full.Model.Geom,
+				Regular: full.Chips[:done],
+			}}
+		}
+		return cfg
+	}
+	var ref *YieldEstimate
+	check := func(label string, cfg PopulationConfig) {
+		t.Helper()
+		res, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		est := res.Estimate
+		if est == nil || !est.EarlyStop || est.Chips%lookStep != 0 {
+			t.Fatalf("%s: final estimate %+v: want an early stop at a look point", label, est)
+		}
+		if ref == nil {
+			ref = est
+		} else if *est != *ref {
+			t.Fatalf("%s: final estimate differs:\n got %+v\nwant %+v", label, est, ref)
+		}
+		measIdentical(t, label, res.Regular, &Population{Chips: full.Chips[:ref.Chips]})
+	}
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		runtime.GOMAXPROCS(procs)
+		for _, workers := range []int{1, 2, 3, 32} {
+			for _, interval := range []time.Duration{time.Nanosecond, time.Millisecond, time.Hour} {
+				check(fmt.Sprintf("GOMAXPROCS=%d workers=%d interval=%v", procs, workers, interval),
+					request(workers, interval, 0))
+			}
+		}
+	}
+	stop := ref.Chips
+	for _, done := range []int{chipSegment + 188, stop - sram.BatchWidth, stop, stop + sram.BatchWidth, 2 * stop, n} {
+		check(fmt.Sprintf("resumed at %d of a stop at %d", done, stop), request(3, time.Millisecond, done))
+	}
 }
 
 // TestEstimateCancelled checks that a precision build, whose arena is
@@ -226,13 +284,13 @@ func TestEstimateCancelled(t *testing.T) {
 
 // TestEstimateSnapshotCarriedSums checks that a snapshot continued
 // from the previous snapshot's sums is bit-identical to one summed from
-// chip 0, including a snapshot below the last one (finalize at a stop
-// prefix after a later publish has moved past it).
+// chip 0, including a snapshot at the last one's prefix (finish at
+// the stop prefix).
 func TestEstimateSnapshotCarriedSums(t *testing.T) {
 	reg, _ := build(t, PopulationConfig{N: 1200, Seed: 2006})
 	ec := &EstimateConfig{Constraints: Nominal(), TargetCIWidth: 0.01}
 	carried := newEstimator(ec, reg.Chips)
-	for _, p := range []int{1, 100, 357, 1000, 800, 1200} {
+	for _, p := range []int{1, 100, 357, 800, 800, 1000, 1200} {
 		carried.snapshot(p)
 		fresh := newEstimator(ec, reg.Chips)
 		fresh.snapshot(p)

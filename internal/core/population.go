@@ -199,27 +199,23 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 		return BuildResult{}, err
 	}
 
-	// Precision-targeted stop: truncate to the consistent prefix the
-	// stopping rule fired on, so the population and every statistic
+	// Precision-targeted stop: truncate to the first look point where
+	// the stopping rule fires, so the population and every statistic
 	// derived from it are those the decision was made on (final CI
 	// half-width <= target by construction). Chips workers measured past
 	// it before their next poll are discarded. The truncation happens
 	// in the Population literal: reassigning chips, which the workers
 	// captured, would move its header to the heap.
-	built := cfg.N
-	early := false
-	if p := est.stopPrefix(); p > 0 {
-		built = p
-		early = true
+	built, final := est.finish(cfg.N)
+	if built < cfg.N {
 		done, _ := scope.Progress()
 		scope.SetProgressTotal(done)
 	}
-	est.finalize(built, early)
 
 	obs.C("core_chips_built_total").Add(int64(built))
 	return BuildResult{
 		Regular:  &Population{Chips: chips[:built], Model: model, Seed: cfg.Seed},
-		Estimate: est.final(),
+		Estimate: final,
 	}, nil
 }
 

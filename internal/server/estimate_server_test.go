@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -151,6 +152,39 @@ func TestStudyPrecisionEarlyStop(t *testing.T) {
 	if full.Cached || full.EarlyStop || full.Regular.N != 4000 {
 		t.Errorf("full study after precision study: cached=%v early_stop=%v n=%d",
 			full.Cached, full.EarlyStop, full.Regular.N)
+	}
+}
+
+// A precision study's stop is a function of its request, so the same
+// request answers with the same bytes from servers that differ in
+// their worker pools and stream intervals: the estimate, regular and
+// horizontal blocks of two uncached builds are byte-identical.
+func TestStudyPrecisionStopIsDeterministic(t *testing.T) {
+	const body = `{"chips": 4000, "seed": 2006, "precision": {"target_ci_width": 0.02}}`
+	var blocks []map[string]json.RawMessage
+	for _, cfg := range []Config{
+		{Workers: 1, CacheEntries: -1, FlightInterval: -1, StreamInterval: -1},
+		{Workers: 3, CacheEntries: -1, FlightInterval: -1},
+	} {
+		srv := New(cfg)
+		ts := httptest.NewServer(srv.Handler())
+		_, raw := postRaw(t, ts.URL, "/v1/study", body, "")
+		ts.Close()
+		srv.Close()
+		var res map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		blocks = append(blocks, res)
+	}
+	var est EstimateInfo
+	if err := json.Unmarshal(blocks[0]["estimate"], &est); err != nil || !est.EarlyStop {
+		t.Fatalf("estimate %s (decode error %v): want an early stop", blocks[0]["estimate"], err)
+	}
+	for _, name := range []string{"estimate", "regular", "horizontal"} {
+		if !bytes.Equal(blocks[0][name], blocks[1][name]) {
+			t.Errorf("%s differs between a 1-worker and a 3-worker server:\n%s\n%s", name, blocks[0][name], blocks[1][name])
+		}
 	}
 }
 

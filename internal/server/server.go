@@ -787,8 +787,8 @@ func (s *Server) run(k jobKind, c *call) {
 // response. Scatter and saved configurations are always computed — they
 // are cheap next to the build — so a cached entry can serve any
 // combination of include_* flags. With checkpointing on, core offers
-// the measured prefix every CheckpointInterval to the job's checkpoint
-// writer (every = 0: core's own clock paces the offers) and, on a
+// the measured prefix at most once per CheckpointInterval to the job's
+// checkpoint writer (every = 0: core paces the offers) and, on a
 // resumed call, the build continues from the checkpoint decoded at
 // recovery.
 func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
@@ -854,20 +854,13 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 
 // estimateConfig arms streaming yield estimation for one build: every
 // snapshot lands on the job (GET /v1/jobs/{id}/estimate) and streams as
-// a throttled job_estimate SSE event; a request precision target adds
-// early stopping.
+// a job_estimate SSE event at most once per StreamInterval; a request
+// precision target adds early stopping, whose stop does not depend on
+// that interval.
 func (s *Server) estimateConfig(p params, j *job) *yieldcache.EstimateConfig {
 	interval := s.cfg.StreamInterval
 	if interval <= 0 {
-		// Per-chip streaming (tests): publish at every estimator poll.
-		interval = time.Nanosecond
-	} else if p.targetCI > 0 && interval > time.Millisecond {
-		// The stopping rule is only evaluated when a snapshot publishes,
-		// so a precision-targeted build polls much tighter than the SSE
-		// cadence — otherwise a build that finishes within one stream
-		// interval never gets a chance to stop. PublishEstimate's own
-		// throttle still bounds the event rate on the wire.
-		interval = time.Millisecond
+		interval = time.Nanosecond // unthrottled streaming (tests): a snapshot at every look
 	}
 	return &yieldcache.EstimateConfig{
 		Interval:      interval,

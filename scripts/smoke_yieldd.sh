@@ -9,7 +9,8 @@
 # then exercises the durability layer for real: Idempotency-Key replay,
 # kill -9 mid-build, and a restart that must resume the interrupted job
 # from its WAL checkpoint and finish with the same tables an
-# uninterrupted build produces.
+# uninterrupted build produces. The precision study's stop must match
+# the one yieldsim prints for the same request.
 #
 # Usage: scripts/smoke_yieldd.sh [port]   (default 18080)
 set -eu
@@ -40,6 +41,7 @@ fail() {
 
 echo "== build =="
 go build -o "$TMP/yieldd" ./cmd/yieldd
+go build -o "$TMP/yieldsim" ./cmd/yieldsim
 
 echo "== boot =="
 "$TMP/yieldd" -addr "127.0.0.1:$PORT" -log-format json >"$TMP/yieldd.log" 2>&1 &
@@ -105,6 +107,14 @@ curl -sf -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
     >"$TMP/precision.json" || fail "precision study failed"
 grep -q '"early_stop": true' "$TMP/precision.json" ||
     fail "precision study did not stop early: $(head -c 400 "$TMP/precision.json")"
+# The stop is a function of the request, so the service and the CLI
+# stop the same request at the same chip.
+SRV_STOP="$(awk '/"estimate": \{/ { e = 1 } e && /"chips":/ { gsub(/[^0-9]/, ""); print; exit }' "$TMP/precision.json")"
+CLI_STOP="$("$TMP/yieldsim" -chips 6000 -seed 2006 -target-ci 0.05 |
+    sed -n 's/^precision: .* reached after \([0-9]*\) of .*/\1/p')"
+[ -n "$CLI_STOP" ] && [ "$SRV_STOP" = "$CLI_STOP" ] ||
+    fail "precision study stopped at ${SRV_STOP:-?} chips, yieldsim at ${CLI_STOP:-?}"
+echo "precision stop: $SRV_STOP chips (yieldsim agrees)"
 
 echo "== sse firehose =="
 # Tail the live firehose while a second (different-seed) study runs;
