@@ -70,7 +70,7 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "upper clamp on request timeouts")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for draining in-flight builds")
 	jobHistory := flag.Int("job-history", 64, "finished jobs kept inspectable via /v1/jobs (evicted oldest-first)")
-	streamInterval := flag.Duration("stream-interval", 250*time.Millisecond, "minimum interval between job_progress events per SSE stream")
+	streamInterval := flag.Duration("stream-interval", 250*time.Millisecond, "minimum interval between a job's job_progress events, and between its mid-build job_estimate events")
 	eventBuffer := flag.Int("event-buffer", 64, "per-SSE-connection event buffer; clients lagging a full buffer are disconnected")
 	flightInterval := flag.Duration("flight-interval", time.Second, "runtime flight-recorder sampling period (negative disables)")
 	flightSamples := flag.Int("flight-samples", 512, "flight-recorder ring capacity served at /v1/runtime/history")

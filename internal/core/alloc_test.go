@@ -38,8 +38,7 @@ func TestPairBuildAllocBudget(t *testing.T) {
 
 	ck := cfg
 	ck.Checkpoint = &CheckpointConfig{
-		Interval: time.Millisecond,
-		Sink:     func(*BuildCheckpoint) error { return nil },
+		Sink: func(*BuildCheckpoint) error { return nil },
 	}
 	Build(ctx, ck)
 	withCk := testing.AllocsPerRun(10, func() { Build(ctx, ck) })

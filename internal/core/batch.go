@@ -114,8 +114,8 @@ func (f frontier) stopped() bool {
 // hands it to the estimator, then to the checkpointer, synchronously.
 // A worker that loses the election leaves its batch to the next look;
 // estimator.finish evaluates the look points no worker reached. The
-// loop reads no clock: the consumers do, once per look, to throttle
-// their Sinks.
+// loop reads no clock: only the estimator does, once per look, to pace
+// its Sink.
 func (f frontier) finish(k int) {
 	if f.done == nil {
 		return

@@ -2,14 +2,13 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"yieldcache/internal/obs"
 	"yieldcache/internal/sram"
 )
 
-// CheckpointConfig turns on periodic build checkpointing and, when
-// Resume is set, continues an interrupted build from its saved prefix.
+// CheckpointConfig turns on build checkpointing and, when Resume is
+// set, continues an interrupted build from its saved prefix.
 //
 // Workers mark each sram.BatchWidth-chip batch measured with an atomic
 // store after writing it, and a checkpoint's Done is the start of the
@@ -17,18 +16,16 @@ import (
 // with no locks or copying, and Done is base + k·sram.BatchWidth or N,
 // so a resumed build restarts at a batch edge.
 type CheckpointConfig struct {
-	// Interval is the minimum time between checkpoints; zero or
-	// negative disables the checkpointer (Resume still works). The
-	// build offers its measured prefix each time it passes a multiple
-	// of 64 chips, and the checkpointer takes an offer only when
-	// Interval has passed since the last one it took.
-	Interval time.Duration
-	// Sink receives each checkpoint: the measured prefix of the regular
-	// organisation, from which a resumed build derives everything else.
-	// Its chips alias the live build arena: the prefix is immutable,
-	// but the Sink must finish with it (encode, hash) before returning
-	// and must not retain the slices. A Sink error skips that
-	// checkpoint; the build carries on and tries again an Interval later.
+	// Sink receives the measured prefix of the regular organisation,
+	// from which a resumed build derives everything else, each time the
+	// build passes a multiple of 64 chips beyond the last prefix it
+	// took; nil disables the checkpointer (Resume still works). An offer
+	// costs the build no copy and no encoding, so the Sink paces itself:
+	// it returns nil without writing to skip one. Its chips alias the
+	// live build arena: the prefix is immutable, but the Sink must
+	// finish with it (encode, hash) before returning and must not
+	// retain the slices. A Sink error skips that checkpoint; the build
+	// carries on and offers the prefix again at the next look point.
 	Sink func(*BuildCheckpoint) error
 	// Resume, when set, seeds the build with a previously checkpointed
 	// prefix: chips below Resume.Done are copied into the arena and
@@ -54,19 +51,18 @@ func validateResume(r *BuildCheckpoint, cfg *PopulationConfig, geom sram.Geometr
 	return r.checkShape()
 }
 
-// checkpointer drives the periodic Sink calls for one build. It has no
-// goroutine of its own: the build's looks offer it the consistent
-// prefix on the elected worker, which assembles each checkpoint (into
-// a reusable embedded BuildCheckpoint; the prefix slices alias the live
-// arena) and calls the Sink synchronously. Enabling checkpoints
-// therefore costs one allocation per build (this struct, with the look
-// schedule embedded) besides the frontier's batch marks, which it
-// shares with the estimator.
+// checkpointer drives the Sink calls for one build. It has no
+// goroutine of its own and reads no clock: the build's looks offer it
+// the consistent prefix on the elected worker, which assembles each
+// checkpoint (into a reusable embedded BuildCheckpoint; the prefix
+// slices alias the live arena) and calls the Sink synchronously.
+// Enabling checkpoints therefore costs one allocation per build (this
+// struct, with the look schedule embedded) besides the frontier's batch
+// marks, which it shares with the estimator.
 type checkpointer struct {
 	schedule
-	cfg   *CheckpointConfig
-	due   time.Time // no checkpoint before this (looker-only)
-	last  int       // prefix of the last accepted checkpoint (looker-only)
+	sink  func(*BuildCheckpoint) error
+	last  int // prefix of the last accepted checkpoint (looker-only)
 	buf   BuildCheckpoint
 	chips []Chip
 }
@@ -75,12 +71,11 @@ type checkpointer struct {
 // nil when checkpointing is disabled for this build.
 func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 	geom sram.Geometry, chips []Chip) *checkpointer {
-	if ck == nil || ck.Sink == nil || ck.Interval <= 0 {
+	if ck == nil || ck.Sink == nil {
 		return nil
 	}
 	return &checkpointer{
-		cfg:  ck,
-		due:  time.Now().Add(ck.Interval),
+		sink: ck.Sink,
 		last: base,
 		buf: BuildCheckpoint{
 			Seed: cfg.Seed, N: cfg.N,
@@ -91,23 +86,16 @@ func newCheckpointer(ck *CheckpointConfig, base int, cfg *PopulationConfig,
 }
 
 // look hands the consistent prefix p to the Sink in the reusable
-// checkpoint, at most once per Interval and only when p adds to the
-// last accepted checkpoint. Nil-safe.
+// checkpoint when p adds to the last accepted checkpoint. Nil-safe.
 func (c *checkpointer) look(p int) {
 	if c == nil || p <= c.last {
 		return
 	}
-	now := time.Now()
-	if now.Before(c.due) {
-		return
-	}
-	c.due = now.Add(c.cfg.Interval)
 	c.buf.Done = p
 	c.buf.Regular = c.chips[:p]
-	if err := c.cfg.Sink(&c.buf); err != nil {
+	if err := c.sink(&c.buf); err != nil {
 		obs.C("core_checkpoint_sink_errors_total").Inc()
 		return
 	}
 	c.last = p
-	obs.C("core_checkpoints_total").Inc()
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"yieldcache/internal/circuit"
 	"yieldcache/internal/obs"
@@ -50,7 +49,6 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	var mu sync.Mutex
 	var last *BuildCheckpoint
 	cfg := PopulationConfig{N: n, Seed: seed, Workers: 4, Checkpoint: &CheckpointConfig{
-		Interval: time.Millisecond,
 		Sink: func(bc *BuildCheckpoint) error {
 			// Deep-copy through the wire format, exactly like the server:
 			// the in-memory checkpoint aliases the build arena.
@@ -66,8 +64,8 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 				t.Errorf("checkpoint Done %d is neither a batch edge nor N = %d", dec.Done, n)
 			}
 			mu.Lock()
-			// Keep the newest strictly-mid-build checkpoint: the final
-			// tick can land after every chip finished, and resuming from
+			// Keep the newest strictly-mid-build checkpoint: the last
+			// look can land after every chip finished, and resuming from
 			// a complete prefix would not exercise the rebuild tail.
 			if dec.Done < n && (last == nil || dec.Done > last.Done) {
 				last = dec
@@ -86,17 +84,8 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 	mu.Lock()
 	ck := last
 	mu.Unlock()
-	if ck == nil {
-		// Build finished between ticks; force a checkpoint by hand from
-		// the uninterrupted run's prefix so the resume path still runs.
-		ck = &BuildCheckpoint{
-			Seed: seed, N: n, Done: n / 3,
-			Tech: wantReg.Model.Tech, Geom: wantReg.Model.Geom,
-			Regular: wantReg.Chips[:n/3],
-		}
-	}
-	if ck.Done == 0 || ck.Done >= n {
-		t.Fatalf("checkpoint frontier %d of %d is not mid-build", ck.Done, n)
+	if ck == nil || ck.Done == 0 || ck.Done >= n {
+		t.Fatalf("checkpoint %+v of %d chips is not mid-build", ck, n)
 	}
 
 	// Resume: the prefix comes from the checkpoint, the rest rebuilds.
@@ -195,26 +184,45 @@ func counters(reg *obs.Registry, names ...string) map[string]int64 {
 	return got
 }
 
+// TestCheckpointLookPoints pins the offer schedule: the checkpointer
+// reads no clock and offers the prefix at every look point it passes,
+// so a one-worker build, whose prefix reaches each multiple of 64
+// exactly, offers Done = 64, 128, … below N, in order.
+func TestCheckpointLookPoints(t *testing.T) {
+	const n, seed = 600, 2006
+	var got, want []int
+	build(t, PopulationConfig{N: n, Seed: seed, Workers: 1, Checkpoint: &CheckpointConfig{
+		Sink: func(bc *BuildCheckpoint) error {
+			got = append(got, bc.Done)
+			return nil
+		},
+	}})
+	for p := lookStep; p < n; p += lookStep {
+		want = append(want, p)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("checkpoint offers at %v, want %v", got, want)
+	}
+}
+
 // TestCheckpointCounters pins the build-checkpoint series: every Sink
-// call counts as a checkpoint or, when the Sink errors, as a sink
-// error, and every resumed build counts once.
+// error counts once, and every resumed build counts once.
 func TestCheckpointCounters(t *testing.T) {
 	defer obs.Disable()
 	const n, seed = 64, 5
-	names := []string{"core_checkpoints_total", "core_checkpoint_sink_errors_total", "core_builds_resumed_total"}
+	names := []string{"core_checkpoint_sink_errors_total", "core_builds_resumed_total"}
 	for _, sinkErr := range []error{nil, errors.New("disk full")} {
 		reg := obs.Enable()
 		calls := int64(0)
 		build(t, PopulationConfig{N: n, Seed: seed, Workers: 1, Checkpoint: &CheckpointConfig{
-			Interval: time.Nanosecond,
 			Sink: func(*BuildCheckpoint) error {
 				calls++
 				return sinkErr
 			},
 		}})
-		want := map[string]int64{names[0]: calls, names[1]: 0, names[2]: 0}
+		want := map[string]int64{names[0]: 0, names[1]: 0}
 		if sinkErr != nil {
-			want[names[0]], want[names[1]] = 0, calls
+			want[names[0]] = calls
 		}
 		if got := counters(reg, names...); calls == 0 || !reflect.DeepEqual(got, want) {
 			t.Errorf("sink error %v: %d sink calls left the counters at %v, want %v", sinkErr, calls, got, want)
@@ -228,7 +236,7 @@ func TestCheckpointCounters(t *testing.T) {
 		Tech: full.Model.Tech, Geom: full.Model.Geom,
 		Regular: full.Chips[:16],
 	}}})
-	if got := counters(reg, names...); got[names[2]] != 1 {
+	if got := counters(reg, names...); got[names[1]] != 1 {
 		t.Errorf("a resumed build left the counters at %v, want core_builds_resumed_total 1", got)
 	}
 }

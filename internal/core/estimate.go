@@ -24,8 +24,11 @@ import (
 // nothing to the build's hot loop.
 type EstimateConfig struct {
 	// Interval is the minimum time between mid-build Sink calls; zero
-	// or negative defaults to 250ms. It throttles only the Sink: the
-	// stopping rule runs at every look point whatever its value.
+	// or negative defaults to 250ms. It paces only the Sink: the
+	// stopping rule runs at every look point whatever its value. The
+	// pacing lives here rather than in the Sink because a snapshot is
+	// an O(P) pass: a look with no Sink call due computes none unless
+	// the stopping rule needs it.
 	Interval time.Duration
 	// Constraints selects the yield requirement the estimate classifies
 	// against. Snapshots derive *provisional* limits from the measured

@@ -52,8 +52,8 @@ type PopulationConfig struct {
 	// the 2×2 variation mesh (1..4) and every dimension must be
 	// positive; Build rejects any other geometry.
 	Geom *sram.Geometry
-	// Checkpoint enables periodic build checkpointing and crash resume;
-	// nil (the default) adds nothing to the hot loop.
+	// Checkpoint enables build checkpointing and crash resume; nil (the
+	// default) adds nothing to the hot loop.
 	Checkpoint *CheckpointConfig
 	// Estimate arms streaming yield estimation (live confidence
 	// intervals and, optionally, precision-targeted stopping); nil (the

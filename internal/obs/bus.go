@@ -25,7 +25,7 @@ const (
 	// EventJobPhase fires when a build enters a new pipeline phase
 	// (queue_wait, new_study, build_population/pair, …).
 	EventJobPhase EventType = "job_phase"
-	// EventJobEstimate is a throttled streaming yield estimate: the
+	// EventJobEstimate is a paced streaming yield estimate: the
 	// build's live yield with its confidence interval (Yield,
 	// CILow/CIHigh) over the Done chips measured so far.
 	EventJobEstimate EventType = "job_estimate"

@@ -40,7 +40,6 @@ type Scope struct {
 	events        *EventBus
 	progressMinNS int64
 	lastProgress  atomic.Int64 // UnixNano of the last progress event
-	lastEstimate  atomic.Int64 // UnixNano of the last estimate event
 }
 
 // discardLogger swallows log records; the fallback for nil scopes and
@@ -144,18 +143,12 @@ func (s *Scope) publishProgress(done int64) {
 
 // PublishEstimate emits a job_estimate event carrying a streaming
 // yield estimate — the live yield over the chips chips measured so
-// far, with its confidence interval — unless one was published within
-// the progress throttle interval or the bus has no subscriber. Like
-// publishProgress, racing publishers elect one via CompareAndSwap and
-// the losers return without blocking; an idle bus costs one atomic
+// far, with its confidence interval — whenever the bus has a
+// subscriber. The build paces its estimates, so every one it hands
+// over streams, the final one included; an idle bus costs one atomic
 // load. Nil-safe.
 func (s *Scope) PublishEstimate(yield, ciLow, ciHigh float64, chips, total int64) {
 	if s == nil || s.events == nil || !s.events.Active() {
-		return
-	}
-	now := time.Now().UnixNano()
-	last := s.lastEstimate.Load()
-	if now-last < s.progressMinNS || !s.lastEstimate.CompareAndSwap(last, now) {
 		return
 	}
 	s.events.Publish(Event{

@@ -87,33 +87,32 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 }
 
 // checkpointWriter persists one job's checkpoints for both kinds:
-// encode, put with retry, log a failure, announce job_checkpoint.
-//
-// It self-clocks against the storage it writes to: a write starts no
-// sooner than every after the previous one started, and no sooner than
-// that write's own cost after it finished. A checkpoint grows with the
-// job (a study's holds every measured chip), and on slow disks
-// persisting one can take far longer than the configured interval, so
-// slow storage degrades checkpoint granularity — bounded at a ~50% duty
-// cycle of the writing goroutine — instead of starving the job. Studies
-// pass every = 0, because core's checkpointer already offers at
-// CheckpointInterval; sweeps offer every finished config and pass
-// CheckpointInterval. Writes never overlap: core elects one publishing
+// encode, put with retry, log a failure, announce job_checkpoint. It is
+// the one place checkpoints are paced: a study's build offers its
+// measured prefix at every 64-chip look point and a sweep offers every
+// finished config, and the writer skips an offer unless
+// CheckpointInterval has passed since the previous write started
+// (since the job started, before the first) and the previous write's
+// own cost has passed since it finished. A checkpoint grows with the job (a study's holds every
+// measured chip), and on slow disks persisting one can take far longer
+// than the interval, so slow storage degrades checkpoint granularity —
+// bounded at a ~50% duty cycle of the writing goroutine — instead of
+// starving the job. Writes never overlap: core elects one looking
 // worker at a time, and RunSweep calls OnEval on one goroutine.
 type checkpointWriter struct {
-	s     *Server
-	j     *job
-	every time.Duration
-	next  time.Time // earliest start of the next write
+	s    *Server
+	j    *job
+	next time.Time // earliest start of the next write
 }
 
 // checkpointWriter returns j's checkpoint writer, or nil when the
-// server does not checkpoint.
-func (s *Server) checkpointWriter(j *job, every time.Duration) *checkpointWriter {
+// server does not checkpoint. Its first write waits one
+// CheckpointInterval.
+func (s *Server) checkpointWriter(j *job) *checkpointWriter {
 	if s.store == nil || s.cfg.CheckpointInterval <= 0 {
 		return nil
 	}
-	return &checkpointWriter{s: s, j: j, every: every}
+	return &checkpointWriter{s: s, j: j, next: time.Now().Add(s.cfg.CheckpointInterval)}
 }
 
 // write persists the checkpoint encode produces, covering done of total
@@ -134,8 +133,8 @@ func (w *checkpointWriter) write(done, total int, encode func(io.Writer) error) 
 		return w.s.store.PutCheckpoint(w.j.id, done, buf.Bytes())
 	})
 	end := time.Now()
-	w.next = end.Add(end.Sub(start))
-	if t := start.Add(w.every); t.After(w.next) {
+	w.next = start.Add(w.s.cfg.CheckpointInterval)
+	if t := end.Add(end.Sub(start)); t.After(w.next) {
 		w.next = t
 	}
 	if err != nil {

@@ -6,6 +6,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
+
+	"yieldcache/internal/obs"
 )
 
 // Every real study build streams yield estimates: the response must
@@ -96,6 +99,52 @@ func TestStudyResponseCarriesEstimateAndYieldCIs(t *testing.T) {
 		if je.Estimate.Chips != tc.chips || je.Estimate.Yield != e.Yield {
 			t.Errorf("endpoint estimate %+v differs from response estimate %+v", je.Estimate, e)
 		}
+	}
+}
+
+// A live subscriber sees the final estimate: the last job_estimate
+// before job_completed covers the response's estimate.chips. The build
+// paces mid-build estimates by the stream interval and always hands
+// over the final one, so a 20000-chip build that streams many
+// mid-build estimates at a 20 ms interval still ends its stream on the
+// whole population.
+func TestStudyStreamsFinalEstimate(t *testing.T) {
+	srv := New(Config{Workers: 1, FlightInterval: -1, StreamInterval: 20 * time.Millisecond})
+	defer srv.Close()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Room for every event of the build (about 25 estimates at 20 ms, a
+	// few hundred under -race), so the subscriber sees the whole
+	// stream, not a drop-oldest tail.
+	sub := srv.bus.Subscribe(1024, obs.EventJobEstimate, obs.EventJobCompleted)
+	defer sub.Close()
+
+	resp, res, _ := postStudy(t, ts.URL, `{"chips": 20000, "seed": 2006}`)
+	if resp.StatusCode != http.StatusOK || res.Estimate == nil {
+		t.Fatalf("study: status %d, estimate %+v", resp.StatusCode, res.Estimate)
+	}
+	id := resp.Header.Get("X-Job-Id")
+	var last *obs.Event
+	estimates := 0
+	timeout := time.After(10 * time.Second)
+	for done := false; !done; {
+		select {
+		case ev := <-sub.Events():
+			switch {
+			case ev.Job != id:
+			case ev.Type == obs.EventJobCompleted:
+				done = true
+			default:
+				last = &ev
+				estimates++
+			}
+		case <-timeout:
+			t.Fatalf("no job_completed for %s after %d estimates", id, estimates)
+		}
+	}
+	if last == nil || last.Done != int64(res.Estimate.Chips) || last.Yield != res.Estimate.Yield {
+		t.Errorf("last of %d streamed estimates = %+v, want the final estimate over %d chips (yield %v)",
+			estimates, last, res.Estimate.Chips, res.Estimate.Yield)
 	}
 }
 

