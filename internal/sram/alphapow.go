@@ -52,50 +52,68 @@ func newAlphaPow(y float64) alphaPow {
 	return p
 }
 
-// pow returns math.Pow(x, p.y), bit for bit.
-func (p alphaPow) pow(x float64) float64 {
-	if !p.fast || !(x >= powMinX && x <= powMaxX) {
-		return math.Pow(x, p.y)
-	}
-	a := 1.0
-	if p.yf != 0 {
-		a = math.Exp(p.yf * math.Log(x))
-	}
-	for i, xp := p.yi, x; i != 0; i >>= 1 {
-		if i&1 == 1 {
-			a *= xp
+// powCol overwrites every lane x of xs with math.Pow(x, p.y), bit for
+// bit, using tmp (at least len(xs) lanes) as scratch. The fast split
+// takes one logCol and one expCol for the whole column, then multiplies
+// each lane by x^yi in pow's order.
+func (p alphaPow) powCol(xs, tmp []float64) {
+	if !p.fast {
+		for i, x := range xs {
+			xs[i] = math.Pow(x, p.y)
 		}
-		xp *= xp
+		return
 	}
-	return a
+	a := tmp[:len(xs)]
+	if p.yf != 0 {
+		for i, x := range xs {
+			if !(x >= powMinX && x <= powMaxX) {
+				x = 1 // the lane finishes with math.Pow below
+			}
+			a[i] = x
+		}
+		logCol(a)
+		for i, lx := range a {
+			a[i] = p.yf * lx
+		}
+		expCol(a)
+	} else {
+		for i := range a {
+			a[i] = 1
+		}
+	}
+	for i, x := range xs {
+		if !(x >= powMinX && x <= powMaxX) {
+			xs[i] = math.Pow(x, p.y)
+			continue
+		}
+		ai := a[i]
+		for k, xp := p.yi, x; k != 0; k >>= 1 {
+			if k&1 == 1 {
+				ai *= xp
+			}
+			xp *= xp
+		}
+		xs[i] = ai
+	}
 }
 
-// senseMargin is circuit.SenseMargin for the device (dl, vtv) with the
-// drive factor's pow taken by ap: the same expressions in the same
-// order (EffectiveVt, DriveFactor, then circuit.MarginFromDrive), so
-// the result is identical. shortcut (see marginShortcut) returns 1
-// without the pow where the drive is provably >= 1.
-func senseMargin(t *circuit.Tech, ap alphaPow, shortcut bool, dl, vtv float64) float64 {
-	vt := vtv + t.DIBL*dl
-	if maxVt := t.Vdd - 0.05; vt > maxVt {
-		vt = maxVt
-	}
-	overdrive := t.Vdd - vt
+// fillMargin derives the sense-margin column of the sense-amp devices
+// (dl, vtv), matching circuit.SenseMargin lane-wise: the same
+// expressions in the same order (EffectiveVt, DriveFactor with its pow
+// through powCol, then circuit.MarginFromDrive). tmp is powCol's
+// scratch.
+func fillMargin(t *circuit.Tech, ap alphaPow, dl, vtv, margin, tmp []float64) {
 	nominal := t.Vdd - t.VtNominal
-	if shortcut && dl > -1 && dl <= 0 && overdrive >= nominal {
-		return 1
+	maxVt := t.Vdd - 0.05
+	for l := range margin {
+		vt := vtv[l] + t.DIBL*dl[l]
+		if vt > maxVt {
+			vt = maxVt
+		}
+		margin[l] = (t.Vdd - vt) / nominal
 	}
-	return circuit.MarginFromDrive(t, (1/(1+dl))*ap.pow(overdrive/nominal))
-}
-
-// marginShortcut reports whether senseMargin may skip the pow when
-// -1 < DLeff <= 0 and Vdd-Vt_eff >= Vdd-VtNominal. There 1/(1+DLeff) >= 1
-// and the overdrive ratio r >= 1 (nominal > 0); for 1 < Alpha <= 1.5 pow
-// takes yi = 1 and yf in (0, 0.5], so x^Alpha = Exp(yf*Log r) * r with
-// both factors >= 1. The drive is then >= 1, the deficit <= 0, and the
-// margin is exactly 1, as circuit.SenseMargin computes it. The shortcut
-// takes about 13% of sense margins at PTM45 and 40% across the
-// tech-node-scan sweep grid (EXPERIMENTS.md, "Per-chip hot path").
-func marginShortcut(t circuit.Tech) bool {
-	return t.Alpha > 1 && t.Alpha <= 1.5 && t.Vdd-t.VtNominal > 0
+	ap.powCol(margin, tmp)
+	for l, x := range margin {
+		margin[l] = circuit.MarginFromDrive(t, (1/(1+dl[l]))*x)
+	}
 }

@@ -17,12 +17,13 @@ import (
 // tests use.
 var powAlphas = []float64{0.5, 1, 1.1, 1.25, 1.3, 1.4, 1.5, 1.7, 2, 2.5}
 
-// TestAlphaPowMatchesMathPow compares the helper with math.Pow on 10^7
+// TestAlphaPowMatchesMathPow compares powCol with math.Pow on 10^7
 // inputs per exponent across the kernel's domain — overdrive ratios
 // (Vdd-Vt_eff)/(Vdd-VtNominal), which the Vt clamp keeps above 0.05 V
 // of overdrive and the 3-sigma windows keep below about 2 — plus
 // log-uniform spreads over the helper's fast range and over all finite
 // positive floats, and the special inputs either side of the range.
+// Columns of varying length mix the four-lane groups with scalar tails.
 func TestAlphaPowMatchesMathPow(t *testing.T) {
 	const n = 10_000_000
 	special := []float64{1, 0x1p-1022, 0x1p-1074, 0x1p-1030, 0x1p500,
@@ -32,26 +33,37 @@ func TestAlphaPowMatchesMathPow(t *testing.T) {
 		t.Run(fmt.Sprint(alpha), func(t *testing.T) {
 			t.Parallel()
 			ap := newAlphaPow(alpha)
-			check := func(x float64) {
-				got, want := ap.pow(x), math.Pow(x, alpha)
-				if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
-					t.Fatalf("pow(%x, %v) = %x, math.Pow gives %x", x, alpha, got, want)
+			xs := make([]float64, 0, 1024)
+			col, tmp := make([]float64, 1024), make([]float64, 1024)
+			check := func() {
+				col := col[:len(xs)]
+				copy(col, xs)
+				ap.powCol(col, tmp)
+				for j, x := range xs {
+					got, want := col[j], math.Pow(x, alpha)
+					if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(got) && math.IsNaN(want)) {
+						t.Fatalf("powCol lane %x, %v = %x, math.Pow gives %x", x, alpha, got, want)
+					}
 				}
+				xs = xs[:0]
 			}
-			for _, x := range special {
-				check(x)
-			}
+			xs = append(xs, special...)
+			check()
 			r := rand.New(rand.NewSource(int64(i)))
 			for j := 0; j < n; j++ {
 				switch j % 8 {
 				case 6:
-					check(math.Exp2(2098*r.Float64() - 1075))
+					xs = append(xs, math.Exp2(2098*r.Float64()-1075))
 				case 7:
-					check(math.Exp2(200*r.Float64() - 100))
+					xs = append(xs, math.Exp2(200*r.Float64()-100))
 				default:
-					check(0.02 + 2.5*r.Float64())
+					xs = append(xs, 0.02+2.5*r.Float64())
+				}
+				if len(xs) >= 1000+j%23 {
+					check()
 				}
 			}
+			check()
 		})
 	}
 }
@@ -82,9 +94,9 @@ func TestAlphaPowSplit(t *testing.T) {
 	}
 }
 
-// marginTechs are technologies the kernel-local sense margin is pinned
-// on: every node of the scaling table, and PTM45 at alphas inside and
-// outside the shortcut's range.
+// marginTechs are technologies the kernel's sense margin is pinned on:
+// every node of the scaling table, and PTM45 at every pinned alpha, so
+// each case of pow's split runs.
 func marginTechs() []circuit.Tech {
 	var techs []circuit.Tech
 	for _, node := range []int{90, 65, 45, 32} {
@@ -102,57 +114,64 @@ func marginTechs() []circuit.Tech {
 	return techs
 }
 
-// TestSenseMarginMatchesCircuit compares the kernel-local sense margin
-// (pow helper and drive >= 1 shortcut) with circuit.SenseMargin on
+// TestSenseMarginMatchesCircuit compares the kernel's margin column
+// (fillMargin, with its pow through powCol) with circuit.SenseMargin on
 // random sense-amp devices, on the exact corners DLeff == 0 and
-// Vt_eff == VtNominal, and densely around the shortcut's boundary.
+// Vt_eff == VtNominal, and densely around drive == 1, where the
+// margin's deficit changes sign.
 func TestSenseMarginMatchesCircuit(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	for _, tech := range marginTechs() {
-		ap, short := newAlphaPow(tech.Alpha), marginShortcut(tech)
-		check := func(dl, vtv float64) {
-			t.Helper()
-			got := senseMargin(&tech, ap, short, dl, vtv)
-			want := circuit.SenseMargin(tech, circuit.Device{DLeff: dl, VtV: vtv})
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("alpha %v vdd %v: senseMargin(%x, %x) = %v, circuit.SenseMargin gives %v",
-					tech.Alpha, tech.Vdd, dl, vtv, got, want)
-			}
+		ap := newAlphaPow(tech.Alpha)
+		var dls, vts []float64
+		add := func(dl, vtv float64) {
+			dls = append(dls, dl)
+			vts = append(vts, vtv)
 		}
 		for i := 0; i < 50_000; i++ {
 			dl := 0.6*r.Float64() - 0.3
 			vtv := tech.VtNominal + 0.3*r.Float64() - 0.15
-			check(dl, vtv)
-			check(0, vtv)
-			check(dl, tech.VtNominal-tech.DIBL*dl)
+			add(dl, vtv)
+			add(0, vtv)
+			add(dl, tech.VtNominal-tech.DIBL*dl)
 		}
-		check(0, tech.VtNominal)
-		check(math.Copysign(0, -1), tech.VtNominal)
+		add(0, tech.VtNominal)
+		add(math.Copysign(0, -1), tech.VtNominal)
 		// Around drive == 1: DLeff a few ulps either side of 0, and
 		// Vt_eff a few ulps either side of VtNominal.
 		dl := math.Copysign(0, -1)
 		for i := 0; i < 64; i++ {
 			vt := tech.VtNominal
 			for j := 0; j < 64; j++ {
-				check(dl, vt)
-				check(-dl, vt)
-				check(dl, 2*tech.VtNominal-vt)
+				add(dl, vt)
+				add(-dl, vt)
+				add(dl, 2*tech.VtNominal-vt)
 				vt = math.Nextafter(vt, 0)
 			}
 			dl = math.Nextafter(dl, -1)
 		}
 		// Far corners: the Vt clamp and gate lengths at and past -1.
-		check(-0.5, tech.Vdd)
-		check(-1, tech.VtNominal)
-		check(math.Nextafter(-1, 0), tech.VtNominal)
-		check(-1.5, tech.VtNominal)
+		add(-0.5, tech.Vdd)
+		add(-1, tech.VtNominal)
+		add(math.Nextafter(-1, 0), tech.VtNominal)
+		add(-1.5, tech.VtNominal)
+
+		margin, tmp := make([]float64, len(dls)), make([]float64, len(dls))
+		fillMargin(&tech, ap, dls, vts, margin, tmp)
+		for i, got := range margin {
+			want := circuit.SenseMargin(tech, circuit.Device{DLeff: dls[i], VtV: vts[i]})
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("alpha %v vdd %v: margin lane (%x, %x) = %v, circuit.SenseMargin gives %v",
+					tech.Alpha, tech.Vdd, dls[i], vts[i], got, want)
+			}
+		}
 	}
 }
 
 // TestBatchKernelMatchesReferenceAcrossTechs extends the kernel's
 // scalar-reference parity (whose pows are math.Pow and whose margin is
 // circuit.SenseMargin) to every technology node and every pinned alpha,
-// so each pow split and the margin shortcut run inside the kernel.
+// so each pow split runs inside the kernel.
 func TestBatchKernelMatchesReferenceAcrossTechs(t *testing.T) {
 	s := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
 	ids := make([]int, 2*BatchWidth+3)

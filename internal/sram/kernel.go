@@ -1,7 +1,6 @@
 package sram
 
 import (
-	"math"
 	"sync"
 
 	"yieldcache/internal/circuit"
@@ -29,7 +28,7 @@ import (
 //     and factor computations are hoisted only as whole expressions
 //     (common-subexpression reuse of a pure function is exact; no term
 //     is reassociated or fused).
-//   - Every alpha-power drive factor goes through alphaPow
+//   - Every alpha-power drive factor goes through alphaPow.powCol
 //     (alphapow.go), which splits Alpha once per evaluator exactly as
 //     math.Pow splits its exponent (yi + yf, with pow's yf > 0.5 shift)
 //     and multiplies Exp(yf*Log x) by x^yi in pow's order. Pow applies
@@ -37,13 +36,19 @@ import (
 //     power of two commutes with rounding while every intermediate is
 //     normal, which the helper's input range guarantees, and any other
 //     input or exponent calls math.Pow itself.
-//   - The sense margin is senseMargin: circuit.SenseMargin's drive
-//     factor with that pow, then the same circuit.MarginFromDrive. It
-//     returns 1 without a pow only where circuit.SenseMargin
-//     provably returns 1: -1 < DLeff <= 0 (so 1/(1+DLeff) >= 1),
-//     Vdd-Vt_eff >= Vdd-VtNominal (overdrive ratio >= 1) and
-//     1 < Alpha <= 1.5 (x^Alpha = Exp(yf*Log x)*x with yf in (0, 0.5]);
-//     both drive factors are then >= 1 and the deficit is <= 0.
+//   - The sense margins are fillMargin: circuit.SenseMargin's drive
+//     factor with that pow, then the same circuit.MarginFromDrive.
+//   - Every Exp and Log is a column call, expCol or logCol (vmath.go).
+//     On amd64 they run four lanes at once through the same
+//     instruction sequence as the math package's archExp (its FMA
+//     path) and archLog. Each YMM lane rounds its IEEE operation, fused
+//     ones included, exactly as the scalar instruction does, and
+//     VCVTPD2DQ rounds x*log2e to an integer under MXCSR exactly as
+//     CVTSD2SL does. Lanes off the scalar code's straight-line path
+//     call math.Exp or math.Log. The loops run only when CPUID and
+//     XGETBV report AVX2 and FMA with OS-enabled YMM state and an
+//     init-time cross-check against math.Exp and math.Log passes;
+//     otherwise every lane calls the scalar function.
 
 // BatchWidth is the number of chips the population builder evaluates
 // per kernel invocation. Eight chips keep every derived column of a
@@ -146,13 +151,20 @@ type kernelScratch struct {
 
 	preCap, preLeak []float64 // n*banks
 	saDL, saVt      []float64 // n*banks
-	saGate, saDrive []float64 // n*banks
+	saGate          []float64 // n*banks
 	saLeak, offset  []float64 // n*banks
 	bandRowLeak     []float64 // n*banks
 
 	cellDL, cellVt      []float64 // n*banks*paths
 	cellGate, cellDrive []float64 // n*banks*paths
 	cellRC, cellLeak    []float64 // n*banks*paths
+
+	// The sense devices of every path lane and their margins.
+	senseDL, senseVt, margin []float64 // n*banks*paths
+
+	// Device columns that only the fill computing them reads, e.g. a
+	// decoder's drive or a leaking block's gate-length delta.
+	devDL, devVt, devDrive []float64 // n*banks*paths
 }
 
 // kernelPool recycles kernel scratches across evaluators. The buffers
@@ -196,7 +208,6 @@ func (ks *kernelScratch) size(n, nb, np int) {
 	ks.saDL = grow(ks.saDL, bn)
 	ks.saVt = grow(ks.saVt, bn)
 	ks.saGate = grow(ks.saGate, bn)
-	ks.saDrive = grow(ks.saDrive, bn)
 	ks.saLeak = grow(ks.saLeak, bn)
 	ks.offset = grow(ks.offset, bn)
 	ks.bandRowLeak = grow(ks.bandRowLeak, bn)
@@ -207,6 +218,12 @@ func (ks *kernelScratch) size(n, nb, np int) {
 	ks.cellDrive = grow(ks.cellDrive, pn)
 	ks.cellRC = grow(ks.cellRC, pn)
 	ks.cellLeak = grow(ks.cellLeak, pn)
+	ks.senseDL = grow(ks.senseDL, pn)
+	ks.senseVt = grow(ks.senseVt, pn)
+	ks.margin = grow(ks.margin, pn)
+	ks.devDL = grow(ks.devDL, pn)
+	ks.devVt = grow(ks.devVt, pn)
+	ks.devDrive = grow(ks.devDrive, pn)
 }
 
 // stageNominals precomputes the nominal stage delays of every
@@ -232,63 +249,60 @@ func stageNominals(g Geometry) [][NumStages]float64 {
 
 // fillDevice derives the device columns (fractional gate-length delta,
 // threshold in volts) of a batch, matching circuit.DeviceOf lane-wise.
+// dl and vt may be longer than the batch.
 func fillDevice(spec *variation.Spec, b *variation.Batch, dl, vt []float64) {
 	lc, vc := b.Col[variation.Leff], b.Col[variation.Vt]
-	for l := range dl {
-		dl[l] = spec.DeltaOf(variation.Leff, lc[l])
+	for l, v := range lc {
+		dl[l] = spec.DeltaOf(variation.Leff, v)
 		vt[l] = vc[l] / 1000
 	}
 }
 
-// fillGate derives the gate-delay factor column of a batch, matching
-// Device.GateDelayFactor lane-wise (one pow per lane instead of one per
-// stage — exact, because the factor is a pure function of the draw).
-func fillGate(t circuit.Tech, ap alphaPow, spec *variation.Spec, b *variation.Batch, gate []float64) {
-	lc, vc := b.Col[variation.Leff], b.Col[variation.Vt]
-	nominal := t.Vdd - t.VtNominal
-	maxVt := t.Vdd - 0.05
-	for l := range gate {
-		dl := spec.DeltaOf(variation.Leff, lc[l])
-		vt := vc[l]/1000 + t.DIBL*dl
-		if vt > maxVt {
-			vt = maxVt
-		}
-		drive := (1 / (1 + dl)) * ap.pow((t.Vdd-vt)/nominal)
-		gate[l] = (1 + 0.5*dl) / drive
-	}
-}
-
 // fillDeviceDelay derives the delay-side device columns from dl/vt
-// columns already produced by fillDevice: gate-delay factor and drive
-// factor (cells need both; the drive also feeds the bitline stage).
+// columns already produced by fillDevice: gate-delay factor, matching
+// Device.GateDelayFactor lane-wise (one pow per lane instead of one per
+// stage — exact, because the factor is a pure function of the draw),
+// and drive factor (cells need both; the drive also feeds the bitline
+// stage). gate sets the length; dl, vt and drive may be longer.
 func fillDeviceDelay(t circuit.Tech, ap alphaPow, dl, vt, gate, drive []float64) {
+	drive = drive[:len(gate)]
 	nominal := t.Vdd - t.VtNominal
 	maxVt := t.Vdd - 0.05
-	for l := range gate {
-		d := dl[l]
-		evt := vt[l] + t.DIBL*d
+	for l := range drive {
+		evt := vt[l] + t.DIBL*dl[l]
 		if evt > maxVt {
 			evt = maxVt
 		}
-		dr := (1 / (1 + d)) * ap.pow((t.Vdd-evt)/nominal)
+		drive[l] = (t.Vdd - evt) / nominal
+	}
+	ap.powCol(drive, gate)
+	for l, x := range drive {
+		d := dl[l]
+		dr := (1 / (1 + d)) * x
 		drive[l] = dr
 		gate[l] = (1 + 0.5*d) / dr
 	}
 }
 
 // fillDeviceLeak derives the leakage factor column of a batch, matching
-// Device.LeakageFactor lane-wise.
-func fillDeviceLeak(t circuit.Tech, spec *variation.Spec, b *variation.Batch, leak []float64) {
+// Device.LeakageFactor lane-wise. dl is a scratch column of at least
+// the batch's length.
+func fillDeviceLeak(t circuit.Tech, spec *variation.Spec, b *variation.Batch, leak, dl []float64) {
 	lc, vc := b.Col[variation.Leff], b.Col[variation.Vt]
 	maxVt := t.Vdd - 0.05
 	for l := range leak {
-		dl := spec.DeltaOf(variation.Leff, lc[l])
-		evt := vc[l]/1000 + t.DIBL*dl
+		d := spec.DeltaOf(variation.Leff, lc[l])
+		evt := vc[l]/1000 + t.DIBL*d
 		if evt > maxVt {
 			evt = maxVt
 		}
 		dvt := evt - t.VtNominal
-		leak[l] = (1 / (1 + dl)) * math.Exp(-dvt/t.SubVtSlope)
+		dl[l] = d
+		leak[l] = -dvt / t.SubVtSlope
+	}
+	expCol(leak)
+	for l, x := range leak {
+		leak[l] = (1 / (1 + dl[l])) * x
 	}
 }
 
@@ -548,42 +562,55 @@ func (e *Evaluator) eval(ds *DrawSet, dst []*CacheMeasurement, doDelay, doLeak b
 	for w := 0; w < g.Ways; w++ {
 		wd := &ds.Ways[w]
 		if doDelay {
-			fillGate(t, e.ap, spec, &wd.Dec, ks.decGate)
+			fillDevice(spec, &wd.Dec, ks.devDL, ks.devVt)
+			fillDeviceDelay(t, e.ap, ks.devDL, ks.devVt, ks.decGate, ks.devDrive)
 			fillWireRC(t, spec, &wd.Dec, ks.decRC)
-			fillGate(t, e.ap, spec, &wd.Out, ks.outGate)
+			fillDevice(spec, &wd.Out, ks.devDL, ks.devVt)
+			fillDeviceDelay(t, e.ap, ks.devDL, ks.devVt, ks.outGate, ks.devDrive)
 			fillWireRC(t, spec, &wd.Out, ks.outRC)
 			fillWireCap(t, spec, &wd.Pre, ks.preCap)
 			fillDevice(spec, &wd.SA, ks.saDL, ks.saVt)
-			fillDeviceDelay(t, e.ap, ks.saDL, ks.saVt, ks.saGate, ks.saDrive)
+			fillDeviceDelay(t, e.ap, ks.saDL, ks.saVt, ks.saGate, ks.devDrive)
 			fillOffset(&wd.MM, ks.saVt, ks.offset)
 			fillDevice(spec, &wd.Rows, ks.cellDL, ks.cellVt)
 			fillDeviceDelay(t, e.ap, ks.cellDL, ks.cellVt, ks.cellGate, ks.cellDrive)
 			fillWireRC(t, spec, &wd.Rows, ks.cellRC)
 
 			for c := 0; c < n; c++ {
-				cm := dst[c]
-				wm := &cm.Ways[w]
 				chipDL, chipVt := ks.chipDL[c], ks.chipVt[c]
-				decG, decR := ks.decGate[c], ks.decRC[c]
-				outG, outR := ks.outGate[c], ks.outRC[c]
 				for b := 0; b < nb; b++ {
 					bl := c*nb + b
-					bm := &wm.Banks[b]
 					off := ks.offset[bl]
 					saDL, saVt := ks.saDL[bl], ks.saVt[bl]
-					saG, preC := ks.saGate[bl], ks.preCap[bl]
 					for p := 0; p < np; p++ {
 						pl := bl*np + p
 						cellDL, cellVt := ks.cellDL[pl], ks.cellVt[pl]
 						// The sense-amp device mirrors the reference
 						// expression term for term; see measureWay in
 						// reference_test.go for the physics.
-						effDL := 0.5*(saDL-chipDL) + (cellDL - chipDL) +
+						ks.senseDL[pl] = 0.5*(saDL-chipDL) + (cellDL - chipDL) +
 							resid*chipDL
-						effVt := t.VtNominal + senseOffsetScale*off +
+						ks.senseVt[pl] = t.VtNominal + senseOffsetScale*off +
 							0.5*(saVt-chipVt) + (cellVt - chipVt) +
 							resid*(chipVt-t.VtNominal)
-						margin := senseMargin(&t, e.ap, e.shortcut, effDL, effVt)
+					}
+				}
+			}
+			fillMargin(&t, e.ap, ks.senseDL, ks.senseVt, ks.margin, ks.devDrive)
+
+			for c := 0; c < n; c++ {
+				cm := dst[c]
+				wm := &cm.Ways[w]
+				decG, decR := ks.decGate[c], ks.decRC[c]
+				outG, outR := ks.outGate[c], ks.outRC[c]
+				for b := 0; b < nb; b++ {
+					bl := c*nb + b
+					bm := &wm.Banks[b]
+					saG, preC := ks.saGate[bl], ks.preCap[bl]
+					for p := 0; p < np; p++ {
+						pl := bl*np + p
+						cellDL := ks.cellDL[pl]
+						margin := ks.margin[pl]
 						sn := &e.stageNom[b*np+p]
 						delay := 0.0
 						delay += sn[0] * decR                                      // addr-bus
@@ -610,12 +637,12 @@ func (e *Evaluator) eval(ds *DrawSet, dst []*CacheMeasurement, doDelay, doLeak b
 		}
 
 		if doLeak {
-			fillDeviceLeak(t, spec, &wd.Dec, ks.decLeak)
-			fillDeviceLeak(t, spec, &wd.Out, ks.outLeak)
-			fillDeviceLeak(t, spec, &wd.Pre, ks.preLeak)
-			fillDeviceLeak(t, spec, &wd.SA, ks.saLeak)
-			fillDeviceLeak(t, spec, &wd.Rows, ks.cellLeak)
-			fillDeviceLeak(t, spec, &wd.BandRows, ks.bandRowLeak)
+			fillDeviceLeak(t, spec, &wd.Dec, ks.decLeak, ks.devDL)
+			fillDeviceLeak(t, spec, &wd.Out, ks.outLeak, ks.devDL)
+			fillDeviceLeak(t, spec, &wd.Pre, ks.preLeak, ks.devDL)
+			fillDeviceLeak(t, spec, &wd.SA, ks.saLeak, ks.devDL)
+			fillDeviceLeak(t, spec, &wd.Rows, ks.cellLeak, ks.devDL)
+			fillDeviceLeak(t, spec, &wd.BandRows, ks.bandRowLeak, ks.devDL)
 
 			for c := 0; c < n; c++ {
 				cm := dst[c]

@@ -1,6 +1,9 @@
 package sram
 
 import (
+	"encoding/json"
+	"math"
+	"os"
 	"reflect"
 	"runtime"
 	"testing"
@@ -282,6 +285,132 @@ func TestEvalDeltaBitIdentical(t *testing.T) {
 			if !reflect.DeepEqual(*wantReg[l], *got[l]) {
 				t.Fatalf("%s: chip %d regular delta eval diverges from full eval\nwant %+v\ngot  %+v",
 					tc.name, l, *wantReg[l], *got[l])
+			}
+		}
+	}
+}
+
+// pinTechs returns the technologies of the vector-vs-scalar kernel pin:
+// PTM45, every configuration of scenarios/tech-node-scan.json (PTM45
+// under its vdd × vt_nominal grid), and marginTechs — the 90/65/32 nm
+// scaled nodes and PTM45 at every pinned alpha, so each pow split runs.
+func pinTechs(t *testing.T) []circuit.Tech {
+	raw, err := os.ReadFile("../../scenarios/tech-node-scan.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var scan struct {
+		Axes []struct {
+			Param  string    `json:"param"`
+			Values []float64 `json:"values"`
+		} `json:"axes"`
+	}
+	if err := json.Unmarshal(raw, &scan); err != nil {
+		t.Fatal(err)
+	}
+	grid := []circuit.Tech{circuit.PTM45()}
+	for _, ax := range scan.Axes {
+		var next []circuit.Tech
+		for _, tech := range grid {
+			for _, v := range ax.Values {
+				switch ax.Param {
+				case "vdd":
+					tech.Vdd = v
+				case "vt_nominal":
+					tech.VtNominal = v
+				default:
+					t.Fatalf("tech-node-scan axis %q: the pin knows only vdd and vt_nominal", ax.Param)
+				}
+				next = append(next, tech)
+			}
+		}
+		grid = next
+	}
+	return append(append([]circuit.Tech{circuit.PTM45()}, grid...), marginTechs()...)
+}
+
+// sameBits reports whether two measurements agree bit for bit in every
+// path delay, maximum and leakage.
+func sameBits(a, b *CacheMeasurement) bool {
+	eq := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if !eq(a.LatencyPS, b.LatencyPS) || !eq(a.LeakageW, b.LeakageW) || len(a.Ways) != len(b.Ways) {
+		return false
+	}
+	for w := range a.Ways {
+		aw, bw := &a.Ways[w], &b.Ways[w]
+		if !eq(aw.LatencyPS, bw.LatencyPS) || !eq(aw.LeakageW, bw.LeakageW) || !eq(aw.PeriphLeakW, bw.PeriphLeakW) {
+			return false
+		}
+		for k := range aw.Banks {
+			ab, bb := &aw.Banks[k], &bw.Banks[k]
+			if !eq(ab.MaxPS, bb.MaxPS) || !eq(ab.ArrayLeakW, bb.ArrayLeakW) {
+				return false
+			}
+			for p := range ab.Paths {
+				if ab.Paths[p] != bb.Paths[p] || !eq(ab.Paths[p].DelayPS, bb.Paths[p].DelayPS) {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// TestVectorKernelMatchesScalar pins the kernel's vector exp/log path
+// to its scalar fallback: over the seed-2006 population, Eval under
+// every pinTechs technology and EvalDelta from PTM45 to it must give
+// bit-identical measurements with the vector loops on and off. On a
+// host without AVX2/FMA both runs take the scalar path. Under the race
+// detector the population is cut to its first 200 chips.
+func TestVectorKernelMatchesScalar(t *testing.T) {
+	n := 2000
+	if raceEnabled {
+		n = 200
+	}
+	g := Paper16KB()
+	s := variation.NewSampler(variation.Nassif45nm(), variation.PaperFactors(), 2006)
+	sets, _ := RetainedBatches(n, g)
+	base := circuit.PTM45()
+	sampler := NewModel(base, false).NewEvaluator(s.NewScratch())
+	ids := make([]int, BatchWidth)
+	for k := range sets {
+		c := min(BatchWidth, n-k*BatchWidth)
+		for j := range ids[:c] {
+			ids[j] = k*BatchWidth + j
+		}
+		sampler.Sample(ids[:c], &sets[k])
+	}
+	sampler.Release()
+
+	// run evaluates every batch in full and as a delta from PTM45.
+	run := func(tech circuit.Tech) (full, delta []*CacheMeasurement) {
+		evBase := NewModel(base, false).NewEvaluator(s.NewScratch())
+		ev := NewModel(tech, false).NewEvaluator(s.NewScratch())
+		defer evBase.Release()
+		defer ev.Release()
+		full, delta = measViews(n, g), measViews(n, g)
+		baseReg := measViews(BatchWidth, g)
+		var ls LeakState
+		parts := DiffTech(base, tech)
+		for k := range sets {
+			lo, c := k*BatchWidth, sets[k].Len()
+			ev.Eval(&sets[k], full[lo:lo+c], nil)
+			evBase.Eval(&sets[k], baseReg[:c], &ls)
+			ev.EvalDelta(&sets[k], parts, baseReg[:c], &ls, delta[lo:lo+c])
+		}
+		return full, delta
+	}
+	t.Logf("vector exp/log: %v", useVec)
+	for i, tech := range pinTechs(t) {
+		vecFull, vecDelta := run(tech)
+		var scaFull, scaDelta []*CacheMeasurement
+		scalarOnly(func() { scaFull, scaDelta = run(tech) })
+		for l := 0; l < n; l++ {
+			if !sameBits(vecFull[l], scaFull[l]) {
+				t.Fatalf("tech %d (%+v) chip %d: vector Eval differs from scalar", i, tech, l)
+			}
+			if !sameBits(vecDelta[l], scaDelta[l]) {
+				t.Fatalf("tech %d (%+v) chip %d: vector EvalDelta differs from scalar", i, tech, l)
 			}
 		}
 	}

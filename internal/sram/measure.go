@@ -132,7 +132,6 @@ type Evaluator struct {
 	ks       *kernelScratch       // pooled draw + column buffers (Release returns them)
 	stageNom [][NumStages]float64 // nominal stage delays per (bank, path)
 	ap       alphaPow             // the model's Alpha, split once for the kernel's pows
-	shortcut bool                 // marginShortcut(m.Tech)
 }
 
 // NewEvaluator returns an evaluator drawing from sc. The scratch's spec
@@ -151,7 +150,6 @@ func (m *Model) NewEvaluator(sc *variation.Scratch) *Evaluator {
 		ks:       ks,
 		stageNom: ks.stageNom,
 		ap:       newAlphaPow(m.Tech.Alpha),
-		shortcut: marginShortcut(m.Tech),
 	}
 }
 

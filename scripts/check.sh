@@ -1,5 +1,6 @@
 #!/usr/bin/env sh
-# Pre-merge gate: formatting, vet, the docs gate (godoc coverage of the
+# Pre-merge gate: formatting, vet (also for arm64, so the non-amd64
+# build of internal/sram keeps compiling), the docs gate (godoc coverage of the
 # facade, README/docs flag sync, the /metrics catalogue in docs/API.md
 # and no internal export reached only by its own tests, see
 # scripts/docgate), the full test
@@ -26,6 +27,9 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+echo "== go vet, GOARCH=arm64 (the scalar fallback of the kernel's vector exp/log) =="
+GOARCH=arm64 go vet ./...
 
 echo "== docs gate =="
 go run ./scripts/docgate
