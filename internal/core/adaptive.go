@@ -56,7 +56,7 @@ func (a AdaptiveHybrid) Apply(m CacheView, lim Limits) Outcome {
 	if slowest < 0 {
 		return out
 	}
-	if totalLeak(m)-m.Ways[slowest].LeakageW > lim.LeakageW {
+	if m.LeakageW-m.Ways[slowest].LeakageW > lim.LeakageW {
 		return out
 	}
 	cfg := CacheConfig{WayCycles: append([]int(nil), out.Config.WayCycles...), HRegionOff: -1}
@@ -96,7 +96,7 @@ func (l LineDisable) Apply(m CacheView, lim Limits) Outcome {
 	if passes(m, lim) {
 		return passOutcome(m)
 	}
-	if totalLeak(m) > lim.LeakageW {
+	if m.LeakageW > lim.LeakageW {
 		return lostOutcome(m)
 	}
 	totalPaths, disabled := 0, 0

@@ -110,9 +110,8 @@ func (r LossReason) String() string {
 }
 
 // NumLossReasons is the number of distinct loss rows (the length of
-// LossReasons). Fixed-size accumulator arrays — the streaming yield
-// estimator's per-reason tallies in particular — are dimensioned with
-// it so arming them costs no per-snapshot allocation.
+// LossReasons). Counts indexed by LossReason, LossNone included, are
+// [NumLossReasons + 1]int arrays, so no verdict pass allocates for them.
 const NumLossReasons = 5
 
 // LossReasons lists the loss rows in table order.

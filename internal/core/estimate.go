@@ -130,10 +130,11 @@ type YieldEstimate struct {
 // grow, so the latency and leakage sums are carried from one snapshot
 // to the next and continued in chip order: they cost O(chips since the
 // last snapshot) and stay bit-identical to a scan from chip 0; only the
-// classification pass is O(P), about 60 µs at P = 5.6k chips on a
-// 2-vCPU Xeon. Arming the estimator costs one allocation per build
-// (this struct, with the snapshot buffer and the look schedule
-// embedded) besides the frontier's batch marks.
+// classification, the tables' verdict pass (verdicts, tables.go) over
+// the prefix, is O(P), about 60 µs at P = 5.6k chips on a 2-vCPU Xeon.
+// Arming the estimator costs one allocation per build (this struct,
+// with the snapshot buffer and the look schedule embedded) besides the
+// frontier's batch marks.
 type estimator struct {
 	schedule
 	cfg  EstimateConfig
@@ -231,8 +232,9 @@ func (e *estimator) finish(n int) (int, *YieldEstimate) {
 // last snapshot's prefix to p and derives provisional
 // limits with exactly the arithmetic of stats.MeanStd + DeriveLimits
 // (naive sum / sum-of-squares in chip order), so the p == n snapshot
-// reproduces the table limits bit for bit; pass 2 classifies each chip
-// under those limits. It allocates nothing.
+// reproduces the table limits bit for bit; pass 2 is the tables' own
+// verdict pass over the prefix, with no schemes and no buffers, under
+// those limits. It allocates nothing.
 func (e *estimator) snapshot(p int) {
 	ps := &e.sums
 	for i := ps.n; i < p; i++ {
@@ -255,15 +257,8 @@ func (e *estimator) snapshot(p int) {
 		LeakageW: e.cfg.Constraints.LeakageMult * (ps.leakSum / n),
 	}
 
-	var pass stats.Tally
-	var lost [NumLossReasons]int64
-	for i := 0; i < p; i++ {
-		r := Classify(e.reg[i].Meas, lim)
-		pass.Add(r == LossNone)
-		if r != LossNone {
-			lost[int(r-LossLeakage)]++
-		}
-	}
+	chips := verdicts(e.reg[:p], lim, nil, nil, nil)
+	pass := stats.Tally{K: int64(chips[LossNone]), N: int64(p)}
 
 	b := &e.buf
 	b.Chips = p
@@ -280,9 +275,9 @@ func (e *estimator) snapshot(p int) {
 	b.StdErrLeakageW = ps.leakM.StdErr()
 	b.EarlyStop = false
 	for j := range b.Reasons {
-		t := stats.Tally{K: lost[j], N: int64(p)}
 		re := &b.Reasons[j]
 		re.Reason = LossLeakage + LossReason(j)
+		t := stats.Tally{K: int64(chips[re.Reason]), N: int64(p)}
 		re.Lost = t.K
 		re.Share = t.Rate()
 		ci := yieldInterval(t.K, t.N, b.Confidence)

@@ -92,6 +92,45 @@ func TestEstimateFinalMatchesTables(t *testing.T) {
 	}
 }
 
+// TestEstimateSnapshotsMatchTablesAtEveryLook pins every snapshot a
+// 2000-chip build publishes, not only the final one, to the tables
+// under each constraint set: the provisional limits equal DeriveLimits
+// over the prefix bit for bit, and the loss counts equal
+// BreakdownLosses' base column under those limits. One worker with an
+// unthrottled Sink looks at every look point, so the Sink sees one
+// snapshot per look point and the final one.
+func TestEstimateSnapshotsMatchTablesAtEveryLook(t *testing.T) {
+	const n = 2000
+	for _, c := range []Constraints{Nominal(), Relaxed(), Strict()} {
+		var snaps []YieldEstimate
+		cfg := armedConfig(n, 1, func(e *YieldEstimate) { snaps = append(snaps, *e) })
+		cfg.Estimate.Constraints = c
+		res, err := Build(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != n/lookStep+1 || snaps[len(snaps)-1].Chips != n {
+			t.Fatalf("%s: %d snapshots, want one per look point and a final one over all %d chips", c.Name, len(snaps), n)
+		}
+		for _, est := range snaps {
+			prefix := &Population{Chips: res.Regular.Chips[:est.Chips]}
+			lim := DeriveLimits(prefix, c)
+			if est.Limits != lim {
+				t.Errorf("%s, %d chips: limits %+v != DeriveLimits %+v", c.Name, est.Chips, est.Limits, lim)
+			}
+			bd := BreakdownLosses(prefix, lim)
+			if int(est.Lost) != bd.BaseTotal {
+				t.Errorf("%s, %d chips: lost %d != breakdown base total %d", c.Name, est.Chips, est.Lost, bd.BaseTotal)
+			}
+			for j, r := range LossReasons() {
+				if int(est.Reasons[j].Lost) != bd.Base[r] {
+					t.Errorf("%s, %d chips, %v: lost %d != breakdown %d", c.Name, est.Chips, r, est.Reasons[j].Lost, bd.Base[r])
+				}
+			}
+		}
+	}
+}
+
 // TestEstimateGoldenUnaffected checks the bit-identity acceptance
 // criterion: arming estimation (without a precision target) changes
 // nothing about the built populations or the tables derived from them.

@@ -420,12 +420,14 @@ type ScatterPoint struct {
 // the given limits.
 func (p *Population) Scatter(lim Limits) []ScatterPoint {
 	p.columns()
+	v := chipVerdicts{reasons: make([]LossReason, len(p.Chips))}
+	verdicts(p.Chips, lim, nil, nil, &v)
 	pts := make([]ScatterPoint, len(p.Chips))
 	for i, c := range p.Chips {
 		pts[i] = ScatterPoint{
 			LatencyPS:         c.Meas.LatencyPS,
 			NormalizedLeakage: p.leaks[i] / p.leakAvg,
-			Reason:            Classify(c.Meas, lim),
+			Reason:            v.reasons[i],
 		}
 	}
 	return pts

@@ -53,9 +53,7 @@ func YieldTrend(chips int, seed int64) ([]NodeYield, error) {
 			YAPDYield:   bd.Yield(0),
 			HybridYield: bd.Yield(1),
 			LeakageLoss: bd.Base[LossLeakage],
-		}
-		for _, r := range []LossReason{LossDelay1, LossDelay2, LossDelay3, LossDelay4} {
-			row.DelayLoss += bd.Base[r]
+			DelayLoss:   bd.BaseTotal - bd.Base[LossLeakage],
 		}
 		out = append(out, row)
 	}

@@ -93,8 +93,6 @@ type Scheme interface {
 
 // helper facts shared by the schemes
 
-func totalLeak(m sram.CacheMeasurement) float64 { return m.LeakageW }
-
 func wayCycles(m sram.CacheMeasurement, lim Limits) []int {
 	out := make([]int, len(m.Ways))
 	for i, w := range m.Ways {
@@ -177,7 +175,7 @@ func (YAPD) Apply(m sram.CacheMeasurement, lim Limits) Outcome {
 }
 
 func yapdValid(m sram.CacheMeasurement, lim Limits, off int) bool {
-	leak := totalLeak(m) - m.Ways[off].LeakageW
+	leak := m.LeakageW - m.Ways[off].LeakageW
 	if leak > lim.LeakageW {
 		return false
 	}
@@ -246,7 +244,7 @@ func (VACA) Apply(m sram.CacheMeasurement, lim Limits) Outcome {
 	if passes(m, lim) {
 		return passOutcome(m)
 	}
-	if totalLeak(m) > lim.LeakageW {
+	if m.LeakageW > lim.LeakageW {
 		return lostOutcome(m)
 	}
 	cfg := CacheConfig{WayCycles: wayCycles(m, lim), HRegionOff: -1}
@@ -281,7 +279,7 @@ func (h Hybrid) Apply(m sram.CacheMeasurement, lim Limits) Outcome {
 	}
 	// Keep everything on if the chip is valid as a pure VACA.
 	cycles := wayCycles(m, lim)
-	if totalLeak(m) <= lim.LeakageW && maxInt(cycles) <= MaxVACACycles {
+	if m.LeakageW <= lim.LeakageW && maxInt(cycles) <= MaxVACACycles {
 		return Outcome{
 			Saved:          true,
 			Config:         CacheConfig{WayCycles: cycles, HRegionOff: -1},
@@ -311,7 +309,7 @@ func (h Hybrid) Apply(m sram.CacheMeasurement, lim Limits) Outcome {
 		return wa.LeakageW > wb.LeakageW
 	})
 	for _, off := range order {
-		if totalLeak(m)-m.Ways[off].LeakageW > lim.LeakageW {
+		if m.LeakageW-m.Ways[off].LeakageW > lim.LeakageW {
 			continue
 		}
 		ok := true
@@ -378,7 +376,7 @@ func (n NaiveBinning) Apply(m sram.CacheMeasurement, lim Limits) Outcome {
 	if passes(m, lim) {
 		return passOutcome(m)
 	}
-	if totalLeak(m) > lim.LeakageW {
+	if m.LeakageW > lim.LeakageW {
 		return lostOutcome(m)
 	}
 	worst := maxInt(wayCycles(m, lim))

@@ -11,7 +11,7 @@ import (
 // each base-case loss category remain lost under the scheme.
 type SchemeLosses struct {
 	Scheme   string
-	ByReason map[LossReason]int
+	ByReason [NumLossReasons + 1]int // indexed by LossReason
 	Total    int
 }
 
@@ -19,10 +19,49 @@ type SchemeLosses struct {
 // Table 3 (horizontal power-down): the base-case loss counts by reason
 // and, for each scheme, the losses that remain.
 type LossBreakdown struct {
-	N         int // population size
-	Base      map[LossReason]int
+	N         int                     // population size
+	Base      [NumLossReasons + 1]int // chips by LossReason; Base[LossNone] pass
 	BaseTotal int
 	Schemes   []SchemeLosses
+}
+
+// chipVerdicts are the buffers of one verdict pass: each chip's
+// base-case loss reason and, per scheme, a bitset with bit c set when
+// the scheme saves failing chip c.
+type chipVerdicts struct {
+	reasons []LossReason
+	saved   [][]uint64
+}
+
+// verdicts is the one pass that decides every verdict the program
+// reports (Section 5.1): it classifies each chip under lim and asks each
+// scheme whether it saves the failing ones. It returns the chips by
+// loss reason, the passing ones under LossNone, and counts in lost[i],
+// one entry per scheme, the failing chips scheme i leaves lost. Given
+// buffers v it also records each chip's verdicts; without them it
+// allocates nothing.
+func verdicts(chips []Chip, lim Limits, schemes []Scheme, lost []SchemeLosses, v *chipVerdicts) (n [NumLossReasons + 1]int) {
+	for c := range chips {
+		m := chips[c].Meas
+		r := Classify(m, lim)
+		n[r]++
+		if v != nil {
+			v.reasons[c] = r
+		}
+		if r == LossNone {
+			continue
+		}
+		for i, s := range schemes {
+			switch {
+			case !s.Apply(m, lim).Saved:
+				lost[i].ByReason[r]++
+				lost[i].Total++
+			case v != nil:
+				v.saved[i][c/64] |= 1 << (c % 64)
+			}
+		}
+	}
+	return n
 }
 
 // BreakdownLosses classifies every chip of the population under the
@@ -30,30 +69,12 @@ type LossBreakdown struct {
 func BreakdownLosses(pop *Population, lim Limits, schemes ...Scheme) LossBreakdown {
 	sp := obs.StartSpan("breakdown_losses")
 	defer sp.End()
-	bd := LossBreakdown{
-		N:    len(pop.Chips),
-		Base: make(map[LossReason]int),
+	bd := LossBreakdown{N: len(pop.Chips), Schemes: make([]SchemeLosses, len(schemes))}
+	for i, s := range schemes {
+		bd.Schemes[i].Scheme = s.Name()
 	}
-	for _, s := range schemes {
-		bd.Schemes = append(bd.Schemes, SchemeLosses{
-			Scheme:   s.Name(),
-			ByReason: make(map[LossReason]int),
-		})
-	}
-	for _, chip := range pop.Chips {
-		reason := Classify(chip.Meas, lim)
-		if reason == LossNone {
-			continue
-		}
-		bd.Base[reason]++
-		bd.BaseTotal++
-		for i, s := range schemes {
-			if out := s.Apply(chip.Meas, lim); !out.Saved {
-				bd.Schemes[i].ByReason[reason]++
-				bd.Schemes[i].Total++
-			}
-		}
-	}
+	bd.Base = verdicts(pop.Chips, lim, schemes, bd.Schemes, nil)
+	bd.BaseTotal = bd.N - bd.Base[LossNone]
 	obs.C("core_chips_classified_total").Add(int64(bd.N))
 	obs.C("core_chips_lost_base_total").Add(int64(bd.BaseTotal))
 	for _, s := range bd.Schemes {
@@ -139,33 +160,21 @@ func SavedConfigurations(pop *Population, lim Limits, union Scheme) []SavedConfi
 		key  ConfigKey
 		leak bool
 	}
+	n := len(pop.Chips)
+	v := chipVerdicts{reasons: make([]LossReason, n), saved: [][]uint64{make([]uint64, (n+63)/64)}}
+	verdicts(pop.Chips, lim, []Scheme{union}, make([]SchemeLosses, 1), &v)
 	counts := make(map[rk]int)
-	for _, chip := range pop.Chips {
-		reason := Classify(chip.Meas, lim)
-		if reason == LossNone {
+	for c, r := range v.reasons {
+		if v.saved[0][c/64]&(1<<(c%64)) == 0 {
 			continue
 		}
-		out := union.Apply(chip.Meas, lim)
-		if !out.Saved {
-			continue
-		}
-		cycles := wayCycles(chip.Meas, lim)
 		var key ConfigKey
-		for _, cy := range cycles {
-			switch {
-			case cy <= BaseCycles:
-				key.N4++
-			case cy == BaseCycles+1:
-				key.N5++
-			default:
-				key.N6++
-			}
-		}
-		counts[rk{key, reason == LossLeakage}]++
+		key.N4, key.N5, key.N6 = CacheConfig{WayCycles: wayCycles(pop.Chips[c].Meas, lim)}.Counts()
+		counts[rk{key, r == LossLeakage}]++
 	}
 	rows := make([]SavedConfig, 0, len(counts))
-	for k, n := range counts {
-		rows = append(rows, SavedConfig{Key: k.key, Chips: n, LeakageLimited: k.leak})
+	for k, chips := range counts {
+		rows = append(rows, SavedConfig{Key: k.key, Chips: chips, LeakageLimited: k.leak})
 	}
 	sort.Slice(rows, func(a, b int) bool {
 		ra, rb := rows[a], rows[b]
@@ -200,11 +209,7 @@ func TotalsUnderConstraints(pop, ref *Population, cs []Constraints, schemes ...S
 	for _, c := range cs {
 		lim := DeriveLimits(ref, c)
 		bd := BreakdownLosses(pop, lim, schemes...)
-		row := ConstraintTotals{Constraint: c, Base: bd.BaseTotal}
-		for _, s := range bd.Schemes {
-			row.Schemes = append(row.Schemes, SchemeLosses{Scheme: s.Scheme, Total: s.Total})
-		}
-		out = append(out, row)
+		out = append(out, ConstraintTotals{Constraint: c, Base: bd.BaseTotal, Schemes: bd.Schemes})
 	}
 	return out
 }

@@ -34,19 +34,10 @@ func (m *Moments) StdErr() float64 {
 	return math.Sqrt(v / float64(m.N))
 }
 
-// Tally is a streaming Bernoulli accumulator: K successes out of N
-// trials. The zero value is an empty tally.
+// Tally is a Bernoulli count: K successes out of N trials.
 type Tally struct {
 	K int64 // successes
 	N int64 // trials
-}
-
-// Add folds one trial into the tally.
-func (t *Tally) Add(success bool) {
-	t.N++
-	if success {
-		t.K++
-	}
 }
 
 // Rate returns the success fraction K/N; 0 for an empty tally.

@@ -22,7 +22,6 @@ var testOnly = map[string]string{
 	"circuit.LadderFor":                 "TestLadderJustifiesLumpedFactor validates Wire.RCFactor against the RC ladder",
 	"circuit.RCLadder.Elmore":           "TestLadderJustifiesLumpedFactor validates Wire.RCFactor against the RC ladder",
 	"circuit.RCLadder.DistributedLimit": "TestLadderJustifiesLumpedFactor validates Wire.RCFactor against the RC ladder",
-	"core.CacheConfig.Counts":           "oracle: tests check the redundancy accounting against it",
 	"core.CacheConfig.EffectiveAssoc":   "oracle: tests check the way-disabling schemes against it",
 	"cpu.Cache.NumSets":                 "oracle: tests check the cache geometry against it",
 	"ssta.Correlation":                  "oracle: tests check the canonical forms' correlation against it",
