@@ -35,7 +35,7 @@
 //	       [-max-sweep-configs N] [-timeout D] [-max-timeout D] [-drain D]
 //	       [-job-history N] [-stream-interval D] [-event-buffer N]
 //	       [-flight-interval D] [-flight-samples N] [-log-format text|json]
-//	       [-store none|mem|file] [-data-dir DIR] [-checkpoint-interval D]
+//	       [-store none|file] [-data-dir DIR] [-checkpoint-interval D]
 //
 // On SIGINT/SIGTERM the server stops admitting builds, ends live event
 // streams, drains in-flight jobs for up to the -drain budget, then
@@ -75,7 +75,7 @@ func main() {
 	flightInterval := flag.Duration("flight-interval", time.Second, "runtime flight-recorder sampling period (negative disables)")
 	flightSamples := flag.Int("flight-samples", 512, "flight-recorder ring capacity served at /v1/runtime/history")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
-	storeKind := flag.String("store", "none", "durable job/result store: none, mem (process-lifetime, for testing) or file (WAL under -data-dir)")
+	storeKind := flag.String("store", "none", "durable job/result store: none or file (WAL under -data-dir)")
 	dataDir := flag.String("data-dir", "yieldd-data", "directory for the file store's write-ahead log and snapshots")
 	checkpointInterval := flag.Duration("checkpoint-interval", 2*time.Second, "interval between build checkpoints when a store is attached (negative disables checkpointing)")
 	flag.Parse()
@@ -101,8 +101,6 @@ func main() {
 	var st store.Store
 	switch *storeKind {
 	case "none":
-	case "mem":
-		st = store.NewMem()
 	case "file":
 		fs, err := store.OpenFile(*dataDir)
 		if err != nil {
@@ -112,7 +110,7 @@ func main() {
 		st = fs
 		logger.Info("file store open", "data_dir", *dataDir)
 	default:
-		fmt.Fprintf(os.Stderr, "yieldd: unknown -store %q (want none, mem or file)\n", *storeKind)
+		fmt.Fprintf(os.Stderr, "yieldd: unknown -store %q (want none or file)\n", *storeKind)
 		os.Exit(2)
 	}
 	if st != nil {

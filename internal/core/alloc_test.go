@@ -68,6 +68,14 @@ func TestPairBuildAllocBudget(t *testing.T) {
 // no pooled kernel scratch (another P's private slot cannot be stolen)
 // now and then allocates a fresh one, which is per-worker noise, not a
 // per-batch cost.
+//
+// Even on one P the pool misses now and then under CPU load: about 1
+// run in 200 beside other packages' tests drew one fresh kernel scratch
+// (about 26 allocations) in a window, and read 36 allocations per call
+// at N=640 against 33 at N=64. A missed Get leaves its scratch pooled
+// afterwards, so such noise lands in one window only, and each N
+// reports the least of three; one allocation per batch would add 72
+// per call to every window at N=640.
 func TestDeltaPairAllocsConstantInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
@@ -83,7 +91,11 @@ func TestDeltaPairAllocsConstantInN(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.BuildPairCtx(ctx, tech) // warm the kernel buffer pool
-		return testing.AllocsPerRun(10, func() { d.BuildPairCtx(ctx, tech) })
+		least := math.Inf(1)
+		for w := 0; w < 3; w++ {
+			least = min(least, testing.AllocsPerRun(10, func() { d.BuildPairCtx(ctx, tech) }))
+		}
+		return least
 	}
 	if small, large := allocs(64), allocs(640); small != large {
 		t.Errorf("warm BuildPairCtx allocates %.1f times at N=64 but %.1f at N=640: a batch allocates", small, large)
@@ -94,8 +106,10 @@ func TestDeltaPairAllocsConstantInN(t *testing.T) {
 // build allocates per build and per worker, never per batch: the
 // retained draws and leakage aggregates are carved from a few flat
 // slabs, so NewDeltaBuilderCtx allocates as often at N=640 (80 batches)
-// as at N=64 (8 batches). One P and GC off, as in
-// TestDeltaPairAllocsConstantInN.
+// as at N=64 (8 batches). One P, GC off and the least of three windows,
+// as in TestDeltaPairAllocsConstantInN: beside other packages' tests,
+// 46 of 300 runs drew one fresh kernel scratch in a single window and
+// read 41 allocations per call at N=640 against 35 at N=64.
 func TestDeltaBaseAllocsConstantInN(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
@@ -105,11 +119,15 @@ func TestDeltaBaseAllocsConstantInN(t *testing.T) {
 	ctx := context.Background()
 	allocs := func(n int) float64 {
 		cfg := PopulationConfig{N: n, Seed: 1, Workers: 2}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := NewDeltaBuilderCtx(ctx, cfg); err != nil {
-				t.Fatal(err)
-			}
-		})
+		least := math.Inf(1)
+		for w := 0; w < 3; w++ {
+			least = min(least, testing.AllocsPerRun(5, func() {
+				if _, err := NewDeltaBuilderCtx(ctx, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		return least
 	}
 	if small, large := allocs(64), allocs(640); small != large {
 		t.Errorf("NewDeltaBuilderCtx allocates %.1f times at N=64 but %.1f at N=640: a batch allocates", small, large)

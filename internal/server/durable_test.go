@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -77,10 +80,85 @@ func waitSettled(t *testing.T, srv *Server) {
 	}
 }
 
+// openStore opens a File store over dir, closed when the test ends.
+func openStore(t *testing.T, dir string) *store.File {
+	t.Helper()
+	st, err := store.OpenFile(dir)
+	if err != nil {
+		t.Fatalf("OpenFile(%s): %v", dir, err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// copyDataDir copies a File store's data directory (wal.log, results/,
+// checkpoints/) into the empty directory dst. Taken while no write is
+// in flight, the copy is what kill -9 would leave on disk.
+func copyDataDir(src, dst string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		to := filepath.Join(dst, strings.TrimPrefix(path, src))
+		if d.IsDir() {
+			return os.MkdirAll(to, 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(to, data, 0o644)
+	})
+}
+
+// recovered returns what a yieldd restarted over dir would recover: a
+// copy of dir, opened and replayed, so dir's own store may stay open.
+func recovered(t *testing.T, dir string) *store.Recovered {
+	t.Helper()
+	cp := t.TempDir()
+	if err := copyDataDir(dir, cp); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := openStore(t, cp).Recover()
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	return rec
+}
+
+// crashStore is a File store that copies its data directory into crash
+// at the first checkpoint strictly inside a job of n units, right after
+// the put lands. The job's one checkpoint writer is inside that call
+// and every earlier write of the job has returned, so the copy holds
+// every fsynced frame and no write in flight: the kill -9 instant.
+type crashStore struct {
+	store.Store
+	dir, crash string
+	n          int
+
+	once   sync.Once
+	copied bool
+	err    error
+}
+
+func newCrashStore(t *testing.T, n int) *crashStore {
+	dir := t.TempDir()
+	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir(), n: n}
+}
+
+func (c *crashStore) PutCheckpoint(jobID string, done int, data []byte) error {
+	err := c.Store.PutCheckpoint(jobID, done, data)
+	if err == nil && done > 0 && done < c.n {
+		c.once.Do(func() { c.copied, c.err = true, copyDataDir(c.dir, c.crash) })
+	}
+	return err
+}
+
 // A restarted server must answer a repeated study from the recovered
 // result cache and still list the producing job under its original id.
 func TestRestartRecoversCacheAndHistory(t *testing.T) {
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	srv1 := New(Config{Workers: 2, Store: st})
 	ts1 := httptest.NewServer(srv1.Handler())
 
@@ -92,9 +170,10 @@ func TestRestartRecoversCacheAndHistory(t *testing.T) {
 	jobID := resp.Header.Get("X-Job-Id")
 	drain(t, srv1)
 	ts1.Close()
+	st.Close()
 
-	// "Restart": a fresh server over the same store.
-	srv2 := New(Config{Workers: 2, Store: st})
+	// Restart: a fresh server over the reopened directory.
+	srv2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
@@ -139,15 +218,19 @@ func TestRestartRecoversCacheAndHistory(t *testing.T) {
 func TestReopenCountsRecoveryAndResume(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	st := store.NewMem()
-	srv1 := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	dir := t.TempDir()
+	srv1 := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
 	ts1 := httptest.NewServer(srv1.Handler())
 	defer ts1.Close()
 	defer drain(t, srv1)
 	defer close(occupyWorker(t, srv1, ts1.URL))
 
 	// The store now holds the blocked job as running: reopen a copy.
-	srv2 := New(Config{Workers: 1, Store: st.Clone(), FlightInterval: -1})
+	crash := t.TempDir()
+	if err := copyDataDir(dir, crash); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := New(Config{Workers: 1, Store: openStore(t, crash), FlightInterval: -1})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
@@ -180,49 +263,25 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	drain(t, ref)
 	tsRef.Close()
 
-	st := store.NewMem()
+	// Run the build on a store that copies its directory at the first
+	// mid-build checkpoint; the copy is the disk a kill -9 leaves.
+	st := newCrashStore(t, 600)
 	srv1 := New(Config{Workers: 2, Store: st, CheckpointInterval: time.Millisecond})
 	ts1 := httptest.NewServer(srv1.Handler())
-
-	// Start the build and snapshot "the disk" once a checkpoint lands.
-	// Fire-and-forget: the "crashed" server's response is irrelevant.
-	go func() {
-		req, err := http.NewRequest(http.MethodPost, ts1.URL+"/v1/study", strings.NewReader(body))
-		if err != nil {
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("Idempotency-Key", "retry-after-crash")
-		if resp, err := http.DefaultClient.Do(req); err == nil {
-			resp.Body.Close()
-		}
-	}()
-	var crash *store.Mem
-	var jobID string
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		rec, err := st.Recover()
-		if err != nil {
-			t.Errorf("Recover: %v", err)
-			return
-		}
-		if len(rec.Jobs) > 0 {
-			jobID = rec.Jobs[0].ID
-			if _, chips, err := st.Checkpoint(jobID); err == nil && chips > 0 && chips < 600 {
-				crash = st.Clone() // the kill -9 instant
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Abandon srv1 without draining — its goroutines write to st, not
-	// to the clone, so the clone stays frozen at the crash instant.
+	resp, _, _ := postStudyIdem(t, ts1.URL, body, "retry-after-crash")
+	jobID := resp.Header.Get("X-Job-Id")
+	drain(t, srv1)
 	ts1.Close()
-	if crash == nil {
+	if st.err != nil {
+		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
+	}
+	if !st.copied {
+		// At 4 Ps the build can pass its last look point before the
+		// first interval ends, leaving only the final checkpoint.
 		t.Skip("build finished before a mid-flight checkpoint landed; nothing to crash")
 	}
 
-	srv2 := New(Config{Workers: 2, Store: crash, CheckpointInterval: time.Millisecond})
+	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash), CheckpointInterval: time.Millisecond})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
@@ -306,7 +365,7 @@ func assertSameTables(t *testing.T, got, want StudyResponse) {
 func TestIdempotencyKeyContract(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 2, Store: store.NewMem(), CacheEntries: 1})
+	srv := New(Config{Workers: 2, Store: openStore(t, t.TempDir()), CacheEntries: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer drain(t, srv)
@@ -371,7 +430,7 @@ func TestIdempotencyKeyContract(t *testing.T) {
 
 // Storage failures must degrade durability, never fail requests.
 func TestStoreErrorsDoNotFailRequests(t *testing.T) {
-	st := store.NewMem()
+	st := openStore(t, t.TempDir())
 	if err := st.Close(); err != nil { // every write now errors
 		t.Fatal(err)
 	}
@@ -389,10 +448,10 @@ func TestStoreErrorsDoNotFailRequests(t *testing.T) {
 	}
 }
 
-// ckptStore is a Mem store whose PutCheckpoint takes delay and records
+// ckptStore is a store whose PutCheckpoint takes delay and records
 // when each call started, and whose DeleteCheckpoint records the job.
 type ckptStore struct {
-	*store.Mem
+	store.Store
 	delay time.Duration
 
 	mu      sync.Mutex
@@ -400,8 +459,8 @@ type ckptStore struct {
 	deletes []string
 }
 
-func newCkptStore(delay time.Duration) *ckptStore {
-	return &ckptStore{Mem: store.NewMem(), delay: delay, puts: make(map[string][]time.Time)}
+func newCkptStore(st store.Store, delay time.Duration) *ckptStore {
+	return &ckptStore{Store: st, delay: delay, puts: make(map[string][]time.Time)}
 }
 
 func (c *ckptStore) PutCheckpoint(jobID string, done int, data []byte) error {
@@ -409,14 +468,14 @@ func (c *ckptStore) PutCheckpoint(jobID string, done int, data []byte) error {
 	c.puts[jobID] = append(c.puts[jobID], time.Now())
 	c.mu.Unlock()
 	time.Sleep(c.delay)
-	return c.Mem.PutCheckpoint(jobID, done, data)
+	return c.Store.PutCheckpoint(jobID, done, data)
 }
 
 func (c *ckptStore) DeleteCheckpoint(jobID string) error {
 	c.mu.Lock()
 	c.deletes = append(c.deletes, jobID)
 	c.mu.Unlock()
-	return c.Mem.DeleteCheckpoint(jobID)
+	return c.Store.DeleteCheckpoint(jobID)
 }
 
 // Checkpoint writes of both kinds self-clock against the store: on a
@@ -425,7 +484,7 @@ func (c *ckptStore) DeleteCheckpoint(jobID string) error {
 // start at least 2·d apart even with a 1 ms CheckpointInterval.
 func TestCheckpointWritesSelfClock(t *testing.T) {
 	const d = 10 * time.Millisecond
-	st := newCkptStore(d)
+	st := newCkptStore(openStore(t, t.TempDir()), d)
 	srv := New(Config{Workers: 1, Store: st, CheckpointInterval: time.Millisecond, FlightInterval: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -463,20 +522,23 @@ func TestCheckpointWritesSelfClock(t *testing.T) {
 // 2 s interval) costs no delete; a resumed job whose stored checkpoint
 // is unreadable still has it deleted.
 func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
-	st := newCkptStore(0)
 	p, err := New(Config{FlightInterval: -1}).parseRequest(&StudyRequest{Chips: 30, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := p.record()
 	rec.ID, rec.Seq, rec.Key, rec.State = "j000001", 1, p.key(), jobRunning
-	if err := st.PutJob(rec); err != nil {
+	dir := t.TempDir()
+	seed := openStore(t, dir)
+	if err := seed.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCheckpoint(rec.ID, 8, []byte("not a checkpoint")); err != nil {
+	if err := seed.PutCheckpoint(rec.ID, 8, []byte("not a checkpoint")); err != nil {
 		t.Fatal(err)
 	}
+	seed.Close()
 
+	st := newCkptStore(openStore(t, dir), 0)
 	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -505,13 +567,15 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 // An interrupted sweep whose persisted spec no longer decodes is still
 // listed as a sweep under its id and seed, and fails when it runs.
 func TestResumedSweepWithUnreadableSpecFails(t *testing.T) {
-	st := store.NewMem()
+	dir := t.TempDir()
+	seed := openStore(t, dir)
 	rec := store.JobRecord{ID: "j000001", Seq: 1, Key: sweepKeyPrefix + "0", State: jobRunning,
 		Seed: 2006, Chips: 40, ConsName: "sweep", Kind: jobKindSweep, Spec: []byte(`{"spec":`)}
-	if err := st.PutJob(rec); err != nil {
+	if err := seed.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	seed.Close()
+	srv := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	drain(t, srv)

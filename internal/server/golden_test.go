@@ -66,17 +66,18 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// A study and a sweep, each with an Idempotency-Key, over a Mem store:
+// A study and a sweep, each with an Idempotency-Key, over a File store:
 // the response bodies, their job ids, the replayed hit bodies and every
-// record the store recovers must stay byte for byte what the golden
-// files hold. Regenerate only for an intended wire or store change.
+// record a restart over the data directory recovers must stay byte for
+// byte what the golden files hold. Regenerate only for an intended wire
+// or store change.
 func TestWireAndStoreBytesGolden(t *testing.T) {
 	const (
 		studyBody = `{"chips": 40, "seed": 2006, "include_scatter": true}`
 		sweepBody = `{"chips": 40, "seed": 2006, "axes": [{"param": "vdd", "values": [1.1, 1.05]}], "economics": {"wafer_cost": 5000}}`
 	)
-	st := store.NewMem()
-	srv := New(Config{Workers: 2, Store: st})
+	dir := t.TempDir()
+	srv := New(Config{Workers: 2, Store: openStore(t, dir)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -108,10 +109,7 @@ func TestWireAndStoreBytesGolden(t *testing.T) {
 	if err := srv.Drain(context.Background()); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
-	rec, err := st.Recover()
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	rec := recovered(t, dir)
 	g := goldenStore{
 		StudyJobID: studyResp.Header.Get("X-Job-Id"),
 		SweepJobID: sweepResp.Header.Get("X-Job-Id"),

@@ -6,7 +6,6 @@ import (
 	"math"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -390,51 +389,12 @@ func (s *Server) jobDetail(j *job) JobDetail {
 	return d
 }
 
-// phaseLabelSet caps the distinct phase label values fed into the
-// server_build_phase_seconds histogram family, so a pathological span
-// namer cannot blow up the /metrics cardinality: the first capLimit
-// distinct names keep their own series, the rest fold into "other".
-type phaseLabelSet struct {
-	mu       sync.Mutex
-	seen     map[string]bool
-	capLimit int
-}
-
-func newPhaseLabelSet(capLimit int) *phaseLabelSet {
-	return &phaseLabelSet{seen: make(map[string]bool), capLimit: capLimit}
-}
-
-func (ps *phaseLabelSet) label(name string) string {
-	clean := sanitizePhase(name)
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.seen[clean] {
-		return clean
-	}
-	if len(ps.seen) >= ps.capLimit {
-		return "other"
-	}
-	ps.seen[clean] = true
-	return clean
-}
-
-// sanitizePhase restricts a span name to characters safe inside a
-// Prometheus label value embedded in a registry key.
-func sanitizePhase(name string) string {
-	return strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '_', r == '/', r == '.', r == '-':
-			return r
-		default:
-			return '_'
-		}
-	}, name)
-}
-
 // observePhases folds a finished job's span durations into the global
-// per-phase build-duration histograms on /metrics. The queue_wait span
-// is skipped — it has its own server_queue_wait_seconds histogram.
+// per-phase build-duration histograms on /metrics, labelled by span
+// name. Every span a job scope carries has a constant name, so the
+// label set is fixed (TestBuildPhaseHistogramsInMetrics lists it). The
+// queue_wait span is skipped — it has its own server_queue_wait_seconds
+// histogram.
 func (s *Server) observePhases(sc *obs.Scope) {
 	if sc == nil || sc.Tracer == nil {
 		return
@@ -443,7 +403,7 @@ func (s *Server) observePhases(sc *obs.Scope) {
 		if sp.Open || sp.Name == "queue_wait" {
 			continue
 		}
-		obs.H(`server_build_phase_seconds{phase="`+s.phases.label(sp.Name)+`"}`,
+		obs.H(`server_build_phase_seconds{phase="`+sp.Name+`"}`,
 			obs.ExpBuckets(1e-4, 4, 10)).Observe((sp.End - sp.Start).Seconds())
 	}
 }

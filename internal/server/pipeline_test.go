@@ -13,7 +13,6 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
-	"yieldcache/internal/store"
 )
 
 // waitCounter polls a registry counter until it reaches want.
@@ -49,8 +48,8 @@ func occupyWorker(t *testing.T, srv *Server, url string) chan struct{} {
 // so the keys must expire with it — in memory and in the store — rather
 // than pile up until the next restart.
 func TestFailedBuildExpiresIdempotencyKeys(t *testing.T) {
-	st := store.NewMem()
-	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	dir := t.TempDir()
+	srv := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
 	defer srv.Close()
 	srv.build = func(context.Context, yieldcache.StudyConfig) (*yieldcache.Study, error) {
 		return nil, errors.New("injected build failure")
@@ -64,14 +63,14 @@ func TestFailedBuildExpiresIdempotencyKeys(t *testing.T) {
 			t.Fatalf("build %d: status %d (%v), want 500", i, resp.StatusCode, fail)
 		}
 	}
-	checkNoIdem(t, srv, st, "after 5 failed builds")
+	checkNoIdem(t, srv, dir, "after 5 failed builds")
 }
 
 // With the cache off a successful build keeps nothing either, so its
 // Idempotency-Keys expire with it the same way.
 func TestUncachedBuildExpiresIdempotencyKeys(t *testing.T) {
-	st := store.NewMem()
-	srv := New(Config{Workers: 1, Store: st, CacheEntries: -1, FlightInterval: -1})
+	dir := t.TempDir()
+	srv := New(Config{Workers: 1, Store: openStore(t, dir), CacheEntries: -1, FlightInterval: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -82,12 +81,12 @@ func TestUncachedBuildExpiresIdempotencyKeys(t *testing.T) {
 			t.Fatalf("build %d: status %d cached %v (%v), want 200 uncached", i, resp.StatusCode, res.Cached, fail)
 		}
 	}
-	checkNoIdem(t, srv, st, "after 5 uncached builds")
+	checkNoIdem(t, srv, dir, "after 5 uncached builds")
 }
 
 // checkNoIdem fails unless srv holds no idempotency record in memory
-// and st none in the store.
-func checkNoIdem(t *testing.T, srv *Server, st *store.Mem, when string) {
+// and a restart over its data directory dir would recover none.
+func checkNoIdem(t *testing.T, srv *Server, dir, when string) {
 	t.Helper()
 	srv.mu.Lock()
 	idem, byKey := len(srv.idem), len(srv.idemByKey)
@@ -95,11 +94,7 @@ func checkNoIdem(t *testing.T, srv *Server, st *store.Mem, when string) {
 	if idem != 0 || byKey != 0 {
 		t.Errorf("%s: %d idempotency records, %d key bindings in memory, want 0", when, idem, byKey)
 	}
-	rec, err := st.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Idem) != 0 {
+	if rec := recovered(t, dir); len(rec.Idem) != 0 {
 		t.Errorf("%s: %d idempotency records in the store, want 0", when, len(rec.Idem))
 	}
 }
@@ -107,7 +102,8 @@ func checkNoIdem(t *testing.T, srv *Server, st *store.Mem, when string) {
 // A finished sweep counts progress in configs, and must still do so
 // when a restarted server restores it from the store.
 func TestFinishedSweepProgressSurvivesRestart(t *testing.T) {
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	srv1 := New(Config{Workers: 2, Store: st, FlightInterval: -1})
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, _, fail := postSweep(t, ts1.URL, `{"chips": 60, "axes": [{"param": "vdd", "values": [1.1, 1.05]}]}`, "")
@@ -129,8 +125,9 @@ func TestFinishedSweepProgressSurvivesRestart(t *testing.T) {
 	check(ts1.URL, "before restart")
 	drain(t, srv1)
 	ts1.Close()
+	st.Close()
 
-	srv2 := New(Config{Workers: 2, Store: st, FlightInterval: -1})
+	srv2 := New(Config{Workers: 2, Store: openStore(t, dir), FlightInterval: -1})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()

@@ -214,8 +214,7 @@ type Server struct {
 	idem      map[string]store.IdemRecord // Idempotency-Key -> record
 	idemByKey map[string][]string         // study key -> idempotency keys bound to it
 
-	jobsReg *jobRegistry   // per-job telemetry behind /v1/jobs
-	phases  *phaseLabelSet // cardinality cap for build-phase histograms
+	jobsReg *jobRegistry // per-job telemetry behind /v1/jobs
 
 	bus    *obs.EventBus       // live telemetry fan-out behind the SSE endpoints
 	flight *obs.FlightRecorder // runtime sampler behind /v1/runtime/history; nil when disabled
@@ -234,10 +233,6 @@ type Server struct {
 	lastChips    atomic.Int64  // summed chip progress at the previous flight sample
 	lastFlightNS atomic.Int64  // UnixNano of the previous flight sample
 }
-
-// maxPhaseLabels bounds the distinct phase label values of the
-// server_build_phase_seconds histogram family.
-const maxPhaseLabels = 24
 
 // New returns a Server over the real yieldcache facade.
 func New(cfg Config) *Server {
@@ -260,7 +255,6 @@ func New(cfg Config) *Server {
 		idem:         make(map[string]store.IdemRecord),
 		idemByKey:    make(map[string][]string),
 		jobsReg:      newJobRegistry(cfg.JobHistory, bus, cfg.StreamInterval),
-		phases:       newPhaseLabelSet(maxPhaseLabels),
 		bus:          bus,
 		streamCtx:    streamCtx,
 		streamCancel: streamCancel,

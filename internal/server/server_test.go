@@ -14,7 +14,6 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
-	"yieldcache/internal/store"
 )
 
 func postStudy(t *testing.T, url string, body string) (*http.Response, StudyResponse, ErrorResponse) {
@@ -425,7 +424,8 @@ func TestCacheEviction(t *testing.T) {
 func TestCacheEvictionCountsPerKind(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	st := store.NewMem()
+	dir := t.TempDir()
+	st := openStore(t, dir)
 	sweep := func(url string, vdd float64) {
 		t.Helper()
 		body := fmt.Sprintf(`{"chips": 20, "axes": [{"param": "vdd", "values": [%g]}]}`, vdd)
@@ -456,8 +456,9 @@ func TestCacheEvictionCountsPerKind(t *testing.T) {
 	want(1, 0)
 	drain(t, srv1)
 	ts1.Close()
+	st.Close()
 
-	srv2 := New(Config{Workers: 1, CacheEntries: 1, Store: st, FlightInterval: -1})
+	srv2 := New(Config{Workers: 1, CacheEntries: 1, Store: openStore(t, dir), FlightInterval: -1})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()

@@ -16,7 +16,6 @@ import (
 
 	"yieldcache"
 	"yieldcache/internal/obs"
-	"yieldcache/internal/store"
 )
 
 // sseEvent is one parsed SSE frame.
@@ -358,7 +357,7 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 		},
 		{
 			typ: obs.EventJobCheckpoint,
-			cfg: Config{Workers: 1, Store: store.NewMem(), CheckpointInterval: time.Millisecond},
+			cfg: Config{Workers: 1, Store: openStore(t, t.TempDir()), CheckpointInterval: time.Millisecond},
 			drive: func(t *testing.T, srv *Server, url string) string {
 				srv.build = checkpointing
 				return post(t, url, `{"chips": 20, "seed": 1}`, http.StatusOK)

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"yieldcache/internal/obs"
-	"yieldcache/internal/store"
 )
 
 func postSweep(t *testing.T, url, body, idemKey string) (*http.Response, SweepResponse, ErrorResponse) {
@@ -223,39 +222,21 @@ func TestCrashedSweepResumesBitIdentical(t *testing.T) {
 		t.Fatalf("reference sweep resolved to %d configs, want 4", want.Configs)
 	}
 
-	st := store.NewMem()
+	st := newCrashStore(t, 4)
 	srv1 := New(Config{Workers: 2, Store: st, CheckpointInterval: time.Millisecond})
 	ts1 := httptest.NewServer(srv1.Handler())
-	go func() {
-		resp, err := http.Post(ts1.URL+"/v1/sweep", "application/json", strings.NewReader(body))
-		if err == nil {
-			resp.Body.Close()
-		}
-	}()
-	var crash *store.Mem
-	var jobID string
-	deadline := time.Now().Add(20 * time.Second)
-	for time.Now().Before(deadline) {
-		rec, err := st.Recover()
-		if err != nil {
-			t.Fatalf("Recover: %v", err)
-		}
-		if len(rec.Jobs) > 0 {
-			jobID = rec.Jobs[0].ID
-			if _, configs, err := st.Checkpoint(jobID); err == nil && configs > 0 && configs < 4 {
-				crash = st.Clone() // the kill -9 instant
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Abandon srv1 without draining so the clone stays frozen.
+	resp, _, _ := postSweep(t, ts1.URL, body, "")
+	jobID := resp.Header.Get("X-Job-Id")
+	drain(t, srv1)
 	ts1.Close()
-	if crash == nil {
+	if st.err != nil {
+		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
+	}
+	if !st.copied {
 		t.Skip("sweep finished before a mid-flight checkpoint landed; nothing to crash")
 	}
 
-	srv2 := New(Config{Workers: 2, Store: crash, CheckpointInterval: time.Millisecond})
+	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash), CheckpointInterval: time.Millisecond})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
@@ -352,17 +333,19 @@ func TestSweepResumesCheckpointWithoutIntervals(t *testing.T) {
 		t.Fatalf("checkpoint keeps intervals beyond config 1: %s", ckpt)
 	}
 
-	st := store.NewMem()
+	dir := t.TempDir()
+	seed := openStore(t, dir)
 	rec := sp.record()
 	rec.ID, rec.Seq, rec.Key, rec.Kind, rec.State = "j000001", 1, sp.key, jobKindSweep, jobRunning
-	if err := st.PutJob(rec); err != nil {
+	if err := seed.PutJob(rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.PutCheckpoint(rec.ID, 3, ckpt); err != nil {
+	if err := seed.PutCheckpoint(rec.ID, 3, ckpt); err != nil {
 		t.Fatal(err)
 	}
+	seed.Close()
 
-	srv := New(Config{Workers: 1, Store: st})
+	srv := New(Config{Workers: 1, Store: openStore(t, dir)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer drain(t, srv)

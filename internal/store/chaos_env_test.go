@@ -35,7 +35,8 @@ func TestChaosFromEnv(t *testing.T) {
 }
 
 func TestWithChaosDisabledUnwraps(t *testing.T) {
-	m := NewMem()
+	m := mustOpen(t, t.TempDir())
+	defer m.Close()
 	if s := WithChaos(m, ChaosConfig{}); s != Store(m) {
 		t.Error("disabled chaos config did not return the inner store unwrapped")
 	}

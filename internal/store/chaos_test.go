@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"yieldcache/internal/obs"
 )
 
 // The chaos build tag gates the heavy fault-injection runs: hundreds of
@@ -21,7 +23,10 @@ import (
 // Error injection must surface as transient storage errors that the Do
 // retry helper eventually rides out, and never corrupt the inner state.
 func TestChaosErrorInjectionIsTransient(t *testing.T) {
-	s := WithChaos(NewMem(), ChaosConfig{ErrRate: 0.5, Seed: 42})
+	reg := obs.Enable()
+	defer obs.Disable()
+	dir := t.TempDir()
+	s := WithChaos(mustOpen(t, dir), ChaosConfig{ErrRate: 0.5, Seed: 42})
 	injected, succeeded := 0, 0
 	for i := 0; i < 500; i++ {
 		err := s.PutJob(JobRecord{ID: fmt.Sprintf("j%06d", i), Seq: int64(i)})
@@ -36,6 +41,9 @@ func TestChaosErrorInjectionIsTransient(t *testing.T) {
 	}
 	if injected == 0 || succeeded == 0 {
 		t.Fatalf("injection skewed: %d errors, %d successes", injected, succeeded)
+	}
+	if got := reg.Counter(`store_chaos_injected_total{kind="err"}`).Value(); got != int64(injected) {
+		t.Errorf(`store_chaos_injected_total{kind="err"} = %d, want the %d injected errors`, got, injected)
 	}
 
 	// Do retries transient faults but is bounded (3 attempts): at a 50%
@@ -54,7 +62,10 @@ func TestChaosErrorInjectionIsTransient(t *testing.T) {
 			t.Fatalf("write %s never landed through chaos", key)
 		}
 	}
-	rec, err := s.Recover()
+	s.Close()
+	f := mustOpen(t, dir)
+	defer f.Close()
+	rec, err := f.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +76,8 @@ func TestChaosErrorInjectionIsTransient(t *testing.T) {
 
 // Latency injection must delay, not fail.
 func TestChaosLatency(t *testing.T) {
-	s := WithChaos(NewMem(), ChaosConfig{Latency: 2 * time.Millisecond, Seed: 1})
+	s := WithChaos(mustOpen(t, t.TempDir()), ChaosConfig{Latency: 2 * time.Millisecond, Seed: 1})
+	defer s.Close()
 	start := time.Now()
 	const n = 20
 	for i := 0; i < n; i++ {
@@ -83,6 +95,8 @@ func TestChaosLatency(t *testing.T) {
 // a consistent prefix of the acknowledged writes — acknowledged records
 // survive, unacknowledged ones vanish cleanly, nothing is corrupt.
 func TestChaosTornWriteCrashRecoveryLoop(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
 	dir := t.TempDir()
 	acked := make(map[string]bool)
 	tears := 0
@@ -120,6 +134,9 @@ func TestChaosTornWriteCrashRecoveryLoop(t *testing.T) {
 	}
 	if tears == 0 {
 		t.Error("torn-write injection never fired in 30 rounds")
+	}
+	if got := reg.Counter(`store_chaos_injected_total{kind="torn"}`).Value(); got != int64(tears) {
+		t.Errorf(`store_chaos_injected_total{kind="torn"} = %d, want the %d tears`, got, tears)
 	}
 }
 

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -299,6 +300,21 @@ func (f *File) compact() error {
 	return nil
 }
 
+// errClosed is the cause wrapped by every operation on a closed store.
+var errClosed = errors.New("store is closed")
+
+// refuseLocked returns the error a closed or wedged store answers every
+// write with, or nil. Caller holds f.mu.
+func (f *File) refuseLocked(op string) error {
+	if f.closed {
+		return &Error{Op: op, Err: errClosed}
+	}
+	if f.wedged != nil {
+		return &Error{Op: op, Err: fmt.Errorf("store wedged: %w", f.wedged)}
+	}
+	return nil
+}
+
 // encodeFrame frames one record: [len][crc][payload].
 func encodeFrame(rec walRecord) ([]byte, error) {
 	payload, err := json.Marshal(rec)
@@ -322,11 +338,8 @@ func (f *File) append(op string, rec walRecord) error {
 }
 
 func (f *File) appendLocked(op string, rec walRecord) error {
-	if f.closed {
-		return &Error{Op: op, Err: errClosed}
-	}
-	if f.wedged != nil {
-		return &Error{Op: op, Err: fmt.Errorf("store wedged: %w", f.wedged)}
+	if err := f.refuseLocked(op); err != nil {
+		return err
 	}
 	frame, err := encodeFrame(rec)
 	if err != nil {
@@ -421,10 +434,24 @@ func (f *File) PutJob(rec JobRecord) error {
 // makes it live — a crash between the two leaves only an orphan file,
 // which the next Open sweeps.
 func (f *File) PutResult(key string, body []byte) error {
-	if err := f.writeSnapshot("put_result", f.resultPath(key), body); err != nil {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.putSnapshotLocked("put_result", f.resultPath(key), body, walRecord{T: "res", Key: key})
+}
+
+// putSnapshotLocked writes a snapshot file and then appends the WAL
+// record that makes it live. A closed or wedged store writes neither,
+// so it never leaves a snapshot its WAL does not vouch for. Caller
+// holds f.mu across both writes, so Close cannot land between the
+// check and the snapshot.
+func (f *File) putSnapshotLocked(op, path string, body []byte, rec walRecord) error {
+	if err := f.refuseLocked(op); err != nil {
 		return err
 	}
-	return f.append("put_result", walRecord{T: "res", Key: key})
+	if err := f.writeSnapshot(op, path, body); err != nil {
+		return err
+	}
+	return f.appendLocked(op, rec)
 }
 
 // DeleteResult logs the deletion and removes the snapshot.
@@ -449,12 +476,10 @@ func (f *File) DeleteIdem(key string) error {
 // PutCheckpoint snapshots the checkpoint payload, then logs its
 // frontier. Only the newest checkpoint per job is kept.
 func (f *File) PutCheckpoint(jobID string, chips int, data []byte) error {
-	if err := f.writeSnapshot("put_checkpoint", f.ckptPath(jobID), data); err != nil {
-		return err
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.appendLocked("put_checkpoint", walRecord{T: "ckpt", Key: jobID, Chips: chips}); err != nil {
+	if err := f.putSnapshotLocked("put_checkpoint", f.ckptPath(jobID), data,
+		walRecord{T: "ckpt", Key: jobID, Chips: chips}); err != nil {
 		return err
 	}
 	f.ckpts[jobID] = chips

@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -279,6 +282,68 @@ func TestFileFailpointErrorRollsBack(t *testing.T) {
 	if err := f.PutJob(JobRecord{ID: "j000002", Seq: 2, State: "queued"}); err != nil {
 		t.Fatalf("append after rollback: %v", err)
 	}
+}
+
+// A wedged or a closed store refuses both snapshot puts before it
+// writes: no result file appears and the live checkpoint file is not
+// overwritten, so the directory stays what the WAL vouches for.
+func TestFileRefusedPutsLeaveDirUnchanged(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		stop func(t *testing.T, f *File)
+	}{
+		{"wedged", func(t *testing.T, f *File) {
+			f.failpoint = func(frame []byte) ([]byte, error) {
+				return frame[:len(frame)/2], os.ErrClosed
+			}
+			if err := f.PutJob(JobRecord{ID: "j000002", Seq: 2}); err == nil {
+				t.Fatal("torn append reported success")
+			}
+		}},
+		{"closed", func(t *testing.T, f *File) {
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			f := mustOpen(t, dir)
+			defer f.Close()
+			if err := f.PutCheckpoint("j000001", 64, []byte("ckpt-64")); err != nil {
+				t.Fatal(err)
+			}
+			tc.stop(t, f)
+			before := dirContents(t, dir)
+			if err := f.PutResult("k", []byte("{}")); err == nil {
+				t.Error("PutResult succeeded on a stopped store")
+			}
+			if err := f.PutCheckpoint("j000001", 128, []byte("ckpt-128")); err == nil {
+				t.Error("PutCheckpoint succeeded on a stopped store")
+			}
+			if after := dirContents(t, dir); !maps.Equal(after, before) {
+				t.Errorf("refused puts changed the directory:\n got %q\nwant %q", after, before)
+			}
+		})
+	}
+}
+
+// dirContents maps every file under dir to its contents.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[strings.TrimPrefix(path, dir)] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // hashKey must produce distinct fixed-length names for the file layout.

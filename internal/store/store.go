@@ -5,14 +5,14 @@
 // small typed records; the store guarantees they come back intact after
 // a restart, or not at all — never corrupted.
 //
-// Two implementations ship: Mem (process-local maps, for tests and
-// single-run durability semantics) and File (a zero-dependency
-// append-only WAL of CRC-framed records plus snapshot files, with
-// fsync on every append and torn-write recovery on open). Chaos wraps
-// either with fault injection for crash-recovery testing.
+// File is the one implementation: a zero-dependency append-only WAL of
+// CRC-framed records plus snapshot files, with fsync on every append
+// and torn-write recovery on open. Chaos wraps a Store with fault
+// injection for crash-recovery testing.
 package store
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -158,10 +158,7 @@ var ErrNoCheckpoint = &Error{Op: "checkpoint", Err: fmt.Errorf("no checkpoint re
 // IsTransient reports whether err is a storage error worth retrying.
 func IsTransient(err error) bool {
 	var se *Error
-	if ok := asStoreError(err, &se); ok {
-		return se.Transient
-	}
-	return false
+	return errors.As(err, &se) && se.Transient
 }
 
 // retryAttempts and retryBase bound Do's backoff: at most three tries,
@@ -179,11 +176,11 @@ const (
 func Do(op string, fn func() error) error {
 	delay := retryBase
 	var err error
-	for attempt := 0; attempt < retryAttempts; attempt++ {
+	for attempt := 1; ; attempt++ {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if !IsTransient(err) {
+		if !IsTransient(err) || attempt == retryAttempts {
 			break
 		}
 		obs.C("store_retries_total").Inc()
@@ -192,21 +189,4 @@ func Do(op string, fn func() error) error {
 	}
 	obs.C(`store_errors_total{op="` + op + `"}`).Inc()
 	return err
-}
-
-// asStoreError is errors.As specialised to *Error without importing
-// errors at every call site.
-func asStoreError(err error, target **Error) bool {
-	for err != nil {
-		if se, ok := err.(*Error); ok {
-			*target = se
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }

@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"yieldcache/internal/obs"
 )
 
-// eachStore runs a subtest against every Store implementation, so the
-// contract stays identical between Mem and File. The restart callback
-// models a process boundary: for Mem it hands back the same store (its
-// durability is the process), for File it closes the store and reopens
+// withFileStore runs a subtest against the File store. The restart
+// callback models a process boundary: it closes the store and reopens
 // the data directory, exactly what a crashed-and-restarted yieldd does.
-func eachStore(t *testing.T, run func(t *testing.T, s Store, restart func(Store) Store)) {
+func withFileStore(t *testing.T, run func(t *testing.T, s Store, restart func(Store) Store)) {
 	t.Helper()
-	t.Run("mem", func(t *testing.T) {
-		run(t, NewMem(), func(s Store) Store { return s })
-	})
 	t.Run("file", func(t *testing.T) {
 		dir := t.TempDir()
 		f, err := OpenFile(dir)
@@ -36,7 +33,7 @@ func eachStore(t *testing.T, run func(t *testing.T, s Store, restart func(Store)
 }
 
 func TestStoreJobNewestRecordWins(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
+	withFileStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
 		defer s.Close()
 		put := func(rec JobRecord) {
 			t.Helper()
@@ -68,7 +65,7 @@ func TestStoreJobNewestRecordWins(t *testing.T) {
 }
 
 func TestStoreResultsKeepWriteOrder(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
+	withFileStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
 		defer s.Close()
 		for _, k := range []string{"a", "b", "c"} {
 			if err := s.PutResult(k, []byte(`{"key":"`+k+`"}`)); err != nil {
@@ -100,7 +97,7 @@ func TestStoreResultsKeepWriteOrder(t *testing.T) {
 }
 
 func TestStoreIdemRoundTrip(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
+	withFileStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
 		defer s.Close()
 		a := IdemRecord{Key: "alpha", BodyHash: "h1", StudyKey: "k1", JobID: "j000001"}
 		b := IdemRecord{Key: "beta", BodyHash: "h2", StudyKey: "k2", JobID: "j000002"}
@@ -124,7 +121,7 @@ func TestStoreIdemRoundTrip(t *testing.T) {
 }
 
 func TestStoreCheckpointReplaceAndDelete(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
+	withFileStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
 		defer s.Close()
 		if _, _, err := s.Checkpoint("j000001"); !errors.Is(err, ErrNoCheckpoint) {
 			t.Fatalf("Checkpoint before put: err = %v, want ErrNoCheckpoint", err)
@@ -152,7 +149,7 @@ func TestStoreCheckpointReplaceAndDelete(t *testing.T) {
 }
 
 func TestStoreClosedRefusesWrites(t *testing.T) {
-	eachStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
+	withFileStore(t, func(t *testing.T, s Store, restart func(Store) Store) {
 		if err := s.Close(); err != nil {
 			t.Fatalf("Close: %v", err)
 		}
@@ -167,25 +164,19 @@ func TestStoreClosedRefusesWrites(t *testing.T) {
 	})
 }
 
-func TestMemCloneIsIndependent(t *testing.T) {
-	m := NewMem()
-	if err := m.PutResult("k", []byte("body")); err != nil {
-		t.Fatal(err)
-	}
-	snap := m.Clone()
-	if err := m.DeleteResult("k"); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := snap.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Results) != 1 || rec.Results[0].Key != "k" {
-		t.Errorf("clone lost the snapshot: %+v", rec.Results)
-	}
-}
-
 func TestDoRetriesTransientOnly(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	counts := func(when string, retries, errs int64) {
+		t.Helper()
+		if got := reg.Counter("store_retries_total").Value(); got != retries {
+			t.Errorf("%s: store_retries_total = %d, want %d", when, got, retries)
+		}
+		if got := reg.Counter(`store_errors_total{op="test_op"}`).Value(); got != errs {
+			t.Errorf(`%s: store_errors_total{op="test_op"} = %d, want %d`, when, got, errs)
+		}
+	}
+
 	calls := 0
 	err := Do("test_op", func() error {
 		calls++
@@ -197,12 +188,14 @@ func TestDoRetriesTransientOnly(t *testing.T) {
 	if err != nil || calls != 3 {
 		t.Errorf("transient retry: err=%v calls=%d, want nil after 3", err, calls)
 	}
+	counts("after a success on the third try", 2, 0)
 
 	calls = 0
 	perm := &Error{Op: "test_op", Err: errors.New("wedged")}
 	if err := Do("test_op", func() error { calls++; return perm }); err != perm || calls != 1 {
 		t.Errorf("permanent error: err=%v calls=%d, want immediate %v", err, calls, perm)
 	}
+	counts("after a permanent error", 2, 1)
 
 	calls = 0
 	err = Do("test_op", func() error {
@@ -215,4 +208,5 @@ func TestDoRetriesTransientOnly(t *testing.T) {
 	if !IsTransient(err) {
 		t.Error("final error lost its transient flag")
 	}
+	counts("after exhausted retries", 2+retryAttempts-1, 2)
 }
