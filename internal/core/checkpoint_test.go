@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -40,15 +41,18 @@ func chipsEqual(t *testing.T, label string, a, b *Population) {
 // A build resumed from a mid-flight checkpoint must produce populations
 // bit-identical to an uninterrupted run with the same seed — the
 // acceptance bar for crash recovery. Checkpoints are offered at look
-// points, so the build spans several of them.
+// points, so the build spans several of them. The instrumented build
+// runs at most one worker per P and per CPU: a worker beyond either can
+// wait for one while holding an early batch unmeasured, and the build
+// can then end before its first look.
 func TestResumeFromCheckpointBitIdentical(t *testing.T) {
-	const n, seed = 600, 2006
+	const n, seed = 3000, 2006
 	wantReg, wantHor := build(t, PopulationConfig{N: n, Seed: seed})
 
 	// Capture checkpoints from an instrumented build.
 	var mu sync.Mutex
 	var last *BuildCheckpoint
-	cfg := PopulationConfig{N: n, Seed: seed, Workers: 4, Checkpoint: &CheckpointConfig{
+	cfg := PopulationConfig{N: n, Seed: seed, Workers: min(runtime.GOMAXPROCS(0), runtime.NumCPU()), Checkpoint: &CheckpointConfig{
 		Sink: func(bc *BuildCheckpoint) error {
 			// Deep-copy through the wire format, exactly like the server:
 			// the in-memory checkpoint aliases the build arena.
@@ -90,7 +94,7 @@ func TestResumeFromCheckpointBitIdentical(t *testing.T) {
 
 	// Resume: the prefix comes from the checkpoint, the rest rebuilds.
 	res, err = Build(context.Background(), PopulationConfig{
-		N: n, Seed: seed, Workers: 2, // different worker count on purpose
+		N: n, Seed: seed, Workers: runtime.GOMAXPROCS(0) + 1, // different worker count on purpose
 		Checkpoint: &CheckpointConfig{Resume: ck},
 	})
 	if err != nil {

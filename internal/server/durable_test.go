@@ -92,7 +92,7 @@ func openStore(t *testing.T, dir string) *store.File {
 }
 
 // copyDataDir copies a File store's data directory (wal.log, results/,
-// checkpoints/) into the empty directory dst. Taken while no write is
+// checkpoints/, spare/) into the empty directory dst. Taken while no write is
 // in flight, the copy is what kill -9 would leave on disk.
 func copyDataDir(src, dst string) error {
 	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
@@ -252,9 +252,12 @@ func TestReopenCountsRecoveryAndResume(t *testing.T) {
 
 // Kill -9 mid-build: a new server over the crash-instant store state
 // must resume the job under the same id, finish it, and produce tables
-// bit-identical to an uninterrupted run.
+// bit-identical to an uninterrupted run. The build is sized to outlast
+// its first CheckpointInterval many times over at any -cpu, so a
+// mid-build checkpoint always lands.
 func TestCrashedBuildResumesBitIdentical(t *testing.T) {
-	body := `{"chips": 600, "seed": 2006}`
+	const chips = 3000
+	body := fmt.Sprintf(`{"chips": %d, "seed": 2006}`, chips)
 
 	// The uninterrupted reference.
 	ref := New(Config{Workers: 2})
@@ -265,7 +268,7 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 
 	// Run the build on a store that copies its directory at the first
 	// mid-build checkpoint; the copy is the disk a kill -9 leaves.
-	st := newCrashStore(t, 600)
+	st := newCrashStore(t, chips)
 	srv1 := New(Config{Workers: 2, Store: st, CheckpointInterval: time.Millisecond})
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, _, _ := postStudyIdem(t, ts1.URL, body, "retry-after-crash")
@@ -276,9 +279,7 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
 	}
 	if !st.copied {
-		// At 4 Ps the build can pass its last look point before the
-		// first interval ends, leaving only the final checkpoint.
-		t.Skip("build finished before a mid-flight checkpoint landed; nothing to crash")
+		t.Fatal("build finished before a mid-flight checkpoint landed; nothing to crash")
 	}
 
 	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash), CheckpointInterval: time.Millisecond})
@@ -481,7 +482,9 @@ func (c *ckptStore) DeleteCheckpoint(jobID string) error {
 // Checkpoint writes of both kinds self-clock against the store: on a
 // store whose writes take d, a write starts no sooner than its
 // predecessor's cost after that one finished, so successive writes
-// start at least 2·d apart even with a 1 ms CheckpointInterval.
+// start at least 2·d apart even with a 1 ms CheckpointInterval. Both
+// jobs are sized to last many times 2·d, so each writes several
+// checkpoints at any -cpu.
 func TestCheckpointWritesSelfClock(t *testing.T) {
 	const d = 10 * time.Millisecond
 	st := newCkptStore(openStore(t, t.TempDir()), d)
@@ -495,8 +498,8 @@ func TestCheckpointWritesSelfClock(t *testing.T) {
 		vdd = append(vdd, fmt.Sprintf("%.3f", 1.1-0.005*float64(i)))
 	}
 	for _, tc := range []struct{ path, body string }{
-		{"/v1/study", `{"chips": 8000, "seed": 2006}`},
-		{"/v1/sweep", `{"chips": 300, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`},
+		{"/v1/study", `{"chips": 20000, "seed": 2006}`},
+		{"/v1/sweep", `{"chips": 900, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`},
 	} {
 		resp, _ := postRaw(t, ts.URL, tc.path, tc.body, "")
 		if resp.StatusCode != http.StatusOK {
@@ -506,6 +509,7 @@ func TestCheckpointWritesSelfClock(t *testing.T) {
 		st.mu.Lock()
 		starts := st.puts[id]
 		st.mu.Unlock()
+		t.Logf("%s: %d checkpoint writes", tc.path, len(starts))
 		if len(starts) < 2 {
 			t.Fatalf("%s: %d checkpoint writes, want at least 2 to measure", tc.path, len(starts))
 		}

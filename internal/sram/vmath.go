@@ -1,6 +1,10 @@
 package sram
 
-import "math"
+import (
+	"math"
+
+	"yieldcache/internal/cpufeat"
+)
 
 // expCol and logCol are the kernel's only calls of math.Exp and
 // math.Log. Each overwrites a column in place with the same bits the
@@ -21,6 +25,10 @@ import "math"
 // platform supports them and they reproduced math.Exp and math.Log on
 // every init probe.
 var useVec = vecSupported() && vecAgrees()
+
+// vecSupported reports that the CPU has AVX2 and FMA and that the OS
+// saves the YMM state.
+func vecSupported() bool { return cpufeat.AVX2() && cpufeat.FMA() }
 
 // expCol sets xs[i] = math.Exp(xs[i]) for every lane.
 func expCol(xs []float64) { mapCol(xs, expVec, math.Exp) }

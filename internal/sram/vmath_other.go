@@ -5,8 +5,6 @@ package sram
 // Without the amd64 loops every lane of expCol and logCol calls the
 // scalar function.
 
-func vecSupported() bool { return false }
-
 func expVec([]float64) int { return 0 }
 
 func logVec([]float64) int { return 0 }

@@ -44,6 +44,12 @@ const (
 // package's differential tests.
 var columnsOK bool
 
+// vecWords reports that the speculative sampler computes its draw
+// words four lanes at a time (colWords): the CPU and OS support AVX2
+// and the loop reproduced the scalar words on every init probe.
+// Nothing else configures it.
+var vecWords bool
+
 // TruncNormalColumns draws, for each lane l, one truncated normal per
 // column: the generator is repositioned to seeds[l], then cols[k][l] is
 // overwritten, in ascending k, with TruncNormal(cols[k][l], sigma[k],
@@ -60,7 +66,7 @@ var columnsOK bool
 // sigma or bound <= 0 in any column, take the plain per-lane loop.
 func (g *RNG) TruncNormalColumns(seeds []int64, cols [][]float64, sigma, bound []float64) {
 	if columnsOK && g.fsrc != nil && speculable(sigma, bound) {
-		g.speculateColumns(seeds, cols, sigma, bound)
+		g.speculateColumns(seeds, cols, sigma, bound, vecWords)
 		return
 	}
 	for l, seed := range seeds {
@@ -90,9 +96,12 @@ func speculable(sigma, bound []float64) bool {
 // speculateColumns is TruncNormalColumns for a speculable batch on the
 // O(1) source: speculative column loops per chunk of specLanes lanes,
 // then the exact scalar path for every lane whose speculation failed.
-func (g *RNG) speculateColumns(seeds []int64, cols [][]float64, sigma, bound []float64) {
+// vec selects the four-lane draw words (colWords); the result is the
+// same either way.
+func (g *RNG) speculateColumns(seeds []int64, cols [][]float64, sigma, bound []float64, vec bool) {
 	nc := uint8(len(cols))
 	var x0 [specLanes]uint64
+	var words [specLanes]int64
 	var fail [specLanes]uint8 // first column not drawn speculatively; nc when none
 	for start := 0; start < len(seeds); start += specLanes {
 		chunk := seeds[start:min(start+specLanes, len(seeds))]
@@ -106,18 +115,9 @@ func (g *RNG) speculateColumns(seeds []int64, cols [][]float64, sigma, bound []f
 			s, b := sigma[k], bound[k]
 			// Draw k reads entries 333-k (feed) and 606-k (tap).
 			f, t := rngLen-rngTap-1-int(k), rngLen-1-int(k)
-			jf, cf := lcgJump[f], rngCooked[f]
-			jt, ct := lcgJump[t], rngCooked[t]
-			for l, x0 := range xs {
-				// seedEntry(x0, jf, cf) + seedEntry(x0, jt, ct), written
-				// out: the two Lehmer chains are independent, so their
-				// steps overlap.
-				a, c := modM(x0*jf), modM(x0*jt)
-				ua, uc := int64(a)<<40, int64(c)<<40
-				a, c = modM(a*lcgA), modM(c*lcgA)
-				ua, uc = ua^int64(a)<<20, uc^int64(c)<<20
-				a, c = modM(a*lcgA), modM(c*lcgA)
-				x := (ua ^ int64(a) ^ cf) + (uc ^ int64(c) ^ ct)
+			ws := words[:len(xs)]
+			colWords(ws, xs, lcgJump[f], lcgJump[t], rngCooked[f], rngCooked[t], vec)
+			for l, x := range ws {
 				// rand.Rand.NormFloat64's fast strip on Uint32() =
 				// uint32(Int63() >> 31), then TruncNormal's bound test.
 				j := int32(uint32(uint64(x) & rngMask >> 31))
@@ -145,6 +145,56 @@ func (g *RNG) speculateColumns(seeds []int64, cols [][]float64, sigma, bound []f
 			}
 		}
 	}
+}
+
+// colWords sets ws[l] to lane l's draw word for one column, the sum of
+// the seeded entries whose Lehmer jumps are jf (feed) and jt (tap) and
+// whose cooked words are cf and ct: seedEntry(xs[l], jf, cf) +
+// seedEntry(xs[l], jt, ct). With vec set, whole groups of four lanes
+// go to the AVX2 loop wordsVec; the tail, and every lane without vec,
+// run the scalar body below. Both are exact integer arithmetic, so
+// the words are identical.
+func colWords(ws []int64, xs []uint64, jf, jt uint64, cf, ct int64, vec bool) {
+	n := 0
+	if vec {
+		n = wordsVec(xs, ws, jf, jt, cf, ct)
+	}
+	for l := n; l < len(xs); l++ {
+		// seedEntry(x0, jf, cf) + seedEntry(x0, jt, ct), written out:
+		// the two Lehmer chains are independent, so their steps overlap.
+		x0 := xs[l]
+		a, c := modM(x0*jf), modM(x0*jt)
+		ua, uc := int64(a)<<40, int64(c)<<40
+		a, c = modM(a*lcgA), modM(c*lcgA)
+		ua, uc = ua^int64(a)<<20, uc^int64(c)<<20
+		a, c = modM(a*lcgA), modM(c*lcgA)
+		ws[l] = (ua ^ int64(a) ^ cf) + (uc ^ int64(c) ^ ct)
+	}
+}
+
+// wordsAgree cross-checks wordsVec against the scalar body of colWords
+// for every column the speculative sampler draws, on fixed seeds: the
+// edges of the normalized seed range, math/rand's substitute for seed
+// 0 and a pseudo-random spread, in a whole number of groups of four.
+func wordsAgree() bool {
+	xs := []uint64{1, 2, 3, lcgA, 1 << 30, 1<<30 - 1, 1<<30 + 1, int32max - 1,
+		int32max - 2, int32max - lcgA, 89482311, 0x55555555, 0x2AAAAAAA, 0x7FFF0000, 0xFFFF, 0x10000}
+	for i := int64(0); len(xs) < specLanes; i++ {
+		xs = append(xs, normSeed(MixSeed(2006, i)))
+	}
+	var vec, sca [specLanes]int64
+	for k := 0; k < specCols; k++ {
+		f, t := rngLen-rngTap-1-k, rngLen-1-k
+		jf, jt, cf, ct := lcgJump[f], lcgJump[t], rngCooked[f], rngCooked[t]
+		if wordsVec(xs, vec[:], jf, jt, cf, ct) != len(xs) {
+			return false
+		}
+		colWords(sca[:], xs, jf, jt, cf, ct, false)
+		if vec != sca {
+			return false
+		}
+	}
+	return true
 }
 
 // absInt32 is math/rand's |j| for the ziggurat's strip test (MinInt32

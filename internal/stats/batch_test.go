@@ -1,10 +1,13 @@
 package stats
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"yieldcache/internal/cpufeat"
 )
 
 // stockColumns is the test-local reference for TruncNormalColumns,
@@ -76,22 +79,110 @@ func (c columnCase) columns() [][]float64 {
 	return cols
 }
 
+// checkColumns draws c with the generator under test twice, with the
+// four-lane draw words on (when the host runs them) and off, and
+// compares both with stockColumns bit for bit.
 func checkColumns(t *testing.T, g *RNG, c columnCase) {
 	t.Helper()
 	if g.fsrc != nil && !columnsOK {
 		t.Fatal("speculative column sampler disabled by its init cross-check")
 	}
-	got, want := c.columns(), c.columns()
-	g.TruncNormalColumns(c.seeds, got, c.sigma, c.bound)
+	want := c.columns()
 	stockColumns(c.seeds, want, c.sigma, c.bound)
-	for k := range got {
-		for l := range got[k] {
-			if math.Float64bits(got[k][l]) != math.Float64bits(want[k][l]) {
-				t.Fatalf("lane %d (seed %d) column %d: got %v, stock math/rand gives %v",
-					l, c.seeds[l], k, got[k][l], want[k][l])
+	for _, vec := range []bool{true, false} {
+		got := c.columns()
+		drawColumns(g, c.seeds, got, c.sigma, c.bound, vec)
+		for k := range got {
+			for l := range got[k] {
+				if math.Float64bits(got[k][l]) != math.Float64bits(want[k][l]) {
+					t.Fatalf("vector words %v, lane %d (seed %d) column %d: got %v, stock math/rand gives %v",
+						vec && vecWords, l, c.seeds[l], k, got[k][l], want[k][l])
+				}
 			}
 		}
 	}
+}
+
+// drawColumns is g.TruncNormalColumns with the speculative sampler's
+// four-lane draw words allowed (vec) or not; without vec a speculable
+// batch takes the scalar words.
+func drawColumns(g *RNG, seeds []int64, cols [][]float64, sigma, bound []float64, vec bool) {
+	if !vec && columnsOK && g.fsrc != nil && speculable(sigma, bound) {
+		g.speculateColumns(seeds, cols, sigma, bound, false)
+		return
+	}
+	g.TruncNormalColumns(seeds, cols, sigma, bound)
+}
+
+// TestWordsVecGate checks that a host with AVX2 passes the init
+// cross-check of the four-lane draw words, so a broken loop cannot
+// hide behind the scalar fallback.
+func TestWordsVecGate(t *testing.T) {
+	if cpufeat.AVX2() && columnsOK && !vecWords {
+		t.Fatal("AVX2 present but the draw-word loop failed its init cross-check against the scalar body")
+	}
+	t.Logf("four-lane draw words: %v", vecWords)
+}
+
+// FuzzSpeculateColumns checks the speculative sampler with the
+// four-lane draw words against the same sampler on the scalar words,
+// and both against stock math/rand, bit for bit: lane seeds start at
+// seed and step by stride (so they cross 0, the negatives and 2^31-1),
+// with 1-8 columns, 0-200 lanes and positive sigma and bound columns
+// taken from the raw bits in params (8 bytes each, sigma then bound).
+func FuzzSpeculateColumns(f *testing.F) {
+	f.Add(int64(2006), int64(1), uint8(5), uint8(64), []byte{})
+	f.Add(int64(0), int64(-1), uint8(1), uint8(3), []byte{})
+	f.Add(int64(-1), int64(1), uint8(8), uint8(200), []byte{0, 0, 0, 0, 0, 0, 0xF0, 0x3F})
+	f.Add(int64(int32max-2), int64(1), uint8(3), uint8(7), []byte{})
+	f.Add(int64(math.MinInt64), int64(int32max), uint8(2), uint8(65), []byte{})
+	f.Add(int64(math.MaxInt64), int64(1)<<31, uint8(6), uint8(129), make([]byte, 96))
+	f.Fuzz(func(t *testing.T, seed, stride int64, ncols, lanes uint8, params []byte) {
+		g := NewRNG(0)
+		if g.fsrc == nil || !columnsOK {
+			t.Skip("speculative sampler disabled on this runtime")
+		}
+		nc, n := 1+int(ncols%specCols), int(lanes)%201
+		sigma, bound := make([]float64, nc), make([]float64, nc)
+		sigma0, bound0 := table1Columns(1)
+		for k := range sigma {
+			sigma[k], bound[k] = sigma0[k%5], bound0[k%5]
+			if len(params) >= 8*(k+1) {
+				sigma[k] = positive(params[8*k:], sigma[k])
+			}
+			if len(params) >= 8*(nc+k+1) {
+				bound[k] = positive(params[8*(nc+k):], bound[k])
+			}
+		}
+		seeds := make([]int64, n)
+		for l := range seeds {
+			seeds[l] = seed + int64(l)*stride
+		}
+		c := columnCase{seeds: seeds, sigma: sigma, bound: bound, mean: nominalMeans}
+		vec, sca, want := c.columns(), c.columns(), c.columns()
+		g.speculateColumns(seeds, vec, sigma, bound, vecWords)
+		g.speculateColumns(seeds, sca, sigma, bound, false)
+		stockColumns(seeds, want, sigma, bound)
+		for k := range vec {
+			for l := range vec[k] {
+				v, s, w := math.Float64bits(vec[k][l]), math.Float64bits(sca[k][l]), math.Float64bits(want[k][l])
+				if v != s || s != w {
+					t.Fatalf("lane %d (seed %d) column %d: vector words %v, scalar words %v, stock %v",
+						l, seeds[l], k, vec[k][l], sca[k][l], want[k][l])
+				}
+			}
+		}
+	})
+}
+
+// positive reads a float64 from the first 8 bytes of b and returns its
+// magnitude, or def when that is zero or NaN.
+func positive(b []byte, def float64) float64 {
+	v := math.Abs(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	if !(v > 0) {
+		return def
+	}
+	return v
 }
 
 // nominalMeans centres column k on the Table 1 nominal of source k,
@@ -105,7 +196,8 @@ func nominalMeans(k, l int) float64 {
 // the Table 1 sigma/bound and at every correlation factor the
 // variation package's ChildrenBatch draws with (rows and blocks 0.05,
 // the three way factors, the band factor 0.5 and the sense-amp mismatch
-// 1.0), 100k lanes x 5 columns must equal stock math/rand bit for bit.
+// 1.0), 100k lanes x 5 columns must equal stock math/rand bit for bit,
+// with the four-lane draw words on and off.
 func TestTruncNormalColumnsMatchesStock(t *testing.T) {
 	const lanes = 100_000
 	for i, factor := range []float64{1, 0.05, 0.375, 0.45, 0.5, 0.7125} {
@@ -144,10 +236,11 @@ func findSeeds(n, pos int, pick func(i int32, abs, k uint32) bool) []int64 {
 }
 
 // TestTruncNormalColumnsEdgeCases forces every fallback of the
-// speculative sampler against the stock reference: columns it must not
-// speculate on, draws in the ziggurat's tail and wedges, rejection
-// exhaustion into the uniform fallback (and past the lazy window), and
-// lane counts around the chunk size.
+// speculative sampler against the stock reference, with the four-lane
+// draw words on and off: columns it must not speculate on, draws in the
+// ziggurat's tail and wedges, rejection exhaustion into the uniform
+// fallback (and past the lazy window), and lane counts around the chunk
+// size and the four-lane groups.
 func TestTruncNormalColumnsEdgeCases(t *testing.T) {
 	sigma, bound := table1Columns(1)
 	with := func(k int, s, b float64) ([]float64, []float64) {
@@ -182,7 +275,7 @@ func TestTruncNormalColumnsEdgeCases(t *testing.T) {
 		add(fmt.Sprintf("tail at draw %d", pos), findSeeds(8, pos, tail), sigma, bound)
 		add(fmt.Sprintf("wedge at draw %d", pos), findSeeds(8, pos, wedge), sigma, bound)
 	}
-	for _, n := range []int{0, 1, 63, 64, 65, 200} {
+	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 200} {
 		add(fmt.Sprintf("%d lanes", n), laneSeeds(n, int64(n)), sigma, bound)
 	}
 	for name, c := range cases {

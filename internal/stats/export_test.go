@@ -15,3 +15,17 @@ func forceStockSource(t testing.TB) {
 // ForceStockSource exports forceStockSource to the external test
 // package, whose tests build whole populations on the fallback.
 var ForceStockSource = forceStockSource
+
+// forceScalarWords makes the speculative sampler compute every draw
+// word with the scalar body until the test ends: the path a host
+// without AVX2, or a failed init cross-check, runs. Tests that call it
+// must not run in parallel with others.
+func forceScalarWords(t testing.TB) {
+	old := vecWords
+	vecWords = false
+	t.Cleanup(func() { vecWords = old })
+}
+
+// ForceScalarWords exports forceScalarWords to the external test
+// package, whose tests build whole populations on either word path.
+var ForceScalarWords = forceScalarWords

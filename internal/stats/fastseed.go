@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"unsafe"
+
+	"yieldcache/internal/cpufeat"
 )
 
 // This file makes reseeding a generator cheap. math/rand's default
@@ -76,6 +78,7 @@ func init() {
 	}
 	seedJumpOK = recoverCooked() && verifySeedJump()
 	columnsOK = seedJumpOK && verifyZiggurat()
+	vecWords = columnsOK && cpufeat.AVX2() && wordsAgree()
 }
 
 // modM returns p mod 2^31-1 by folding the high bits onto the low ones

@@ -12,12 +12,30 @@ import (
 // pair population on the stock math/rand source, the fallback taken
 // when the O(1) source fails its init cross-check. The spot chips and
 // population sums must match core's golden values (TestGoldenSeed2006)
-// bit for bit: the fallback is slower, never different.
+// bit for bit: the fallback is slower, never different. The stock
+// source has no speculative sampler, so no draw words either.
 func TestGoldenSeed2006StockSource(t *testing.T) {
 	stats.ForceStockSource(t)
 	if stats.SeedJumpEnabled() {
 		t.Fatal("ForceStockSource left the O(1) source enabled")
 	}
+	checkGolden2006(t)
+}
+
+// TestGoldenSeed2006DrawWords builds the same golden population on the
+// O(1) source with the speculative sampler's four-lane draw words on
+// (where the host runs them) and off.
+func TestGoldenSeed2006DrawWords(t *testing.T) {
+	t.Run("vector", checkGolden2006)
+	t.Run("scalar", func(t *testing.T) {
+		stats.ForceScalarWords(t)
+		checkGolden2006(t)
+	})
+}
+
+// checkGolden2006 builds the seed-2006, 200-chip pair population and
+// compares it with core's golden values.
+func checkGolden2006(t *testing.T) {
 	res, err := core.Build(context.Background(), core.PopulationConfig{N: 200, Seed: 2006})
 	if err != nil {
 		t.Fatal(err)

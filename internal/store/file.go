@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -19,15 +20,33 @@ import (
 //	<dir>/wal.log            framed lifecycle records (jobs, idem keys,
 //	                         result/checkpoint index)
 //	<dir>/results/<h>.json   one snapshot file per cached result body
-//	<dir>/checkpoints/<id>.ckpt  newest build checkpoint per job
+//	<dir>/checkpoints/<id>.<chips>.ckpt  newest build checkpoint per
+//	                         job, named by its generation
+//	<dir>/spare/<n>          the spare pool: files no record references,
+//	                         kept to be overwritten by the next snapshot
 //
 // Every WAL frame is [uint32 len][uint32 CRC32-C][payload JSON],
 // little-endian, fsynced before the append returns. Open replays the
 // WAL, truncates it at the first torn or corrupt frame (the tail a
-// crash mid-append leaves behind), removes snapshot files the replay
-// no longer references, and compacts the live records into a fresh
-// WAL. Snapshot files are written tmp+rename so a crash never leaves a
-// half-written body under a live name.
+// crash mid-append leaves behind), returns snapshot and tmp files the
+// replay no longer references to the spare pool, and compacts the live
+// records into a fresh WAL.
+//
+// No write frees a file's blocks: on a filesystem that discards freed
+// blocks, an unlink or a rename over an existing file took tens of
+// milliseconds, a rename to a fresh name a tenth of one. A snapshot is
+// written into a spare file from its first byte, without truncation,
+// fsynced and renamed to its live name (a new file only when the pool
+// is empty); its WAL record carries the body length, which replay
+// reads, so a spare's older and longer tail is never read. Deleting a
+// result or replacing a job's checkpoint generation renames the old
+// file into the pool, after the WAL record that retires it. A crash
+// never leaves a half-written body under a live name: the rename comes
+// after the fsync, and a name a record vouches for is never written
+// before that record is retired. The pool never holds more files than
+// the peak number of live snapshot files (a checkpoint's old and new
+// generations count twice at the instant both exist): it grows only
+// when a live file retires, or when a put finds it empty.
 //
 // A failed append wedges the store: the WAL tail is in an unknown
 // state, so File repairs it by truncating back to the last good offset
@@ -44,11 +63,23 @@ type File struct {
 
 	// Replay state captured at Open, returned by Recover.
 	recovered *Recovered
-	ckpts     map[string]int // jobID -> checkpointed chips
+	results   map[string]bool      // live result keys
+	ckpts     map[string]ckptEntry // jobID -> live checkpoint generation
+
+	// spares names the files in <dir>/spare, free for the next snapshot;
+	// spareSeq is the next fresh name there.
+	spares   []string
+	spareSeq int
 
 	// failpoint, when set, intercepts WAL payload writes — the chaos
 	// harness uses it to tear a frame mid-write.
 	failpoint func(payload []byte) ([]byte, error)
+}
+
+// ckptEntry is a job's live checkpoint: its generation, which names
+// the file, and the body length.
+type ckptEntry struct {
+	chips, len int
 }
 
 // walRecord is the JSON payload of one WAL frame. T selects the kind;
@@ -61,8 +92,22 @@ type walRecord struct {
 	// res / resdel / ckpt / ckptdel
 	Key   string `json:"key,omitempty"`
 	Chips int    `json:"chips,omitempty"`
+	// Len is a res or ckpt body's length in bytes. WALs written before
+	// the spare pool have none: the body is then the whole file, and a
+	// checkpoint file is named <id>.ckpt.
+	Len *int `json:"len,omitempty"`
 
 	Idem *IdemRecord `json:"idem,omitempty"`
+}
+
+// wholeFile is the body length of a record without Len.
+const wholeFile = -1
+
+func recLen(rec walRecord) int {
+	if rec.Len == nil {
+		return wholeFile
+	}
+	return *rec.Len
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -73,12 +118,15 @@ const walName = "wal.log"
 // replaying and compacting its WAL. The returned store's Recover hands
 // back the replayed state.
 func OpenFile(dir string) (*File, error) {
-	for _, sub := range []string{"", "results", "checkpoints"} {
+	for _, sub := range []string{"", "results", "checkpoints", "spare"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, &Error{Op: "open", Err: err}
 		}
 	}
-	f := &File{dir: dir, ckpts: make(map[string]int)}
+	f := &File{dir: dir, results: make(map[string]bool), ckpts: make(map[string]ckptEntry)}
+	if err := f.loadPool(); err != nil {
+		return nil, err
+	}
 	if err := f.replay(); err != nil {
 		return nil, err
 	}
@@ -98,7 +146,7 @@ func (f *File) replay() error {
 	}
 
 	jobs := make(map[string]JobRecord)
-	results := make(map[string][]byte) // key -> body (loaded from snapshot)
+	results := make(map[string]int) // key -> body length (body loaded after the scan)
 	var resOrder []string
 	idem := make(map[string]IdemRecord)
 	var idemOrder []string
@@ -134,7 +182,7 @@ func (f *File) replay() error {
 				}
 			}
 			resOrder = append(resOrder, rec.Key)
-			results[rec.Key] = nil // body loaded after the scan
+			results[rec.Key] = recLen(rec)
 		case "resdel":
 			delete(results, rec.Key)
 		case "idem":
@@ -151,7 +199,7 @@ func (f *File) replay() error {
 		case "idemdel":
 			delete(idem, rec.Key)
 		case "ckpt":
-			f.ckpts[rec.Key] = rec.Chips
+			f.ckpts[rec.Key] = ckptEntry{chips: rec.Chips, len: recLen(rec)}
 		case "ckptdel":
 			delete(f.ckpts, rec.Key)
 		}
@@ -168,22 +216,36 @@ func (f *File) replay() error {
 
 	rec := &Recovered{}
 	for _, key := range resOrder {
-		if _, live := results[key]; !live {
+		n, live := results[key]
+		if !live {
 			continue
 		}
-		body, err := os.ReadFile(f.resultPath(key))
+		body, err := readSnapshot(f.resultPath(key), n)
 		if err != nil {
-			// The WAL said the result exists but its snapshot is gone or
-			// unreadable (crash between WAL append and snapshot rename
-			// cannot happen — snapshot lands first — but operators can
-			// delete files). Drop the entry rather than fail recovery.
+			// The WAL said the result exists but its snapshot is gone,
+			// short or unreadable (crash between WAL append and snapshot
+			// rename cannot happen — snapshot lands first — but operators
+			// can delete files). Drop the entry rather than fail recovery.
 			delete(results, key)
 			continue
 		}
+		f.results[key] = true
 		rec.Results = append(rec.Results, Result{Key: key, Body: body})
 	}
-	for id := range f.ckpts {
-		if _, err := os.Stat(f.ckptPath(id)); err != nil {
+	for id, e := range f.ckpts {
+		path := f.ckptPath(id, e.chips)
+		if e.len == wholeFile {
+			// A checkpoint from before the spare pool is <id>.ckpt, all
+			// of it: move it to its generation's name, a fresh one (an
+			// Open that crashed before compacting may have done so).
+			os.Rename(filepath.Join(f.dir, "checkpoints", id+".ckpt"), path)
+		}
+		st, err := os.Stat(path)
+		if err == nil && e.len == wholeFile {
+			e.len = int(st.Size())
+			f.ckpts[id] = e
+		}
+		if err != nil || !st.Mode().IsRegular() || e.len < 0 || st.Size() < int64(e.len) {
 			delete(f.ckpts, id)
 		}
 	}
@@ -198,41 +260,90 @@ func (f *File) replay() error {
 	}
 	f.recovered = rec
 
-	// Sweep snapshot files the replay no longer references.
-	liveRes := make(map[string]bool, len(results))
-	for key := range results {
-		liveRes[hashKey(key)] = true
+	// Return snapshot files the replay no longer references to the pool.
+	live := make(map[string]bool, len(f.results)+len(f.ckpts))
+	for key := range f.results {
+		live[f.resultPath(key)] = true
 	}
-	f.sweep("results", ".json", func(name string) bool { return liveRes[name] })
-	f.sweep("checkpoints", ".ckpt", func(name string) bool {
-		_, ok := f.ckpts[name]
-		return ok
-	})
+	for id, e := range f.ckpts {
+		live[f.ckptPath(id, e.chips)] = true
+	}
+	f.sweep("results", ".json", live)
+	f.sweep("checkpoints", ".ckpt", live)
 	return nil
 }
 
-// sweep removes files in <dir>/<sub> with the given extension whose
-// base name fails the live predicate. Best-effort: sweep errors are
-// ignored — an orphan snapshot wastes disk, nothing else.
-func (f *File) sweep(sub, ext string, live func(base string) bool) {
+// sweep moves the files in <dir>/<sub> with the given extension that
+// are not live, and stray tmp files of interrupted writes, into the
+// spare pool. Best-effort: a file that fails to move stays an orphan,
+// which wastes disk, nothing else.
+func (f *File) sweep(sub, ext string, live map[string]bool) {
 	entries, err := os.ReadDir(filepath.Join(f.dir, sub))
 	if err != nil {
 		return
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasSuffix(name, ext) {
-			// Stray tmp files from interrupted writes are orphans too.
-			if strings.HasSuffix(name, ".tmp") {
-				os.Remove(filepath.Join(f.dir, sub, name))
-			}
-			continue
-		}
-		base := strings.TrimSuffix(name, ext)
-		if !live(base) {
-			os.Remove(filepath.Join(f.dir, sub, name))
+		path := filepath.Join(f.dir, sub, name)
+		if e.Type().IsRegular() && (strings.HasSuffix(name, ".tmp") || strings.HasSuffix(name, ext) && !live[path]) {
+			f.toPool(path)
 		}
 	}
+}
+
+// loadPool lists the spare pool left by earlier runs and starts fresh
+// spare names past every numeric one in it.
+func (f *File) loadPool() error {
+	entries, err := os.ReadDir(filepath.Join(f.dir, "spare"))
+	if err != nil {
+		return &Error{Op: "open", Err: err}
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		f.spares = append(f.spares, e.Name())
+		if n, err := strconv.Atoi(e.Name()); err == nil && n >= f.spareSeq {
+			f.spareSeq = n + 1
+		}
+	}
+	return nil
+}
+
+// toPool renames the file at path, if there is one, into the spare
+// pool under a fresh name. Caller holds f.mu (or is Open).
+func (f *File) toPool(path string) {
+	name := strconv.Itoa(f.spareSeq)
+	if os.Rename(path, filepath.Join(f.dir, "spare", name)) != nil {
+		return
+	}
+	f.spareSeq++
+	f.spares = append(f.spares, name)
+}
+
+// readSnapshot reads the first n bytes of the file at path, or all of
+// it when n is wholeFile. A file shorter than n is an error.
+func readSnapshot(path string, n int) ([]byte, error) {
+	if n == wholeFile {
+		return os.ReadFile(path)
+	}
+	r, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	st, err := r.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if n < 0 || st.Size() < int64(n) {
+		return nil, fmt.Errorf("snapshot %s holds %d bytes, want %d", filepath.Base(path), st.Size(), n)
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return body, nil
 }
 
 // compact rewrites the live state as a minimal WAL (one frame per live
@@ -258,7 +369,8 @@ func (f *File) compact() error {
 		}
 	}
 	for _, r := range f.recovered.Results {
-		if err := write(walRecord{T: "res", Key: r.Key}); err != nil {
+		n := len(r.Body)
+		if err := write(walRecord{T: "res", Key: r.Key, Len: &n}); err != nil {
 			w.Close()
 			return &Error{Op: "compact", Err: err}
 		}
@@ -269,8 +381,8 @@ func (f *File) compact() error {
 			return &Error{Op: "compact", Err: err}
 		}
 	}
-	for id, chips := range f.ckpts {
-		if err := write(walRecord{T: "ckpt", Key: id, Chips: chips}); err != nil {
+	for id, e := range f.ckpts {
+		if err := write(walRecord{T: "ckpt", Key: id, Chips: e.chips, Len: &e.len}); err != nil {
 			w.Close()
 			return &Error{Op: "compact", Err: err}
 		}
@@ -386,12 +498,26 @@ func (f *File) appendLocked(op string, rec walRecord) error {
 	return nil
 }
 
-// writeSnapshot writes body to path atomically: tmp file in the same
-// directory, fsync, rename.
+// writeSnapshot puts body under path: a spare file (a new tmp file
+// when the pool is empty) is overwritten from its first byte, fsynced
+// and renamed to path. A file already at path, which no record may
+// vouch for, moves into the pool first, so the rename replaces
+// nothing. Caller holds f.mu.
 func (f *File) writeSnapshot(op, path string, body []byte) error {
-	tmp := path + ".tmp"
-	w, err := os.Create(tmp)
+	f.toPool(path)
+	var src string
+	var w *os.File
+	var err error
+	if n := len(f.spares); n > 0 {
+		src = filepath.Join(f.dir, "spare", f.spares[n-1])
+		f.spares = f.spares[:n-1]
+		w, err = os.OpenFile(src, os.O_WRONLY, 0)
+	} else {
+		src = path + ".tmp"
+		w, err = os.OpenFile(src, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	}
 	if err != nil {
+		f.toPool(src)
 		return &Error{Op: op, Transient: true, Err: err}
 	}
 	if _, err = w.Write(body); err == nil {
@@ -401,10 +527,10 @@ func (f *File) writeSnapshot(op, path string, body []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp, path)
+		err = os.Rename(src, path)
 	}
 	if err != nil {
-		os.Remove(tmp)
+		f.toPool(src)
 		return &Error{Op: op, Transient: true, Err: err}
 	}
 	return nil
@@ -414,8 +540,8 @@ func (f *File) resultPath(key string) string {
 	return filepath.Join(f.dir, "results", hashKey(key)+".json")
 }
 
-func (f *File) ckptPath(jobID string) string {
-	return filepath.Join(f.dir, "checkpoints", jobID+".ckpt")
+func (f *File) ckptPath(jobID string, chips int) string {
+	return filepath.Join(f.dir, "checkpoints", jobID+"."+strconv.Itoa(chips)+".ckpt")
 }
 
 // hashKey maps an arbitrary study key to a fixed-length file name.
@@ -432,34 +558,59 @@ func (f *File) PutJob(rec JobRecord) error {
 
 // PutResult writes the body snapshot first, then the WAL entry that
 // makes it live — a crash between the two leaves only an orphan file,
-// which the next Open sweeps.
+// which the next Open returns to the pool. A re-put of a live key
+// retires the live entry first, so its file is never rewritten while a
+// record vouches for its length.
 func (f *File) PutResult(key string, body []byte) error {
+	const op = "put_result"
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.putSnapshotLocked("put_result", f.resultPath(key), body, walRecord{T: "res", Key: key})
-}
-
-// putSnapshotLocked writes a snapshot file and then appends the WAL
-// record that makes it live. A closed or wedged store writes neither,
-// so it never leaves a snapshot its WAL does not vouch for. Caller
-// holds f.mu across both writes, so Close cannot land between the
-// check and the snapshot.
-func (f *File) putSnapshotLocked(op, path string, body []byte, rec walRecord) error {
 	if err := f.refuseLocked(op); err != nil {
 		return err
 	}
+	if f.results[key] {
+		if err := f.deleteResultLocked(op, key); err != nil {
+			return err
+		}
+	}
+	n := len(body)
+	if err := f.putSnapshotLocked(op, f.resultPath(key), body, walRecord{T: "res", Key: key, Len: &n}); err != nil {
+		return err
+	}
+	f.results[key] = true
+	return nil
+}
+
+// putSnapshotLocked writes a snapshot file and then appends the WAL
+// record that makes it live; if the append fails the file goes back to
+// the pool. Its callers check refuseLocked first, so a closed or wedged
+// store writes neither and never leaves a snapshot its WAL does not
+// vouch for. Caller holds f.mu across both writes, so Close cannot
+// land between the check and the snapshot.
+func (f *File) putSnapshotLocked(op, path string, body []byte, rec walRecord) error {
 	if err := f.writeSnapshot(op, path, body); err != nil {
 		return err
 	}
-	return f.appendLocked(op, rec)
-}
-
-// DeleteResult logs the deletion and removes the snapshot.
-func (f *File) DeleteResult(key string) error {
-	if err := f.append("delete_result", walRecord{T: "resdel", Key: key}); err != nil {
+	if err := f.appendLocked(op, rec); err != nil {
+		f.toPool(path)
 		return err
 	}
-	os.Remove(f.resultPath(key))
+	return nil
+}
+
+// DeleteResult logs the deletion and moves the snapshot into the pool.
+func (f *File) DeleteResult(key string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.deleteResultLocked("delete_result", key)
+}
+
+func (f *File) deleteResultLocked(op, key string) error {
+	if err := f.appendLocked(op, walRecord{T: "resdel", Key: key}); err != nil {
+		return err
+	}
+	delete(f.results, key)
+	f.toPool(f.resultPath(key))
 	return nil
 }
 
@@ -473,46 +624,69 @@ func (f *File) DeleteIdem(key string) error {
 	return f.append("delete_idem", walRecord{T: "idemdel", Key: key})
 }
 
-// PutCheckpoint snapshots the checkpoint payload, then logs its
-// frontier. Only the newest checkpoint per job is kept.
+// PutCheckpoint snapshots the checkpoint payload as a new generation
+// <id>.<chips>.ckpt, then logs its frontier; the previous generation
+// moves into the pool only after that record lands. Only the newest
+// checkpoint per job is kept. A put at the live generation's own
+// frontier retires it first, as PutResult does a live key.
 func (f *File) PutCheckpoint(jobID string, chips int, data []byte) error {
+	const op = "put_checkpoint"
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if err := f.putSnapshotLocked("put_checkpoint", f.ckptPath(jobID), data,
-		walRecord{T: "ckpt", Key: jobID, Chips: chips}); err != nil {
+	if err := f.refuseLocked(op); err != nil {
 		return err
 	}
-	f.ckpts[jobID] = chips
+	prev, had := f.ckpts[jobID]
+	if had && prev.chips == chips {
+		if err := f.deleteCheckpointLocked(op, jobID); err != nil {
+			return err
+		}
+		had = false
+	}
+	n := len(data)
+	if err := f.putSnapshotLocked(op, f.ckptPath(jobID, chips), data,
+		walRecord{T: "ckpt", Key: jobID, Chips: chips, Len: &n}); err != nil {
+		return err
+	}
+	f.ckpts[jobID] = ckptEntry{chips: chips, len: n}
+	if had {
+		f.toPool(f.ckptPath(jobID, prev.chips))
+	}
 	return nil
 }
 
-// Checkpoint loads a job's newest checkpoint payload.
+// Checkpoint loads a job's newest checkpoint payload. It reads under
+// f.mu: a later put may move the file into the pool and overwrite it.
 func (f *File) Checkpoint(jobID string) ([]byte, int, error) {
 	f.mu.Lock()
-	chips, ok := f.ckpts[jobID]
-	f.mu.Unlock()
+	defer f.mu.Unlock()
+	e, ok := f.ckpts[jobID]
 	if !ok {
 		return nil, 0, ErrNoCheckpoint
 	}
-	data, err := os.ReadFile(f.ckptPath(jobID))
+	data, err := readSnapshot(f.ckptPath(jobID, e.chips), e.len)
 	if err != nil {
 		return nil, 0, &Error{Op: "checkpoint", Err: err}
 	}
-	return data, chips, nil
+	return data, e.chips, nil
 }
 
-// DeleteCheckpoint logs the removal and deletes the snapshot.
+// DeleteCheckpoint logs the removal and moves the last generation into
+// the pool.
 func (f *File) DeleteCheckpoint(jobID string) error {
 	f.mu.Lock()
-	err := f.appendLocked("delete_checkpoint", walRecord{T: "ckptdel", Key: jobID})
-	if err == nil {
-		delete(f.ckpts, jobID)
-	}
-	f.mu.Unlock()
-	if err != nil {
+	defer f.mu.Unlock()
+	return f.deleteCheckpointLocked("delete_checkpoint", jobID)
+}
+
+func (f *File) deleteCheckpointLocked(op, jobID string) error {
+	if err := f.appendLocked(op, walRecord{T: "ckptdel", Key: jobID}); err != nil {
 		return err
 	}
-	os.Remove(f.ckptPath(jobID))
+	if e, ok := f.ckpts[jobID]; ok {
+		delete(f.ckpts, jobID)
+		f.toPool(f.ckptPath(jobID, e.chips))
+	}
 	return nil
 }
 

@@ -149,7 +149,7 @@ func TestFileGarbageWALStartsEmpty(t *testing.T) {
 }
 
 // Orphan snapshots — result bodies and tmp files with no live WAL
-// record — are swept on open; live ones survive.
+// record — move into the spare pool on open; live ones survive.
 func TestFileOrphanSnapshotsSwept(t *testing.T) {
 	dir := t.TempDir()
 	f := mustOpen(t, dir)
@@ -179,6 +179,9 @@ func TestFileOrphanSnapshotsSwept(t *testing.T) {
 	livePath := filepath.Join(resDir, hashKey("live")+".json")
 	if _, err := os.Stat(livePath); err != nil {
 		t.Errorf("live snapshot swept: %v", err)
+	}
+	if spares, err := os.ReadDir(filepath.Join(dir, "spare")); err != nil || len(spares) != 2 {
+		t.Errorf("spare pool after open = %d files (%v), want the 2 orphans", len(spares), err)
 	}
 }
 

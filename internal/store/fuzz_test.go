@@ -8,10 +8,13 @@ import (
 	"testing"
 )
 
-// FuzzOpenFile feeds arbitrary bytes to the File store as its WAL.
-// Opening must never panic or hang, and a store that opens must
-// recover, accept a job, close, and reopen holding that job: whatever
-// replay kept or truncated, the WAL it leaves takes a clean append.
+// FuzzOpenFile feeds arbitrary bytes to the File store as its WAL,
+// beside snapshot files for the seed WAL's result and checkpoint under
+// both checkpoint names (<id>.<chips>.ckpt, and <id>.ckpt from before
+// the spare pool) and a spare. Opening must never panic or hang, and a
+// store that opens must recover, accept a job, close, and reopen
+// holding that job: whatever replay kept or truncated, the WAL it
+// leaves takes a clean append.
 func FuzzOpenFile(f *testing.F) {
 	valid := seedWAL(f)
 	// TestFileTornTailTruncated's tear: a header promising 64 payload
@@ -30,13 +33,34 @@ func FuzzOpenFile(f *testing.F) {
 		// TestFileGarbageWALStartsEmpty's WAL.
 		[]byte("this is not a WAL at all, but it is long enough to look like one"),
 		nil,
+		// Records without a length, as WALs before the spare pool hold.
+		frames(f, walRecord{T: "res", Key: "key1"}, walRecord{T: "ckpt", Key: "j000002", Chips: 8}),
+		// Lengths past the end of the file, negative, and the whole-file
+		// marker written out.
+		frames(f, walRecord{T: "res", Key: "key1", Len: ptr(1 << 40)}, walRecord{T: "ckpt", Key: "j000002", Chips: 8, Len: ptr(-2)}),
+		frames(f, walRecord{T: "res", Key: "key1", Len: ptr(wholeFile)}, walRecord{T: "ckpt", Key: "j000002", Chips: 8, Len: ptr(wholeFile)}),
+		frames(f, walRecord{T: "res", Key: "key1", Len: ptr(0)}, walRecord{T: "ckpt", Key: "j000002", Chips: 8, Len: ptr(3)},
+			walRecord{T: "ckpt", Key: "j000002", Chips: 8, Len: ptr(4)}),
 	} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, wal []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), wal, 0o644); err != nil {
-			t.Fatal(err)
+		for _, sub := range []string{"results", "checkpoints", "spare"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for name, body := range map[string]string{
+			walName: string(wal),
+			filepath.Join("results", hashKey("key1")+".json"): `{"ok":true}`,
+			filepath.Join("checkpoints", "j000002.8.ckpt"):    "checkpoint",
+			filepath.Join("checkpoints", "j000002.ckpt"):      "checkpoint",
+			filepath.Join("spare", "7"):                       "spare",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		st, err := OpenFile(dir)
 		if err != nil {
@@ -103,3 +127,18 @@ func seedWAL(f *testing.F) []byte {
 	}
 	return wal
 }
+
+// frames encodes records as consecutive WAL frames.
+func frames(tb testing.TB, recs ...walRecord) []byte {
+	var wal []byte
+	for _, rec := range recs {
+		frame, err := encodeFrame(rec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		wal = append(wal, frame...)
+	}
+	return wal
+}
+
+func ptr(n int) *int { return &n }

@@ -6,9 +6,10 @@
 // a restart, or not at all — never corrupted.
 //
 // File is the one implementation: a zero-dependency append-only WAL of
-// CRC-framed records plus snapshot files, with fsync on every append
-// and torn-write recovery on open. Chaos wraps a Store with fault
-// injection for crash-recovery testing.
+// CRC-framed records plus snapshot files, with fsync on every append,
+// torn-write recovery on open, and a pool of spare files that retired
+// snapshots join instead of being unlinked. Chaos wraps a Store with
+// fault injection for crash-recovery testing.
 package store
 
 import (

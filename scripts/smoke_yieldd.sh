@@ -205,7 +205,9 @@ done
 # --- durability: the crash-recovery path -----------------------------
 # Reference tables from the ephemeral server above: the big study the
 # durable server will crash out of and resume must end with these.
-CRASH_STUDY='{"chips": 6000, "seed": 2006}'
+# The largest study the server accepts, so the build outlasts the
+# polling below by many checkpoints.
+CRASH_STUDY='{"chips": 20000, "seed": 2006}'
 echo "== reference build (uninterrupted) =="
 curl -sf -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
     -d "$CRASH_STUDY" >"$TMP/reference.json" || fail "reference study failed"
@@ -252,10 +254,11 @@ curl -s -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
 i=0
 until [ -n "$(find "$DATA/checkpoints" -name '*.ckpt' 2>/dev/null)" ]; do
     i=$((i + 1))
-    [ $i -ge 100 ] && fail "no checkpoint landed within 10s of starting the build"
-    sleep 0.1
+    [ $i -ge 500 ] && fail "no checkpoint landed within 10s of starting the build"
+    sleep 0.02
 done
-CRASH_JOB="$(find "$DATA/checkpoints" -name '*.ckpt' | head -1 | xargs basename | sed 's/\.ckpt$//')"
+# Checkpoint files are named <job>.<chips>.ckpt.
+CRASH_JOB="$(find "$DATA/checkpoints" -name '*.ckpt' | head -1 | xargs basename | sed 's/\..*$//')"
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null || true
 PID=""
