@@ -1,6 +1,6 @@
 // Package cpufeat reports the x86 vector extensions the numeric loops
 // of this module may use: the SRAM kernel's exp and log (AVX2 and FMA)
-// and the sampler's draw words (AVX2). Each loop still cross-checks
+// and the sampler's column step (AVX2). Each loop still cross-checks
 // itself against its scalar code at init before it runs.
 //
 // A feature counts only when the OS also saves its register state

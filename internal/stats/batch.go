@@ -1,6 +1,9 @@
 package stats
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // Batched draw generation for the structure-of-arrays measurement
 // kernel. The Monte Carlo variation model draws one short stream per
@@ -22,12 +25,14 @@ import "math/rand"
 // and records per lane the first column whose draw broke the
 // assumption. Fallback rule: such a lane is resumed on the exact scalar
 // path at that draw — reseed, set the lazy source's position to k (the
-// k draws its accepted columns consumed), then TruncNormal for the
-// remaining columns — so the slow
-// strips, the tail, rejections and the uniform fallback all run on
-// math/rand's own code. A lane's columns are written only while the
-// assumption holds, and the value in a column is its draw's mean, so a
-// resumed lane sees exactly the inputs the scalar loop would.
+// k draws its accepted columns consumed), then TruncNormal for column
+// k. Each later column first tries the fast strip again at the
+// source's position (rejoinTruncNormal) and runs TruncNormal from that
+// same draw when it fails, so the slow strips, the tail, rejections
+// and the uniform fallback all run on math/rand's own code. A lane's
+// columns are written only while the assumption holds, and the value
+// in a column is its draw's mean, so a resumed lane sees exactly the
+// inputs the scalar loop would.
 
 const (
 	// specLanes is the lane chunk of the speculative sampler: its per-lane
@@ -44,11 +49,11 @@ const (
 // package's differential tests.
 var columnsOK bool
 
-// vecWords reports that the speculative sampler computes its draw
-// words four lanes at a time (colWords): the CPU and OS support AVX2
-// and the loop reproduced the scalar words on every init probe.
-// Nothing else configures it.
-var vecWords bool
+// vecStep reports that the speculative sampler runs its column step
+// four lanes at a time (stepCol): the CPU and OS support AVX2 and the
+// loop reproduced the scalar step on every init probe. Nothing else
+// configures it.
+var vecStep bool
 
 // TruncNormalColumns draws, for each lane l, one truncated normal per
 // column: the generator is repositioned to seeds[l], then cols[k][l] is
@@ -66,7 +71,7 @@ var vecWords bool
 // sigma or bound <= 0 in any column, take the plain per-lane loop.
 func (g *RNG) TruncNormalColumns(seeds []int64, cols [][]float64, sigma, bound []float64) {
 	if columnsOK && g.fsrc != nil && speculable(sigma, bound) {
-		g.speculateColumns(seeds, cols, sigma, bound, vecWords)
+		g.speculateColumns(seeds, cols, sigma, bound, vecStep)
 		return
 	}
 	for l, seed := range seeds {
@@ -94,72 +99,93 @@ func speculable(sigma, bound []float64) bool {
 }
 
 // speculateColumns is TruncNormalColumns for a speculable batch on the
-// O(1) source: speculative column loops per chunk of specLanes lanes,
+// O(1) source: speculative column steps per chunk of specLanes lanes,
 // then the exact scalar path for every lane whose speculation failed.
-// vec selects the four-lane draw words (colWords); the result is the
+// vec selects the four-lane column step (stepCol); the result is the
 // same either way.
 func (g *RNG) speculateColumns(seeds []int64, cols [][]float64, sigma, bound []float64, vec bool) {
-	nc := uint8(len(cols))
+	nc := len(cols)
 	var x0 [specLanes]uint64
-	var words [specLanes]int64
 	var fail [specLanes]uint8 // first column not drawn speculatively; nc when none
 	for start := 0; start < len(seeds); start += specLanes {
 		chunk := seeds[start:min(start+specLanes, len(seeds))]
 		xs, fs := x0[:len(chunk)], fail[:len(chunk)]
 		for l, seed := range chunk {
 			xs[l] = normSeed(seed)
-			fs[l] = nc
+			fs[l] = uint8(nc)
 		}
-		for k := uint8(0); k < nc; k++ {
-			col := cols[k][start : start+len(xs)]
-			s, b := sigma[k], bound[k]
-			// Draw k reads entries 333-k (feed) and 606-k (tap).
-			f, t := rngLen-rngTap-1-int(k), rngLen-1-int(k)
-			ws := words[:len(xs)]
-			colWords(ws, xs, lcgJump[f], lcgJump[t], rngCooked[f], rngCooked[t], vec)
-			for l, x := range ws {
-				// rand.Rand.NormFloat64's fast strip on Uint32() =
-				// uint32(Int63() >> 31), then TruncNormal's bound test.
-				j := int32(uint32(uint64(x) & rngMask >> 31))
-				i := j & 0x7F
-				v := s * (float64(j) * float64(wn[i]))
-				if fs[l] > k {
-					if absInt32(j) < kn[i] && v >= -b && v <= b {
-						col[l] += v
-					} else {
-						fs[l] = k
-					}
-				}
-			}
+		for k := range cols {
+			stepCol(xs, cols[k][start:start+len(xs)], fs, k, sigma[k], bound[k], vec)
 		}
 		for l, seed := range chunk {
 			k := int(fs[l])
-			if k == int(nc) {
+			if k == nc {
 				continue
 			}
 			// Resume at draw k: a lazy source's state is (seed, draws).
+			// Column k runs the exact TruncNormal; every later column
+			// first tries the fast strip at the source's position.
+			i := start + l
 			g.Reseed(seed)
 			g.fsrc.drawn = k
-			for ; k < int(nc); k++ {
-				cols[k][start+l] = g.TruncNormal(cols[k][start+l], sigma[k], bound[k])
+			cols[k][i] = g.TruncNormal(cols[k][i], sigma[k], bound[k])
+			for k++; k < nc; k++ {
+				cols[k][i] = g.rejoinTruncNormal(cols[k][i], sigma[k], bound[k])
 			}
 		}
 	}
 }
 
-// colWords sets ws[l] to lane l's draw word for one column, the sum of
-// the seeded entries whose Lehmer jumps are jf (feed) and jt (tap) and
-// whose cooked words are cf and ct: seedEntry(xs[l], jf, cf) +
-// seedEntry(xs[l], jt, ct). With vec set, whole groups of four lanes
-// go to the AVX2 loop wordsVec; the tail, and every lane without vec,
-// run the scalar body below. Both are exact integer arithmetic, so
-// the words are identical.
-func colWords(ws []int64, xs []uint64, jf, jt uint64, cf, ct int64, vec bool) {
+// rejoinTruncNormal is TruncNormal(mean, s, b) for a resumed lane on
+// the O(1) source: while the source is lazy it computes the next draw's
+// word itself and, when that draw takes the fast strip and lands inside
+// the bound, returns mean+v and advances the source by that one draw.
+// Any other draw leaves the source where it was and runs TruncNormal,
+// whose 64 tries then start at that same draw, as they would on the
+// scalar path.
+func (g *RNG) rejoinTruncNormal(mean, s, b float64) float64 {
+	src := g.fsrc
+	if d := src.drawn; src.lazy && d < rngTap {
+		if v, ok := fastStrip(src.lazyWord(d), s, b); ok {
+			src.drawn++
+			return mean + v
+		}
+	}
+	return g.TruncNormal(mean, s, b)
+}
+
+// fastStrip evaluates the draw whose source word is x as TruncNormal
+// would with sigma s and bound b, as far as the ziggurat's fast strip
+// goes: v is s*NormFloat64() for that draw, and ok reports that the
+// draw took the fast strip (rand.Rand.NormFloat64 on Uint32() =
+// uint32(Int63() >> 31)) and that v passed the bound test.
+func fastStrip(x int64, s, b float64) (v float64, ok bool) {
+	j := int32(uint32(uint64(x) & rngMask >> 31))
+	i := j & 0x7F
+	v = s * (float64(j) * float64(wn[i]))
+	return v, absInt32(j) < kn[i] && v >= -b && v <= b
+}
+
+// stepCol draws column k of a chunk speculatively: for every lane l
+// still live (fs[l] > k) it computes draw k's word, the sum of the
+// seeded entries 333-k (feed) and 606-k (tap) of the normalized seed
+// xs[l], and either adds the draw's value to col[l] (fastStrip
+// accepts it) or sets fs[l] = k. With vec set, whole groups of four
+// lanes go to the AVX2 loop stepVec; the tail, and every lane without
+// vec, run the scalar body below. Both do the same exact integer
+// arithmetic and the same IEEE multiplies and compares, and both write
+// a rejected lane's column not at all, so the results are identical.
+func stepCol(xs []uint64, col []float64, fs []uint8, k int, s, b float64, vec bool) {
+	f, t := rngLen-rngTap-1-k, rngLen-1-k
+	jf, jt, cf, ct := lcgJump[f], lcgJump[t], rngCooked[f], rngCooked[t]
 	n := 0
 	if vec {
-		n = wordsVec(xs, ws, jf, jt, cf, ct)
+		n = stepVec(xs, col, fs, k, jf, jt, cf, ct, s, b)
 	}
 	for l := n; l < len(xs); l++ {
+		if int(fs[l]) <= k {
+			continue
+		}
 		// seedEntry(x0, jf, cf) + seedEntry(x0, jt, ct), written out:
 		// the two Lehmer chains are independent, so their steps overlap.
 		x0 := xs[l]
@@ -168,34 +194,61 @@ func colWords(ws []int64, xs []uint64, jf, jt uint64, cf, ct int64, vec bool) {
 		a, c = modM(a*lcgA), modM(c*lcgA)
 		ua, uc = ua^int64(a)<<20, uc^int64(c)<<20
 		a, c = modM(a*lcgA), modM(c*lcgA)
-		ws[l] = (ua ^ int64(a) ^ cf) + (uc ^ int64(c) ^ ct)
+		if v, ok := fastStrip((ua^int64(a)^cf)+(uc^int64(c)^ct), s, b); ok {
+			col[l] += v
+		} else {
+			fs[l] = uint8(k)
+		}
 	}
 }
 
-// wordsAgree cross-checks wordsVec against the scalar body of colWords
-// for every column the speculative sampler draws, on fixed seeds: the
+// stepAgree cross-checks stepVec against the scalar body of stepCol
+// for every column the speculative sampler draws, on fixed seeds (the
 // edges of the normalized seed range, math/rand's substitute for seed
-// 0 and a pseudo-random spread, in a whole number of groups of four.
-func wordsAgree() bool {
+// 0 and a pseudo-random spread, in a whole number of groups of four)
+// and means (signed zeros among them): every column's bits and every
+// lane's first failing column must agree, at Table 1's sigma and 3-sigma
+// bound of each parameter and at a bound of 1e-3 sigma, where most
+// lanes fail.
+func stepAgree() bool {
 	xs := []uint64{1, 2, 3, lcgA, 1 << 30, 1<<30 - 1, 1<<30 + 1, int32max - 1,
 		int32max - 2, int32max - lcgA, 89482311, 0x55555555, 0x2AAAAAAA, 0x7FFF0000, 0xFFFF, 0x10000}
 	for i := int64(0); len(xs) < specLanes; i++ {
 		xs = append(xs, normSeed(MixSeed(2006, i)))
 	}
-	var vec, sca [specLanes]int64
-	for k := 0; k < specCols; k++ {
-		f, t := rngLen-rngTap-1-k, rngLen-1-k
-		jf, jt, cf, ct := lcgJump[f], lcgJump[t], rngCooked[f], rngCooked[t]
-		if wordsVec(xs, vec[:], jf, jt, cf, ct) != len(xs) {
-			return false
+	// Table 1's sigma of Leff, Vt, W, T and H (variation.Nassif45nm).
+	sigma := [...]float64{1.5, 13.2, 0.0275, 0.0605, 0.0175}
+	for _, scale := range []float64{3, 1e-3} {
+		var vc, sc [specLanes]float64
+		var vf, sf [specLanes]uint8
+		for l := range xs {
+			vc[l] = float64(l%7-3) * 0.25
+			if l%5 == 0 {
+				vc[l] = math.Copysign(0, -1)
+			}
+			vf[l] = specCols
 		}
-		colWords(sca[:], xs, jf, jt, cf, ct, false)
-		if vec != sca {
-			return false
+		sc, sf = vc, vf
+		for k := 0; k < specCols; k++ {
+			s := sigma[k%len(sigma)]
+			stepCol(xs, vc[:], vf[:], k, s, scale*s, true)
+			stepCol(xs, sc[:], sf[:], k, s, scale*s, false)
+			if vf != sf {
+				return false
+			}
+			for l := range vc {
+				if math.Float64bits(vc[l]) != math.Float64bits(sc[l]) {
+					return false
+				}
+			}
 		}
 	}
 	return true
 }
+
+// knwn packs kn[i] (low 32 bits) and the bits of wn[i] (high 32 bits),
+// so the four-lane step fetches both with one gather; init fills it.
+var knwn [128]uint64
 
 // absInt32 is math/rand's |j| for the ziggurat's strip test (MinInt32
 // maps to 2^31, past every threshold).

@@ -80,7 +80,7 @@ func (c columnCase) columns() [][]float64 {
 }
 
 // checkColumns draws c with the generator under test twice, with the
-// four-lane draw words on (when the host runs them) and off, and
+// four-lane column step on (when the host runs it) and off, and
 // compares both with stockColumns bit for bit.
 func checkColumns(t *testing.T, g *RNG, c columnCase) {
 	t.Helper()
@@ -95,8 +95,8 @@ func checkColumns(t *testing.T, g *RNG, c columnCase) {
 		for k := range got {
 			for l := range got[k] {
 				if math.Float64bits(got[k][l]) != math.Float64bits(want[k][l]) {
-					t.Fatalf("vector words %v, lane %d (seed %d) column %d: got %v, stock math/rand gives %v",
-						vec && vecWords, l, c.seeds[l], k, got[k][l], want[k][l])
+					t.Fatalf("vector step %v, lane %d (seed %d) column %d: got %v, stock math/rand gives %v",
+						vec && vecStep, l, c.seeds[l], k, got[k][l], want[k][l])
 				}
 			}
 		}
@@ -104,8 +104,8 @@ func checkColumns(t *testing.T, g *RNG, c columnCase) {
 }
 
 // drawColumns is g.TruncNormalColumns with the speculative sampler's
-// four-lane draw words allowed (vec) or not; without vec a speculable
-// batch takes the scalar words.
+// four-lane column step allowed (vec) or not; without vec a speculable
+// batch takes the scalar step.
 func drawColumns(g *RNG, seeds []int64, cols [][]float64, sigma, bound []float64, vec bool) {
 	if !vec && columnsOK && g.fsrc != nil && speculable(sigma, bound) {
 		g.speculateColumns(seeds, cols, sigma, bound, false)
@@ -115,21 +115,122 @@ func drawColumns(g *RNG, seeds []int64, cols [][]float64, sigma, bound []float64
 }
 
 // TestWordsVecGate checks that a host with AVX2 passes the init
-// cross-check of the four-lane draw words, so a broken loop cannot
-// hide behind the scalar fallback.
+// cross-check of the four-lane column step, so a broken loop cannot
+// hide behind the scalar fallback, and that the loop takes every whole
+// group of four lanes.
 func TestWordsVecGate(t *testing.T) {
-	if cpufeat.AVX2() && columnsOK && !vecWords {
-		t.Fatal("AVX2 present but the draw-word loop failed its init cross-check against the scalar body")
+	if cpufeat.AVX2() && columnsOK && !vecStep {
+		t.Fatal("AVX2 present but the four-lane column step failed its init cross-check against the scalar step")
 	}
-	t.Logf("four-lane draw words: %v", vecWords)
+	if vecStep {
+		xs, col, fs := []uint64{1, 2, 3, 4, 5, 6, 7}, make([]float64, 7), []uint8{1, 1, 1, 1, 1, 1, 1}
+		f, tap := rngLen-rngTap-1, rngLen-1
+		if n := stepVec(xs, col, fs, 0, lcgJump[f], lcgJump[tap], rngCooked[f], rngCooked[tap], 1, 3); n != 4 {
+			t.Fatalf("stepVec took %d of 7 lanes, want 4", n)
+		}
+	}
+	t.Logf("four-lane column step: %v", vecStep)
+}
+
+// specialDraws lists seeds whose draw d (0-based) has an extreme
+// ziggurat input j, found by an exhaustive search of the normalized
+// seed range (1 to 2^31-2) over draws 0-7: j = 0, where s*(j*wn[i]) is
+// a NaN for an infinite s; j = MinInt32, whose |j| = 2^31 fails every
+// strip (a signed compare would read it as negative and accept it);
+// and |j| == kn[j&0x7F], which the strict strip test rejects. Every
+// such draw in the range is listed.
+var specialDraws = map[string][]struct {
+	seed int64
+	d    int
+}{
+	"j=0":        {{1181427728, 3}, {1586534724, 3}, {966055919, 3}, {1099294728, 6}, {2325309, 7}},
+	"j=MinInt32": {{1214138711, 0}, {828723285, 2}, {1715726122, 4}, {1152061376, 5}, {120846370, 7}},
+	"|j|=kn[i]": {{1218348140, 0}, {875882750, 0}, {1316692078, 1}, {287750917, 2}, {418139421, 2},
+		{351198123, 3}, {1294761156, 4}, {108216601, 5}, {1807351826, 6}, {341193144, 7}, {421880334, 7}},
+}
+
+// drawJ returns the ziggurat input j of draw d of seed's stream.
+func drawJ(seed int64, d int) int32 {
+	fs := new(fastSource)
+	fs.Seed(seed)
+	return int32(uint32(uint64(fs.lazyWord(d)) & rngMask >> 31))
+}
+
+// TestSpecialDrawsStep checks the list above and runs the column step
+// on edge draws at their own column, four lanes at a time and on the
+// scalar body, from signed-zero means: column bits and first failing
+// columns must agree, a rejected lane must keep its mean's bits, and
+// the draw must be accepted or rejected as Go's TruncNormal would
+// take it on its first try. The edge draws are the special draws at
+// Table 1's sigma and an infinite one, under Table 1's bound and an
+// infinite one (MinInt32's v is about -3.7 sigma, inside only the
+// latter), and draws whose v is exactly +b or -b.
+func TestSpecialDrawsStep(t *testing.T) {
+	sigma, bound := table1Columns(1)
+	type edge struct {
+		name    string
+		seed    int64
+		d       int
+		s, b    float64
+		accepts bool
+	}
+	var edges []edge
+	for class, draws := range specialDraws {
+		for _, sd := range draws {
+			j := drawJ(sd.seed, sd.d)
+			if ok := map[string]bool{"j=0": j == 0, "j=MinInt32": j == math.MinInt32,
+				"|j|=kn[i]": absInt32(j) == kn[j&0x7F]}[class]; !ok {
+				t.Fatalf("seed %d draw %d: j = %d is not %s", sd.seed, sd.d, j, class)
+			}
+			for _, s := range []float64{sigma[sd.d%5], math.Inf(1)} {
+				for _, b := range []float64{bound[sd.d%5], math.Inf(1)} {
+					// Only j = 0 at a finite sigma passes (v = 0).
+					edges = append(edges, edge{class, sd.seed, sd.d, s, b, class == "j=0" && !math.IsInf(s, 1)})
+				}
+			}
+		}
+	}
+	for name, sign := range map[string]float64{"v = +b": 1, "v = -b": -1} {
+		fs := new(fastSource)
+		for seed := int64(1); ; seed++ {
+			fs.Seed(seed)
+			if v, ok := fastStrip(fs.lazyWord(0), sigma[0], math.Inf(1)); ok && sign*v > 0 {
+				edges = append(edges, edge{name, seed, 0, sigma[0], math.Abs(v), true})
+				break
+			}
+		}
+	}
+	for _, e := range edges {
+		xs := []uint64{normSeed(e.seed), 1, 2, 3, 4}
+		var col [2][5]float64
+		var fs [2][5]uint8
+		for l := range xs {
+			col[0][l], col[1][l] = math.Copysign(0, -1), math.Copysign(0, -1)
+			fs[0][l], fs[1][l] = specCols, specCols
+		}
+		stepCol(xs, col[0][:], fs[0][:], e.d, e.s, e.b, vecStep)
+		stepCol(xs, col[1][:], fs[1][:], e.d, e.s, e.b, false)
+		for l := range xs {
+			v, c := math.Float64bits(col[0][l]), math.Float64bits(col[1][l])
+			if v != c || fs[0][l] != fs[1][l] || (fs[0][l] == uint8(e.d) && v != 1<<63) {
+				t.Fatalf("%s seed %d draw %d sigma %v bound %v lane %d: vector step %v (fail %d), scalar %v (fail %d)",
+					e.name, e.seed, e.d, e.s, e.b, l, col[0][l], fs[0][l], col[1][l], fs[1][l])
+			}
+		}
+		if got := fs[1][0] == specCols; got != e.accepts {
+			t.Fatalf("%s seed %d draw %d sigma %v bound %v: accepted %v, want %v", e.name, e.seed, e.d, e.s, e.b, got, e.accepts)
+		}
+	}
 }
 
 // FuzzSpeculateColumns checks the speculative sampler with the
-// four-lane draw words against the same sampler on the scalar words,
-// and both against stock math/rand, bit for bit: lane seeds start at
-// seed and step by stride (so they cross 0, the negatives and 2^31-1),
-// with 1-8 columns, 0-200 lanes and positive sigma and bound columns
-// taken from the raw bits in params (8 bytes each, sigma then bound).
+// four-lane column step (the fused draw words, strip test, bound test
+// and column update) against the same sampler on the scalar step, and
+// both against stock math/rand, bit for bit: lane seeds start at seed
+// and step by stride (so they cross 0, the negatives and 2^31-1), with
+// 1-8 columns, 0-200 lanes and positive sigma and bound columns taken
+// from the raw bits in params (8 bytes each, sigma then bound); an odd
+// byte after them makes every mean -0.
 func FuzzSpeculateColumns(f *testing.F) {
 	f.Add(int64(2006), int64(1), uint8(5), uint8(64), []byte{})
 	f.Add(int64(0), int64(-1), uint8(1), uint8(3), []byte{})
@@ -137,6 +238,26 @@ func FuzzSpeculateColumns(f *testing.F) {
 	f.Add(int64(int32max-2), int64(1), uint8(3), uint8(7), []byte{})
 	f.Add(int64(math.MinInt64), int64(int32max), uint8(2), uint8(65), []byte{})
 	f.Add(int64(math.MaxInt64), int64(1)<<31, uint8(6), uint8(129), make([]byte, 96))
+	// The special draws (specialDraws) at their own column, j = 0 under
+	// an infinite sigma (v is NaN), a v exactly at the bound, and -0
+	// means under a bound of 1e-3 sigma in every column.
+	sig, _ := table1Columns(1)
+	f.Add(int64(1214138711), int64(1), uint8(0), uint8(4), []byte{})
+	f.Add(int64(1218348140), int64(1), uint8(0), uint8(8), []byte{})
+	f.Add(int64(1181427728), int64(1), uint8(3), uint8(4), f64s(sig[0], sig[1], sig[2], math.Inf(1)))
+	src := new(fastSource)
+	for seed := int64(1); ; seed++ {
+		src.Seed(seed)
+		if v, ok := fastStrip(src.lazyWord(0), sig[0], math.Inf(1)); ok {
+			f.Add(seed, int64(1), uint8(0), uint8(4), f64s(sig[0], math.Abs(v)))
+			break
+		}
+	}
+	tight := append([]float64(nil), sig...)
+	for k := range sig {
+		tight = append(tight, 1e-3*sig[k])
+	}
+	f.Add(int64(7), int64(3), uint8(4), uint8(64), append(f64s(tight...), 1))
 	f.Fuzz(func(t *testing.T, seed, stride int64, ncols, lanes uint8, params []byte) {
 		g := NewRNG(0)
 		if g.fsrc == nil || !columnsOK {
@@ -159,8 +280,11 @@ func FuzzSpeculateColumns(f *testing.F) {
 			seeds[l] = seed + int64(l)*stride
 		}
 		c := columnCase{seeds: seeds, sigma: sigma, bound: bound, mean: nominalMeans}
+		if len(params) > 16*nc && params[16*nc]&1 == 1 {
+			c.mean = func(int, int) float64 { return math.Copysign(0, -1) }
+		}
 		vec, sca, want := c.columns(), c.columns(), c.columns()
-		g.speculateColumns(seeds, vec, sigma, bound, vecWords)
+		g.speculateColumns(seeds, vec, sigma, bound, vecStep)
 		g.speculateColumns(seeds, sca, sigma, bound, false)
 		stockColumns(seeds, want, sigma, bound)
 		for k := range vec {
@@ -173,6 +297,16 @@ func FuzzSpeculateColumns(f *testing.F) {
 			}
 		}
 	})
+}
+
+// f64s encodes vs as little-endian float64s, the layout
+// FuzzSpeculateColumns reads its sigma and bound columns from.
+func f64s(vs ...float64) []byte {
+	var b []byte
+	for _, v := range vs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	return b
 }
 
 // positive reads a float64 from the first 8 bytes of b and returns its
@@ -237,10 +371,12 @@ func findSeeds(n, pos int, pick func(i int32, abs, k uint32) bool) []int64 {
 
 // TestTruncNormalColumnsEdgeCases forces every fallback of the
 // speculative sampler against the stock reference, with the four-lane
-// draw words on and off: columns it must not speculate on, draws in the
-// ziggurat's tail and wedges, rejection exhaustion into the uniform
-// fallback (and past the lazy window), and lane counts around the chunk
-// size and the four-lane groups.
+// column step on and off: columns it must not speculate on, draws in
+// the ziggurat's tail and wedges, rejection exhaustion into the uniform
+// fallback (and past the lazy window), resumed lanes rejoining the fast
+// strip, the special draws, a v exactly at either bound, signed-zero
+// means, and lane counts around the chunk size and the four-lane
+// groups.
 func TestTruncNormalColumnsEdgeCases(t *testing.T) {
 	sigma, bound := table1Columns(1)
 	with := func(k int, s, b float64) ([]float64, []float64) {
@@ -277,6 +413,55 @@ func TestTruncNormalColumnsEdgeCases(t *testing.T) {
 	}
 	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65, 200} {
 		add(fmt.Sprintf("%d lanes", n), laneSeeds(n, int64(n)), sigma, bound)
+	}
+	// Every column's bound at 1e-3 sigma: lanes fail column after
+	// column, exhaust their 64 tries into the uniform fallback and
+	// rejoin the fast strip (past the lazy window too).
+	tight := make([]float64, len(bound))
+	for k := range tight {
+		tight[k] = 1e-3 * sigma[k]
+	}
+	add("bound/sigma 1e-3", seeds, sigma, tight)
+	negZero := func(int, int) float64 { return math.Copysign(0, -1) }
+	cases["-0 means"] = columnCase{seeds: seeds, sigma: sigma, bound: bound, mean: negZero}
+	cases["-0 means, bound/sigma 1e-3"] = columnCase{seeds: seeds, sigma: sigma, bound: tight, mean: negZero}
+	// A bound equal to a lane's |v| at draw 0: the bound test is closed.
+	for name, sign := range map[string]float64{"v = +bound": 1, "v = -bound": -1} {
+		fs := new(fastSource)
+		for _, seed := range seeds {
+			fs.Seed(seed)
+			if v, ok := fastStrip(fs.lazyWord(0), sigma[0], math.Inf(1)); ok && sign*v > 0 {
+				s0, b0 := with(0, sigma[0], math.Abs(v))
+				add(name, seeds, s0, b0)
+				break
+			}
+		}
+	}
+	// The special draws with eight columns, each class's seeds first
+	// and padded to whole groups of four so the vector step sees them,
+	// under Table 1's bounds and infinite ones (MinInt32's v is about
+	// -3.7 sigma); j = 0 also with an infinite sigma in its column,
+	// where v is NaN.
+	s8, b8, inf8 := make([]float64, specCols), make([]float64, specCols), make([]float64, specCols)
+	for k := range s8 {
+		s8[k], b8[k], inf8[k] = sigma[k%5], bound[k%5], math.Inf(1)
+	}
+	for class, draws := range specialDraws {
+		var ss []int64
+		for _, sd := range draws {
+			ss = append(ss, sd.seed)
+		}
+		ss = append(ss, laneSeeds(-len(ss)&3, 5)...)
+		add(class, ss, s8, b8)
+		add(class+", bound +Inf", ss, s8, inf8)
+		if class != "j=0" {
+			continue
+		}
+		for _, sd := range draws {
+			sInf := append([]float64(nil), s8...)
+			sInf[sd.d] = math.Inf(1)
+			add(fmt.Sprintf("j=0 at draw %d, sigma +Inf", sd.d), ss, sInf, b8)
+		}
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { checkColumns(t, NewRNG(0), c) })

@@ -16,16 +16,16 @@ func forceStockSource(t testing.TB) {
 // package, whose tests build whole populations on the fallback.
 var ForceStockSource = forceStockSource
 
-// forceScalarWords makes the speculative sampler compute every draw
-// word with the scalar body until the test ends: the path a host
-// without AVX2, or a failed init cross-check, runs. Tests that call it
+// forceScalarStep makes the speculative sampler run every column step
+// on the scalar body until the test ends: the path a host without
+// AVX2, or a failed init cross-check, runs. Tests that call it
 // must not run in parallel with others.
-func forceScalarWords(t testing.TB) {
-	old := vecWords
-	vecWords = false
-	t.Cleanup(func() { vecWords = old })
+func forceScalarStep(t testing.TB) {
+	old := vecStep
+	vecStep = false
+	t.Cleanup(func() { vecStep = old })
 }
 
-// ForceScalarWords exports forceScalarWords to the external test
-// package, whose tests build whole populations on either word path.
-var ForceScalarWords = forceScalarWords
+// ForceScalarStep exports forceScalarStep to the external test
+// package, whose tests build whole populations on either step path.
+var ForceScalarStep = forceScalarStep

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"unsafe"
@@ -76,9 +77,12 @@ func init() {
 			p = p * lcgA % int32max
 		}
 	}
+	for i := range knwn {
+		knwn[i] = uint64(kn[i]) | uint64(math.Float32bits(wn[i]))<<32
+	}
 	seedJumpOK = recoverCooked() && verifySeedJump()
 	columnsOK = seedJumpOK && verifyZiggurat()
-	vecWords = columnsOK && cpufeat.AVX2() && wordsAgree()
+	vecStep = columnsOK && cpufeat.AVX2() && stepAgree()
 }
 
 // modM returns p mod 2^31-1 by folding the high bits onto the low ones
@@ -194,6 +198,13 @@ func (s *fastSource) entry(i int) int64 {
 	return seedEntry(s.x0, lcgJump[i], rngCooked[i])
 }
 
+// lazyWord returns draw d of the current seed's stream, for d inside
+// the lazy window: the sum of seeded entries 333-d (feed) and 606-d
+// (tap).
+func (s *fastSource) lazyWord(d int) int64 {
+	return s.entry(rngLen-rngTap-1-d) + s.entry(rngLen-1-d)
+}
+
 // seedEntry returns the seeded-vector entry whose Lehmer jump and cooked
 // word are given, for the normalized seed x0: three chained Lehmer
 // values packed at bits 40, 20 and 0, XORed with the cooked word.
@@ -227,9 +238,7 @@ func (s *fastSource) materialize() {
 func (s *fastSource) Uint64() uint64 {
 	if s.lazy {
 		if s.drawn < rngTap {
-			f := rngLen - rngTap - 1 - s.drawn
-			t := rngLen - 1 - s.drawn
-			x := s.entry(f) + s.entry(t)
+			x := s.lazyWord(s.drawn)
 			s.drawn++
 			return uint64(x)
 		}

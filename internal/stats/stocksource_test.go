@@ -28,7 +28,7 @@ func TestGoldenSeed2006StockSource(t *testing.T) {
 func TestGoldenSeed2006DrawWords(t *testing.T) {
 	t.Run("vector", checkGolden2006)
 	t.Run("scalar", func(t *testing.T) {
-		stats.ForceScalarWords(t)
+		stats.ForceScalarStep(t)
 		checkGolden2006(t)
 	})
 }

@@ -2,6 +2,8 @@
 
 package stats
 
-// Without the amd64 loop every lane's draw word is computed in Go.
+// Without the amd64 loop every lane's column step runs in Go.
 
-func wordsVec([]uint64, []int64, uint64, uint64, int64, int64) int { return 0 }
+func stepVec([]uint64, []float64, []uint8, int, uint64, uint64, int64, int64, float64, float64) int {
+	return 0
+}

@@ -116,6 +116,10 @@ func (sc *Scratch) ChildrenBatch(parent *Batch, factor float64, label0 int64, fa
 	// child: values copy through, only the seed advances.
 	for p := range dst.Col {
 		dcol, pcol := dst.Col[p], parent.Col[p]
+		if fanout == 1 {
+			copy(dcol, pcol[:parent.n])
+			continue
+		}
 		for pl := 0; pl < parent.n; pl++ {
 			v := pcol[pl]
 			base := pl * fanout
