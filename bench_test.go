@@ -339,35 +339,12 @@ func BenchmarkPopulationBuildPair(b *testing.B) {
 	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
 }
 
-// BenchmarkPopulationBuildPairCheckpointed is BenchmarkPopulationBuildPair
-// with the durable-jobs checkpointer armed. The comparison against
-// BenchmarkPopulationBuildPair (Checkpoint nil) pins the acceptance
-// bar: the disabled-store path adds zero allocations to the per-chip
-// hot loop, and enabling checkpointing costs only the checkpointer plus
-// one Sink call per look point, nothing per chip. Its ckpts/op counts
-// those look offers; the Sink here takes every one, where the server's
-// writer skips all but one per CheckpointInterval.
-func BenchmarkPopulationBuildPairCheckpointed(b *testing.B) {
-	const n = 200
-	sunk := 0
-	ck := &core.CheckpointConfig{
-		Sink: func(*core.BuildCheckpoint) error { sunk++; return nil },
-	}
-	for i := 0; i < b.N; i++ {
-		core.DeriveHorizontal(benchBuild(b, core.PopulationConfig{
-			N: n, Seed: int64(i + 1), Checkpoint: ck,
-		}).Regular)
-	}
-	b.ReportMetric(float64(2*n*b.N)/b.Elapsed().Seconds(), "chips/s")
-	b.ReportMetric(float64(sunk)/float64(b.N), "ckpts/op")
-}
-
 // BenchmarkEstimateArmed is the builder with streaming yield
-// estimation armed at a server-realistic snapshot interval. Like the
-// checkpointer, the estimator must stay off the per-chip hot path: the
-// streaming case first pins the alloc budget (arming costs at most two
-// allocations per build — the estimator and its frontier's batch marks — and
-// nothing per chip) and then reports the throughput with snapshots
+// estimation armed at a server-realistic snapshot interval. The
+// estimator must stay off the per-chip hot path: the streaming case
+// first pins the alloc budget (arming costs at most two allocations per
+// build — the estimator and its frontier's batch marks — and nothing
+// per chip) and then reports the throughput with snapshots
 // publishing. The precision case is a study-durable-shaped build (20000
 // chips, ±1% at 95%): it reports the chips it keeps and the megabytes
 // it allocates per build, which track the stop prefix, not the 20000.

@@ -20,10 +20,11 @@
 // reference.
 //
 // With -store file, job records, cached results, Idempotency-Key
-// bindings and build checkpoints are persisted under -data-dir in a
+// bindings and sweep checkpoints are persisted under -data-dir in a
 // CRC-checked write-ahead log plus snapshot files; after a crash the
-// next start replays the log and resumes interrupted builds from their
-// last checkpoint under the same job ids. Graceful shutdown records
+// next start replays the log and resumes interrupted jobs under the
+// same job ids: a sweep from its last checkpoint, a study rebuilt from
+// its seed. Graceful shutdown records
 // terminal states, so only an unclean death triggers resume. The
 // YIELDD_CHAOS environment variable (e.g.
 // "err=0.05,lat=2ms,partial=0.01,seed=7") injects storage faults for
@@ -77,7 +78,7 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	storeKind := flag.String("store", "none", "durable job/result store: none or file (WAL under -data-dir)")
 	dataDir := flag.String("data-dir", "yieldd-data", "directory for the file store's write-ahead log and snapshots")
-	checkpointInterval := flag.Duration("checkpoint-interval", 2*time.Second, "interval between build checkpoints when a store is attached (negative disables checkpointing)")
+	checkpointInterval := flag.Duration("checkpoint-interval", 2*time.Second, "interval between sweep checkpoints when a store is attached (negative disables checkpointing)")
 	flag.Parse()
 
 	var handler slog.Handler

@@ -16,19 +16,20 @@ func batchCount(n int) int {
 }
 
 // forEachBatch is the one parallel loop of every build: it calls fn for
-// each sram.BatchWidth-chip batch of chips [base, n), batch k covering
-// [lo, lo+bn) with lo = base + k·sram.BatchWidth. Up to workers
-// goroutines, no more than there are batches, each own an evaluator of
-// model drawing from sampler and claim batch indices from a shared
-// counter, so fn must write only batch k's own slots; the results then
-// depend on neither the worker count nor the schedule. Worker w runs
-// under sp.Worker("measure_chips", w) (sp may be nil) and marks each
-// batch it finishes in fr. Cancellation and fr's stop flag are polled
-// once per batch; the caller checks ctx.Err() afterwards, since a
-// cancelled loop leaves batches unwritten.
-func forEachBatch(cancelled *atomic.Bool, sp *obs.Span, fr frontier, base, n, workers int,
+// each sram.BatchWidth-chip batch of chips [0, n), batch k covering
+// [lo, lo+bn) with lo = k·sram.BatchWidth. Up to workers goroutines, no
+// more than there are batches, each own an evaluator of model drawing
+// from sampler and claim batch indices from a shared counter, so fn
+// must write only batch k's own slots; the results then depend on
+// neither the worker count nor the schedule. Worker w runs under
+// sp.Worker("measure_chips", w) (sp may be nil) and hands each batch it
+// finishes to est (nil when the build estimates nothing). Cancellation
+// and est's stop are polled once per batch; the caller checks
+// ctx.Err() afterwards, since a cancelled loop leaves batches
+// unwritten.
+func forEachBatch(cancelled *atomic.Bool, sp *obs.Span, est *estimator, n, workers int,
 	model *sram.Model, sampler *variation.Sampler, fn func(ev *sram.Evaluator, k, lo, bn int)) {
-	nBatches := batchCount(n - base)
+	nBatches := batchCount(n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < min(workers, nBatches); w++ {
@@ -39,14 +40,14 @@ func forEachBatch(cancelled *atomic.Bool, sp *obs.Span, fr frontier, base, n, wo
 			defer ws.End()
 			ev := model.NewEvaluator(sampler.NewScratch())
 			defer ev.Release()
-			for !cancelled.Load() && !fr.stopped() {
+			for !cancelled.Load() && !est.stopped() {
 				k := int(next.Add(1) - 1)
 				if k >= nBatches {
 					return
 				}
-				lo := base + k*sram.BatchWidth
+				lo := k * sram.BatchWidth
 				fn(ev, k, lo, min(sram.BatchWidth, n-lo))
-				fr.finish(k)
+				est.batchDone(k)
 			}
 		}(w)
 	}
@@ -60,87 +61,59 @@ func forEachBatch(cancelled *atomic.Bool, sp *obs.Span, fr frontier, base, n, wo
 const lookStep = 8 * sram.BatchWidth
 
 // frontier tracks which batches of a build are measured, for the looks
-// that hand its consistent prefix to the estimator and the
-// checkpointer. A worker marks batch k with one atomic store after
-// writing its chips, so a look that loads the mark also sees the chips,
-// and every chip below the first unmarked batch is measured and
-// immutable: no locks, no copying. The prefix is therefore base +
-// k·sram.BatchWidth or n, and neither a stop nor a worker that claims
-// nothing can move it past an unmeasured chip or hold it back. The
-// zero frontier arms nothing and costs the loop one nil check per
-// batch.
+// that hand the build's consistent prefix to its estimator, which
+// embeds it. A worker marks batch k with one atomic store after writing
+// its chips, so a look that loads the mark also sees the chips, and
+// every chip below the first unmarked batch is measured and immutable:
+// no locks, no copying. The prefix is therefore a multiple of
+// sram.BatchWidth or the whole build, and neither a stop nor a worker
+// that claims nothing can move it past an unmeasured chip or hold it
+// back. The election keeps the looks single-threaded, and with them
+// the estimator's own state.
 type frontier struct {
-	done    []atomic.Bool // per batch of [base, n): measured; nil when nothing is armed
-	base, n int
-	sched   *schedule     // the estimator's when it is armed, else the checkpointer's
-	est     *estimator    // nil when unarmed
-	ckp     *checkpointer // nil when unarmed
+	done     []atomic.Bool // per batch: measured
+	electing atomic.Int32  // CAS gate: one looker at a time
+	next     int           // first batch not known to be measured (looker-only)
+	passed   int           // look points at or below the prefix of the last look (looker-only)
 }
 
-// schedule is the state of a build's looks, which the election keeps
-// single-threaded, as it does the consumers' own. The estimator and the
-// checkpointer each embed one, so arming either adds no allocation; a
-// build uses one.
-type schedule struct {
-	electing atomic.Int32 // CAS gate: one looker at a time
-	next     int          // first batch not known to be measured (looker-only)
-	passed   int          // look points at or below the prefix of the last look (looker-only)
-}
-
-// newFrontier returns the frontier of chips [base, n) shared by a
-// build's estimator and checkpointer, either of which may be nil; with
-// neither it is the zero frontier.
-func newFrontier(base, n int, ckp *checkpointer, est *estimator) frontier {
-	f := frontier{base: base, n: n, est: est, ckp: ckp}
-	switch {
-	case est != nil:
-		f.sched = &est.schedule
-	case ckp != nil:
-		f.sched = &ckp.schedule
-	default:
-		return f
+// prefix returns the consistent prefix of a build of n chips: every
+// chip below it is measured. It moves next, the first batch not known
+// to be measured, past the batches marked since.
+func (f *frontier) prefix(n int) int {
+	for f.next < len(f.done) && f.done[f.next].Load() {
+		f.next++
 	}
-	f.done = make([]atomic.Bool, batchCount(n-base))
-	return f
+	return min(f.next*sram.BatchWidth, n)
 }
 
 // stopped reports whether the estimator has ended the loop early.
-func (f frontier) stopped() bool {
-	return f.est != nil && f.est.stop.Load()
+// Nil-safe.
+func (e *estimator) stopped() bool {
+	return e != nil && e.stop.Load()
 }
 
-// finish marks batch k measured. When the consistent prefix has passed
-// a look point since the last look, the worker that wins the election
-// hands it to the estimator, then to the checkpointer, synchronously.
-// A worker that loses the election leaves its batch to the next look;
-// estimator.finish evaluates the look points no worker reached. The
-// loop reads no clock: only the estimator does, once per look, to pace
-// its Sink.
-func (f frontier) finish(k int) {
-	if f.done == nil {
+// batchDone marks batch k measured. When the consistent prefix has
+// passed a look point since the last look, the worker that wins the
+// election runs the look, synchronously. A worker that loses the
+// election leaves its batch to the next look; estimator.finish
+// evaluates the look points no worker reached. The loop reads no clock:
+// only the look does, to pace the Sink. Nil-safe: a build that
+// estimates nothing pays one nil check per batch.
+func (e *estimator) batchDone(k int) {
+	if e == nil {
 		return
 	}
+	f := &e.frontier
 	f.done[k].Store(true)
-	s := f.sched
-	if !s.electing.CompareAndSwap(0, 1) {
+	if !f.electing.CompareAndSwap(0, 1) {
 		return
 	}
-	if p := f.prefix(&s.next); p/lookStep > s.passed {
-		s.passed = p / lookStep
-		f.est.look(p)
-		f.ckp.look(p)
+	if p := f.prefix(len(e.reg)); p/lookStep > f.passed {
+		f.passed = p / lookStep
+		e.look(p)
 	}
-	s.electing.Store(0)
-}
-
-// prefix returns the consistent prefix: every chip below it is
-// measured. It moves *next, the first batch not known to be measured,
-// past the batches marked since.
-func (f frontier) prefix(next *int) int {
-	for *next < len(f.done) && f.done[*next].Load() {
-		*next++
-	}
-	return min(f.base+*next*sram.BatchWidth, f.n)
+	f.electing.Store(0)
 }
 
 // watchCancel translates ctx cancellation into an atomic flag the batch

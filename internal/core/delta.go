@@ -60,15 +60,12 @@ type DeltaBuilder struct {
 // goroutines (0 means GOMAXPROCS, as for Build) and retains the
 // per-batch draws and leakage aggregates for delta re-evaluation; its
 // allocation count does not grow with cfg.N. It rejects the
-// configurations Build rejects, and a non-nil cfg.Checkpoint or
-// cfg.Estimate, which the builder does not support.
+// configurations Build rejects, and a non-nil cfg.Estimate, which the
+// builder does not support.
 // The base build polls ctx once per sram.BatchWidth-chip batch and
 // returns ctx.Err() early when it fires, so a sweep job can abandon a
 // large base build the moment its request is cancelled.
 func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilder, error) {
-	if cfg.Checkpoint != nil {
-		return nil, errors.New("core: the delta builder does not support PopulationConfig.Checkpoint")
-	}
 	if cfg.Estimate != nil {
 		return nil, errors.New("core: the delta builder does not support PopulationConfig.Estimate")
 	}
@@ -89,7 +86,7 @@ func NewDeltaBuilderCtx(ctx context.Context, cfg PopulationConfig) (*DeltaBuilde
 	defer stopWatch()
 	chips := newChipArena(cfg.N, geom, cancelled)
 	d.draws, d.leaks = sram.RetainedBatches(cfg.N, geom)
-	forEachBatch(cancelled, nil, frontier{}, 0, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+	forEachBatch(cancelled, nil, nil, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, k, lo, bn int) {
 		ids, v := batchIDs(lo, bn), measSlots(chips, lo, bn)
 		ev.Sample(ids[:bn], &d.draws[k])
 		ev.Eval(&d.draws[k], v[:bn], &d.leaks[k])
@@ -146,7 +143,7 @@ func (d *DeltaBuilder) build(ctx context.Context, tech circuit.Tech, chips []Chi
 	model := newModelWithGeom(tech, false, &d.geom)
 	cancelled, stopWatch := watchCancel(ctx)
 	defer stopWatch()
-	forEachBatch(cancelled, nil, frontier{}, 0, d.cfg.N, d.cfg.Workers, model, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
+	forEachBatch(cancelled, nil, nil, d.cfg.N, d.cfg.Workers, model, d.sampler, func(ev *sram.Evaluator, k, lo, bn int) {
 		base, v := measSlots(d.base.Chips, lo, bn), measSlots(chips, lo, bn)
 		ev.EvalDelta(&d.draws[k], parts, base[:bn], &d.leaks[k], v[:bn])
 	})

@@ -13,9 +13,7 @@ import (
 
 // measIdentical compares two populations on every measurement field —
 // paths, bank aggregates, way aggregates and chip totals — so any
-// single differing bit fails. chipsEqual (checkpoint_test.go) only
-// samples the analysis-facing aggregates; the delta builder's contract
-// is stronger.
+// single differing bit fails.
 func measIdentical(t *testing.T, label string, a, b *Population) {
 	t.Helper()
 	if len(a.Chips) != len(b.Chips) {
@@ -281,16 +279,12 @@ func TestDeltaBuilderCancellation(t *testing.T) {
 	checkBuildCtx(t, d, tech, wantReg)
 }
 
-// TestDeltaBuilderRejectsCheckpointAndEstimate checks that the delta
-// builder refuses the build options it does not implement instead of
-// dropping them.
-func TestDeltaBuilderRejectsCheckpointAndEstimate(t *testing.T) {
-	for name, cfg := range map[string]PopulationConfig{
-		"Checkpoint": {N: 8, Checkpoint: &CheckpointConfig{}},
-		"Estimate":   {N: 8, Estimate: &EstimateConfig{}},
-	} {
-		if _, err := NewDeltaBuilderCtx(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf("%s: err = %v, want an error naming %s", name, err, name)
-		}
+// TestDeltaBuilderRejectsEstimate checks that the delta builder
+// refuses the build option it does not implement instead of dropping
+// it.
+func TestDeltaBuilderRejectsEstimate(t *testing.T) {
+	cfg := PopulationConfig{N: 8, Estimate: &EstimateConfig{}}
+	if _, err := NewDeltaBuilderCtx(context.Background(), cfg); err == nil || !strings.Contains(err.Error(), "Estimate") {
+		t.Errorf("err = %v, want an error naming Estimate", err)
 	}
 }

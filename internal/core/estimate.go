@@ -20,8 +20,8 @@ import (
 // population truncated to that prefix, every chip of which is fully
 // measured. The stop prefix is a function of the seed, the population
 // size, the target, the confidence and the constraints; it does not
-// depend on the workers, the scheduling, Interval or a resume. Nil adds
-// nothing to the build's hot loop.
+// depend on the workers, the scheduling or Interval. Nil adds nothing
+// to the build's hot loop.
 type EstimateConfig struct {
 	// Interval is the minimum time between mid-build Sink calls; zero
 	// or negative defaults to 250ms. It paces only the Sink: the
@@ -116,10 +116,10 @@ type YieldEstimate struct {
 	EarlyStop bool
 }
 
-// estimator drives streaming yield estimation for one build. Like the
-// checkpointer it has no goroutine: the build's looks run it on the
-// elected worker, and after the join Build runs the look points no
-// worker reached. Each snapshot is a sequential scan of a consistent
+// estimator drives streaming yield estimation for one build. It has no
+// goroutine: the build's looks run it on the elected worker, and after
+// the join Build runs the look points no worker reached. Each snapshot
+// is a sequential scan of a consistent
 // prefix [0, P) rather than a merge of per-worker floating-point
 // partials: per-chip classification needs limits, limits need the
 // whole prefix's moments, and a sequential scan in chip order makes
@@ -132,11 +132,11 @@ type YieldEstimate struct {
 // last snapshot) and stay bit-identical to a scan from chip 0; only the
 // classification, the tables' verdict pass (verdicts, tables.go) over
 // the prefix, is O(P), about 60 µs at P = 5.6k chips on a 2-vCPU Xeon.
-// Arming the estimator costs one allocation per build (this struct,
-// with the snapshot buffer and the look schedule embedded) besides the
+// Arming the estimator costs two allocations per build: this struct,
+// with the snapshot buffer and the frontier embedded, and the
 // frontier's batch marks.
 type estimator struct {
-	schedule
+	frontier
 	cfg  EstimateConfig
 	stop atomic.Bool // the stopping rule fired, at look point at: stop sampling
 	at   int         // last look point evaluated (looker-only)
@@ -163,6 +163,7 @@ func newEstimator(ec *EstimateConfig, reg []Chip) *estimator {
 		return nil
 	}
 	e := &estimator{cfg: *ec, reg: reg}
+	e.done = make([]atomic.Bool, batchCount(len(reg)))
 	e.cfg.fill()
 	e.due = time.Now().Add(e.cfg.Interval)
 	return e

@@ -242,23 +242,15 @@ func TestEstimateEarlyStop(t *testing.T) {
 // TestEstimateStopDeterministic pins that a precision stop is a
 // function of its request: one seed, size and target stop at the same
 // look point, with the same final estimate and the same chips, whatever
-// the worker count, GOMAXPROCS, the Sink interval (an hour means no
-// mid-build Sink call at all), or the checkpoint the build resumes
-// from, below or above the stop.
+// the worker count, GOMAXPROCS or the Sink interval (an hour means no
+// mid-build Sink call at all).
 func TestEstimateStopDeterministic(t *testing.T) {
 	const n, seed, target = 4000, 2006, 0.02
 	full, _ := build(t, PopulationConfig{N: n, Seed: seed})
-	request := func(workers int, interval time.Duration, done int) PopulationConfig {
+	request := func(workers int, interval time.Duration) PopulationConfig {
 		cfg := armedConfig(n, workers, nil)
 		cfg.Estimate.Interval = interval
 		cfg.Estimate.TargetCIWidth = target
-		if done > 0 {
-			cfg.Checkpoint = &CheckpointConfig{Resume: &BuildCheckpoint{
-				Seed: seed, N: n, Done: done,
-				Tech: full.Model.Tech, Geom: full.Model.Geom,
-				Regular: full.Chips[:done],
-			}}
-		}
 		return cfg
 	}
 	var ref *YieldEstimate
@@ -286,13 +278,9 @@ func TestEstimateStopDeterministic(t *testing.T) {
 		for _, workers := range []int{1, 2, 3, 32} {
 			for _, interval := range []time.Duration{time.Nanosecond, time.Millisecond, time.Hour} {
 				check(fmt.Sprintf("GOMAXPROCS=%d workers=%d interval=%v", procs, workers, interval),
-					request(workers, interval, 0))
+					request(workers, interval))
 			}
 		}
-	}
-	stop := ref.Chips
-	for _, done := range []int{chipSegment + 188, stop - sram.BatchWidth, stop, stop + sram.BatchWidth, 2 * stop, n} {
-		check(fmt.Sprintf("resumed at %d of a stop at %d", done, stop), request(3, time.Millisecond, done))
 	}
 }
 
@@ -356,9 +344,9 @@ func TestEstimateDisabled(t *testing.T) {
 	}
 }
 
-// TestEstimateAllocBudget pins the arming cost next to the
-// checkpointer's: at most 2 extra allocations per build (the estimator
-// struct with its embedded snapshot buffer, and the frontier slice).
+// TestEstimateAllocBudget pins the arming cost: at most 2 extra
+// allocations per build (the estimator struct with its embedded
+// snapshot buffer and frontier, and the frontier's batch marks).
 func TestEstimateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")

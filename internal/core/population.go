@@ -52,9 +52,6 @@ type PopulationConfig struct {
 	// the 2×2 variation mesh (1..4) and every dimension must be
 	// positive; Build rejects any other geometry.
 	Geom *sram.Geometry
-	// Checkpoint enables build checkpointing and crash resume; nil (the
-	// default) adds nothing to the hot loop.
-	Checkpoint *CheckpointConfig
 	// Estimate arms streaming yield estimation (live confidence
 	// intervals and, optionally, precision-targeted stopping); nil (the
 	// default) adds nothing to the hot loop.
@@ -128,9 +125,8 @@ type BuildResult struct {
 // "same process variation parameters") and the result does not depend
 // on cfg.Workers.
 //
-// Build returns an error for a negative N or an out-of-range Geom, for
-// a Checkpoint.Resume that belongs to another build, and ctx.Err()
-// when ctx is cancelled or its deadline passes mid-build.
+// Build returns an error for a negative N or an out-of-range Geom, and
+// ctx.Err() when ctx is cancelled or its deadline passes mid-build.
 //
 // Workers run forEachBatch, sampling each batch into their evaluator's
 // own draw set and evaluating it through the structure-of-arrays
@@ -152,7 +148,6 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 
 	model := newModelWithGeom(*cfg.Tech, false, cfg.Geom)
 	sampler := variation.NewSampler(*cfg.Spec, *cfg.Fact, cfg.Seed)
-	geom := model.Geom
 
 	// Cancellation: the workers poll one shared atomic per batch instead
 	// of selecting on ctx.Done() in the hot loop. Started before the
@@ -162,33 +157,13 @@ func Build(ctx context.Context, cfg PopulationConfig) (BuildResult, error) {
 	defer stopWatch()
 
 	stopsEarly := cfg.Estimate != nil && cfg.Estimate.TargetCIWidth > 0
-	chips, segs := newBuildArena(cfg.N, geom, stopsEarly, cancelled)
+	chips, segs := newBuildArena(cfg.N, model.Geom, stopsEarly, cancelled)
 	if cancelled.Load() {
 		return BuildResult{}, ctx.Err()
 	}
 
-	// Resume: seed the arena with a checkpointed prefix. Chip i is a
-	// pure function of (Seed, i), so measurement restarting at base
-	// yields chips bit-identical to an uninterrupted run.
-	base := 0
-	if cfg.Checkpoint != nil && cfg.Checkpoint.Resume != nil {
-		r := cfg.Checkpoint.Resume
-		if err := validateResume(r, &cfg, geom); err != nil {
-			return BuildResult{}, err
-		}
-		segs.wire(0, r.Done)
-		for i := 0; i < r.Done; i++ {
-			sram.CopyMeasurement(&chips[i].Meas, &r.Regular[i].Meas)
-		}
-		base = r.Done
-		scope.AddProgress(int64(base))
-		obs.C("core_builds_resumed_total").Inc()
-	}
-
-	ckp := newCheckpointer(cfg.Checkpoint, base, &cfg, geom, chips)
 	est := newEstimator(cfg.Estimate, chips)
-	fr := newFrontier(base, cfg.N, ckp, est)
-	forEachBatch(cancelled, sp, fr, base, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
+	forEachBatch(cancelled, sp, est, cfg.N, cfg.Workers, model, sampler, func(ev *sram.Evaluator, _, lo, bn int) {
 		segs.wire(lo, lo+bn)
 		ids, v := batchIDs(lo, bn), measSlots(chips, lo, bn)
 		ev.Sample(ids[:bn], ev.Draws())

@@ -305,3 +305,30 @@ func TestBuildProgressPartialOnCancel(t *testing.T) {
 		t.Errorf("cancelled build progress = %d/%d, want done < total = 10000", done, total)
 	}
 }
+
+// TestBuildTraceLanes checks that a build draws its workers on trace
+// lanes 2…W+1, by worker index, not by each worker's first chip.
+func TestBuildTraceLanes(t *testing.T) {
+	const n, workers, seed = 120, 3, 2006
+	scope := obs.NewScope("build", nil)
+	_, err := Build(obs.WithScope(context.Background(), scope), PopulationConfig{
+		N: n, Seed: seed, Workers: workers,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lanes := map[int]int{}
+	for _, s := range scope.Tracer.Spans() {
+		if s.Name == "measure_chips" {
+			lanes[s.Lane]++
+		}
+	}
+	for lane := 2; lane < 2+workers; lane++ {
+		if lanes[lane] != 1 {
+			t.Errorf("lane %d holds %d measure_chips spans, want 1 (lanes %v)", lane, lanes[lane], lanes)
+		}
+	}
+	if len(lanes) != workers {
+		t.Errorf("build drew measure_chips on lanes %v, want 2…%d", lanes, workers+1)
+	}
+}

@@ -398,3 +398,12 @@ func TestSweepFrontiers(t *testing.T) {
 		t.Fatal("empty evals should reduce to no frontiers")
 	}
 }
+
+// counters reads the named counters of reg.
+func counters(reg *obs.Registry, names ...string) map[string]int64 {
+	got := map[string]int64{}
+	for _, name := range names {
+		got[name] = reg.Counter(name).Value()
+	}
+	return got
+}

@@ -33,8 +33,8 @@ const (
 	// them ends every admitted job, carrying the error class.
 	EventJobCompleted EventType = "job_completed"
 	EventJobFailed    EventType = "job_failed"
-	// EventJobCheckpoint is a throttled record of a build checkpoint
-	// reaching the store, carrying the checkpointed chip frontier.
+	// EventJobCheckpoint is a throttled record of a sweep checkpoint
+	// reaching the store, carrying the checkpointed config count.
 	EventJobCheckpoint EventType = "job_checkpoint"
 	// EventSweepConfig fires when a design-space sweep finishes one
 	// config: Key carries the config label ("vdd=1.08 nominal") and

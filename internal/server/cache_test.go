@@ -120,7 +120,7 @@ func studyKeyOf(t *testing.T, srv *Server, body string) string {
 	return p.key()
 }
 
-func sweepParamsOf(t *testing.T, srv *Server, body string) sweepParams {
+func sweepParamsOf(t testing.TB, srv *Server, body string) sweepParams {
 	t.Helper()
 	var req SweepRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {

@@ -86,19 +86,19 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 	}
 }
 
-// checkpointWriter persists one job's checkpoints for both kinds:
-// encode, put with retry, log a failure, announce job_checkpoint. It is
-// the one place checkpoints are paced: a study's build offers its
-// measured prefix at every 64-chip look point and a sweep offers every
-// finished config, and the writer skips an offer unless
-// CheckpointInterval has passed since the previous write started
-// (since the job started, before the first) and the previous write's
-// own cost has passed since it finished. A checkpoint grows with the job (a study's holds every
-// measured chip), and on slow disks persisting one can take far longer
-// than the interval, so slow storage degrades checkpoint granularity —
-// bounded at a ~50% duty cycle of the writing goroutine — instead of
-// starving the job. Writes never overlap: core elects one looking
-// worker at a time, and RunSweep calls OnEval on one goroutine.
+// checkpointWriter persists one sweep's checkpoints: encode, put with
+// retry, log a failure, announce job_checkpoint. It is the one place
+// checkpoints are paced: a sweep offers every finished config, and the
+// writer skips an offer unless CheckpointInterval has passed since the
+// previous write started (since the job started, before the first) and
+// the previous write's own cost has passed since it finished. A
+// checkpoint grows with the sweep (it holds every finished config), and
+// on slow disks persisting one can take far longer than the interval,
+// so slow storage degrades checkpoint granularity — bounded at a ~50%
+// duty cycle of the writing goroutine — instead of starving the job.
+// Writes never overlap: RunSweep calls OnEval on one goroutine. Studies
+// write none: a crashed study rebuilds from its seed, which costs less
+// than decoding a stored prefix of its chips.
 type checkpointWriter struct {
 	s    *Server
 	j    *job
@@ -265,9 +265,10 @@ func (s *Server) kindFromRecord(rec store.JobRecord) jobKind {
 // recoverFromStore replays the store into the server's in-memory state:
 // the result cache (in original FIFO order), live idempotency records,
 // finished-job history, and — the point of the exercise — re-admits
-// every job that was queued or running when the last process died,
-// resuming each from its newest readable checkpoint. Runs once from
-// New, before the server serves any request.
+// every job that was queued or running when the last process died: a
+// sweep resumes from its newest readable checkpoint, a study rebuilds
+// from its seed. Runs once from New, before the server serves any
+// request.
 func (s *Server) recoverFromStore() {
 	if s.store == nil {
 		return
@@ -329,7 +330,7 @@ func (s *Server) recoverFromStore() {
 }
 
 // resumeJob re-admits one interrupted job under its original id,
-// loading its newest checkpoint so the build continues where the dead
+// loading a sweep's newest checkpoint so it continues where the dead
 // process stopped.
 func (s *Server) resumeJob(jr store.JobRecord) {
 	k := s.kindFromRecord(jr)
@@ -358,8 +359,9 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 // loadCheckpoint reads an interrupted job's newest checkpoint and has
 // its kind decode it. It returns the units the checkpoint covers and
 // whether the store may hold one, readable or not (found), so the
-// finished job deletes it. An unreadable checkpoint resumes from
-// scratch: correctness never depends on the checkpoint.
+// finished job deletes it; that includes a study checkpoint an older
+// server wrote, whose bytes the study ignores. An unreadable checkpoint
+// resumes from scratch: correctness never depends on the checkpoint.
 func (s *Server) loadCheckpoint(jobID string, k jobKind) (units int, found bool) {
 	data, _, err := s.store.Checkpoint(jobID)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -127,10 +128,13 @@ func recovered(t *testing.T, dir string) *store.Recovered {
 }
 
 // crashStore is a File store that copies its data directory into crash
-// at the first checkpoint strictly inside a job of n units, right after
-// the put lands. The job's one checkpoint writer is inside that call
-// and every earlier write of the job has returned, so the copy holds
-// every fsynced frame and no write in flight: the kill -9 instant.
+// once, right after a put lands: the record of a study as running, or
+// the first checkpoint strictly inside a sweep of n configs. The job's
+// goroutine is inside that call and every earlier write of the job has
+// returned, so the copy holds every fsynced frame and no write in
+// flight: the kill -9 instant. A study writes no checkpoint, so its
+// durable state is the same from its running record until its result,
+// and the copy is the disk any mid-build kill -9 leaves.
 type crashStore struct {
 	store.Store
 	dir, crash string
@@ -146,10 +150,22 @@ func newCrashStore(t *testing.T, n int) *crashStore {
 	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir(), n: n}
 }
 
+func (c *crashStore) copyCrash() {
+	c.once.Do(func() { c.copied, c.err = true, copyDataDir(c.dir, c.crash) })
+}
+
+func (c *crashStore) PutJob(rec store.JobRecord) error {
+	err := c.Store.PutJob(rec)
+	if err == nil && rec.Kind != jobKindSweep && rec.State == jobRunning {
+		c.copyCrash()
+	}
+	return err
+}
+
 func (c *crashStore) PutCheckpoint(jobID string, done int, data []byte) error {
 	err := c.Store.PutCheckpoint(jobID, done, data)
 	if err == nil && done > 0 && done < c.n {
-		c.once.Do(func() { c.copied, c.err = true, copyDataDir(c.dir, c.crash) })
+		c.copyCrash()
 	}
 	return err
 }
@@ -251,12 +267,10 @@ func TestReopenCountsRecoveryAndResume(t *testing.T) {
 }
 
 // Kill -9 mid-build: a new server over the crash-instant store state
-// must resume the job under the same id, finish it, and produce tables
-// bit-identical to an uninterrupted run. The build is sized to outlast
-// its first CheckpointInterval many times over at any -cpu, so a
-// mid-build checkpoint always lands.
+// must resume the job under the same id, rebuild it from its seed, and
+// produce tables bit-identical to an uninterrupted run.
 func TestCrashedBuildResumesBitIdentical(t *testing.T) {
-	const chips = 3000
+	const chips = 2000
 	body := fmt.Sprintf(`{"chips": %d, "seed": 2006}`, chips)
 
 	// The uninterrupted reference.
@@ -266,10 +280,11 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	drain(t, ref)
 	tsRef.Close()
 
-	// Run the build on a store that copies its directory at the first
-	// mid-build checkpoint; the copy is the disk a kill -9 leaves.
+	// Run the build on a store that copies its directory when it
+	// records the study as running; the copy is the disk a kill -9
+	// anywhere in the build leaves.
 	st := newCrashStore(t, chips)
-	srv1 := New(Config{Workers: 2, Store: st, CheckpointInterval: time.Millisecond})
+	srv1 := New(Config{Workers: 2, Store: st})
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, _, _ := postStudyIdem(t, ts1.URL, body, "retry-after-crash")
 	jobID := resp.Header.Get("X-Job-Id")
@@ -278,37 +293,14 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	if st.err != nil {
 		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
 	}
-	if !st.copied {
-		t.Fatal("build finished before a mid-flight checkpoint landed; nothing to crash")
-	}
 
-	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash), CheckpointInterval: time.Millisecond})
+	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash)})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
 
 	// The resumed job carries its identity and restart count.
-	var detail JobDetail
-	for i := 0; ; i++ {
-		jresp, err := http.Get(ts2.URL + "/v1/jobs/" + jobID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if jresp.StatusCode != http.StatusOK {
-			t.Fatalf("resumed job %s not found after restart: status %d", jobID, jresp.StatusCode)
-		}
-		if err := json.NewDecoder(jresp.Body).Decode(&detail); err != nil {
-			t.Fatal(err)
-		}
-		jresp.Body.Close()
-		if detail.State == jobDone || detail.State == jobFailed {
-			break
-		}
-		if i > 20000 {
-			t.Fatalf("resumed job stuck in state %q", detail.State)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	detail := waitFinished(t, ts2.URL, jobID)
 	if detail.State != jobDone {
 		t.Fatalf("resumed job finished %q (%s), want done", detail.State, detail.Error)
 	}
@@ -479,12 +471,11 @@ func (c *ckptStore) DeleteCheckpoint(jobID string) error {
 	return c.Store.DeleteCheckpoint(jobID)
 }
 
-// Checkpoint writes of both kinds self-clock against the store: on a
-// store whose writes take d, a write starts no sooner than its
-// predecessor's cost after that one finished, so successive writes
-// start at least 2·d apart even with a 1 ms CheckpointInterval. Both
-// jobs are sized to last many times 2·d, so each writes several
-// checkpoints at any -cpu.
+// Sweep checkpoint writes self-clock against the store: on a store
+// whose writes take d, a write starts no sooner than its predecessor's
+// cost after that one finished, so successive writes start at least
+// 2·d apart even with a 1 ms CheckpointInterval. The sweep is sized to
+// last many times 2·d, so it writes several checkpoints at any -cpu.
 func TestCheckpointWritesSelfClock(t *testing.T) {
 	const d = 10 * time.Millisecond
 	st := newCkptStore(openStore(t, t.TempDir()), d)
@@ -497,36 +488,37 @@ func TestCheckpointWritesSelfClock(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		vdd = append(vdd, fmt.Sprintf("%.3f", 1.1-0.005*float64(i)))
 	}
-	for _, tc := range []struct{ path, body string }{
-		{"/v1/study", `{"chips": 20000, "seed": 2006}`},
-		{"/v1/sweep", `{"chips": 900, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`},
-	} {
-		resp, _ := postRaw(t, ts.URL, tc.path, tc.body, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: status %d", tc.path, resp.StatusCode)
-		}
-		id := resp.Header.Get("X-Job-Id")
-		st.mu.Lock()
-		starts := st.puts[id]
-		st.mu.Unlock()
-		t.Logf("%s: %d checkpoint writes", tc.path, len(starts))
-		if len(starts) < 2 {
-			t.Fatalf("%s: %d checkpoint writes, want at least 2 to measure", tc.path, len(starts))
-		}
-		for i := 1; i < len(starts); i++ {
-			if gap := starts[i].Sub(starts[i-1]); gap < 2*d {
-				t.Errorf("%s: write %d started %v after write %d, want at least %v", tc.path, i, gap, i-1, 2*d)
-			}
+	body := `{"chips": 900, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`
+	resp, _ := postRaw(t, ts.URL, "/v1/sweep", body, "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d", resp.StatusCode)
+	}
+	st.mu.Lock()
+	starts := st.puts[resp.Header.Get("X-Job-Id")]
+	st.mu.Unlock()
+	t.Logf("%d checkpoint writes", len(starts))
+	if len(starts) < 2 {
+		t.Fatalf("%d checkpoint writes, want at least 2 to measure", len(starts))
+	}
+	for i := 1; i < len(starts); i++ {
+		if gap := starts[i].Sub(starts[i-1]); gap < 2*d {
+			t.Errorf("write %d started %v after write %d, want at least %v", i, gap, i-1, 2*d)
 		}
 	}
 }
 
 // A finished job deletes its checkpoint only when the store may hold
-// one. A job that never checkpointed (a small study under the default
-// 2 s interval) costs no delete; a resumed job whose stored checkpoint
-// is unreadable still has it deleted.
+// one. A job that never checkpointed (a study) costs no delete; a
+// resumed study whose store holds a checkpoint (one an older server
+// wrote, unreadable here) ignores its bytes, rebuilds to the response
+// of a fresh build, and still has it deleted.
 func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
-	p, err := New(Config{FlightInterval: -1}).parseRequest(&StudyRequest{Chips: 30, Seed: 5})
+	const resumedBody = `{"chips": 30, "seed": 5}`
+	var req StudyRequest
+	if err := json.Unmarshal([]byte(resumedBody), &req); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(Config{FlightInterval: -1}).parseRequest(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,6 +533,12 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed.Close()
+
+	ref := New(Config{Workers: 1, FlightInterval: -1})
+	tsRef := httptest.NewServer(ref.Handler())
+	_, want, _ := postStudyIdem(t, tsRef.URL, resumedBody, "")
+	drain(t, ref)
+	tsRef.Close()
 
 	st := newCkptStore(openStore(t, dir), 0)
 	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
@@ -565,6 +563,14 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 	}
 	if _, _, err := st.Checkpoint(rec.ID); err == nil {
 		t.Errorf("the resumed job's unreadable checkpoint is still stored")
+	}
+
+	resp, got, _ := postStudyIdem(t, ts.URL, resumedBody, "")
+	if resp.StatusCode != http.StatusOK || !got.Cached {
+		t.Fatalf("resumed study: status %d cached %v, want its cached result", resp.StatusCode, got.Cached)
+	}
+	if got.Cached, got.ElapsedMS, want.ElapsedMS = false, 0, 0; !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed study differs from a fresh build:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -81,13 +81,13 @@ type Config struct {
 	// (tests); yieldd passes a text or JSON slog handler.
 	Logger *slog.Logger
 	// Store persists job records, the result cache, idempotency keys
-	// and build checkpoints so they survive restarts. Nil (the default)
+	// and sweep checkpoints so they survive restarts. Nil (the default)
 	// disables durability entirely — no storage code runs on any
 	// request path. The server replays the store on New and resumes
 	// incomplete jobs; the caller owns the store's lifetime (Close).
 	Store store.Store
 	// CheckpointInterval is the least time between the starts of a
-	// running job's checkpoint writes to the Store, and before its
+	// running sweep's checkpoint writes to the Store, and before its
 	// first (default 2s; negative disables checkpointing while keeping
 	// the rest of the durability layer). Ignored when Store is nil.
 	CheckpointInterval time.Duration
@@ -161,9 +161,9 @@ type call struct {
 // jobKind is what differs between the two computations the job pipeline
 // runs: a study (*params) and a design-space sweep (*sweepParams).
 // Admission, coalescing, the result cache, Idempotency-Key, durable
-// records, checkpoint writing and resume, and lifecycle events are
-// shared; once a request is parsed (or a persisted record is read back
-// by kindFromRecord), the pipeline sees it only through this interface.
+// records, crash resume and lifecycle events are shared; once a request
+// is parsed (or a persisted record is read back by kindFromRecord), the
+// pipeline sees it only through this interface.
 type jobKind interface {
 	// cacheKey is the canonical cache, singleflight and store key. Keys
 	// are namespaced per kind, and so are the idempotency body hashes, so
@@ -188,7 +188,8 @@ type jobKind interface {
 	hitBody(e *cacheEntry) []byte
 	// resumeFrom decodes a crashed job's checkpoint bytes into the
 	// params, so compute continues where the dead process stopped, and
-	// returns how many units it covers.
+	// returns how many units it covers. Only sweeps write checkpoints;
+	// a study rebuilds from its seed.
 	resumeFrom(data []byte) (int, error)
 }
 
@@ -420,8 +421,6 @@ type params struct {
 	// request names none) and applies to streamed estimates either way.
 	targetCI   float64
 	confidence float64
-
-	resume *yieldcache.BuildCheckpoint // non-nil when resuming a crashed build
 }
 
 func (p *params) cacheKey() string        { return p.key() }
@@ -446,15 +445,11 @@ func (p *params) hitBody(e *cacheEntry) []byte {
 	})
 }
 
-// resumeFrom decodes a crashed study build's checkpoint.
-func (p *params) resumeFrom(data []byte) (int, error) {
-	bc, err := yieldcache.DecodeBuildCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	p.resume = bc
-	return bc.Done, nil
-}
+// resumeFrom ignores a crashed study's checkpoint bytes, which only a
+// server from before studies rebuilt from their seed wrote: chip i is a
+// pure function of (seed, i), so the rebuilt study is bit-identical to
+// the one the dead process was building.
+func (p *params) resumeFrom([]byte) (int, error) { return 0, nil }
 
 // schemeOrder is the canonical scheme order; request scheme sets are
 // normalised against it so equivalent requests share a cache key.
@@ -787,19 +782,11 @@ func (s *Server) run(k jobKind, c *call) {
 // compute builds the populations and assembles the full (unfiltered)
 // response. Scatter and saved configurations are always computed — they
 // are cheap next to the build — so a cached entry can serve any
-// combination of include_* flags. With checkpointing on, core offers
-// the measured prefix at every look point to the job's checkpoint
-// writer, which paces the writes, and, on a resumed call, the build
-// continues from the checkpoint decoded at recovery.
+// combination of include_* flags. A resumed call builds from chip 0,
+// like a fresh one.
 func (p *params) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
-	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons,
-		Checkpoint: &yieldcache.CheckpointConfig{Resume: p.resume}}
-	if ckpt := s.checkpointWriter(j); ckpt != nil {
-		scfg.Checkpoint.Sink = func(bc *yieldcache.BuildCheckpoint) error {
-			return ckpt.write(bc.Done, bc.N, bc.Encode)
-		}
-	}
+	scfg := yieldcache.StudyConfig{Chips: p.chips, Seed: p.seed, Constraints: &p.cons}
 	scfg.Estimate = s.estimateConfig(*p, j)
 	study, err := s.build(ctx, scfg)
 	if err != nil {

@@ -279,17 +279,6 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 	failing := func(context.Context, yieldcache.StudyConfig) (*yieldcache.Study, error) {
 		return nil, errors.New("injected build failure")
 	}
-	// checkpointing offers one 10-chip checkpoint to the server's sink
-	// once the writer's first CheckpointInterval (1 ms) has passed, then
-	// finishes with a small real study.
-	checkpointing := func(_ context.Context, cfg yieldcache.StudyConfig) (*yieldcache.Study, error) {
-		time.Sleep(5 * time.Millisecond)
-		bc := &yieldcache.BuildCheckpoint{Seed: cfg.Seed, N: cfg.Chips, Done: 10}
-		if err := cfg.Checkpoint.Sink(bc); err != nil {
-			return nil, err
-		}
-		return yieldcache.NewStudyCtx(context.Background(), yieldcache.StudyConfig{Chips: 20, Seed: cfg.Seed})
-	}
 	post := func(t *testing.T, url, body string, want int) string {
 		t.Helper()
 		resp, _, _ := postStudy(t, url, body)
@@ -356,13 +345,18 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 			check: func(ev obs.Event, _ string) bool { return ev.Queued == 1 && ev.Running == 1 },
 		},
 		{
+			// A 1 ns CheckpointInterval has passed by the sweep's first
+			// finished config, so its first checkpoint covers that one.
 			typ: obs.EventJobCheckpoint,
-			cfg: Config{Workers: 1, Store: openStore(t, t.TempDir()), CheckpointInterval: time.Millisecond},
+			cfg: Config{Workers: 1, Store: openStore(t, t.TempDir()), CheckpointInterval: time.Nanosecond},
 			drive: func(t *testing.T, srv *Server, url string) string {
-				srv.build = checkpointing
-				return post(t, url, `{"chips": 20, "seed": 1}`, http.StatusOK)
+				resp, _, _ := postSweep(t, url, `{"chips": 60, "seed": 1, "axes": [{"param": "vdd", "values": [1.1, 1.05]}]}`, "")
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("POST /v1/sweep: status %d", resp.StatusCode)
+				}
+				return resp.Header.Get("X-Job-Id")
 			},
-			check: func(ev obs.Event, job string) bool { return ev.Job == job && ev.Done == 10 && ev.Total == 20 },
+			check: func(ev obs.Event, job string) bool { return ev.Job == job && ev.Done == 1 && ev.Total == 2 },
 		},
 	}
 	for _, tc := range cases {

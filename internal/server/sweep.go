@@ -243,6 +243,18 @@ func (sp *sweepParams) resumeFrom(data []byte) (int, error) {
 	return len(sp.resume), nil
 }
 
+// overlay writes each resumed config into its slot of results, one
+// slot per planned config, and appends it to completed, the configs the
+// sweep's next checkpoint lists. RunSweep skips exactly these configs,
+// so OnEval fills every other slot.
+func (sp *sweepParams) overlay(results, completed []SweepConfigResult) []SweepConfigResult {
+	for i, r := range sp.resume {
+		results[i] = r
+		completed = append(completed, r)
+	}
+	return completed
+}
+
 // sweepCanonical is the canonical resolved request: the filled spec
 // plus the normalised scheme set. Its JSON bytes are hashed into the
 // cache key and persisted in the job record for crash resume, so two
@@ -421,10 +433,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 		}
 	}
 	results := make([]SweepConfigResult, len(plan.Configs))
-	completed := make([]SweepConfigResult, 0, len(plan.Configs))
-	for _, r := range sp.resume {
-		completed = append(completed, r)
-	}
+	completed := sp.overlay(results, make([]SweepConfigResult, 0, len(plan.Configs)))
 	ckpt := s.checkpointWriter(j)
 
 	opt := yieldcache.SweepOptions{
@@ -450,16 +459,8 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 		}
 	}
 
-	evals, err := yieldcache.RunSweep(ctx, plan, opt)
-	if err != nil {
+	if _, err := yieldcache.RunSweep(ctx, plan, opt); err != nil {
 		return nil, err
-	}
-	resumed := 0
-	for i := range evals {
-		if evals[i].Skipped {
-			results[i] = sp.resume[i]
-			resumed++
-		}
 	}
 
 	elapsed := time.Since(t0).Seconds()
@@ -474,7 +475,7 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 		Stats:          plan.Stats(),
 		Results:        results,
 		Frontiers:      sweepWireFrontiers(results, sp.schemes),
-		ResumedConfigs: resumed,
+		ResumedConfigs: len(sp.resume),
 		ElapsedMS:      elapsed * 1e3,
 	}}, nil
 }

@@ -274,7 +274,7 @@ func waitFinished(t *testing.T, url, jobID string) JobDetail {
 			t.Fatal(err)
 		}
 		if jresp.StatusCode != http.StatusOK {
-			t.Fatalf("resumed sweep %s not found after restart: status %d", jobID, jresp.StatusCode)
+			t.Fatalf("resumed job %s not found after restart: status %d", jobID, jresp.StatusCode)
 		}
 		if err := json.NewDecoder(jresp.Body).Decode(&detail); err != nil {
 			t.Fatal(err)
@@ -284,7 +284,7 @@ func waitFinished(t *testing.T, url, jobID string) JobDetail {
 			return detail
 		}
 		if i > 20000 {
-			t.Fatalf("resumed sweep stuck in state %q", detail.State)
+			t.Fatalf("resumed job stuck in state %q", detail.State)
 		}
 		time.Sleep(time.Millisecond)
 	}

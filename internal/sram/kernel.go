@@ -716,13 +716,6 @@ func (e *Evaluator) rescaleLeak(ls *LeakState, dst []*CacheMeasurement) {
 	}
 }
 
-// CopyMeasurement copies src into dst, a measurement of the same
-// geometry, keeping dst's storage.
-func CopyMeasurement(dst, src *CacheMeasurement) {
-	copyDelayInto(dst, src)
-	copyLeakInto(dst, src)
-}
-
 // copyDelayInto copies the delay side of a measurement (path delays and
 // all latency maxima) between identically-sized measurements.
 func copyDelayInto(dst, src *CacheMeasurement) {

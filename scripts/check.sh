@@ -6,10 +6,10 @@
 # scripts/docgate), the full test
 # suite under the race detector (the metrics registry, tracer and
 # yieldd server must stay safe under the parallel population build),
-# the build, resume, checkpoint, estimate and sweep tests again under
-# the race detector at 1 and 4 Ps (the lock-free batch counter, the
-# shared frontier and the delta builder's reused arena at more Ps than
-# a 2-vCPU runner gives), yieldd's crash, restart, resume and golden
+# the build, estimate and sweep tests again under the race detector at
+# 1 and 4 Ps (the lock-free batch counter, the estimator's frontier and
+# the delta builder's reused arena at more Ps than a 2-vCPU runner
+# gives), yieldd's crash, restart, resume and golden
 # store tests under the race detector at 1 and 4 Ps (each crashes or
 # reopens a real File store), and the chaos-tagged storage
 # fault-injection suite.
@@ -39,8 +39,8 @@ go run ./scripts/docgate
 echo "== go test -race =="
 go test -race ./...
 
-echo "== go test -race -cpu 1,4 (batch loop, shared frontier, reused sweep arena) =="
-go test -race -count=1 -cpu 1,4 -run 'Build|Resume|Checkpoint|Estimate|WorkerCount|DeltaBuilder|RunSweep' ./internal/core
+echo "== go test -race -cpu 1,4 (batch loop, estimator frontier, reused sweep arena) =="
+go test -race -count=1 -cpu 1,4 -run 'Build|Estimate|WorkerCount|DeltaBuilder|RunSweep' ./internal/core
 
 echo "== go test -race -cpu 1,4 (yieldd crash, restart and resume over a File store) =="
 go test -race -count=1 -cpu 1,4 -run 'Crashed|Reopen|Restart|Resume|Golden' ./internal/server

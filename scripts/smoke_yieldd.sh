@@ -8,8 +8,8 @@
 # per-phase build histograms on /metrics. A second, store-backed boot
 # then exercises the durability layer for real: Idempotency-Key replay,
 # kill -9 mid-build, and a restart that must resume the interrupted job
-# from its WAL checkpoint and finish with the same tables an
-# uninterrupted build produces. The precision study's stop must match
+# from its WAL record, rebuild it from its seed and finish with the same
+# tables an uninterrupted build produces. The precision study's stop must match
 # the one yieldsim prints for the same request.
 #
 # Usage: scripts/smoke_yieldd.sh [port]   (default 18080)
@@ -206,7 +206,7 @@ done
 # Reference tables from the ephemeral server above: the big study the
 # durable server will crash out of and resume must end with these.
 # The largest study the server accepts, so the build outlasts the
-# polling below by many checkpoints.
+# polling below.
 CRASH_STUDY='{"chips": 20000, "seed": 2006}'
 echo "== reference build (uninterrupted) =="
 curl -sf -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
@@ -251,18 +251,22 @@ CONFLICT=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/study" \
 echo "== kill -9 mid-build =="
 curl -s -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
     -d "$CRASH_STUDY" >/dev/null 2>&1 &
+# The crash study is the newest job in the listing once admitted. A
+# study writes no checkpoint, so once it runs, a kill -9 leaves the disk
+# that one anywhere later in its build would leave.
 i=0
-until [ -n "$(find "$DATA/checkpoints" -name '*.ckpt' 2>/dev/null)" ]; do
+CRASH_JOB=""
+until [ -n "$CRASH_JOB" ] &&
+    curl -sf "$BASE/v1/jobs/$CRASH_JOB" 2>/dev/null | grep -q '"state": "running"'; do
     i=$((i + 1))
-    [ $i -ge 500 ] && fail "no checkpoint landed within 10s of starting the build"
+    [ $i -ge 500 ] && fail "the crash study was not running within 10s of posting it"
     sleep 0.02
+    CRASH_JOB="$(curl -sf "$BASE/v1/jobs" 2>/dev/null | awk -F'"' '/"id":/ {print $4; exit}')"
 done
-# Checkpoint files are named <job>.<chips>.ckpt.
-CRASH_JOB="$(find "$DATA/checkpoints" -name '*.ckpt' | head -1 | xargs basename | sed 's/\..*$//')"
 kill -9 "$PID" 2>/dev/null
 wait "$PID" 2>/dev/null || true
 PID=""
-echo "killed mid-build; job $CRASH_JOB checkpointed"
+echo "killed mid-build; job $CRASH_JOB running"
 
 echo "== restart and resume =="
 start_durable

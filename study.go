@@ -31,13 +31,6 @@ type (
 	Scheme = core.Scheme
 	// LossReason classifies a parametric failure.
 	LossReason = core.LossReason
-	// BuildCheckpoint is a consistent prefix of an interrupted build:
-	// the regular chips measured so far plus the parameters that
-	// validate a resume (see CheckpointConfig).
-	BuildCheckpoint = core.BuildCheckpoint
-	// CheckpointConfig enables build checkpointing and crash resume on
-	// a study build (StudyConfig.Checkpoint).
-	CheckpointConfig = core.CheckpointConfig
 	// EstimateConfig arms streaming yield estimation on a study build
 	// (StudyConfig.Estimate): live Wilson confidence intervals,
 	// per-loss-reason error bars and optional precision-targeted
@@ -50,11 +43,6 @@ type (
 	// interval inside a YieldEstimate.
 	ReasonEstimate = core.ReasonEstimate
 )
-
-// DecodeBuildCheckpoint reads a checkpoint written by
-// BuildCheckpoint.Encode, verifying its magic, format version and
-// payload checksum before decoding.
-var DecodeBuildCheckpoint = core.DecodeBuildCheckpoint
 
 // The constraint sets of Section 5.1.
 var (
@@ -102,11 +90,6 @@ type StudyConfig struct {
 	Seed int64
 	// Constraints selects the yield requirement (default Nominal()).
 	Constraints *Constraints
-	// Checkpoint offers the population build's measured prefix to its
-	// Sink at every 64-chip look point (the Sink paces the writes) and,
-	// via its Resume field, continues an interrupted build from a saved
-	// prefix. Nil adds nothing to the build's hot loop.
-	Checkpoint *CheckpointConfig
 	// Estimate arms streaming yield estimation on the build: snapshots
 	// with confidence intervals reach Estimate.Sink while chips are
 	// measured, the final one lands on Study.Estimate, and a positive
@@ -134,8 +117,8 @@ type Study struct {
 
 // NewStudy builds the Monte Carlo populations and derives the limits
 // from the regular organisation, as in Section 5.1. It panics on an
-// invalid config (a negative Chips, or a Checkpoint.Resume from another
-// build), which NewStudyCtx reports as an error instead.
+// invalid config (a negative Chips), which NewStudyCtx reports as an
+// error instead.
 func NewStudy(cfg StudyConfig) *Study {
 	s, err := NewStudyCtx(context.Background(), cfg)
 	if err != nil {
@@ -162,7 +145,7 @@ func NewStudyCtx(ctx context.Context, cfg StudyConfig) (*Study, error) {
 	if cfg.Constraints != nil {
 		cons = *cfg.Constraints
 	}
-	pcfg := core.PopulationConfig{N: cfg.Chips, Seed: cfg.Seed, Checkpoint: cfg.Checkpoint}
+	pcfg := core.PopulationConfig{N: cfg.Chips, Seed: cfg.Seed}
 	if cfg.Estimate != nil {
 		// Work on a copy: the estimate classifies against the study's
 		// constraints unless the caller pinned its own.
