@@ -19,13 +19,12 @@
 // /metrics in Prometheus text form. docs/API.md is the endpoint
 // reference.
 //
-// With -store file, job records, cached results, Idempotency-Key
-// bindings and sweep checkpoints are persisted under -data-dir in a
-// CRC-checked write-ahead log plus snapshot files; after a crash the
-// next start replays the log and resumes interrupted jobs under the
-// same job ids: a sweep from its last checkpoint, a study rebuilt from
-// its seed. Graceful shutdown records
-// terminal states, so only an unclean death triggers resume. The
+// With -store file, job records, cached results and Idempotency-Key
+// bindings are persisted under -data-dir in a CRC-checked write-ahead
+// log plus snapshot files; after a crash the next start replays the
+// log and rebuilds interrupted jobs from their requests under the same
+// job ids. Graceful shutdown records terminal states, so only an
+// unclean death triggers resume. The
 // YIELDD_CHAOS environment variable (e.g.
 // "err=0.05,lat=2ms,partial=0.01,seed=7") injects storage faults for
 // recovery testing.
@@ -36,7 +35,7 @@
 //	       [-max-sweep-configs N] [-timeout D] [-max-timeout D] [-drain D]
 //	       [-job-history N] [-stream-interval D] [-event-buffer N]
 //	       [-flight-interval D] [-flight-samples N] [-log-format text|json]
-//	       [-store none|file] [-data-dir DIR] [-checkpoint-interval D]
+//	       [-store none|file] [-data-dir DIR]
 //
 // On SIGINT/SIGTERM the server stops admitting builds, ends live event
 // streams, drains in-flight jobs for up to the -drain budget, then
@@ -78,7 +77,6 @@ func main() {
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	storeKind := flag.String("store", "none", "durable job/result store: none or file (WAL under -data-dir)")
 	dataDir := flag.String("data-dir", "yieldd-data", "directory for the file store's write-ahead log and snapshots")
-	checkpointInterval := flag.Duration("checkpoint-interval", 2*time.Second, "interval between sweep checkpoints when a store is attached (negative disables checkpointing)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -141,8 +139,7 @@ func main() {
 		FlightSamples:   *flightSamples,
 		Logger:          logger,
 
-		Store:              st,
-		CheckpointInterval: *checkpointInterval,
+		Store: st,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

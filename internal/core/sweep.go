@@ -15,7 +15,7 @@ import (
 // grid over technology parameters, cache geometries and constraint
 // sets; PlanSweep turns it into an evaluation plan that maximises
 // DeltaBuilder draw reuse; RunSweep executes the plan with per-config
-// cancellation, skip-based resume and progress reporting; and
+// cancellation and progress reporting; and
 // ParetoFrontier/SweepFrontiers reduce the per-config evaluations into
 // yield × performance × leakage frontiers.
 
@@ -396,20 +396,12 @@ type SweepEval struct {
 	BaseCI    Interval `json:"base_ci"`
 	// Yields are the per-scheme outcomes, in option scheme order.
 	Yields []SchemeYield `json:"yields"`
-	// Skipped marks configs the Skip hook short-circuited (resume);
-	// their other fields are zero and the caller overlays stored
-	// results.
-	Skipped bool `json:"skipped,omitempty"`
 }
 
 // SweepRunOptions tune RunSweep.
 type SweepRunOptions struct {
 	// Schemes evaluated per config; nil means YAPD, VACA, Hybrid.
 	Schemes []Scheme
-	// Skip short-circuits a config by Index (crash resume): return true
-	// and the config is not evaluated — its eval comes back zero-valued
-	// with Skipped set.
-	Skip func(configIndex int) bool
 	// OnEval observes each completed evaluation with running done/total
 	// counts. It is called on RunSweep's goroutine, in the planner's
 	// evaluation order, so done rises by one per call.
@@ -445,19 +437,7 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 	scope.SetProgressTotal(int64(total))
 
 	evals := make([]SweepEval, total)
-	skipped := 0
-	for _, cfg := range plan.Configs {
-		if opt.Skip != nil && opt.Skip(cfg.Index) {
-			evals[cfg.Index] = SweepEval{Config: cfg, Skipped: true}
-			skipped++
-		}
-	}
-	done := skipped
-	if skipped > 0 {
-		scope.AddProgress(int64(skipped))
-		obs.C("core_sweep_configs_skipped_total").Add(int64(skipped))
-	}
-
+	done := 0
 	for ci := range plan.Clusters {
 		if err := runCluster(ctx, plan, &plan.Clusters[ci], schemes, evals, &done, total, opt.OnEval); err != nil {
 			return nil, err
@@ -466,34 +446,15 @@ func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepRunOptions) ([]Swee
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	obs.C("core_sweep_configs_total").Add(int64(total - skipped))
+	obs.C("core_sweep_configs_total").Add(int64(total))
 	return evals, nil
 }
 
 // runCluster evaluates one geometry cluster: base build, then units in
-// planned order, skipping any unit whose configs were all resumed. A
-// unit's population lives only until the next unit's BuildCtx.
+// planned order. A unit's population lives only until the next unit's
+// BuildCtx.
 func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes []Scheme,
 	evals []SweepEval, done *int, total int, onEval func(SweepEval, int, int)) error {
-	needed := func(u *SweepUnit) bool {
-		for _, idx := range u.Configs {
-			if !evals[idx].Skipped {
-				return true
-			}
-		}
-		return false
-	}
-	any := false
-	for i := range cl.Units {
-		if needed(&cl.Units[i]) {
-			any = true
-			break
-		}
-	}
-	if !any {
-		return nil
-	}
-
 	sp := obs.StartSpanCtx(ctx, "sweep_cluster")
 	defer sp.End()
 	db, err := NewDeltaBuilderCtx(ctx, PopulationConfig{
@@ -509,9 +470,6 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 
 	for ui := range cl.Units {
 		u := &cl.Units[ui]
-		if !needed(u) {
-			continue
-		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -527,9 +485,6 @@ func runCluster(ctx context.Context, plan *SweepPlan, cl *SweepCluster, schemes 
 			obs.C("core_sweep_copy_builds_total").Inc()
 		}
 		for _, idx := range u.Configs {
-			if evals[idx].Skipped {
-				continue
-			}
 			if err := ctx.Err(); err != nil {
 				usp.End()
 				return err
@@ -623,8 +578,7 @@ func ParetoFrontier(pts []ParetoPoint) []int {
 // SweepFrontiers reduces a complete evaluation set into one Pareto
 // frontier per scheme (plus "Base"): the config indices whose (yield,
 // mean latency, mean leakage) triple no other config dominates under
-// that scheme. Evals must be the dense RunSweep result with no skipped
-// entries remaining.
+// that scheme. Evals must be the dense RunSweep result.
 func SweepFrontiers(evals []SweepEval) map[string][]int {
 	if len(evals) == 0 {
 		return map[string][]int{}

@@ -192,65 +192,34 @@ func TestRunSweepBitIdenticalToFullBuilds(t *testing.T) {
 	}
 }
 
-// TestRunSweepSkipResume checks the resume contract: skipped configs
-// come back zero-valued with Skipped set, and the re-evaluated rest is
-// bit-identical to an uninterrupted run. It also pins the core_sweep_*
-// counters: one base build per cluster, one delta or copy build per
-// unit, and every config counted as evaluated or skipped.
-func TestRunSweepSkipResume(t *testing.T) {
+// TestRunSweepCounters pins the core_sweep_* counters: every config
+// counted as evaluated, one base build per cluster, and one delta or
+// copy build per unit.
+func TestRunSweepCounters(t *testing.T) {
 	spec := sweepTestSpec(sram.BatchWidth + 1)
 	plan, err := PlanSweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer obs.Disable()
-	names := []string{"core_sweep_configs_total", "core_sweep_configs_skipped_total",
+	names := []string{"core_sweep_configs_total",
 		"core_sweep_base_builds_total", "core_sweep_delta_builds_total", "core_sweep_copy_builds_total"}
-	want := map[string]int64{names[0]: int64(len(plan.Configs)), names[1]: 0, names[2]: int64(len(plan.Clusters))}
+	want := map[string]int64{names[0]: int64(len(plan.Configs)), names[1]: int64(len(plan.Clusters))}
 	for _, cl := range plan.Clusters {
 		for _, u := range cl.Units {
 			if u.Parts.Any() {
-				want[names[3]]++
+				want[names[2]]++
 			} else {
-				want[names[4]]++
+				want[names[3]]++
 			}
 		}
 	}
 	reg := obs.Enable()
-	full, err := RunSweep(context.Background(), plan, SweepRunOptions{})
-	if err != nil {
+	if _, err := RunSweep(context.Background(), plan, SweepRunOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := counters(reg, names...); !reflect.DeepEqual(got, want) {
-		t.Errorf("full sweep left the counters at %v, want %v", got, want)
-	}
-	reg = obs.Enable()
-	resumed, err := RunSweep(context.Background(), plan, SweepRunOptions{
-		Skip: func(idx int) bool { return idx%2 == 0 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skipped := int64(len(plan.Configs)+1) / 2
-	if got := counters(reg, names[:2]...); got[names[0]] != int64(len(plan.Configs))-skipped || got[names[1]] != skipped {
-		t.Errorf("sweep skipping %d of %d configs left the counters at %v", skipped, len(plan.Configs), got)
-	}
-	for i := range resumed {
-		if i%2 == 0 {
-			if !resumed[i].Skipped {
-				t.Fatalf("config %d not marked skipped", i)
-			}
-			continue
-		}
-		if resumed[i].Skipped {
-			t.Fatalf("config %d wrongly skipped", i)
-		}
-		if resumed[i].BaseYield != full[i].BaseYield ||
-			resumed[i].MeanLatencyPS != full[i].MeanLatencyPS ||
-			resumed[i].MeanLeakageW != full[i].MeanLeakageW ||
-			resumed[i].Limits != full[i].Limits {
-			t.Fatalf("config %d differs after resume: %+v != %+v", i, resumed[i], full[i])
-		}
+		t.Errorf("sweep left the counters at %v, want %v", got, want)
 	}
 }
 

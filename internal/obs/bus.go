@@ -33,9 +33,6 @@ const (
 	// them ends every admitted job, carrying the error class.
 	EventJobCompleted EventType = "job_completed"
 	EventJobFailed    EventType = "job_failed"
-	// EventJobCheckpoint is a throttled record of a sweep checkpoint
-	// reaching the store, carrying the checkpointed config count.
-	EventJobCheckpoint EventType = "job_checkpoint"
 	// EventSweepConfig fires when a design-space sweep finishes one
 	// config: Key carries the config label ("vdd=1.08 nominal") and
 	// Done/Total count configs, not chips.
@@ -53,9 +50,8 @@ const (
 // allEventTypes is the closed taxonomy in declaration order.
 var allEventTypes = []EventType{
 	EventJobAdmitted, EventJobStarted, EventJobProgress, EventJobPhase,
-	EventJobEstimate, EventJobCompleted, EventJobFailed, EventJobCheckpoint,
-	EventSweepConfig, EventCacheHit, EventCacheEvict, EventQueuePressure,
-	EventShed,
+	EventJobEstimate, EventJobCompleted, EventJobFailed, EventSweepConfig,
+	EventCacheHit, EventCacheEvict, EventQueuePressure, EventShed,
 }
 
 // Valid reports whether t is one of the defined event types.

@@ -135,9 +135,8 @@ func TestEventTypeValid(t *testing.T) {
 	}
 	want := []EventType{
 		"job_admitted", "job_started", "job_progress", "job_phase",
-		"job_estimate", "job_completed", "job_failed", "job_checkpoint",
-		"sweep_config", "cache_hit", "cache_evict", "queue_pressure",
-		"shed",
+		"job_estimate", "job_completed", "job_failed", "sweep_config",
+		"cache_hit", "cache_evict", "queue_pressure", "shed",
 	}
 	if got := EventTypes(); !slices.Equal(got, want) {
 		t.Errorf("EventTypes() = %v, want %v in declaration order", got, want)

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
-	"io"
 	"log/slog"
 	"net/http"
 	"time"
@@ -55,10 +52,10 @@ func (s *Server) persistJob(j *job, k jobKind, state string) {
 }
 
 // persistOutcome records a build's terminal state: the final job
-// record, the cached result body, evicted results, expired idempotency
-// keys (including those bound to a build whose result is not cached),
-// and the checkpoint that is no longer needed, if the store may hold
-// one.
+// record, the cached result body, evicted results, and expired
+// idempotency keys (including those bound to a build whose result is
+// not cached). A resumed job also deletes any checkpoint an older
+// server wrote for it, which this server never reads.
 func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted, expiredIdem []string) {
 	if s.store == nil {
 		return
@@ -81,69 +78,9 @@ func (s *Server) persistOutcome(j *job, k jobKind, c *call, cached bool, evicted
 		ik := ik
 		s.storeDo("delete_idem", func() error { return s.store.DeleteIdem(ik) })
 	}
-	if j.checkpointed.Load() {
+	if j.restarts > 0 {
 		s.storeDo("delete_checkpoint", func() error { return s.store.DeleteCheckpoint(j.id) })
 	}
-}
-
-// checkpointWriter persists one sweep's checkpoints: encode, put with
-// retry, log a failure, announce job_checkpoint. It is the one place
-// checkpoints are paced: a sweep offers every finished config, and the
-// writer skips an offer unless CheckpointInterval has passed since the
-// previous write started (since the job started, before the first) and
-// the previous write's own cost has passed since it finished. A
-// checkpoint grows with the sweep (it holds every finished config), and
-// on slow disks persisting one can take far longer than the interval,
-// so slow storage degrades checkpoint granularity — bounded at a ~50%
-// duty cycle of the writing goroutine — instead of starving the job.
-// Writes never overlap: RunSweep calls OnEval on one goroutine. Studies
-// write none: a crashed study rebuilds from its seed, which costs less
-// than decoding a stored prefix of its chips.
-type checkpointWriter struct {
-	s    *Server
-	j    *job
-	next time.Time // earliest start of the next write
-}
-
-// checkpointWriter returns j's checkpoint writer, or nil when the
-// server does not checkpoint. Its first write waits one
-// CheckpointInterval.
-func (s *Server) checkpointWriter(j *job) *checkpointWriter {
-	if s.store == nil || s.cfg.CheckpointInterval <= 0 {
-		return nil
-	}
-	return &checkpointWriter{s: s, j: j, next: time.Now().Add(s.cfg.CheckpointInterval)}
-}
-
-// write persists the checkpoint encode produces, covering done of total
-// units, unless the clock says to skip it. An error skips only this
-// checkpoint; the job carries on.
-func (w *checkpointWriter) write(done, total int, encode func(io.Writer) error) error {
-	start := time.Now()
-	if start.Before(w.next) {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := encode(&buf); err != nil {
-		return err
-	}
-	// A put that reports failure may still have landed: delete it too.
-	w.j.checkpointed.Store(true)
-	err := store.Do("put_checkpoint", func() error {
-		return w.s.store.PutCheckpoint(w.j.id, done, buf.Bytes())
-	})
-	end := time.Now()
-	w.next = start.Add(w.s.cfg.CheckpointInterval)
-	if t := end.Add(end.Sub(start)); t.After(w.next) {
-		w.next = t
-	}
-	if err != nil {
-		w.s.log.Warn("checkpoint persist failed", "job", w.j.id, "done", done, "error", err)
-		return err
-	}
-	w.s.bus.Publish(obs.Event{Type: obs.EventJobCheckpoint, Job: w.j.id,
-		Done: int64(done), Total: int64(total)})
-	return nil
 }
 
 // recordIdem binds an Idempotency-Key to the study that answers it, in
@@ -265,10 +202,9 @@ func (s *Server) kindFromRecord(rec store.JobRecord) jobKind {
 // recoverFromStore replays the store into the server's in-memory state:
 // the result cache (in original FIFO order), live idempotency records,
 // finished-job history, and — the point of the exercise — re-admits
-// every job that was queued or running when the last process died: a
-// sweep resumes from its newest readable checkpoint, a study rebuilds
-// from its seed. Runs once from New, before the server serves any
-// request.
+// every job that was queued or running when the last process died, to
+// be rebuilt from its request. Runs once from New, before the server
+// serves any request.
 func (s *Server) recoverFromStore() {
 	if s.store == nil {
 		return
@@ -329,15 +265,13 @@ func (s *Server) recoverFromStore() {
 		"results", len(s.order), "jobs", len(rec.Jobs), "resumed", resumed, "idem_keys", len(s.idem))
 }
 
-// resumeJob re-admits one interrupted job under its original id,
-// loading a sweep's newest checkpoint so it continues where the dead
-// process stopped.
+// resumeJob re-admits one interrupted job under its original id. It
+// runs again from its request: chip i is a pure function of (seed, i),
+// so the rebuilt study or sweep is bit-identical to the one the dead
+// process was building.
 func (s *Server) resumeJob(jr store.JobRecord) {
 	k := s.kindFromRecord(jr)
-	units, found := s.loadCheckpoint(jr.ID, k)
-
 	j := s.jobsReg.restoreResumed(jr, k, s.log)
-	j.checkpointed.Store(found)
 	c := &call{done: make(chan struct{}), job: j}
 	s.mu.Lock()
 	s.inflight[jr.Key] = c
@@ -348,30 +282,12 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
 	j.scope.Log().Info("job resumed from store",
-		"restarts", j.restarts, "checkpoint", units, "total", k.total(),
+		"restarts", j.restarts, "total", k.total(),
 		"seed", jr.Seed, "chips", jr.Chips)
 	// Persist the bumped restart count right away, so a crash during
 	// the resumed build counts this lifetime too.
 	s.persistJob(j, k, jobQueued)
 	go s.run(k, c)
-}
-
-// loadCheckpoint reads an interrupted job's newest checkpoint and has
-// its kind decode it. It returns the units the checkpoint covers and
-// whether the store may hold one, readable or not (found), so the
-// finished job deletes it; that includes a study checkpoint an older
-// server wrote, whose bytes the study ignores. An unreadable checkpoint
-// resumes from scratch: correctness never depends on the checkpoint.
-func (s *Server) loadCheckpoint(jobID string, k jobKind) (units int, found bool) {
-	data, _, err := s.store.Checkpoint(jobID)
-	if err != nil {
-		return 0, !errors.Is(err, store.ErrNoCheckpoint)
-	}
-	if units, err = k.resumeFrom(data); err != nil {
-		s.log.Warn("checkpoint unreadable; resuming from scratch", "job", jobID, "error", err)
-		return 0, true
-	}
-	return units, true
 }
 
 // restoreFinished rebuilds one finished job's history entry from its

@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -128,44 +129,28 @@ func recovered(t *testing.T, dir string) *store.Recovered {
 }
 
 // crashStore is a File store that copies its data directory into crash
-// once, right after a put lands: the record of a study as running, or
-// the first checkpoint strictly inside a sweep of n configs. The job's
-// goroutine is inside that call and every earlier write of the job has
-// returned, so the copy holds every fsynced frame and no write in
-// flight: the kill -9 instant. A study writes no checkpoint, so its
-// durable state is the same from its running record until its result,
-// and the copy is the disk any mid-build kill -9 leaves.
+// once, right after the first record of a job as running lands. The
+// job's goroutine is inside that call and every earlier write of the
+// job has returned, so the copy holds every fsynced frame and no write
+// in flight: the kill -9 instant. A job writes nothing more until its
+// outcome, so the copy is the disk any mid-build kill -9 leaves.
 type crashStore struct {
 	store.Store
 	dir, crash string
-	n          int
 
-	once   sync.Once
-	copied bool
-	err    error
+	once sync.Once
+	err  error
 }
 
-func newCrashStore(t *testing.T, n int) *crashStore {
+func newCrashStore(t *testing.T) *crashStore {
 	dir := t.TempDir()
-	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir(), n: n}
-}
-
-func (c *crashStore) copyCrash() {
-	c.once.Do(func() { c.copied, c.err = true, copyDataDir(c.dir, c.crash) })
+	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir()}
 }
 
 func (c *crashStore) PutJob(rec store.JobRecord) error {
 	err := c.Store.PutJob(rec)
-	if err == nil && rec.Kind != jobKindSweep && rec.State == jobRunning {
-		c.copyCrash()
-	}
-	return err
-}
-
-func (c *crashStore) PutCheckpoint(jobID string, done int, data []byte) error {
-	err := c.Store.PutCheckpoint(jobID, done, data)
-	if err == nil && done > 0 && done < c.n {
-		c.copyCrash()
+	if err == nil && rec.State == jobRunning {
+		c.once.Do(func() { c.err = copyDataDir(c.dir, c.crash) })
 	}
 	return err
 }
@@ -283,7 +268,7 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	// Run the build on a store that copies its directory when it
 	// records the study as running; the copy is the disk a kill -9
 	// anywhere in the build leaves.
-	st := newCrashStore(t, chips)
+	st := newCrashStore(t)
 	srv1 := New(Config{Workers: 2, Store: st})
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, _, _ := postStudyIdem(t, ts1.URL, body, "retry-after-crash")
@@ -441,106 +426,77 @@ func TestStoreErrorsDoNotFailRequests(t *testing.T) {
 	}
 }
 
-// ckptStore is a store whose PutCheckpoint takes delay and records
-// when each call started, and whose DeleteCheckpoint records the job.
-type ckptStore struct {
+// deleteStore is a store that records the job of each DeleteCheckpoint.
+type deleteStore struct {
 	store.Store
-	delay time.Duration
 
 	mu      sync.Mutex
-	puts    map[string][]time.Time
 	deletes []string
 }
 
-func newCkptStore(st store.Store, delay time.Duration) *ckptStore {
-	return &ckptStore{Store: st, delay: delay, puts: make(map[string][]time.Time)}
+func (d *deleteStore) DeleteCheckpoint(jobID string) error {
+	d.mu.Lock()
+	d.deletes = append(d.deletes, jobID)
+	d.mu.Unlock()
+	return d.Store.DeleteCheckpoint(jobID)
 }
 
-func (c *ckptStore) PutCheckpoint(jobID string, done int, data []byte) error {
-	c.mu.Lock()
-	c.puts[jobID] = append(c.puts[jobID], time.Now())
-	c.mu.Unlock()
-	time.Sleep(c.delay)
-	return c.Store.PutCheckpoint(jobID, done, data)
-}
-
-func (c *ckptStore) DeleteCheckpoint(jobID string) error {
-	c.mu.Lock()
-	c.deletes = append(c.deletes, jobID)
-	c.mu.Unlock()
-	return c.Store.DeleteCheckpoint(jobID)
-}
-
-// Sweep checkpoint writes self-clock against the store: on a store
-// whose writes take d, a write starts no sooner than its predecessor's
-// cost after that one finished, so successive writes start at least
-// 2·d apart even with a 1 ms CheckpointInterval. The sweep is sized to
-// last many times 2·d, so it writes several checkpoints at any -cpu.
-func TestCheckpointWritesSelfClock(t *testing.T) {
-	const d = 10 * time.Millisecond
-	st := newCkptStore(openStore(t, t.TempDir()), d)
-	srv := New(Config{Workers: 1, Store: st, CheckpointInterval: time.Millisecond, FlightInterval: -1})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer drain(t, srv)
-
-	var vdd []string
-	for i := 0; i < 24; i++ {
-		vdd = append(vdd, fmt.Sprintf("%.3f", 1.1-0.005*float64(i)))
-	}
-	body := `{"chips": 900, "seed": 2006, "axes": [{"param": "vdd", "values": [` + strings.Join(vdd, ",") + `]}]}`
-	resp, _ := postRaw(t, ts.URL, "/v1/sweep", body, "")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d", resp.StatusCode)
-	}
-	st.mu.Lock()
-	starts := st.puts[resp.Header.Get("X-Job-Id")]
-	st.mu.Unlock()
-	t.Logf("%d checkpoint writes", len(starts))
-	if len(starts) < 2 {
-		t.Fatalf("%d checkpoint writes, want at least 2 to measure", len(starts))
-	}
-	for i := 1; i < len(starts); i++ {
-		if gap := starts[i].Sub(starts[i-1]); gap < 2*d {
-			t.Errorf("write %d started %v after write %d, want at least %v", i, gap, i-1, 2*d)
-		}
-	}
-}
-
-// A finished job deletes its checkpoint only when the store may hold
-// one. A job that never checkpointed (a study) costs no delete; a
-// resumed study whose store holds a checkpoint (one an older server
-// wrote, unreadable here) ignores its bytes, rebuilds to the response
-// of a fresh build, and still has it deleted.
+// A finished job deletes a checkpoint only when the store may hold one
+// of it: one an older server wrote before the job was resumed. A fresh
+// job costs no delete. A resumed study and a resumed sweep whose store
+// holds such a checkpoint ignore its bytes, rebuild to the response of
+// a fresh build, and still have it deleted. The sweep's checkpoint is
+// in the format sweeps once resumed from, with one config falsified, so
+// a server that read it would answer different bytes.
 func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
-	const resumedBody = `{"chips": 30, "seed": 5}`
+	const (
+		studyBody = `{"chips": 30, "seed": 5}`
+		sweepBody = `{"chips": 40, "seed": 5, "axes": [{"param": "vdd", "values": [1.1, 1.05, 1.0]}]}`
+	)
+	ref := New(Config{Workers: 1, FlightInterval: -1})
+	tsRef := httptest.NewServer(ref.Handler())
+	_, wantStudy, _ := postStudyIdem(t, tsRef.URL, studyBody, "")
+	_, wantSweep := postRaw(t, tsRef.URL, "/v1/sweep", sweepBody, "")
 	var req StudyRequest
-	if err := json.Unmarshal([]byte(resumedBody), &req); err != nil {
+	if err := json.Unmarshal([]byte(studyBody), &req); err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{FlightInterval: -1}).parseRequest(&req)
+	p, err := ref.parseRequest(&req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := p.record()
-	rec.ID, rec.Seq, rec.Key, rec.State = "j000001", 1, p.key(), jobRunning
-	dir := t.TempDir()
-	seed := openStore(t, dir)
-	if err := seed.PutJob(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.PutCheckpoint(rec.ID, 8, []byte("not a checkpoint")); err != nil {
-		t.Fatal(err)
-	}
-	seed.Close()
-
-	ref := New(Config{Workers: 1, FlightInterval: -1})
-	tsRef := httptest.NewServer(ref.Handler())
-	_, want, _ := postStudyIdem(t, tsRef.URL, resumedBody, "")
+	sp := sweepParamsOf(t, ref, sweepBody)
 	drain(t, ref)
 	tsRef.Close()
 
-	st := newCkptStore(openStore(t, dir), 0)
+	studyRec := p.record()
+	studyRec.ID, studyRec.Seq, studyRec.Key, studyRec.State = "j000001", 1, p.key(), jobRunning
+	sweepRec := sp.record()
+	sweepRec.ID, sweepRec.Seq, sweepRec.Key, sweepRec.Kind, sweepRec.State = "j000002", 2, sp.key, jobKindSweep, jobRunning
+	var done SweepResponse
+	if err := json.Unmarshal(wantSweep, &done); err != nil {
+		t.Fatal(err)
+	}
+	done.Results[0].BaseYield /= 2
+	sweepCkpt, err := json.Marshal(map[string]any{"results": done.Results[:2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	seed := openStore(t, dir)
+	for _, put := range []func() error{
+		func() error { return seed.PutJob(studyRec) },
+		func() error { return seed.PutCheckpoint(studyRec.ID, 8, []byte("not a checkpoint")) },
+		func() error { return seed.PutJob(sweepRec) },
+		func() error { return seed.PutCheckpoint(sweepRec.ID, 2, sweepCkpt) },
+	} {
+		if err := put(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seed.Close()
+
+	st := &deleteStore{Store: openStore(t, dir)}
 	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -548,30 +504,58 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fresh study: status %d", resp.StatusCode)
 	}
-	drain(t, srv) // the resumed job has finished too
+	drain(t, srv) // the resumed jobs have finished too
 
-	var d JobDetail
-	getJSON(t, ts.URL+"/v1/jobs/"+rec.ID, &d)
-	if d.State != jobDone || d.Restarts != 1 {
-		t.Errorf("resumed job: state %q restarts %d, want done after 1 restart", d.State, d.Restarts)
+	for _, id := range []string{studyRec.ID, sweepRec.ID} {
+		var d JobDetail
+		getJSON(t, ts.URL+"/v1/jobs/"+id, &d)
+		if d.State != jobDone || d.Restarts != 1 {
+			t.Errorf("resumed job %s: state %q restarts %d, want done after 1 restart", id, d.State, d.Restarts)
+		}
+		if _, _, err := st.Checkpoint(id); err == nil {
+			t.Errorf("the resumed job %s's checkpoint is still stored", id)
+		}
 	}
 	st.mu.Lock()
-	deletes := st.deletes
+	deletes := append([]string(nil), st.deletes...)
 	st.mu.Unlock()
-	if len(deletes) != 1 || deletes[0] != rec.ID {
-		t.Errorf("DeleteCheckpoint calls %v, want only the resumed job %s", deletes, rec.ID)
-	}
-	if _, _, err := st.Checkpoint(rec.ID); err == nil {
-		t.Errorf("the resumed job's unreadable checkpoint is still stored")
+	sort.Strings(deletes)
+	if want := []string{studyRec.ID, sweepRec.ID}; !reflect.DeepEqual(deletes, want) {
+		t.Errorf("DeleteCheckpoint calls %v, want only the resumed jobs %v", deletes, want)
 	}
 
-	resp, got, _ := postStudyIdem(t, ts.URL, resumedBody, "")
+	resp, got, _ := postStudyIdem(t, ts.URL, studyBody, "")
 	if resp.StatusCode != http.StatusOK || !got.Cached {
 		t.Fatalf("resumed study: status %d cached %v, want its cached result", resp.StatusCode, got.Cached)
 	}
-	if got.Cached, got.ElapsedMS, want.ElapsedMS = false, 0, 0; !reflect.DeepEqual(got, want) {
-		t.Errorf("resumed study differs from a fresh build:\n got %+v\nwant %+v", got, want)
+	if got.Cached, got.ElapsedMS, wantStudy.ElapsedMS = false, 0, 0; !reflect.DeepEqual(got, wantStudy) {
+		t.Errorf("resumed study differs from a fresh build:\n got %+v\nwant %+v", got, wantStudy)
 	}
+	_, gotSweep := postRaw(t, ts.URL, "/v1/sweep", sweepBody, "")
+	if g, w := sweepScience(t, gotSweep, true), sweepScience(t, wantSweep, false); g != w {
+		t.Errorf("resumed sweep differs from a fresh sweep:\n got %s\nwant %s", g, w)
+	}
+}
+
+// sweepScience is a sweep response body without its timing and with
+// its cached flag checked against cached: every other byte a resumed
+// sweep answers must equal a fresh sweep's.
+func sweepScience(t *testing.T, body []byte, cached bool) string {
+	t.Helper()
+	var m map[string]any
+	if err := json.Unmarshal(body, &m); err != nil {
+		t.Fatal(err)
+	}
+	if m["cached"] != cached {
+		t.Errorf("sweep response cached %v, want %v", m["cached"], cached)
+	}
+	delete(m, "cached")
+	delete(m, "elapsed_ms")
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
 }
 
 // An interrupted sweep whose persisted spec no longer decodes is still

@@ -2,13 +2,9 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"testing"
-
-	"yieldcache"
 )
 
 // FuzzParseRequests feeds arbitrary bodies through both request paths:
@@ -81,87 +77,6 @@ func FuzzParseRequests(f *testing.F) {
 		for _, keys := range [][]string{studyKeys, sweepKeys} {
 			if len(keys) == 1 || len(keys) == 2 && keys[0] != keys[1] {
 				t.Errorf("one body parsed twice gave keys %q", keys)
-			}
-		}
-	})
-}
-
-// FuzzSweepCheckpoint feeds arbitrary bytes to the one decoder of
-// persisted checkpoints, sweepParams.resumeFrom, for a small planned
-// sweep, then overlays the configs it keeps and reduces the results to
-// frontiers, as a resumed sweep does. None of it may panic, and every
-// kept config must have an in-range index and an interval (a non-zero
-// BaseCIHigh). The seeds are a real checkpoint of the sweep, an empty
-// one, the same checkpoint as a server wrote it before configs carried
-// intervals, and a minimal one keeping the last config, one digit away
-// from an out-of-range index.
-func FuzzSweepCheckpoint(f *testing.F) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
-	f.Cleanup(srv.Close)
-	sp := sweepParamsOf(f, srv,
-		`{"chips": 40, "seed": 2006, "axes": [{"param": "vdd", "values": [1.1, 1.05, 1.0]}]}`)
-	evals, err := yieldcache.RunSweep(context.Background(), sp.plan,
-		yieldcache.SweepOptions{Schemes: regularSchemes(sp.schemes)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	var ck sweepCheckpoint
-	for _, ev := range evals[:2] {
-		ck.Results = append(ck.Results, toSweepConfigResult(ev))
-	}
-	current, err := json.Marshal(ck)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var old struct{ Results []map[string]any }
-	if err := json.Unmarshal(current, &old); err != nil {
-		f.Fatal(err)
-	}
-	for _, r := range old.Results {
-		delete(r, "base_ci_low")
-		delete(r, "base_ci_high")
-		for _, y := range r["yields"].([]any) {
-			delete(y.(map[string]any), "ci_low")
-			delete(y.(map[string]any), "ci_high")
-		}
-	}
-	beforeIntervals, err := json.Marshal(map[string]any{"results": old.Results})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range []struct {
-		data []byte
-		kept int
-	}{
-		{current, 2},
-		{[]byte(`{"results": []}`), 0},
-		{beforeIntervals, 0},
-		{[]byte(`{"results": [{"index": 2, "base_ci_high": 0.5}]}`), 1},
-	} {
-		p := sp
-		if n, err := p.resumeFrom(seed.data); err != nil || n != seed.kept {
-			f.Fatalf("seed %s keeps %d configs (error %v), want %d", seed.data, n, err, seed.kept)
-		}
-		f.Add(seed.data)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := sp
-		if _, err := p.resumeFrom(data); err != nil {
-			return
-		}
-		for i, r := range p.resume {
-			if i < 0 || i >= len(p.plan.Configs) || r.BaseCIHigh == 0 {
-				t.Fatalf("kept config %d of %d with base_ci_high %v", i, len(p.plan.Configs), r.BaseCIHigh)
-			}
-		}
-		results := make([]SweepConfigResult, len(p.plan.Configs))
-		p.overlay(results, nil)
-		for name, front := range sweepWireFrontiers(results, p.schemes) {
-			for _, i := range front {
-				if i < 0 || i >= len(results) {
-					t.Fatalf("%s frontier holds config %d of %d", name, i, len(results))
-				}
 			}
 		}
 	})

@@ -78,11 +78,6 @@ type job struct {
 	// target truncated the build.
 	estimate  atomic.Pointer[yieldcache.YieldEstimate]
 	earlyStop atomic.Bool
-
-	// checkpointed records that the store may hold a checkpoint of this
-	// job: one was found at resume (readable or not) or written since.
-	// Only then does the finished job delete it.
-	checkpointed atomic.Bool
 }
 
 // jobRegistry tracks in-flight jobs and a bounded FIFO history of

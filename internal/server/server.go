@@ -80,17 +80,12 @@ type Config struct {
 	// a "job" attribute matching the /v1/jobs id. Nil discards logs
 	// (tests); yieldd passes a text or JSON slog handler.
 	Logger *slog.Logger
-	// Store persists job records, the result cache, idempotency keys
-	// and sweep checkpoints so they survive restarts. Nil (the default)
-	// disables durability entirely — no storage code runs on any
-	// request path. The server replays the store on New and resumes
-	// incomplete jobs; the caller owns the store's lifetime (Close).
+	// Store persists job records, the result cache and idempotency
+	// keys so they survive restarts. Nil (the default) disables
+	// durability entirely — no storage code runs on any request path.
+	// The server replays the store on New and rebuilds incomplete jobs
+	// from their requests; the caller owns the store's lifetime (Close).
 	Store store.Store
-	// CheckpointInterval is the least time between the starts of a
-	// running sweep's checkpoint writes to the Store, and before its
-	// first (default 2s; negative disables checkpointing while keeping
-	// the rest of the durability layer). Ignored when Store is nil.
-	CheckpointInterval time.Duration
 }
 
 func (c *Config) fill() {
@@ -135,11 +130,6 @@ func (c *Config) fill() {
 	}
 	if c.FlightSamples <= 0 {
 		c.FlightSamples = 512
-	}
-	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = 2 * time.Second
-	} else if c.CheckpointInterval < 0 {
-		c.CheckpointInterval = 0
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -186,11 +176,6 @@ type jobKind interface {
 	// is the memoized cached:true body, encoded on its first use.
 	view(e *cacheEntry) any
 	hitBody(e *cacheEntry) []byte
-	// resumeFrom decodes a crashed job's checkpoint bytes into the
-	// params, so compute continues where the dead process stopped, and
-	// returns how many units it covers. Only sweeps write checkpoints;
-	// a study rebuilds from its seed.
-	resumeFrom(data []byte) (int, error)
 }
 
 // Server is the yieldd request handler plus its job queue and caches.
@@ -444,12 +429,6 @@ func (p *params) hitBody(e *cacheEntry) []byte {
 		return encodeJSON(studyView(e.val.(*StudyResponse), *p, true))
 	})
 }
-
-// resumeFrom ignores a crashed study's checkpoint bytes, which only a
-// server from before studies rebuilt from their seed wrote: chip i is a
-// pure function of (seed, i), so the rebuilt study is bit-identical to
-// the one the dead process was building.
-func (p *params) resumeFrom([]byte) (int, error) { return 0, nil }
 
 // schemeOrder is the canonical scheme order; request scheme sets are
 // normalised against it so equivalent requests share a cache key.

@@ -96,7 +96,7 @@ var jobStreamTypes = []obs.EventType{
 	obs.EventJobStarted, obs.EventJobProgress, obs.EventJobPhase,
 	obs.EventJobEstimate,
 	obs.EventJobCompleted, obs.EventJobFailed,
-	obs.EventJobCheckpoint, obs.EventSweepConfig,
+	obs.EventSweepConfig,
 }
 
 // terminalEvent reports whether ev ends a job's stream.

@@ -344,20 +344,6 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 			},
 			check: func(ev obs.Event, _ string) bool { return ev.Queued == 1 && ev.Running == 1 },
 		},
-		{
-			// A 1 ns CheckpointInterval has passed by the sweep's first
-			// finished config, so its first checkpoint covers that one.
-			typ: obs.EventJobCheckpoint,
-			cfg: Config{Workers: 1, Store: openStore(t, t.TempDir()), CheckpointInterval: time.Nanosecond},
-			drive: func(t *testing.T, srv *Server, url string) string {
-				resp, _, _ := postSweep(t, url, `{"chips": 60, "seed": 1, "axes": [{"param": "vdd", "values": [1.1, 1.05]}]}`, "")
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("POST /v1/sweep: status %d", resp.StatusCode)
-				}
-				return resp.Header.Get("X-Job-Id")
-			},
-			check: func(ev obs.Event, job string) bool { return ev.Job == job && ev.Done == 1 && ev.Total == 2 },
-		},
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.typ), func(t *testing.T) {
@@ -550,6 +536,9 @@ func TestShedRecordsFailedJob(t *testing.T) {
 	if got := reg.Counter(`server_requests_total{class="shed"}`).Value(); got != 1 {
 		t.Errorf(`server_requests_total{class="shed"} = %d, want 1`, got)
 	}
+	if got := reg.Counter("server_study_shed_total").Value(); got != 1 {
+		t.Errorf("server_study_shed_total = %d, want 1", got)
+	}
 
 	close(release)
 	if resp := <-first; resp != nil {
@@ -594,6 +583,9 @@ func TestTimeoutClassOnResponseAndJob(t *testing.T) {
 	}
 	if got := reg.Counter(`server_requests_total{class="timeout"}`).Value(); got != 1 {
 		t.Errorf(`server_requests_total{class="timeout"} = %d, want 1`, got)
+	}
+	if got := reg.Counter("server_study_timeouts_total").Value(); got != 1 {
+		t.Errorf("server_study_timeouts_total = %d, want 1", got)
 	}
 }
 

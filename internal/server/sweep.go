@@ -3,9 +3,10 @@ package server
 // POST /v1/sweep: design-space exploration as a service. A sweep names
 // a grid (technology axes × cache geometries × constraint sets); the
 // server plans it through the facade's delta-reuse planner, evaluates
-// it on one worker slot with per-config progress events and durable
-// per-config checkpoints, reduces the results to Pareto frontiers, and
-// caches the response under a canonical spec hash. docs/SWEEPS.md is
+// it on one worker slot with per-config progress events, reduces the
+// results to Pareto frontiers, and caches the response under a
+// canonical spec hash. A sweep interrupted by a crash is replanned
+// from its persisted spec and run again. docs/SWEEPS.md is
 // the narrative reference; docs/API.md the field reference.
 
 import (
@@ -14,7 +15,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"time"
@@ -120,9 +120,6 @@ type SweepResponse struct {
 	// config indices under (yield max, mean latency min, mean leakage
 	// min).
 	Frontiers map[string][]int `json:"frontiers"`
-	// ResumedConfigs counts configs restored from a durable checkpoint
-	// rather than evaluated in this process lifetime.
-	ResumedConfigs int `json:"resumed_configs,omitempty"`
 	// Cached reports whether the response came from the result cache.
 	Cached bool `json:"cached"`
 	// ElapsedMS is the wall time of the sweep that produced the result.
@@ -191,8 +188,7 @@ type sweepParams struct {
 	canonical []byte // resolved spec JSON; hashed into key, persisted for resume
 	key       string
 
-	specErr error                     // a recovered record's spec did not decode
-	resume  map[int]SweepConfigResult // per-config checkpoint of a resumed sweep
+	specErr error // a recovered record's spec did not decode
 }
 
 func (sp *sweepParams) cacheKey() string        { return sp.key }
@@ -225,36 +221,6 @@ func (sp *sweepParams) hitBody(e *cacheEntry) []byte {
 	})
 }
 
-// resumeFrom decodes a crashed sweep's completed configs, so they are
-// overlaid rather than rebuilt.
-func (sp *sweepParams) resumeFrom(data []byte) (int, error) {
-	var ck sweepCheckpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		return 0, err
-	}
-	sp.resume = make(map[int]SweepConfigResult)
-	for _, r := range ck.Results {
-		// A config checkpointed before results carried intervals has no
-		// (always positive) upper bound, so it is evaluated again.
-		if r.Index >= 0 && r.Index < sp.configs && r.BaseCIHigh != 0 {
-			sp.resume[r.Index] = r
-		}
-	}
-	return len(sp.resume), nil
-}
-
-// overlay writes each resumed config into its slot of results, one
-// slot per planned config, and appends it to completed, the configs the
-// sweep's next checkpoint lists. RunSweep skips exactly these configs,
-// so OnEval fills every other slot.
-func (sp *sweepParams) overlay(results, completed []SweepConfigResult) []SweepConfigResult {
-	for i, r := range sp.resume {
-		results[i] = r
-		completed = append(completed, r)
-	}
-	return completed
-}
-
 // sweepCanonical is the canonical resolved request: the filled spec
 // plus the normalised scheme set. Its JSON bytes are hashed into the
 // cache key and persisted in the job record for crash resume, so two
@@ -262,14 +228,6 @@ func (sp *sweepParams) overlay(results, completed []SweepConfigResult) []SweepCo
 type sweepCanonical struct {
 	Spec    yieldcache.SweepSpec `json:"spec"`
 	Schemes []string             `json:"schemes"`
-}
-
-// sweepCheckpoint is the durable config-granular checkpoint of a
-// running sweep: every completed config result. JSON round-trips Go
-// float64 values exactly, so resumed configs are bit-identical to
-// freshly evaluated ones.
-type sweepCheckpoint struct {
-	Results []SweepConfigResult `json:"results"`
 }
 
 // parseSweepRequest validates a SweepRequest against the server limits,
@@ -412,14 +370,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.handle(w, r, &sp, append([]byte("sweep\x00"), body...))
 }
 
-// compute runs the planned sweep with per-config events and durable
-// config-granular checkpoints (the job's checkpoint writer, offered
-// every finished config and paced at CheckpointInterval), overlays any
-// resumed results, and reduces the merged set to Pareto frontiers.
-// Frontiers are always computed from the wire-typed results (which
-// round-trip exactly through JSON), so a crash-resumed sweep reduces to
-// bit-identical frontiers. A sweep recovered from its job record is
-// planned here, when it runs.
+// compute runs the planned sweep with per-config events, converts the
+// evaluations to the wire shape and reduces them to Pareto frontiers.
+// A sweep recovered from its job record is planned here, when it runs;
+// every config is a pure function of the spec, so the rerun answers the
+// interrupted sweep's bytes.
 func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEntry, error) {
 	t0 := time.Now()
 	plan := sp.plan
@@ -432,35 +387,20 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 			return nil, fmt.Errorf("replanning sweep: %w", err)
 		}
 	}
-	results := make([]SweepConfigResult, len(plan.Configs))
-	completed := sp.overlay(results, make([]SweepConfigResult, 0, len(plan.Configs)))
-	ckpt := s.checkpointWriter(j)
 
-	opt := yieldcache.SweepOptions{
+	evals, err := yieldcache.RunSweep(ctx, plan, yieldcache.SweepOptions{
 		Schemes: regularSchemes(sp.schemes),
-		// RunSweep calls OnEval on its own goroutine, one call at a time.
 		OnEval: func(ev yieldcache.SweepEval, done, total int) {
-			r := toSweepConfigResult(ev)
-			results[r.Index] = r
-			completed = append(completed, r)
-			if ckpt != nil { // a failed write is logged; the sweep carries on
-				_ = ckpt.write(len(completed), total, func(w io.Writer) error {
-					return json.NewEncoder(w).Encode(sweepCheckpoint{Results: completed})
-				})
-			}
-			s.bus.Publish(obs.Event{Type: obs.EventSweepConfig, Job: j.id, Key: r.Label,
+			s.bus.Publish(obs.Event{Type: obs.EventSweepConfig, Job: j.id, Key: ev.Config.Label(),
 				Done: int64(done), Total: int64(total)})
 		},
-	}
-	if len(sp.resume) > 0 {
-		opt.Skip = func(i int) bool {
-			_, ok := sp.resume[i]
-			return ok
-		}
-	}
-
-	if _, err := yieldcache.RunSweep(ctx, plan, opt); err != nil {
+	})
+	if err != nil {
 		return nil, err
+	}
+	results := make([]SweepConfigResult, len(evals))
+	for i, ev := range evals {
+		results[i] = toSweepConfigResult(ev)
 	}
 
 	elapsed := time.Since(t0).Seconds()
@@ -468,15 +408,14 @@ func (sp *sweepParams) compute(ctx context.Context, s *Server, j *job) (*cacheEn
 	foldEWMA(&s.buildEWMA, elapsed)
 
 	return &cacheEntry{val: &SweepResponse{
-		Seed:           plan.Spec.Seed,
-		Chips:          plan.Spec.N,
-		Configs:        len(plan.Configs),
-		Schemes:        sp.schemes,
-		Stats:          plan.Stats(),
-		Results:        results,
-		Frontiers:      sweepWireFrontiers(results, sp.schemes),
-		ResumedConfigs: len(sp.resume),
-		ElapsedMS:      elapsed * 1e3,
+		Seed:      plan.Spec.Seed,
+		Chips:     plan.Spec.N,
+		Configs:   len(plan.Configs),
+		Schemes:   sp.schemes,
+		Stats:     plan.Stats(),
+		Results:   results,
+		Frontiers: yieldcache.SweepFrontiers(evals),
+		ElapsedMS: elapsed * 1e3,
 	}}, nil
 }
 
@@ -505,26 +444,6 @@ func toSweepConfigResult(ev yieldcache.SweepEval) SweepConfigResult {
 		BaseCIHigh:    ev.BaseCI.High,
 		Yields:        ev.Yields,
 	}
-}
-
-// sweepWireFrontiers reduces wire results to one Pareto frontier per
-// scheme (plus "Base"), mirroring the facade's SweepFrontiers but over
-// the wire types so cached and resumed responses reduce identically.
-func sweepWireFrontiers(results []SweepConfigResult, schemes []string) map[string][]int {
-	names := append([]string{"Base"}, schemes...)
-	out := make(map[string][]int, len(names))
-	pts := make([]yieldcache.ParetoPoint, len(results))
-	for ni, name := range names {
-		for i, r := range results {
-			y := r.BaseYield
-			if ni > 0 && ni-1 < len(r.Yields) {
-				y = r.Yields[ni-1].Yield
-			}
-			pts[i] = yieldcache.ParetoPoint{Yield: y, LatencyPS: r.MeanLatencyPS, LeakageW: r.MeanLeakageW}
-		}
-		out[name] = yieldcache.ParetoFrontier(pts)
-	}
-	return out
 }
 
 // sweepView applies per-request presentation: the Cached flag and —

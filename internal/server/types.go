@@ -240,10 +240,9 @@ type JobSummary struct {
 	// running.
 	Class string `json:"class,omitempty"`
 	// Resumed reports that the job survived at least one server restart
-	// and was picked back up from its durable record (a sweep from its
-	// checkpoint, a study rebuilt from its seed); Restarts counts how
-	// many times. The job id (and X-Job-Id) stays stable
-	// across resumes.
+	// and was rebuilt from its durable record; Restarts counts how
+	// many times. The job id (and X-Job-Id) stays stable across
+	// resumes.
 	Resumed  bool `json:"resumed,omitempty"`
 	Restarts int  `json:"restarts,omitempty"`
 	// EarlyStop reports that a precision target stopped the build

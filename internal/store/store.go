@@ -1,9 +1,12 @@
 // Package store is yieldd's durability layer: a pluggable persistent
-// record of job lifecycles, study results and build checkpoints, so a
-// crash or redeploy loses neither finished work nor in-flight builds.
-// The server writes opaque bytes (JSON responses, gob checkpoints) and
-// small typed records; the store guarantees they come back intact after
-// a restart, or not at all — never corrupted.
+// record of job lifecycles and results, so a crash or redeploy loses
+// neither finished work nor in-flight builds, which the server rebuilds
+// from their records. The server writes opaque bytes (JSON responses)
+// and small typed records; the store guarantees they come back intact
+// after a restart, or not at all — never corrupted. The per-job
+// checkpoint API remains for data directories an older server wrote:
+// the server writes no checkpoint and only deletes one left under a
+// resumed job's id.
 //
 // File is the one implementation: a zero-dependency append-only WAL of
 // CRC-framed records plus snapshot files, with fsync on every append,

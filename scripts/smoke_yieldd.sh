@@ -221,7 +221,7 @@ echo "== durable boot (-store file) =="
 DATA="$TMP/data"
 start_durable() {
     "$TMP/yieldd" -addr "127.0.0.1:$PORT" -log-format json \
-        -store file -data-dir "$DATA" -checkpoint-interval 10ms \
+        -store file -data-dir "$DATA" \
         >>"$TMP/yieldd.log" 2>&1 &
     PID=$!
     i=0
@@ -252,7 +252,7 @@ echo "== kill -9 mid-build =="
 curl -s -X POST "$BASE/v1/study" -H 'Content-Type: application/json' \
     -d "$CRASH_STUDY" >/dev/null 2>&1 &
 # The crash study is the newest job in the listing once admitted. A
-# study writes no checkpoint, so once it runs, a kill -9 leaves the disk
+# job writes no checkpoint, so once it runs, a kill -9 leaves the disk
 # that one anywhere later in its build would leave.
 i=0
 CRASH_JOB=""

@@ -38,8 +38,8 @@ type (
 	SweepEval = core.SweepEval
 	// SchemeYield is one scheme's yield at one config.
 	SchemeYield = core.SchemeYield
-	// SweepOptions tune RunSweep (scheme set, resume skip, per-config
-	// callback); every sweep build uses all CPUs.
+	// SweepOptions tune RunSweep (scheme set, per-config callback);
+	// every sweep build uses all CPUs.
 	SweepOptions = core.SweepRunOptions
 	// ParetoPoint is one frontier candidate (maximise yield, minimise
 	// latency and leakage).
@@ -64,9 +64,9 @@ func SweepTechParams() []string { return core.TechParamNames() }
 func PlanSweep(spec SweepSpec) (*SweepPlan, error) { return core.PlanSweep(spec) }
 
 // RunSweep executes a plan, returning evaluations densely indexed by
-// SweepConfig.Index. Callers that resume from a checkpoint pass a
-// SweepOptions.Skip hook and overlay the skipped entries before
-// reducing frontiers.
+// SweepConfig.Index. Every config is a pure function of the plan, so a
+// caller that loses a run midway runs the plan again and gets the same
+// evaluations bit for bit.
 func RunSweep(ctx context.Context, plan *SweepPlan, opt SweepOptions) ([]SweepEval, error) {
 	return core.RunSweep(ctx, plan, opt)
 }
