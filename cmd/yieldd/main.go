@@ -13,11 +13,10 @@
 // /v1/jobs/{id}, a per-job
 // Chrome trace at /v1/jobs/{id}/trace, live telemetry streamed as
 // Server-Sent Events at /v1/jobs/{id}/events and /v1/events, and
-// structured logs correlated by job id. A background flight recorder
-// samples the runtime (goroutines, heap, GC, worker occupancy) into a
-// ring served at /v1/runtime/history. Metrics are always on, served at
-// /metrics in Prometheus text form. docs/API.md is the endpoint
-// reference.
+// structured logs correlated by job id. Metrics are always on, served
+// at /metrics in Prometheus text form; the runtime and server gauges
+// there (goroutines, heap, GC, worker occupancy, queue depth) are read
+// at each scrape. docs/API.md is the endpoint reference.
 //
 // With -store file, job records, cached results and Idempotency-Key
 // bindings are persisted under -data-dir in a CRC-checked write-ahead
@@ -34,8 +33,7 @@
 //	yieldd [-addr :8080] [-workers N] [-queue N] [-cache N] [-max-chips N]
 //	       [-max-sweep-configs N] [-timeout D] [-max-timeout D] [-drain D]
 //	       [-job-history N] [-stream-interval D] [-event-buffer N]
-//	       [-flight-interval D] [-flight-samples N] [-log-format text|json]
-//	       [-store none|file] [-data-dir DIR]
+//	       [-log-format text|json] [-store none|file] [-data-dir DIR]
 //
 // On SIGINT/SIGTERM the server stops admitting builds, ends live event
 // streams, drains in-flight jobs for up to the -drain budget, then
@@ -72,8 +70,6 @@ func main() {
 	jobHistory := flag.Int("job-history", 64, "finished jobs kept inspectable via /v1/jobs (evicted oldest-first)")
 	streamInterval := flag.Duration("stream-interval", 250*time.Millisecond, "minimum interval between a job's job_progress events, and between its mid-build job_estimate events")
 	eventBuffer := flag.Int("event-buffer", 64, "per-SSE-connection event buffer; clients lagging a full buffer are disconnected")
-	flightInterval := flag.Duration("flight-interval", time.Second, "runtime flight-recorder sampling period (negative disables)")
-	flightSamples := flag.Int("flight-samples", 512, "flight-recorder ring capacity served at /v1/runtime/history")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	storeKind := flag.String("store", "none", "durable job/result store: none or file (WAL under -data-dir)")
 	dataDir := flag.String("data-dir", "yieldd-data", "directory for the file store's write-ahead log and snapshots")
@@ -135,8 +131,6 @@ func main() {
 		JobHistory:      *jobHistory,
 		StreamInterval:  *streamInterval,
 		EventBuffer:     *eventBuffer,
-		FlightInterval:  *flightInterval,
-		FlightSamples:   *flightSamples,
 		Logger:          logger,
 
 		Store: st,

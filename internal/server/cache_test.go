@@ -388,7 +388,7 @@ func TestStudyHitAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; budget is pinned by the non-race run")
 	}
-	srv := New(Config{Workers: 2, FlightInterval: -1})
+	srv := New(Config{Workers: 2})
 	defer srv.Close()
 	h := srv.Handler()
 	body := `{"chips": 2000, "seed": 2006, "include_scatter": true, "include_saved_configs": true}`
@@ -433,7 +433,7 @@ func TestSweepConfigCapCheckedBeforePlanning(t *testing.T) {
 		`]}, {"param": "vt_nominal", "values": [` + vals(0.3) + `]}]}`
 	const msg = "sweep resolves to 1048576 configs, exceeding the server limit 256"
 
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	var req SweepRequest
 	if err := json.Unmarshal([]byte(body), &req); err != nil {

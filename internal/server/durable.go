@@ -276,9 +276,7 @@ func (s *Server) resumeJob(jr store.JobRecord) {
 	s.mu.Lock()
 	s.inflight[jr.Key] = c
 	s.jobs++
-	admitted := s.jobs
 	s.mu.Unlock()
-	obs.G("server_jobs_admitted").Set(float64(admitted))
 	obs.C("server_jobs_resumed_total").Inc()
 	s.wg.Add(1)
 	j.scope.Log().Info("job resumed from store",

@@ -134,9 +134,12 @@ func recovered(t *testing.T, dir string) *store.Recovered {
 // job has returned, so the copy holds every fsynced frame and no write
 // in flight: the kill -9 instant. A job writes nothing more until its
 // outcome, so the copy is the disk any mid-build kill -9 leaves.
+// copied is closed once the copy is taken, so a test can stop the
+// server there instead of letting it finish a build nobody reads.
 type crashStore struct {
 	store.Store
 	dir, crash string
+	copied     chan struct{}
 
 	once sync.Once
 	err  error
@@ -144,15 +147,61 @@ type crashStore struct {
 
 func newCrashStore(t *testing.T) *crashStore {
 	dir := t.TempDir()
-	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir()}
+	return &crashStore{Store: openStore(t, dir), dir: dir, crash: t.TempDir(), copied: make(chan struct{})}
 }
 
 func (c *crashStore) PutJob(rec store.JobRecord) error {
 	err := c.Store.PutJob(rec)
 	if err == nil && rec.State == jobRunning {
-		c.once.Do(func() { c.err = copyDataDir(c.dir, c.crash) })
+		c.once.Do(func() {
+			c.err = copyDataDir(c.dir, c.crash)
+			close(c.copied)
+		})
 	}
 	return err
+}
+
+// crashAfterCopy posts body to path on a server over st and closes
+// and drains that server as soon as st has taken its crash copy, so
+// the build dies unfinished. It returns the job id the cut-off request
+// was answered with.
+func crashAfterCopy(t *testing.T, st *crashStore, path, body, idemKey string) string {
+	t.Helper()
+	srv := New(Config{Workers: 2, Store: st})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idemKey != "" {
+		req.Header.Set("Idempotency-Key", idemKey)
+	}
+	answered := make(chan string, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			answered <- ""
+			return
+		}
+		resp.Body.Close()
+		answered <- resp.Header.Get("X-Job-Id")
+	}()
+	select {
+	case <-st.copied:
+	case id := <-answered:
+		t.Fatalf("request for job %q answered before its job was recorded running", id)
+	}
+	srv.Close()
+	drain(t, srv)
+	if st.err != nil {
+		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
+	}
+	jobID := <-answered
+	if jobID == "" {
+		t.Fatal("the cut-off request carried no X-Job-Id")
+	}
+	return jobID
 }
 
 // A restarted server must answer a repeated study from the recovered
@@ -220,7 +269,7 @@ func TestReopenCountsRecoveryAndResume(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
 	dir := t.TempDir()
-	srv1 := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
+	srv1 := New(Config{Workers: 1, Store: openStore(t, dir)})
 	ts1 := httptest.NewServer(srv1.Handler())
 	defer ts1.Close()
 	defer drain(t, srv1)
@@ -231,7 +280,7 @@ func TestReopenCountsRecoveryAndResume(t *testing.T) {
 	if err := copyDataDir(dir, crash); err != nil {
 		t.Fatal(err)
 	}
-	srv2 := New(Config{Workers: 1, Store: openStore(t, crash), FlightInterval: -1})
+	srv2 := New(Config{Workers: 1, Store: openStore(t, crash)})
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 	defer drain(t, srv2)
@@ -269,15 +318,7 @@ func TestCrashedBuildResumesBitIdentical(t *testing.T) {
 	// records the study as running; the copy is the disk a kill -9
 	// anywhere in the build leaves.
 	st := newCrashStore(t)
-	srv1 := New(Config{Workers: 2, Store: st})
-	ts1 := httptest.NewServer(srv1.Handler())
-	resp, _, _ := postStudyIdem(t, ts1.URL, body, "retry-after-crash")
-	jobID := resp.Header.Get("X-Job-Id")
-	drain(t, srv1)
-	ts1.Close()
-	if st.err != nil {
-		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
-	}
+	jobID := crashAfterCopy(t, st, "/v1/study", body, "retry-after-crash")
 
 	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash)})
 	ts2 := httptest.NewServer(srv2.Handler())
@@ -453,7 +494,7 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 		studyBody = `{"chips": 30, "seed": 5}`
 		sweepBody = `{"chips": 40, "seed": 5, "axes": [{"param": "vdd", "values": [1.1, 1.05, 1.0]}]}`
 	)
-	ref := New(Config{Workers: 1, FlightInterval: -1})
+	ref := New(Config{Workers: 1})
 	tsRef := httptest.NewServer(ref.Handler())
 	_, wantStudy, _ := postStudyIdem(t, tsRef.URL, studyBody, "")
 	_, wantSweep := postRaw(t, tsRef.URL, "/v1/sweep", sweepBody, "")
@@ -497,7 +538,7 @@ func TestCheckpointDeletedOnlyWhenStored(t *testing.T) {
 	seed.Close()
 
 	st := &deleteStore{Store: openStore(t, dir)}
-	srv := New(Config{Workers: 1, Store: st, FlightInterval: -1})
+	srv := New(Config{Workers: 1, Store: st})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	resp, _, _ := postStudyIdem(t, ts.URL, `{"chips": 20, "seed": 6}`, "")
@@ -569,7 +610,7 @@ func TestResumedSweepWithUnreadableSpecFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	seed.Close()
-	srv := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
+	srv := New(Config{Workers: 1, Store: openStore(t, dir)})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	drain(t, srv)

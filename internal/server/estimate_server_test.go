@@ -18,7 +18,7 @@ import (
 // table limits bit for bit, so yield_cis.base is exactly the estimate's
 // interval, at the default 0.95 and at a precision request's 0.99.
 func TestStudyResponseCarriesEstimateAndYieldCIs(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -109,7 +109,7 @@ func TestStudyResponseCarriesEstimateAndYieldCIs(t *testing.T) {
 // mid-build estimates at a 20 ms interval still ends its stream on the
 // whole population.
 func TestStudyStreamsFinalEstimate(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1, StreamInterval: 20 * time.Millisecond})
+	srv := New(Config{Workers: 1, StreamInterval: 20 * time.Millisecond})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -153,7 +153,7 @@ func TestStudyStreamsFinalEstimate(t *testing.T) {
 // target, the tables cover only the measured prefix, and the job
 // summary carries the provenance flag.
 func TestStudyPrecisionEarlyStop(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1, MaxChips: 20000, StreamInterval: -1})
+	srv := New(Config{Workers: 1, MaxChips: 20000, StreamInterval: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -212,8 +212,8 @@ func TestStudyPrecisionStopIsDeterministic(t *testing.T) {
 	const body = `{"chips": 4000, "seed": 2006, "precision": {"target_ci_width": 0.02}}`
 	var blocks []map[string]json.RawMessage
 	for _, cfg := range []Config{
-		{Workers: 1, CacheEntries: -1, FlightInterval: -1, StreamInterval: -1},
-		{Workers: 3, CacheEntries: -1, FlightInterval: -1},
+		{Workers: 1, CacheEntries: -1, StreamInterval: -1},
+		{Workers: 3, CacheEntries: -1},
 	} {
 		srv := New(cfg)
 		ts := httptest.NewServer(srv.Handler())
@@ -239,7 +239,7 @@ func TestStudyPrecisionStopIsDeterministic(t *testing.T) {
 
 // Precision validation: out-of-range targets and confidences are 400s.
 func TestStudyPrecisionValidation(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -263,7 +263,7 @@ func TestStudyPrecisionValidation(t *testing.T) {
 // The estimate endpoint 404s for unknown jobs and for jobs that never
 // published a snapshot (here: a job that was shed at admission).
 func TestJobEstimateNotFound(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -281,7 +281,7 @@ func TestJobEstimateNotFound(t *testing.T) {
 // Sweep results carry post-hoc Wilson intervals on the base and
 // per-scheme yields of every config.
 func TestSweepYieldCIs(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -41,7 +41,7 @@ func FuzzParseRequests(f *testing.F) {
 	} {
 		f.Add([]byte(body))
 	}
-	srv := New(Config{Workers: 1, MaxChips: 1000, MaxSweepConfigs: 4, FlightInterval: -1})
+	srv := New(Config{Workers: 1, MaxChips: 1000, MaxSweepConfigs: 4})
 	f.Cleanup(srv.Close)
 
 	// decode runs readRequest on body as a POST, reporting whether it

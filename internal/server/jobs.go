@@ -262,17 +262,23 @@ func (r *jobRegistry) summaryLocked(j *job) JobSummary {
 	}
 }
 
-// totalChips sums the chip progress of every tracked job; the flight
-// recorder diffs successive sums into the build_chips_per_second gauge.
-func (r *jobRegistry) totalChips() int64 {
+// chipRate is the build_chips_per_second gauge at now: the sum, over
+// running studies, of chips done per second since the job started.
+// Sweeps are left out: their progress counts configs, not chips.
+func (r *jobRegistry) chipRate(now time.Time) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var total int64
+	rate := 0.0
 	for _, j := range r.byID {
-		done, _ := j.scope.Progress()
-		total += done
+		if j.state != jobRunning || j.kind != "" {
+			continue
+		}
+		if secs := now.Sub(j.started).Seconds(); secs > 0 {
+			done, _ := j.scope.Progress()
+			rate += float64(done) / secs
+		}
 	}
-	return total
+	return rate
 }
 
 // handleJobs serves GET /v1/jobs: every in-flight job plus the bounded

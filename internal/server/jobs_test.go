@@ -7,6 +7,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -270,7 +271,7 @@ func TestJobHistoryFIFOEviction(t *testing.T) {
 // every {id} route answers an unknown id with 404, each in the
 // service's JSON error format, byte for byte; /healthz takes any method.
 func TestJobEndpointErrors(t *testing.T) {
-	srv := New(Config{FlightInterval: -1})
+	srv := New(Config{})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -306,7 +307,7 @@ func TestJobEndpointErrors(t *testing.T) {
 	for _, path := range idRoutes {
 		do(http.MethodGet, path, http.StatusNotFound, "", notFoundBody)
 	}
-	for _, path := range append([]string{"/v1/constraints", "/v1/jobs", "/v1/events", "/v1/runtime/history"}, idRoutes...) {
+	for _, path := range append([]string{"/v1/constraints", "/v1/jobs", "/v1/events"}, idRoutes...) {
 		for _, method := range []string{http.MethodPost, http.MethodPut, http.MethodDelete} {
 			do(method, path, http.StatusMethodNotAllowed, http.MethodGet, getOnlyBody)
 		}
@@ -398,7 +399,101 @@ func TestBuildPhaseHistogramsInMetrics(t *testing.T) {
 	if !maps.Equal(got, want) {
 		t.Errorf("phase label counts %v, want %v", got, want)
 	}
+	// One study and one sweep: one observation in each duration histogram.
+	for _, want := range []string{"server_build_seconds_count 1\n", "server_sweep_seconds_count 1\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("/metrics missing %q", strings.TrimSpace(want))
+		}
+	}
 	if !strings.Contains(text, "server_queue_wait_seconds_count 2\n") {
 		t.Error("/metrics missing server_queue_wait_seconds_count 2")
+	}
+}
+
+// scrape returns the text of one GET /metrics.
+func scrape(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	return readAll(t, resp)
+}
+
+// The /metrics gauges are read at the scrape itself: with the only
+// worker busy and one build queued behind it, the scrape reports both,
+// and the first scrape after the builds settle reads the server idle.
+func TestMetricsGaugesReadAtScrape(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drain(t, srv)
+
+	release := occupyWorker(t, srv, ts.URL)
+	queued := make(chan struct{})
+	go func() {
+		defer close(queued)
+		resp, err := http.Post(ts.URL+"/v1/study", "application/json", strings.NewReader(`{"chips": 20, "seed": 2}`))
+		if err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitCounter(t, reg, "server_study_cache_misses_total", 2)
+
+	text := scrape(t, ts.URL)
+	for _, want := range []string{"server_workers_busy 1\n", "server_queue_depth 1\n", "server_jobs_admitted 2\n", "\nbuild_chips_per_second "} {
+		if !strings.Contains(text, want) {
+			t.Errorf("busy scrape missing %q", strings.TrimSpace(want))
+		}
+	}
+	_, rest, _ := strings.Cut(text, "\nruntime_goroutines ")
+	line, _, _ := strings.Cut(rest, "\n")
+	if n, err := strconv.Atoi(line); err != nil || n <= 0 {
+		t.Errorf("runtime_goroutines = %q, want a positive count", line)
+	}
+
+	close(release)
+	<-queued
+	waitSettled(t, srv)
+	text = scrape(t, ts.URL)
+	for _, want := range []string{"server_workers_busy 0\n", "server_queue_depth 0\n", "server_jobs_admitted 0\n"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("idle scrape missing %q", strings.TrimSpace(want))
+		}
+	}
+}
+
+// A client that gives up while the build it waits on runs is counted
+// in server_requests_abandoned_total; the build itself runs on.
+func TestAbandonedRequestCounted(t *testing.T) {
+	reg := obs.Enable()
+	defer obs.Disable()
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer drain(t, srv)
+	defer close(occupyWorker(t, srv, ts.URL))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/study", strings.NewReader(`{"chips": 20, "seed": 1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitCounter(t, reg, "server_study_coalesced_total", 1)
+	cancel()
+	<-gone
+	waitCounter(t, reg, "server_requests_abandoned_total", 1)
+	if got := reg.Counter("server_requests_abandoned_total").Value(); got != 1 {
+		t.Errorf("server_requests_abandoned_total = %d, want 1", got)
 	}
 }

@@ -49,7 +49,7 @@ func occupyWorker(t *testing.T, srv *Server, url string) chan struct{} {
 // than pile up until the next restart.
 func TestFailedBuildExpiresIdempotencyKeys(t *testing.T) {
 	dir := t.TempDir()
-	srv := New(Config{Workers: 1, Store: openStore(t, dir), FlightInterval: -1})
+	srv := New(Config{Workers: 1, Store: openStore(t, dir)})
 	defer srv.Close()
 	srv.build = func(context.Context, yieldcache.StudyConfig) (*yieldcache.Study, error) {
 		return nil, errors.New("injected build failure")
@@ -70,7 +70,7 @@ func TestFailedBuildExpiresIdempotencyKeys(t *testing.T) {
 // Idempotency-Keys expire with it the same way.
 func TestUncachedBuildExpiresIdempotencyKeys(t *testing.T) {
 	dir := t.TempDir()
-	srv := New(Config{Workers: 1, Store: openStore(t, dir), CacheEntries: -1, FlightInterval: -1})
+	srv := New(Config{Workers: 1, Store: openStore(t, dir), CacheEntries: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -104,7 +104,7 @@ func checkNoIdem(t *testing.T, srv *Server, dir, when string) {
 func TestFinishedSweepProgressSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	srv1 := New(Config{Workers: 2, Store: st, FlightInterval: -1})
+	srv1 := New(Config{Workers: 2, Store: st})
 	ts1 := httptest.NewServer(srv1.Handler())
 	resp, _, fail := postSweep(t, ts1.URL, `{"chips": 60, "axes": [{"param": "vdd", "values": [1.1, 1.05]}]}`, "")
 	if resp.StatusCode != http.StatusOK {
@@ -127,7 +127,7 @@ func TestFinishedSweepProgressSurvivesRestart(t *testing.T) {
 	ts1.Close()
 	st.Close()
 
-	srv2 := New(Config{Workers: 2, Store: openStore(t, dir), FlightInterval: -1})
+	srv2 := New(Config{Workers: 2, Store: openStore(t, dir)})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
@@ -140,7 +140,7 @@ func TestFinishedSweepProgressSurvivesRestart(t *testing.T) {
 func TestSweepShedWhenQueueFull(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, QueueDepth: -1, FlightInterval: -1})
+	srv := New(Config{Workers: 1, QueueDepth: -1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -173,7 +173,7 @@ func TestSweepShedWhenQueueFull(t *testing.T) {
 func TestConcurrentIdenticalSweepsCoalesce(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -219,7 +219,7 @@ func TestConcurrentIdenticalSweepsCoalesce(t *testing.T) {
 func TestSweepTimeoutReturns504(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -22,6 +22,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -70,12 +71,6 @@ type Config struct {
 	// that falls more than a full buffer behind is disconnected rather
 	// than allowed to stall the bus (default 64).
 	EventBuffer int
-	// FlightInterval is the runtime flight recorder's sampling period
-	// (default 1s; negative disables the recorder).
-	FlightInterval time.Duration
-	// FlightSamples is the flight recorder's ring capacity — how many
-	// samples GET /v1/runtime/history can return (default 512).
-	FlightSamples int
 	// Logger receives the server's structured logs; per-job logs carry
 	// a "job" attribute matching the /v1/jobs id. Nil discards logs
 	// (tests); yieldd passes a text or JSON slog handler.
@@ -124,12 +119,6 @@ func (c *Config) fill() {
 	}
 	if c.EventBuffer <= 0 {
 		c.EventBuffer = 64
-	}
-	if c.FlightInterval == 0 {
-		c.FlightInterval = time.Second
-	}
-	if c.FlightSamples <= 0 {
-		c.FlightSamples = 512
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -202,8 +191,7 @@ type Server struct {
 
 	jobsReg *jobRegistry // per-job telemetry behind /v1/jobs
 
-	bus    *obs.EventBus       // live telemetry fan-out behind the SSE endpoints
-	flight *obs.FlightRecorder // runtime sampler behind /v1/runtime/history; nil when disabled
+	bus *obs.EventBus // live telemetry fan-out behind the SSE endpoints
 
 	streamCtx    context.Context // cancelled on Drain/Close so SSE connections end
 	streamCancel context.CancelFunc
@@ -211,13 +199,6 @@ type Server struct {
 	wg sync.WaitGroup // tracks builds for Drain
 
 	buildEWMA atomic.Uint64 // float64 bits: smoothed build seconds, for Retry-After
-
-	// Build-throughput EWMA behind the build_chips_per_second gauge:
-	// each flight-recorder sample diffs the summed per-job chip counters
-	// against the previous sample and folds the rate into chipsEWMA.
-	chipsEWMA    atomic.Uint64 // float64 bits: smoothed chips/second
-	lastChips    atomic.Int64  // summed chip progress at the previous flight sample
-	lastFlightNS atomic.Int64  // UnixNano of the previous flight sample
 }
 
 // New returns a Server over the real yieldcache facade.
@@ -245,58 +226,14 @@ func New(cfg Config) *Server {
 		streamCtx:    streamCtx,
 		streamCancel: streamCancel,
 	}
-	if cfg.FlightInterval > 0 {
-		s.flight = obs.NewFlightRecorder(cfg.FlightInterval, cfg.FlightSamples, s.flightExtra)
-		s.flight.Start()
-	}
 	s.recoverFromStore()
 	return s
 }
 
-// flightExtra feeds server-level gauges into every flight-recorder
-// sample (and, mirrored, onto /metrics): worker occupancy, queue depth,
-// the smoothed build estimate, the live SSE subscriber count, and the
-// smoothed Monte Carlo throughput in chips/second.
-func (s *Server) flightExtra() map[string]float64 {
-	busy := len(s.slots)
-	s.mu.Lock()
-	queued := s.jobs - busy
-	s.mu.Unlock()
-	if queued < 0 {
-		queued = 0
-	}
-	return map[string]float64{
-		"server_workers_busy":       float64(busy),
-		"server_queue_depth":        float64(queued),
-		"server_build_ewma_seconds": math.Float64frombits(s.buildEWMA.Load()),
-		"server_event_subscribers":  float64(s.bus.Subscribers()),
-		"build_chips_per_second":    s.observeChipRate(),
-	}
-}
-
-// observeChipRate advances the chips/second EWMA by one flight-recorder
-// occupancy sample: the delta of the summed per-job chip counters over
-// the wall time since the previous sample, smoothed 70/30 so an idle
-// sample decays the gauge instead of zeroing it. Eviction of finished
-// jobs can shrink the sum; negative deltas clamp to an idle sample.
-func (s *Server) observeChipRate() float64 {
-	now := time.Now().UnixNano()
-	total := s.jobsReg.totalChips()
-	prev := s.lastChips.Swap(total)
-	prevNS := s.lastFlightNS.Swap(now)
-	rate := 0.0
-	if dt := float64(now-prevNS) / 1e9; prevNS > 0 && dt > 0 {
-		if dc := total - prev; dc > 0 {
-			rate = float64(dc) / dt
-		}
-	}
-	return foldEWMA(&s.chipsEWMA, rate)
-}
-
 // foldEWMA folds sample x into the smoothed value held as float64 bits
-// in v, 70/30 (the first sample seeds it), and returns the new value.
-// Lock-free: racing folds retry the CAS.
-func foldEWMA(v *atomic.Uint64, x float64) float64 {
+// in v, 70/30 (the first sample seeds it). Lock-free: racing folds
+// retry the CAS.
+func foldEWMA(v *atomic.Uint64, x float64) {
 	for {
 		old := v.Load()
 		next := x
@@ -304,7 +241,7 @@ func foldEWMA(v *atomic.Uint64, x float64) float64 {
 			next = 0.7*prev + 0.3*x
 		}
 		if v.CompareAndSwap(old, math.Float64bits(next)) {
-			return next
+			return
 		}
 	}
 }
@@ -312,8 +249,8 @@ func foldEWMA(v *atomic.Uint64, x float64) float64 {
 // Handler returns the instrumented route table: POST /v1/study,
 // POST /v1/sweep, GET /v1/constraints, GET /v1/jobs, GET /v1/jobs/{id},
 // GET /v1/jobs/{id}/trace, GET /v1/jobs/{id}/estimate,
-// GET /v1/jobs/{id}/events, GET /v1/events, GET /v1/runtime/history,
-// GET /healthz, GET /metrics.
+// GET /v1/jobs/{id}/events, GET /v1/events, GET /healthz,
+// GET /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/v1/study", obs.Instrument("study", http.HandlerFunc(s.handleStudy)))
@@ -325,9 +262,8 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/v1/jobs/{id}/estimate", obs.Instrument("job_estimate", getOnly(s.withJob(s.handleJobEstimate))))
 	mux.Handle("/v1/jobs/{id}/events", obs.Instrument("job_events", getOnly(s.withJob(s.handleJobEvents))))
 	mux.Handle("/v1/events", obs.Instrument("events", getOnly(s.handleEvents)))
-	mux.Handle("/v1/runtime/history", obs.Instrument("runtime_history", getOnly(s.handleRuntimeHistory)))
 	mux.Handle("/healthz", obs.Instrument("healthz", http.HandlerFunc(s.handleHealthz)))
-	mux.Handle("/metrics", obs.Instrument("metrics", obs.MetricsHandler()))
+	mux.Handle("/metrics", obs.Instrument("metrics", http.HandlerFunc(s.handleMetrics)))
 	return mux
 }
 
@@ -373,22 +309,18 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	select {
 	case <-done:
-		s.flight.Stop()
 		return nil
 	case <-ctx.Done():
 		s.cancel() // force: the population build polls cancellation per chip
 		<-done
-		s.flight.Stop()
 		return ctx.Err()
 	}
 }
 
-// Close cancels all in-flight builds and SSE streams immediately and
-// stops the flight recorder.
+// Close cancels all in-flight builds and SSE streams immediately.
 func (s *Server) Close() {
 	s.streamCancel()
 	s.cancel()
-	s.flight.Stop()
 }
 
 // params is a validated, normalised study request.
@@ -669,7 +601,6 @@ func (s *Server) handle(w http.ResponseWriter, r *http.Request, k jobKind, idemB
 	s.inflight[key] = c
 	s.jobs++
 	admitted := s.jobs
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
 	s.wg.Add(1)
 	s.mu.Unlock()
 	obs.C("server_" + noun + "_cache_misses_total").Inc()
@@ -749,7 +680,6 @@ func (s *Server) run(k jobKind, c *call) {
 		expiredIdem = append(expiredIdem, s.expireIdemLocked(j.key)...)
 	}
 	s.jobs--
-	obs.G("server_jobs_admitted").Set(float64(s.jobs))
 	s.mu.Unlock()
 	for _, old := range evicted {
 		s.bus.Publish(obs.Event{Type: obs.EventCacheEvict, Key: old})
@@ -997,6 +927,32 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "jobs": jobs})
+}
+
+// handleMetrics serves GET /metrics: the default registry in the
+// Prometheus text format, with the runtime and server gauges read at
+// the moment of the scrape.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	obs.G("runtime_goroutines").Set(float64(runtime.NumGoroutine()))
+	obs.G("runtime_heap_alloc_bytes").Set(float64(ms.HeapAlloc))
+	obs.G("runtime_heap_sys_bytes").Set(float64(ms.HeapSys))
+	obs.G("runtime_heap_objects").Set(float64(ms.HeapObjects))
+	obs.G("runtime_gc_cycles_total").Set(float64(ms.NumGC))
+	obs.G("runtime_gc_pause_total_ms").Set(float64(ms.PauseTotalNs) / 1e6)
+
+	busy := len(s.slots)
+	s.mu.Lock()
+	admitted := s.jobs
+	s.mu.Unlock()
+	obs.G("server_workers_busy").Set(float64(busy))
+	obs.G("server_queue_depth").Set(float64(max(admitted-busy, 0)))
+	obs.G("server_jobs_admitted").Set(float64(admitted))
+	obs.G("server_build_ewma_seconds").Set(math.Float64frombits(s.buildEWMA.Load()))
+	obs.G("server_event_subscribers").Set(float64(s.bus.Subscribers()))
+	obs.G("build_chips_per_second").Set(s.jobsReg.chipRate(time.Now()))
+	obs.MetricsHandler().ServeHTTP(w, r)
 }
 
 // retryAfterSeconds advises a shed client when a worker is likely to

@@ -449,7 +449,7 @@ func TestCacheEvictionCountsPerKind(t *testing.T) {
 		}
 	}
 
-	srv1 := New(Config{Workers: 1, CacheEntries: 1, Store: st, FlightInterval: -1})
+	srv1 := New(Config{Workers: 1, CacheEntries: 1, Store: st})
 	ts1 := httptest.NewServer(srv1.Handler())
 	sweep(ts1.URL, 1.1)
 	sweep(ts1.URL, 1.05) // evicts the first sweep
@@ -458,7 +458,7 @@ func TestCacheEvictionCountsPerKind(t *testing.T) {
 	ts1.Close()
 	st.Close()
 
-	srv2 := New(Config{Workers: 1, CacheEntries: 1, Store: openStore(t, dir), FlightInterval: -1})
+	srv2 := New(Config{Workers: 1, CacheEntries: 1, Store: openStore(t, dir)})
 	defer srv2.Close()
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()

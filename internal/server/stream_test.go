@@ -64,7 +64,7 @@ func decodeEvent(t *testing.T, fr sseEvent) obs.Event {
 // A subscriber attaching while the build runs must see live progress
 // and the terminal completion event, each frame flushed as it happens.
 func TestJobEventsStreamMidBuild(t *testing.T) {
-	srv := New(Config{Workers: 1, StreamInterval: -1, FlightInterval: -1})
+	srv := New(Config{Workers: 1, StreamInterval: -1})
 	defer srv.Close()
 	started := make(chan struct{})
 	attached := make(chan struct{})
@@ -159,7 +159,7 @@ func TestJobEventsStreamMidBuild(t *testing.T) {
 // terminal event and the stream closes — it never hangs waiting for
 // events that already happened.
 func TestJobEventsReplayOnFinishedJob(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -204,7 +204,7 @@ func TestJobEventsReplayOnFinishedJob(t *testing.T) {
 
 // The firehose honours ?types= filtering and rejects unknown types.
 func TestEventsFirehoseTypeFilter(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -347,7 +347,6 @@ func TestEventsFirehosePublishesEachType(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(string(tc.typ), func(t *testing.T) {
-			tc.cfg.FlightInterval = -1
 			srv := New(tc.cfg)
 			defer srv.Close()
 			ts := httptest.NewServer(srv.Handler())
@@ -419,7 +418,7 @@ func (w *slowWriter) String() string {
 func TestStreamDisconnectsSlowClient(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, EventBuffer: 2, FlightInterval: -1})
+	srv := New(Config{Workers: 1, EventBuffer: 2})
 	defer srv.Close()
 
 	sub := srv.bus.Subscribe(srv.cfg.EventBuffer)
@@ -462,7 +461,7 @@ func TestStreamDisconnectsSlowClient(t *testing.T) {
 // Draining ends live streams so a long-lived firehose cannot hold
 // graceful shutdown hostage.
 func TestDrainEndsEventStreams(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -493,7 +492,7 @@ func TestDrainEndsEventStreams(t *testing.T) {
 func TestShedRecordsFailedJob(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, QueueDepth: -1, FlightInterval: -1})
+	srv := New(Config{Workers: 1, QueueDepth: -1})
 	defer srv.Close()
 	started := make(chan string, 4)
 	release := make(chan struct{})
@@ -551,7 +550,7 @@ func TestShedRecordsFailedJob(t *testing.T) {
 func TestTimeoutClassOnResponseAndJob(t *testing.T) {
 	reg := obs.Enable()
 	defer obs.Disable()
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	srv.build, _ = blockingBuilder(nil, nil) // only ctx ends the build
 	ts := httptest.NewServer(srv.Handler())
@@ -589,65 +588,9 @@ func TestTimeoutClassOnResponseAndJob(t *testing.T) {
 	}
 }
 
-// The flight recorder samples immediately on start and serves its ring
-// through /v1/runtime/history with the server's extra gauges attached.
-func TestRuntimeHistoryEndpoint(t *testing.T) {
-	srv := New(Config{Workers: 3, FlightInterval: time.Hour, FlightSamples: 4})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/runtime/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out RuntimeHistoryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Capacity != 4 || out.IntervalMS != time.Hour.Seconds()*1e3 {
-		t.Errorf("capacity = %d interval = %g", out.Capacity, out.IntervalMS)
-	}
-	if len(out.Samples) < 1 {
-		t.Fatal("no samples despite the start-time sample")
-	}
-	s0 := out.Samples[0]
-	if s0.Goroutines <= 0 || s0.HeapAllocBytes == 0 {
-		t.Errorf("sample = %+v, missing runtime stats", s0)
-	}
-	for _, key := range []string{"server_workers_busy", "server_queue_depth",
-		"server_build_ewma_seconds", "server_event_subscribers"} {
-		if _, ok := s0.Extra[key]; !ok {
-			t.Errorf("sample missing extra gauge %q (have %v)", key, s0.Extra)
-		}
-	}
-}
-
-// The recorder can be disabled; the endpoint still answers.
-func TestRuntimeHistoryDisabled(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/v1/runtime/history")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out RuntimeHistoryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if out.Capacity != 0 || len(out.Samples) != 0 {
-		t.Errorf("disabled recorder served %+v", out)
-	}
-}
-
 // Unknown job ids and wrong methods are rejected cleanly.
 func TestStreamEndpointValidation(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -660,21 +603,19 @@ func TestStreamEndpointValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unknown job stream: status %d, want 404", resp.StatusCode)
 	}
-	for _, path := range []string{"/v1/events", "/v1/runtime/history"} {
-		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader("{}"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("POST %s: status %d, want 405", path, resp.StatusCode)
-		}
+	resp, err = http.Post(ts.URL+"/v1/events", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/events: status %d, want 405", resp.StatusCode)
 	}
 }
 
 // A cache hit publishes a cache_hit event attributing the producing job.
 func TestCacheHitPublishesEvent(t *testing.T) {
-	srv := New(Config{Workers: 1, FlightInterval: -1})
+	srv := New(Config{Workers: 1})
 	defer srv.Close()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()

@@ -223,15 +223,7 @@ func TestCrashedSweepResumesBitIdentical(t *testing.T) {
 	}
 
 	st := newCrashStore(t)
-	srv1 := New(Config{Workers: 2, Store: st})
-	ts1 := httptest.NewServer(srv1.Handler())
-	resp, _, _ := postSweep(t, ts1.URL, body, "")
-	jobID := resp.Header.Get("X-Job-Id")
-	drain(t, srv1)
-	ts1.Close()
-	if st.err != nil {
-		t.Fatalf("copying the data directory at the crash instant: %v", st.err)
-	}
+	jobID := crashAfterCopy(t, st, "/v1/sweep", body, "")
 
 	srv2 := New(Config{Workers: 2, Store: openStore(t, st.crash)})
 	ts2 := httptest.NewServer(srv2.Handler())

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"yieldcache"
-	"yieldcache/internal/obs"
 )
 
 // StudyRequest is the body of POST /v1/study. Zero fields take the
@@ -293,15 +292,4 @@ type JobDetail struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Class string `json:"class,omitempty"`
-}
-
-// RuntimeHistoryResponse is the body of GET /v1/runtime/history: the
-// flight recorder's ring of runtime samples, oldest first.
-type RuntimeHistoryResponse struct {
-	// IntervalMS is the sampling period; Capacity the ring size. Both
-	// are zero when the recorder is disabled (-flight-interval < 0).
-	IntervalMS float64 `json:"interval_ms"`
-	Capacity   int     `json:"capacity"`
-	// Samples holds up to Capacity observations, oldest first.
-	Samples []obs.RuntimeSample `json:"samples"`
 }
